@@ -11,13 +11,14 @@ key table.
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .dynamics import TrajectoryKind, TrajectorySpec
 from .exceptions import ConfigParseError, ConfigValidationError, RateMismatchError
-from .observer import Q_CONVENTIONS, RiccatiWeights
+from .observer import INTEGRATORS, Q_CONVENTIONS, RiccatiWeights
 from .sensors import MagReference, NoiseSpec, ProbeSet, RateSpec
 
 
@@ -66,13 +67,16 @@ class SimConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ConfigValidationError("runs must be at least 1")
+        if self.base_seed < 0:
+            raise ConfigValidationError("base_seed must be non-negative")
         if self.duration <= 0.0:
             raise ConfigValidationError("duration must be positive")
         if self.q_convention not in Q_CONVENTIONS:
             raise ConfigValidationError(
                 f"q_convention must be one of {Q_CONVENTIONS}")
-        if self.integrator not in ("euler", "ab2"):
-            raise ConfigValidationError("integrator must be euler or ab2")
+        if self.integrator not in INTEGRATORS:
+            raise ConfigValidationError(
+                f"integrator must be one of {tuple(INTEGRATORS)}")
         if self.noise.sigma_p.shape[0] != self.probes.m:
             raise ConfigValidationError(
                 "sigma_pitot length must match the probe count")
@@ -140,13 +144,30 @@ def _parse_value(token: str, line_no: int):
         except (ValueError, SyntaxError):
             raise ConfigParseError(f"malformed vector/matrix {token!r}",
                                    line_no) from None
+        _check_finite(value, token, line_no)
         return value
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         if token.replace("_", "").isalnum():
             return token
         raise ConfigParseError(f"malformed value {token!r}", line_no) from None
+    _check_finite(value, token, line_no)
+    return value
+
+
+def _check_finite(value, token: str, line_no: int) -> None:
+    """Reject NaN, infinities and numbers beyond the float range."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _check_finite(item, token, line_no)
+    elif isinstance(value, (int, float)):
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ConfigParseError(f"non-finite number in {token!r}", line_no)
 
 
 def parse_config_text(text: str) -> SimConfig:
@@ -169,7 +190,7 @@ def parse_config_text(text: str) -> SimConfig:
         elif isinstance(value, str):
             raise ConfigParseError(f"{key} expects a numeric value", line_no)
         if key in _INT_KEYS:
-            if float(value) != int(value):
+            if not isinstance(value, float) or value != int(value):
                 raise ConfigParseError(f"{key} expects an integer", line_no)
             value = int(value)
         values[key] = value
@@ -198,64 +219,70 @@ def default_config() -> SimConfig:
 def build_config(values: dict) -> SimConfig:
     """Assemble and validate a :class:`SimConfig` from a flat key dict."""
     try:
-        duration = float(values["duration"])
-        gravity = float(values["gravity"])
-        kind = str(values["trajectory"])
-        if kind == "paper_yaw_only":
-            trajectory = TrajectorySpec.paper(duration=duration,
-                                              gravity=gravity)
-        elif kind == "hover":
-            trajectory = TrajectorySpec.hover(duration=duration,
-                                              gravity=gravity)
-        else:
-            raise ConfigValidationError(
-                f"trajectory must be paper_yaw_only or hover, got {kind!r}")
-        probes = ProbeSet.from_axes(values["probes"])
-        mag_ref = MagReference(m_I=np.array(values["mag_reference"],
-                                            dtype=float))
-        rates = RateSpec(f_imu=float(values["f_imu"]),
-                         f_pitot=float(values["f_pitot"]),
-                         f_mag=float(values["f_mag"]),
-                         f_baro=float(values["f_baro"]))
-        sigma_p = np.atleast_1d(np.array(values["sigma_pitot"], dtype=float))
-        sigma_m = np.array(values["sigma_mag"], dtype=float)
-        noise = NoiseSpec(sigma_gyro=float(values["sigma_gyro"]),
-                          sigma_acc=float(values["sigma_acc"]),
-                          sigma_p=sigma_p, sigma_m=sigma_m,
-                          sigma_b=float(values["sigma_baro"]))
-        q_scale = float(values["q_scale"])
-        qp = (np.array(values["q_pitot"], dtype=float)
-              if values["q_pitot"] is not None
-              else q_scale * np.diag(sigma_p**2))
-        qm = (np.array(values["q_mag"], dtype=float)
-              if values["q_mag"] is not None
-              else q_scale * np.diag(sigma_m**2))
-        qb = (float(values["q_baro"]) if values["q_baro"] is not None
-              else q_scale * float(values["sigma_baro"])**2)
-        s = np.diag([float(values["s_att"])] * 3 + [float(values["s_vel"])] * 3
-                    + [float(values["s_h"])])
-        p0 = np.diag([float(values["p0_att"])] * 3
-                     + [float(values["p0_vel"])] * 3
-                     + [float(values["p0_h"])])
-        weights = RiccatiWeights(Qp=qp, Qm=qm, Qb=qb, S=s, P0=p0)
-        init = InitSpec(va0=np.array(values["init_va"], dtype=float),
-                        h0=float(values["init_h"]),
-                        angles0=np.array(values["init_angles"], dtype=float),
-                        std_v=float(values["init_std_v"]),
-                        std_h=float(values["init_std_h"]),
-                        std_angle=float(values["init_std_angle"]))
-        return SimConfig(trajectory=trajectory, probes=probes,
-                         mag_ref=mag_ref, rates=rates, noise=noise,
-                         weights=weights, init=init,
-                         runs=int(values["runs"]),
-                         base_seed=int(values["base_seed"]),
-                         duration=duration,
-                         q_convention=str(values["q_convention"]),
-                         integrator=str(values["integrator"]))
+        with np.errstate(over="raise"):
+            return _assemble(values)
     except ConfigValidationError:
         raise
-    except (ValueError, TypeError, RateMismatchError) as exc:
+    except (ValueError, TypeError, ArithmeticError,
+            RateMismatchError) as exc:
         raise ConfigValidationError(str(exc)) from exc
+
+
+def _assemble(values: dict) -> SimConfig:
+    duration = float(values["duration"])
+    gravity = float(values["gravity"])
+    kind = str(values["trajectory"])
+    if kind == "paper_yaw_only":
+        trajectory = TrajectorySpec.paper(duration=duration,
+                                          gravity=gravity)
+    elif kind == "hover":
+        trajectory = TrajectorySpec.hover(duration=duration,
+                                          gravity=gravity)
+    else:
+        raise ConfigValidationError(
+            f"trajectory must be paper_yaw_only or hover, got {kind!r}")
+    probes = ProbeSet.from_axes(values["probes"])
+    mag_ref = MagReference(m_I=np.array(values["mag_reference"],
+                                        dtype=float))
+    rates = RateSpec(f_imu=float(values["f_imu"]),
+                     f_pitot=float(values["f_pitot"]),
+                     f_mag=float(values["f_mag"]),
+                     f_baro=float(values["f_baro"]))
+    sigma_p = np.atleast_1d(np.array(values["sigma_pitot"], dtype=float))
+    sigma_m = np.array(values["sigma_mag"], dtype=float)
+    noise = NoiseSpec(sigma_gyro=float(values["sigma_gyro"]),
+                      sigma_acc=float(values["sigma_acc"]),
+                      sigma_p=sigma_p, sigma_m=sigma_m,
+                      sigma_b=float(values["sigma_baro"]))
+    q_scale = float(values["q_scale"])
+    qp = (np.array(values["q_pitot"], dtype=float)
+          if values["q_pitot"] is not None
+          else q_scale * np.diag(sigma_p**2))
+    qm = (np.array(values["q_mag"], dtype=float)
+          if values["q_mag"] is not None
+          else q_scale * np.diag(sigma_m**2))
+    qb = (float(values["q_baro"]) if values["q_baro"] is not None
+          else q_scale * float(values["sigma_baro"])**2)
+    s = np.diag([float(values["s_att"])] * 3 + [float(values["s_vel"])] * 3
+                + [float(values["s_h"])])
+    p0 = np.diag([float(values["p0_att"])] * 3
+                 + [float(values["p0_vel"])] * 3
+                 + [float(values["p0_h"])])
+    weights = RiccatiWeights(Qp=qp, Qm=qm, Qb=qb, S=s, P0=p0)
+    init = InitSpec(va0=np.array(values["init_va"], dtype=float),
+                    h0=float(values["init_h"]),
+                    angles0=np.array(values["init_angles"], dtype=float),
+                    std_v=float(values["init_std_v"]),
+                    std_h=float(values["init_std_h"]),
+                    std_angle=float(values["init_std_angle"]))
+    return SimConfig(trajectory=trajectory, probes=probes,
+                     mag_ref=mag_ref, rates=rates, noise=noise,
+                     weights=weights, init=init,
+                     runs=int(values["runs"]),
+                     base_seed=int(values["base_seed"]),
+                     duration=duration,
+                     q_convention=str(values["q_convention"]),
+                     integrator=str(values["integrator"]))
 
 
 def with_overrides(config: SimConfig, **kwargs) -> SimConfig:

@@ -27,12 +27,12 @@ ORTHONORMALITY_TOL = 1e-9
 
 def skew(u: np.ndarray) -> np.ndarray:
     """Return the 3x3 matrix ``[u]_x`` with ``[u]_x w = u x w``."""
-    ux, uy, uz = float(u[0]), float(u[1]), float(u[2])
-    return np.array([
-        [0.0, -uz, uy],
-        [uz, 0.0, -ux],
-        [-uy, ux, 0.0],
-    ])
+    ux, uy, uz = np.asarray(u, dtype=float).tolist()
+    # A flat list builds faster than a nested one; the tick and the
+    # transition-matrix oracle call this in their inner loops.
+    return np.array([0.0, -uz, uy,
+                     uz, 0.0, -ux,
+                     -uy, ux, 0.0]).reshape(3, 3)
 
 
 def cross3(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -6,6 +6,15 @@ both as the body-frame norm ``|Va - Vahat|`` and as the inertial-frame
 mismatch ``|R Va - Rhat Vahat|`` (the two differ once attitudes disagree).
 Everything is logged at the IMU rate.  All outputs are byte-deterministic
 functions of (config, base_seed).
+
+One run (:func:`run_single`) has three phases: truth on the whole tick
+grid and every sensor's measurements for the whole run, drawn in one call
+per sensor; the tick loop, which hands each tick's payloads to
+:meth:`~airnav.observer.AirDataObserver.tick` and records the estimate; and
+the vectorized metrics.  A numerical failure inside the loop ends that run
+only: its series is truncated and flagged, and :func:`run_montecarlo`
+carries on with the next run.  :func:`write_trace_csv` formats each row
+with one ``%`` format and writes blocks of rows.
 """
 
 from __future__ import annotations
@@ -17,18 +26,23 @@ import numpy as np
 
 from . import dynamics, geometry
 from .config import SimConfig
-from .exceptions import DivergenceError, GimbalLockError
+from .exceptions import (
+    DegenerateMatrixError,
+    DivergenceError,
+    GimbalLockError,
+    SingularInnovationError,
+)
 from .observer import AirDataObserver, ObserverState
 from .sensors import (
     INIT_STREAM_ID,
     STREAM_IDS,
     SensorKind,
-    make_schedule,
     sample_baro,
     sample_imu,
     sample_mag,
     sample_pitot,
     substream,
+    tick_times,
 )
 
 FLOAT_FORMAT = "%.17g"
@@ -39,6 +53,13 @@ TRACE_COLUMNS = (
     "err_v_body", "err_v_inertial", "err_att", "err_h",
     "lam_min_P", "lam_max_P",
 )
+
+# Numerical failures of one tick: they end that run, flagged, not the batch.
+RUN_FAILURES = (DivergenceError, SingularInnovationError,
+                DegenerateMatrixError, np.linalg.LinAlgError)
+
+# Rows formatted per write in write_trace_csv.
+TRACE_BLOCK_ROWS = 256
 
 METRIC_KEYS = ("err_att", "err_v_body", "err_v_inertial", "err_h")
 
@@ -123,17 +144,23 @@ def run_single(config: SimConfig, run_index: int = 0,
                initial_state: ObserverState | None = None) -> RunMetrics:
     """Drive the observer over the full sensor schedule of one run.
 
-    The estimate is recorded at every IMU tick before that tick's
-    measurements are processed, so row 0 reflects the initial estimate.
     Truth is evaluated from the closed form on the whole tick grid up
-    front, and the derived metrics are computed vectorized after the loop.
-    On divergence the series is truncated at the last valid tick and
-    flagged.
+    front.  Each sensor's measurements for the whole run are then drawn in
+    one call, on the ticks where it samples (``k % decimation == 0``); the
+    draws equal those of one call per tick on the same substream.  The loop
+    builds each tick's payloads from those arrays and calls
+    :meth:`AirDataObserver.tick` once per tick.  The estimate is recorded at
+    every IMU tick before that tick's measurements are processed, so row 0
+    reflects the initial estimate, and the derived metrics are computed
+    vectorized after the loop.  If a tick fails numerically (divergence
+    floor, singular innovation, degenerate attitude), the series is
+    truncated at the last valid tick and flagged, and the caller's batch
+    goes on.
     """
     spec = config.trajectory
-    slots = make_schedule(config.rates, config.duration)
-    n = len(slots)
-    ts = np.array([slot.t for slot in slots])
+    rates = config.rates
+    ts = tick_times(rates, config.duration)
+    n = ts.shape[0]
     r_truth = dynamics.attitude_batch(spec, ts)
     v_truth = dynamics.velocity(spec, ts)
     h_truth = dynamics.altitude(spec, ts)
@@ -143,8 +170,29 @@ def run_single(config: SimConfig, run_index: int = 0,
     omega_truth = np.zeros((n, 3))
     omega_truth[:, 2] = dynamics.yaw_rate(spec, ts)
 
-    rngs = {kind: substream(config.base_seed, run_index, sid)
-            for kind, sid in STREAM_IDS.items()}
+    # The last tick is recorded but not processed.
+    steps = n - 1
+    dec_p, dec_m, dec_b = (rates.decimation(kind) for kind in
+                           (SensorKind.PITOT, SensorKind.MAG, SensorKind.BARO))
+
+    def rng(kind):
+        return substream(config.base_seed, run_index, STREAM_IDS[kind])
+
+    def truth_every(dec):
+        sl = slice(0, steps, dec)
+        return dynamics.NavState(R=r_truth[sl], Va=va_truth[sl],
+                                 h=h_truth[sl], v=v_truth[sl])
+
+    noise = config.noise
+    omega_meas, a_meas = sample_imu(
+        dynamics.BodyInputs(omega=omega_truth[:steps], a=a_body[:steps]),
+        noise, rng(SensorKind.IMU))
+    pitot_meas = sample_pitot(truth_every(dec_p), config.probes, noise,
+                              rng(SensorKind.PITOT))
+    mag_meas = sample_mag(truth_every(dec_m), config.mag_ref, noise,
+                          rng(SensorKind.MAG))
+    baro_meas = sample_baro(truth_every(dec_b), noise, rng(SensorKind.BARO))
+
     state0 = (initial_state.copy() if initial_state is not None
               else init_estimates(config, run_index))
     observer = AirDataObserver(
@@ -159,34 +207,27 @@ def run_single(config: SimConfig, run_index: int = 0,
     diverged = False
     divergence_time = None
     recorded = 0
-    for i, slot in enumerate(slots):
+    for i in range(n):
         est = observer.state
         rhat_hist[i] = est.Rhat
         vahat_hist[i] = est.Vahat
         hhat_hist[i] = est.hhat
         p_hist[i] = est.P
         recorded = i + 1
-        if i == n - 1:
+        if i == steps:
             break
-        truth = dynamics.NavState(R=r_truth[i], Va=va_truth[i],
-                                  h=float(h_truth[i]), v=v_truth[i])
-        inputs = dynamics.BodyInputs(omega=omega_truth[i], a=a_body[i])
-        payloads = {SensorKind.IMU: sample_imu(inputs, config.noise,
-                                               rngs[SensorKind.IMU])}
-        if SensorKind.PITOT in slot.kinds:
-            payloads[SensorKind.PITOT] = sample_pitot(
-                truth, config.probes, config.noise, rngs[SensorKind.PITOT])
-        if SensorKind.MAG in slot.kinds:
-            payloads[SensorKind.MAG] = sample_mag(
-                truth, config.mag_ref, config.noise, rngs[SensorKind.MAG])
-        if SensorKind.BARO in slot.kinds:
-            payloads[SensorKind.BARO] = sample_baro(
-                truth, config.noise, rngs[SensorKind.BARO])
+        payloads = {SensorKind.IMU: (omega_meas[i], a_meas[i])}
+        if i % dec_p == 0:
+            payloads[SensorKind.PITOT] = pitot_meas[i // dec_p]
+        if i % dec_m == 0:
+            payloads[SensorKind.MAG] = mag_meas[i // dec_m]
+        if i % dec_b == 0:
+            payloads[SensorKind.BARO] = baro_meas[i // dec_b]
         try:
             observer.tick(payloads)
-        except DivergenceError:
+        except RUN_FAILURES:
             diverged = True
-            divergence_time = slot.t
+            divergence_time = float(ts[i])
             break
 
     sl = slice(0, recorded)
@@ -274,23 +315,19 @@ def summarize(config: SimConfig,
 
 def write_trace_csv(path, metrics: RunMetrics) -> None:
     """Write the per-tick trace with the fixed column layout."""
-    def fmt(x: float) -> str:
-        return FLOAT_FORMAT % x
-
+    table = np.column_stack((
+        metrics.t, metrics.euler, metrics.euler_hat, metrics.va,
+        metrics.va_hat, metrics.h, metrics.h_hat, metrics.err_v_body,
+        metrics.err_v_inertial, metrics.err_att, metrics.err_h,
+        metrics.lam_min_p, metrics.lam_max_p,
+    ))
+    row_format = ",".join([FLOAT_FORMAT] * len(TRACE_COLUMNS)) + "\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for i in range(metrics.t.shape[0]):
-            row = [
-                metrics.t[i],
-                *metrics.euler[i], *metrics.euler_hat[i],
-                *metrics.va[i], *metrics.va_hat[i],
-                metrics.h[i], metrics.h_hat[i],
-                metrics.err_v_body[i], metrics.err_v_inertial[i],
-                metrics.err_att[i], metrics.err_h[i],
-                metrics.lam_min_p[i], metrics.lam_max_p[i],
-            ]
-            writer.writerow([fmt(x) for x in row])
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        # Blocks of rows bound the memory of the formatted text.
+        for start in range(0, table.shape[0], TRACE_BLOCK_ROWS):
+            block = table[start:start + TRACE_BLOCK_ROWS].tolist()
+            fh.write("".join([row_format % tuple(row) for row in block]))
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:

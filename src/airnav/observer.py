@@ -2,10 +2,27 @@
 
 The estimator runs a copy of the vehicle kinematics driven by IMU inputs and
 injects innovation terms computed from a 7-state Riccati recursion
-(attitude error, inertial air-velocity error, altitude error).  The discrete
-per-tick cycle is: covariance prediction at the IMU period, measurement
-update for whichever aiding sensors sampled on the tick, then state
-integration (exponential step on SO(3), explicit step for the vector part).
+(attitude error, inertial air-velocity error, altitude error).
+
+One tick, :meth:`AirDataObserver.tick`, does the whole discrete cycle:
+
+1. covariance prediction ``A_d P A_d^T + S T`` with ``A_d = I + T A(Rhat)``,
+   built in a buffer the observer owns;
+2. measurement update for the aiding sensors that sampled on the tick: one
+   stacked update when Pitot, magnetometer and barometer coincide, otherwise
+   one update per sensor in the order barometer, magnetometer, Pitot.  The
+   magnetometer and barometer output rows are constant and built once; a
+   one-row update (barometer, single-probe Pitot) is a scalar division and a
+   rank-1 covariance downdate, a several-row update goes through a Cholesky
+   factor of the innovation covariance;
+3. state integration: exponential step on SO(3), explicit step for the
+   vector part.  The input-driven rates combine the current and previous
+   tick with fixed coefficients, ``(1, 0)`` for Euler and ``(3/2, -1/2)``
+   for two-step Adams-Bashforth, so both integrators share one code path;
+4. the divergence-floor check.
+
+:func:`observer_tick` and :func:`observer_step_state` are stateless entry
+points to the same code with the Euler coefficients.
 
 Weight conventions
 ------------------
@@ -23,7 +40,7 @@ The continuous-time Riccati equation (:func:`cre_rhs`) always treats its
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -37,22 +54,22 @@ from .exceptions import (
 from .geometry import E3, cross3, skew
 from .sensors import MagReference, ProbeSet, SensorKind
 
-I7 = np.eye(7)
-
 # Sensors are always stacked in this order when more than one updates at once.
 STACK_ORDER = (SensorKind.PITOT, SensorKind.MAG, SensorKind.BARO)
-
-# Sequential single-sensor updates run in this order on partial coincidences.
-UPDATE_ORDER = (SensorKind.BARO, SensorKind.MAG, SensorKind.PITOT)
 
 STATE_FLOOR = 1e9
 P_TRACE_FLOOR = 1e12
 
 Q_CONVENTIONS = ("covariance", "precision")
 
+# Weights of the current and previous tick's rates in the state step.
+INTEGRATORS = {"euler": (1.0, 0.0), "ab2": (1.5, -0.5)}
+
 
 def _check_spd(m: np.ndarray, name: str, sym_tol: float = 1e-9) -> np.ndarray:
     m = np.atleast_2d(np.array(m, dtype=float))
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} must be finite")
     if np.linalg.norm(m - m.T) > sym_tol:
         raise ValueError(f"{name} must be symmetric")
     try:
@@ -78,8 +95,8 @@ class RiccatiWeights:
         qm = _check_spd(self.Qm, "Qm")
         if qm.shape != (3, 3):
             raise ValueError("Qm must be 3 x 3")
-        if self.Qb <= 0.0:
-            raise ValueError("Qb must be positive")
+        if not 0.0 < self.Qb < np.inf:
+            raise ValueError("Qb must be positive and finite")
         s = _check_spd(self.S, "S")
         p0 = _check_spd(self.P0, "P0")
         if s.shape != (7, 7) or p0.shape != (7, 7):
@@ -127,20 +144,6 @@ class Innovation:
 
     def as_vector(self) -> np.ndarray:
         return np.concatenate((self.delta_R, self.delta_v, [self.delta_h]))
-
-
-@dataclass(frozen=True, eq=False)
-class OutputStack:
-    """Residual vector, output matrix and additive weight for one update."""
-
-    y: np.ndarray
-    C: np.ndarray
-    Q: np.ndarray
-
-    def __post_init__(self):
-        if not (self.y.shape[0] == self.C.shape[0] == self.Q.shape[0]
-                == self.Q.shape[1]):
-            raise ValueError("y, C and Q row dimensions disagree")
 
 
 def state_matrix_ct(rhat: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -241,50 +244,72 @@ def additive_weight(weights: RiccatiWeights, subset, q_convention: str,
     return scipy.linalg.block_diag(*blocks)
 
 
-def build_output_stack(payloads, est: ObserverState, weights: RiccatiWeights,
-                       probes: ProbeSet, mag_ref: MagReference, subset,
-                       q_convention: str = "covariance") -> OutputStack:
-    """Bundle residual, output matrix and additive weight for one update."""
-    return OutputStack(
-        y=residual(payloads, est, probes, mag_ref, subset),
-        C=output_matrix(est.Rhat, est.Vahat, probes, mag_ref, subset),
-        Q=additive_weight(weights, subset, q_convention),
-    )
-
-
 def riccati_predict(P: np.ndarray, A_d: np.ndarray, S: np.ndarray,
                     T: float) -> np.ndarray:
-    """Covariance prediction ``A_d P A_d^T + S T``."""
-    return A_d @ P @ A_d.T + S * T
+    """Covariance prediction ``A_d P A_d^T + S T``, returned exactly symmetric.
+
+    :func:`riccati_update` relies on a symmetric ``P``; a one-row update
+    then keeps it symmetric to the last bit.
+    """
+    p = A_d @ P @ A_d.T + S * T
+    return 0.5 * (p + p.T)
 
 
 def riccati_update(P: np.ndarray, C: np.ndarray, Q: np.ndarray,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Measurement update: gain and corrected covariance.
 
-    ``Q`` is the additive innovation term.  The innovation covariance is
-    solved through a Cholesky factorization; a single 1e-12 jitter retry
-    guards against marginal conditioning before giving up.
+    ``P`` is symmetric and ``Q`` is the additive innovation term.  The
+    innovation covariance ``C P C^T + Q`` must be positive definite; a
+    single 1e-12 jitter retry guards against marginal conditioning before
+    giving up.  A one-row ``C`` makes it a scalar, so the gain is a
+    division and the covariance update a rank-1 downdate; several rows go
+    through its Cholesky factor.
 
     Returns
     -------
     (K, P_new):
-        Gain ``P C^T (C P C^T + Q)^-1`` and symmetrized ``(I - K C) P``.
+        Gain ``P C^T (C P C^T + Q)^-1`` and the symmetric ``(I - K C) P``.
+
+    Raises
+    ------
+    SingularInnovationError
+        If the innovation covariance is not positive definite.
     """
-    s = C @ P @ C.T + Q
-    s = 0.5 * (s + s.T)
+    if C.shape[0] == 1:
+        return _update_one_row(P, C[0], float(Q[0, 0]))
+    return _update_cholesky(P, C, Q)
+
+
+def _update_one_row(P: np.ndarray, c: np.ndarray, q: float,
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    g = P @ c
+    s = float(c @ g) + q
+    # NaN fails the comparison too, so a non-finite P cannot slip through.
+    if not s > 0.0:
+        s += 1e-12
+        if not s > 0.0:
+            raise SingularInnovationError(
+                "innovation covariance is not positive definite")
+    return (g / s)[:, None], P - (g[:, None] * g) / s
+
+
+def _update_cholesky(P: np.ndarray, C: np.ndarray, Q: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    cp = C @ P
+    # cholesky reads only the lower triangle of the innovation covariance.
+    s = cp @ C.T + Q
     try:
-        cho = scipy.linalg.cho_factor(s)
+        chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         try:
-            cho = scipy.linalg.cho_factor(s + 1e-12 * np.eye(s.shape[0]))
+            chol = np.linalg.cholesky(s + 1e-12 * np.eye(s.shape[0]))
         except np.linalg.LinAlgError:
             raise SingularInnovationError(
-                "innovation covariance is not positive definite"
-            ) from None
-    k = scipy.linalg.cho_solve(cho, C @ P).T
-    p_new = (I7 - k @ C) @ P
-    return k, 0.5 * (p_new + p_new.T)
+                "innovation covariance is not positive definite") from None
+    chol_inv = np.linalg.inv(chol)
+    w = chol_inv @ cp  # L^-1 C P: K = w^T L^-1 and K C P = w^T w
+    return w.T @ chol_inv, P - w.T @ w
 
 
 def innovation_from_gain(K: np.ndarray, y: np.ndarray) -> Innovation:
@@ -293,80 +318,67 @@ def innovation_from_gain(K: np.ndarray, y: np.ndarray) -> Innovation:
     return Innovation(delta_R=u[0:3], delta_v=u[3:6], delta_h=float(u[6]))
 
 
+def _rates(rhat: np.ndarray, vahat: np.ndarray, rv: np.ndarray,
+           omega: np.ndarray, a: np.ndarray, gravity: float) -> np.ndarray:
+    """Input-driven rates ``[omega, dVahat/dt, dhhat/dt]`` of the state step.
+
+    ``rv`` is ``Rhat Vahat``; ``Rhat^T e3`` is the last row of ``Rhat``.
+    """
+    f = np.empty(7)
+    f[0:3] = omega
+    f[3:6] = -cross3(omega, vahat) + gravity * rhat[2] + a
+    f[6] = rv[2]
+    return f
+
+
+def _step(rhat: np.ndarray, vahat: np.ndarray, rv: np.ndarray, hhat: float,
+          f: np.ndarray, u: np.ndarray | None, T: float,
+          ) -> tuple[np.ndarray, np.ndarray, float]:
+    """Advance the state by the rates ``f`` and inject ``u = [dR, dv, dh]``.
+
+    The dynamics terms advance by the tick period ``T``; the innovation
+    terms are discrete gain-weighted corrections and enter at full
+    strength, which keeps the state correction consistent with the
+    ``(I - K C) P`` covariance reduction of the measurement update.
+    ``u = None`` means no aiding sensor sampled on the tick.
+    """
+    theta = T * f[0:3]
+    dv = T * f[3:6]
+    dh = T * f[6]
+    if u is not None:
+        d_r = u[0:3]
+        theta -= rhat.T @ d_r
+        dv += rhat.T @ (cross3(d_r, rv) - u[3:6])
+        dh -= u[6]
+    rhat_new = rhat @ geometry.exp_so3(theta)
+    if geometry.rotation_defect(rhat_new) > geometry.ORTHONORMALITY_TOL:
+        rhat_new = geometry.project_to_so3(rhat_new)
+    return rhat_new, vahat + dv, float(hhat + dh)
+
+
 def observer_step_state(est: ObserverState, omega: np.ndarray, a: np.ndarray,
                         gravity: float, innov: Innovation, T: float,
                         ) -> tuple[np.ndarray, np.ndarray, float]:
-    """One explicit integration step of the observer state.
+    """One explicit (Euler) integration step of the observer state.
 
     Exponential step on SO(3) for the attitude, explicit Euler for the
-    air-velocity and altitude estimates.  The dynamics terms advance by the
-    tick period ``T``; the innovation terms are discrete gain-weighted
-    corrections and enter at full strength, which keeps the state correction
-    consistent with the ``(I - K C) P`` covariance reduction of the
-    measurement update.
+    air-velocity and altitude estimates; the innovation enters at full
+    strength.  This is the step :meth:`AirDataObserver.tick` takes with the
+    Euler coefficients.
     """
     if T <= 0.0:
         raise ValueError("T must be positive")
-    rhat, vahat, hhat = est.Rhat, est.Vahat, est.hhat
-    rhat_new = rhat @ geometry.exp_so3(omega * T - rhat.T @ innov.delta_R)
-    if geometry.rotation_defect(rhat_new) > geometry.ORTHONORMALITY_TOL:
-        rhat_new = geometry.project_to_so3(rhat_new)
-    zeta1 = -cross3(omega, vahat) + gravity * (rhat.T @ E3) + a
-    zeta2 = -rhat.T @ innov.delta_v + rhat.T @ cross3(innov.delta_R,
-                                                      rhat @ vahat)
-    vahat_new = vahat + T * zeta1 + zeta2
-    hhat_new = float(hhat + T * (E3 @ (rhat @ vahat)) - innov.delta_h)
-    return rhat_new, vahat_new, hhat_new
-
-
-def _riccati_cycle(est: ObserverState, payloads, weights: RiccatiWeights,
-                   probes: ProbeSet, mag_ref: MagReference, T: float,
-                   q_convention: str,
-                   additive_cache: dict | None = None,
-                   ) -> tuple[np.ndarray, Innovation]:
-    """Predict + measurement update; returns the new P and the innovation.
-
-    All three aiding sensors present on the tick triggers one stacked
-    update; otherwise the available sensors update sequentially in the
-    fixed order barometer, magnetometer, Pitot.
-    """
-    omega, a = payloads[SensorKind.IMU]
-    a_d = state_matrix_dt(est.Rhat, a, T)
-    p = riccati_predict(est.P, a_d, weights.S, T)
-    aiding = [k for k in UPDATE_ORDER if k in payloads]
-    u = np.zeros(7)
-    if additive_cache is None:
-        additive_cache = {}
-
-    def add_q(subset: tuple) -> np.ndarray:
-        q = additive_cache.get(subset)
-        if q is None:
-            q = additive_weight(weights, subset, q_convention)
-            additive_cache[subset] = q
-        return q
-
-    work = ObserverState(est.Rhat, est.Vahat, est.hhat, p)
-    if len(aiding) == 3:
-        y = residual(payloads, work, probes, mag_ref, STACK_ORDER)
-        c = output_matrix(work.Rhat, work.Vahat, probes, mag_ref, STACK_ORDER)
-        k, p = riccati_update(p, c, add_q(STACK_ORDER))
-        u = innovation_from_gain(k, y).as_vector()
-    else:
-        for kind in aiding:
-            subset = (kind,)
-            y = residual(payloads, work, probes, mag_ref, subset)
-            c = output_matrix(work.Rhat, work.Vahat, probes, mag_ref, subset)
-            k, p = riccati_update(p, c, add_q(subset))
-            u += innovation_from_gain(k, y).as_vector()
-    p = 0.5 * (p + p.T)
-    innov = Innovation(delta_R=u[0:3], delta_v=u[3:6], delta_h=float(u[6]))
-    return p, innov
+    rhat, vahat = est.Rhat, est.Vahat
+    rv = rhat @ vahat
+    return _step(rhat, vahat, rv, est.hhat,
+                 _rates(rhat, vahat, rv, omega, a, gravity),
+                 innov.as_vector(), T)
 
 
 def _check_floor(state: ObserverState) -> None:
     v = state.Vahat
     biggest = max(abs(v[0]), abs(v[1]), abs(v[2]), abs(state.hhat))
-    p_trace = float(np.trace(state.P))
+    p_trace = float(state.P.trace())
     # NaN fails both comparisons, so non-finite states also trip the floor.
     if not (biggest < STATE_FLOOR) or not (p_trace < P_TRACE_FLOOR):
         raise DivergenceError("observer state exceeded the numerical floor")
@@ -375,11 +387,12 @@ def _check_floor(state: ObserverState) -> None:
 def observer_tick(est: ObserverState, events, weights: RiccatiWeights,
                   probes: ProbeSet, mag_ref: MagReference, gravity: float,
                   T: float, q_convention: str = "covariance") -> ObserverState:
-    """One full observer tick: predict, update, integrate.
+    """One full Euler observer tick from ``est``: predict, update, integrate.
 
     ``events`` is an iterable of :class:`~airnav.sensors.SensorEvent` (or a
     mapping kind -> payload) sharing one timestamp; the IMU payload must be
-    present.
+    present.  Equivalent to the first tick of a fresh
+    :class:`AirDataObserver`.
 
     Raises
     ------
@@ -390,19 +403,13 @@ def observer_tick(est: ObserverState, events, weights: RiccatiWeights,
     """
     payloads = events if isinstance(events, dict) else {
         ev.kind: ev.payload for ev in events}
-    if SensorKind.IMU not in payloads:
-        raise MissingPayloadError("observer tick requires an IMU payload")
-    p, innov = _riccati_cycle(est, payloads, weights, probes, mag_ref, T,
-                              q_convention)
-    omega, a = payloads[SensorKind.IMU]
-    rhat, vahat, hhat = observer_step_state(est, omega, a, gravity, innov, T)
-    new = ObserverState(Rhat=rhat, Vahat=vahat, hhat=hhat, P=p)
-    _check_floor(new)
-    return new
+    observer = AirDataObserver(est, weights, probes, mag_ref, dt=T,
+                               gravity=gravity, q_convention=q_convention)
+    return observer.tick(payloads)
 
 
 class AirDataObserver:
-    """Stateful wrapper running the per-tick cycle over a schedule.
+    """Stateful observer running the per-tick cycle (see module docstring).
 
     Parameters
     ----------
@@ -427,7 +434,7 @@ class AirDataObserver:
                  integrator: str = "euler"):
         if q_convention not in Q_CONVENTIONS:
             raise ValueError(f"unknown q_convention {q_convention!r}")
-        if integrator not in ("euler", "ab2"):
+        if integrator not in INTEGRATORS:
             raise ValueError(f"unknown integrator {integrator!r}")
         self.state = state0.copy()
         self.weights = weights
@@ -437,51 +444,86 @@ class AirDataObserver:
         self.gravity = float(gravity)
         self.q_convention = q_convention
         self.integrator = integrator
-        self._prev: tuple[np.ndarray, np.ndarray, float] | None = None
-        self._additive_cache: dict = {}
+        self._c_now, self._c_prev = INTEGRATORS[integrator]
+        self._prev_rates: np.ndarray | None = None
+        self._a_d = state_matrix_dt(np.eye(3), np.zeros(3), self.dt)
+        # Stacked output rows and residuals in STACK_ORDER; only the Pitot
+        # rows depend on the estimate, the mag and baro rows stay as built.
+        m = probes.m
+        self._c = output_matrix(self.state.Rhat, self.state.Vahat, probes,
+                                mag_ref, STACK_ORDER)
+        self._y = np.zeros(m + 4)
+        self._q_stacked = additive_weight(weights, STACK_ORDER, q_convention)
+        # Rows of _c and _y and the additive weight of each sensor alone.
+        self._single = {
+            kind: (rows, additive_weight(weights, (kind,), q_convention))
+            for kind, rows in ((SensorKind.PITOT, slice(0, m)),
+                               (SensorKind.MAG, slice(m, m + 3)),
+                               (SensorKind.BARO, slice(m + 3, m + 4)))}
 
     def tick(self, payloads: dict) -> ObserverState:
-        """Advance one IMU tick given ``{SensorKind: payload}``; returns state."""
-        if SensorKind.IMU not in payloads:
+        """Advance one IMU tick given ``{SensorKind: payload}``; returns state.
+
+        Raises
+        ------
+        MissingPayloadError
+            If no IMU payload is supplied.
+        SingularInnovationError
+            If an innovation covariance is not positive definite.
+        DivergenceError
+            If the updated state exceeds the numerical divergence floor.
+        """
+        imu = payloads.get(SensorKind.IMU)
+        if imu is None:
             raise MissingPayloadError("observer tick requires an IMU payload")
+        omega, a = imu
         est = self.state
-        p, innov = _riccati_cycle(est, payloads, self.weights, self.probes,
-                                  self.mag_ref, self.dt, self.q_convention,
-                                  self._additive_cache)
-        omega, a = payloads[SensorKind.IMU]
-        if self.integrator == "euler":
-            rhat, vahat, hhat = observer_step_state(est, omega, a,
-                                                    self.gravity, innov,
-                                                    self.dt)
-        else:
-            rhat, vahat, hhat = self._step_ab2(est, omega, a, innov)
+        rhat, vahat, T = est.Rhat, est.Vahat, self.dt
+        rv = rhat @ vahat
+
+        a_d = self._a_d
+        a_d[3:6, 0:3] = skew(-T * (rhat @ a))
+        p = riccati_predict(est.P, a_d, self.weights.S, T)
+
+        # Residuals and Pitot rows of the sensors that sampled, collected
+        # in the sequential update order: barometer, magnetometer, Pitot.
+        c, y, bt = self._c, self._y, self.probes.B.T
+        fired = []
+        baro = payloads.get(SensorKind.BARO)
+        if baro is not None:
+            y[-1] = baro - est.hhat
+            fired.append(SensorKind.BARO)
+        mag = payloads.get(SensorKind.MAG)
+        if mag is not None:
+            y[-4:-1] = self.mag_ref.m_I - rhat @ mag
+            fired.append(SensorKind.MAG)
+        pitot = payloads.get(SensorKind.PITOT)
+        if pitot is not None:
+            m = bt.shape[0]
+            bt_rt = bt @ rhat.T
+            c[:m, 0:3] = bt_rt @ skew(rv)
+            c[:m, 3:6] = bt_rt
+            y[:m] = pitot - bt @ vahat
+            fired.append(SensorKind.PITOT)
+        u = None
+        if len(fired) == 3:
+            k, p = riccati_update(p, c, self._q_stacked)
+            u = -(k @ y)
+        elif fired:
+            u = np.zeros(7)
+            for kind in fired:
+                rows, q = self._single[kind]
+                k, p = riccati_update(p, c[rows], q)
+                u -= k @ y[rows]
+
+        f = _rates(rhat, vahat, rv, omega, a, self.gravity)
+        prev, self._prev_rates = self._prev_rates, f
+        if prev is not None:
+            f = self._c_now * f + self._c_prev * prev
+        rhat, vahat, hhat = _step(rhat, vahat, rv, est.hhat, f, u, T)
         self.state = ObserverState(Rhat=rhat, Vahat=vahat, hhat=hhat, P=p)
         _check_floor(self.state)
         return self.state
-
-    def _step_ab2(self, est: ObserverState, omega: np.ndarray, a: np.ndarray,
-                  innov: Innovation) -> tuple[np.ndarray, np.ndarray, float]:
-        T = self.dt
-        rhat, vahat = est.Rhat, est.Vahat
-        zeta1 = -cross3(omega, vahat) + self.gravity * (rhat.T @ E3) + a
-        hflow = float(E3 @ (rhat @ vahat))
-        if self._prev is None:
-            omega_eff, zeta1_eff, hflow_eff = omega, zeta1, hflow
-        else:
-            omega_prev, zeta1_prev, hflow_prev = self._prev
-            omega_eff = 1.5 * omega - 0.5 * omega_prev
-            zeta1_eff = 1.5 * zeta1 - 0.5 * zeta1_prev
-            hflow_eff = 1.5 * hflow - 0.5 * hflow_prev
-        self._prev = (omega, zeta1, hflow)
-        rhat_new = rhat @ geometry.exp_so3(
-            omega_eff * T - rhat.T @ innov.delta_R)
-        if geometry.rotation_defect(rhat_new) > geometry.ORTHONORMALITY_TOL:
-            rhat_new = geometry.project_to_so3(rhat_new)
-        zeta2 = -rhat.T @ innov.delta_v + rhat.T @ cross3(innov.delta_R,
-                                                          rhat @ vahat)
-        vahat_new = vahat + T * zeta1_eff + zeta2
-        hhat_new = float(est.hhat + T * hflow_eff - innov.delta_h)
-        return rhat_new, vahat_new, hhat_new
 
 
 def cre_rhs(P: np.ndarray, A_ct: np.ndarray, C: np.ndarray, Q: np.ndarray,

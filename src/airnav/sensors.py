@@ -26,6 +26,11 @@ class SensorKind(enum.Enum):
     MAG = "mag"
     BARO = "baro"
 
+    # Members compare by identity, so the identity hash is consistent and
+    # much cheaper than Enum's name-based one; payload dicts hash these
+    # keys several times per tick.
+    __hash__ = object.__hash__
+
 
 # Substream identifiers; INIT draws the randomized initial estimates.
 STREAM_IDS = {
@@ -175,50 +180,82 @@ class ScheduleSlot:
 
 def sample_imu(inputs: BodyInputs, noise: NoiseSpec,
                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Gyroscope and accelerometer measurements with additive Gaussian noise."""
-    omega = inputs.omega + noise.sigma_gyro * rng.standard_normal(3)
-    a = inputs.a + noise.sigma_acc * rng.standard_normal(3)
+    """Gyroscope and accelerometer measurements with additive Gaussian noise.
+
+    ``inputs.omega`` and ``inputs.a`` are (3,) for one tick or (n, 3) for n
+    ticks.  Each tick draws its gyroscope triple, then its accelerometer
+    triple, so one call over n ticks consumes the stream exactly as n
+    single-tick calls do.
+    """
+    z = rng.standard_normal(np.shape(inputs.omega)[:-1] + (2, 3))
+    omega = inputs.omega + noise.sigma_gyro * z[..., 0, :]
+    a = inputs.a + noise.sigma_acc * z[..., 1, :]
     return omega, a
 
 
 def sample_pitot(truth: NavState, probes: ProbeSet, noise: NoiseSpec,
                  rng: np.random.Generator) -> np.ndarray:
-    """Per-probe projections of the body-frame air velocity, plus noise."""
+    """Per-probe projections of the body-frame air velocity, plus noise.
+
+    ``truth.Va`` is (3,) for one tick or (n, 3) for n ticks; the result is
+    (m,) or (n, m).
+    """
     if noise.sigma_p.shape[0] != probes.m:
         raise ValueError("sigma_p length must equal the probe count")
-    return probes.B.T @ truth.Va + noise.sigma_p * rng.standard_normal(probes.m)
+    va = np.asarray(truth.Va)
+    # einsum, unlike a BLAS matmul, sums each projection in the same order
+    # for one tick and for many.
+    return (np.einsum("...i,im->...m", va, probes.B)
+            + noise.sigma_p * rng.standard_normal(va.shape[:-1] + (probes.m,)))
 
 
 def sample_baro(truth: NavState, noise: NoiseSpec,
-                rng: np.random.Generator) -> float:
-    """Barometric altitude measurement."""
-    return float(truth.h + noise.sigma_b * rng.standard_normal())
+                rng: np.random.Generator) -> float | np.ndarray:
+    """Barometric altitude measurement.
+
+    A scalar ``truth.h`` gives a float; an (n,) array gives n measurements.
+    """
+    h = truth.h + noise.sigma_b * rng.standard_normal(np.shape(truth.h))
+    return float(h) if np.ndim(h) == 0 else h
 
 
 def sample_mag(truth: NavState, ref: MagReference, noise: NoiseSpec,
                rng: np.random.Generator) -> np.ndarray:
-    """Body-frame magnetic field measurement (left unnormalized)."""
-    return truth.R.T @ ref.m_I + noise.sigma_m * rng.standard_normal(3)
+    """Body-frame magnetic field measurement (left unnormalized).
+
+    ``truth.R`` is (3, 3) for one tick or (n, 3, 3) for n ticks.
+    """
+    r = np.asarray(truth.R)
+    return ref.m_I @ r + noise.sigma_m * rng.standard_normal(r.shape[:-1])
+
+
+def tick_times(rates: RateSpec, duration: float) -> np.ndarray:
+    """IMU tick grid ``k / f_imu`` for ``k = 0 .. floor(duration * f_imu)``.
+
+    Both endpoints are included.  A sensor of decimation ``d`` samples on
+    the ticks with ``k % d == 0``.
+    """
+    if duration < 0.0:
+        raise ValueError("duration must be non-negative")
+    n_ticks = int(np.floor(duration * rates.f_imu + 1e-9))
+    return np.arange(n_ticks + 1) / rates.f_imu
 
 
 def make_schedule(rates: RateSpec, duration: float) -> list[ScheduleSlot]:
     """Tick schedule at the IMU rate with slower sensors on their multiples.
 
-    Ticks at ``k / f_imu`` for ``k = 0 .. floor(duration * f_imu)``; both
-    endpoints are included. Coincident samples are merged into one slot.
+    One slot per tick of :func:`tick_times`; coincident samples are merged
+    into one slot.
     """
-    if duration < 0.0:
-        raise ValueError("duration must be non-negative")
-    n_ticks = int(np.floor(duration * rates.f_imu + 1e-9))
     dec = {kind: rates.decimation(kind)
            for kind in (SensorKind.PITOT, SensorKind.MAG, SensorKind.BARO)}
     slots = []
-    for k in range(n_ticks + 1):
+    for k, t in enumerate(tick_times(rates, duration).tolist()):
         kinds = [SensorKind.IMU]
         for kind in (SensorKind.PITOT, SensorKind.MAG, SensorKind.BARO):
             if k % dec[kind] == 0:
                 kinds.append(kind)
-        slots.append(ScheduleSlot(t=k / rates.f_imu, kinds=tuple(kinds)))
+        slots.append(ScheduleSlot(t=t, kinds=tuple(kinds)))
     return slots
 
 

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from airnav import cli
 from airnav.config import (
+    _DEFAULTS,
+    _STRING_KEYS,
     default_config,
     load_config,
     parse_config_text,
@@ -133,7 +138,84 @@ class TestValidation:
         with pytest.raises(ConfigValidationError):
             parse_config_text("probes = [[1,0,0],[0,1,0]]\n")
 
+    def test_negative_base_seed_rejected(self):
+        with pytest.raises(ConfigValidationError):
+            parse_config_text("base_seed = -1\n")
+
     def test_with_overrides_validates(self):
         cfg = default_config()
         with pytest.raises(ConfigValidationError):
             with_overrides(cfg, runs=0)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("text", [
+        "duration = nan",
+        "sigma_gyro = nan",
+        "s_att = inf",
+        "q_scale = nan",
+        "runs = 1e400",
+        "f_imu = inf",
+        "init_h = -inf",
+        "sigma_mag = [1e400, 0.01, 0.01]",
+        "probes = [[1" + "0" * 400 + ", 0, 0]]",
+    ])
+    def test_rejected_at_parse(self, text):
+        with pytest.raises(ConfigParseError) as err:
+            parse_config_text(text + "\n")
+        assert err.value.line_no == 1
+
+    def test_rate_ratio_overflow_rejected(self):
+        with pytest.raises(ConfigValidationError):
+            parse_config_text("f_imu = 1e300\nf_pitot = 1e-300\n")
+
+    def test_overflowing_weight_rejected(self):
+        # finite inputs whose default Qp = q_scale * sigma^2 overflows
+        for text in ("sigma_pitot = [1e200]", "q_scale = 1e300\n"
+                     "sigma_baro = 1e10"):
+            with pytest.raises(ConfigValidationError):
+                parse_config_text(text + "\n")
+
+    def test_vector_for_integer_key_rejected(self):
+        with pytest.raises(ConfigParseError):
+            parse_config_text("runs = [3]\n")
+
+    @pytest.mark.parametrize("text", ["runs = 1e400", "f_imu = inf"])
+    def test_cli_exits_2(self, text, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text + "\n", encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(path),
+                         "--out", str(tmp_path)]) == 2
+
+
+_NUMERIC_KEYS = sorted(k for k in _DEFAULTS if k not in _STRING_KEYS)
+
+_number = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(min_value=-10**400, max_value=10**400).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "1e-400",
+                     "0", "-0.0", "1e308", "5e-324"]),
+)
+_vector = st.lists(_number, max_size=4).map(
+    lambda xs: "[" + ", ".join(xs) + "]")
+_matrix = st.lists(st.lists(_number, min_size=1, max_size=3), min_size=1,
+                   max_size=3).map(
+    lambda rows: "[" + ", ".join("[" + ", ".join(r) + "]" for r in rows)
+    + "]")
+
+
+class TestFuzzedNumbers:
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.sampled_from(_NUMERIC_KEYS),
+                           st.one_of(_number, _vector, _matrix),
+                           min_size=1, max_size=4))
+    def test_only_config_errors_escape(self, assignments):
+        text = "".join(f"{k} = {v}\n" for k, v in assignments.items())
+        try:
+            cfg = parse_config_text(text)
+        except (ConfigParseError, ConfigValidationError):
+            return
+        w = cfg.weights
+        assert np.isfinite(cfg.duration)
+        for m in (w.Qp, w.Qm, w.Qb, w.S, w.P0):
+            assert np.all(np.isfinite(m))

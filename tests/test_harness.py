@@ -1,11 +1,14 @@
+import csv
+
 import numpy as np
 import pytest
 
 from airnav import cli, dynamics, geometry, harness
 from airnav.config import default_config, parse_config_text, with_overrides
-from airnav.exceptions import DivergenceError
+from airnav.exceptions import DivergenceError, SingularInnovationError
 from airnav.harness import (
     TRACE_COLUMNS,
+    RunMetrics,
     init_estimates,
     read_trace_csv,
     run_montecarlo,
@@ -16,7 +19,16 @@ from airnav.harness import (
 )
 from airnav.observability import WindowRow
 from airnav.observer import AirDataObserver, ObserverState
-from airnav.sensors import SensorKind
+from airnav.sensors import (
+    STREAM_IDS,
+    SensorKind,
+    make_schedule,
+    sample_baro,
+    sample_imu,
+    sample_mag,
+    sample_pitot,
+    substream,
+)
 
 
 @pytest.fixture
@@ -125,6 +137,63 @@ class TestRunSingle:
         assert m.divergence_time == pytest.approx(m.t[-1])
 
 
+    @pytest.mark.parametrize("integrator", ["ab2", "euler"])
+    def test_matches_per_tick_reference_loop(self, integrator):
+        # one sample_* call per sensor and tick, truth from the scalar
+        # closed form, one AirDataObserver.tick per schedule slot
+        cfg = parse_config_text(f"duration = 2\nruns = 1\n"
+                                f"integrator = {integrator}\n")
+        spec = cfg.trajectory
+        rngs = {kind: substream(cfg.base_seed, 0, sid)
+                for kind, sid in STREAM_IDS.items()}
+        obs = AirDataObserver(init_estimates(cfg, 0), cfg.weights,
+                              cfg.probes, cfg.mag_ref, dt=cfg.imu_period,
+                              gravity=cfg.gravity,
+                              q_convention=cfg.q_convention,
+                              integrator=cfg.integrator)
+        states = [obs.state]
+        for slot in make_schedule(cfg.rates, cfg.duration)[:-1]:
+            truth = dynamics.truth_state(spec, slot.t)
+            inputs = dynamics.truth_inputs(spec, slot.t)
+            payloads = {SensorKind.IMU: sample_imu(inputs, cfg.noise,
+                                                   rngs[SensorKind.IMU])}
+            if SensorKind.PITOT in slot.kinds:
+                payloads[SensorKind.PITOT] = sample_pitot(
+                    truth, cfg.probes, cfg.noise, rngs[SensorKind.PITOT])
+            if SensorKind.MAG in slot.kinds:
+                payloads[SensorKind.MAG] = sample_mag(
+                    truth, cfg.mag_ref, cfg.noise, rngs[SensorKind.MAG])
+            if SensorKind.BARO in slot.kinds:
+                payloads[SensorKind.BARO] = sample_baro(
+                    truth, cfg.noise, rngs[SensorKind.BARO])
+            states.append(obs.tick(payloads))
+
+        m = run_single(cfg, 0)
+        assert m.t.shape[0] == len(states)
+        np.testing.assert_allclose(m.va_hat, [s.Vahat for s in states],
+                                   rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(m.h_hat, [s.hhat for s in states],
+                                   rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(
+            m.lam_max_p, [np.linalg.eigvalsh(s.P)[-1] for s in states],
+            rtol=1e-9)
+        r_ref = np.array([s.Rhat for s in states])
+        np.testing.assert_allclose(
+            m.euler_hat, harness._euler_zyx_batch(r_ref), rtol=1e-9,
+            atol=1e-12)
+
+    def test_singular_innovation_truncates_series(self, short_config,
+                                                  monkeypatch):
+        def failing_tick(self, payloads):
+            raise SingularInnovationError("forced for test")
+
+        monkeypatch.setattr(AirDataObserver, "tick", failing_tick)
+        m = run_single(short_config, 0)
+        assert m.diverged
+        assert m.t.shape[0] == 1
+        assert m.divergence_time == 0.0
+
+
 class TestMonteCarlo:
     def test_single_run_summary_matches_run(self, short_config):
         cfg = with_overrides(short_config, runs=1)
@@ -168,6 +237,41 @@ class TestMonteCarlo:
         assert np.isnan(summary.final_means["err_att"][0])
         assert np.isfinite(summary.final_means["err_att"][1])
 
+    def test_singular_innovation_in_one_run_spares_the_batch(
+            self, short_config, monkeypatch):
+        intact = run_single(short_config, 1)
+        calls = {"n": 0}
+        orig = AirDataObserver.tick
+
+        def failing_in_run_0(self, payloads):
+            calls["n"] += 1
+            if calls["n"] == 50:
+                raise SingularInnovationError("forced for test")
+            return orig(self, payloads)
+
+        monkeypatch.setattr(AirDataObserver, "tick", failing_in_run_0)
+        summary, all_metrics = run_montecarlo(short_config)
+        assert summary.divergence_count == 1
+        assert all_metrics[0].diverged
+        assert all_metrics[0].t.shape[0] == 50
+        run_1 = all_metrics[1]
+        assert not run_1.diverged
+        np.testing.assert_array_equal(run_1.va_hat, intact.va_hat)
+        np.testing.assert_array_equal(run_1.err_att, intact.err_att)
+
+
+def _trace_oracle(path, m: RunMetrics) -> None:
+    """Row-by-row csv.writer rendering of a trace, kept as a byte oracle."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(TRACE_COLUMNS)
+        for i in range(m.t.shape[0]):
+            row = [m.t[i], *m.euler[i], *m.euler_hat[i], *m.va[i],
+                   *m.va_hat[i], m.h[i], m.h_hat[i], m.err_v_body[i],
+                   m.err_v_inertial[i], m.err_att[i], m.err_h[i],
+                   m.lam_min_p[i], m.lam_max_p[i]]
+            writer.writerow(["%.17g" % x for x in row])
+
 
 class TestCsvPersistence:
     def test_trace_round_trip_exact(self, short_config, tmp_path):
@@ -181,6 +285,27 @@ class TestCsvPersistence:
         np.testing.assert_array_equal(back["err_v_body"], m.err_v_body)
         np.testing.assert_array_equal(back["err_att"], m.err_att)
         np.testing.assert_array_equal(back["lam_min_P"], m.lam_min_p)
+
+    def test_trace_bytes_match_csv_writer(self, short_config, tmp_path):
+        m = run_single(short_config, 0)
+        # odd values exercise every branch of the float formatting
+        m.err_h[:6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308]
+        write_trace_csv(tmp_path / "fast.csv", m)
+        _trace_oracle(tmp_path / "oracle.csv", m)
+        assert ((tmp_path / "fast.csv").read_bytes()
+                == (tmp_path / "oracle.csv").read_bytes())
+
+    def test_trace_of_one_row(self, short_config, tmp_path, monkeypatch):
+        def failing_tick(self, payloads):
+            raise DivergenceError("forced for test")
+
+        monkeypatch.setattr(AirDataObserver, "tick", failing_tick)
+        m = run_single(short_config, 0)
+        write_trace_csv(tmp_path / "fast.csv", m)
+        _trace_oracle(tmp_path / "oracle.csv", m)
+        assert ((tmp_path / "fast.csv").read_bytes()
+                == (tmp_path / "oracle.csv").read_bytes())
+        assert read_trace_csv(tmp_path / "fast.csv")["t"].shape == (1,)
 
     def test_trace_column_order(self, short_config, tmp_path):
         m = run_single(short_config, 0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from airnav import dynamics, geometry
+from airnav import dynamics, geometry, observer
 from airnav.config import default_config
 from airnav.dynamics import TrajectorySpec, truth_inputs, truth_state
 from airnav.exceptions import MissingPayloadError, SingularInnovationError
@@ -11,6 +11,7 @@ from airnav.observer import (
     ObserverState,
     RiccatiWeights,
     STACK_ORDER,
+    additive_weight,
     cre_rhs,
     innovation_from_gain,
     observer_step_state,
@@ -211,6 +212,40 @@ class TestRiccatiUpdate:
         c = np.zeros((1, 7))
         with pytest.raises(SingularInnovationError):
             riccati_update(np.eye(7), c, np.array([[-1.0]]))
+
+
+    @pytest.mark.parametrize("row", ["baro", "pitot", "random"])
+    def test_one_row_matches_cholesky_path(self, row, probes, mag_ref):
+        rng = np.random.default_rng(12)
+        m = rng.standard_normal((7, 7))
+        p = m @ m.T + 0.1 * np.eye(7)
+        if row == "baro":
+            c = np.zeros((1, 7))
+            c[0, 6] = 1.0
+        elif row == "pitot":
+            c = output_matrix(geometry.exp_so3(rng.standard_normal(3)),
+                              5.0 * rng.standard_normal(3), probes, mag_ref,
+                              (SensorKind.PITOT,))
+        else:
+            c = rng.standard_normal((1, 7))
+        q = np.array([[0.7]])
+        k1, p1 = riccati_update(p, c, q)
+        k2, p2 = observer._update_cholesky(p, c, q)
+        assert k1.shape == k2.shape == (7, 1)
+        np.testing.assert_allclose(k1, k2, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(p1, p2, rtol=1e-12, atol=1e-12)
+        assert np.array_equal(p1, p1.T)
+
+    def test_singular_stacked_innovation_raises(self):
+        c = np.zeros((2, 7))
+        with pytest.raises(SingularInnovationError):
+            riccati_update(np.eye(7), c, -np.eye(2))
+
+    def test_nan_covariance_raises(self):
+        c = np.zeros((1, 7))
+        c[0, 6] = 1.0
+        with pytest.raises(SingularInnovationError):
+            riccati_update(np.full((7, 7), np.nan), c, np.array([[1.0]]))
 
 
 class TestInnovation:
@@ -508,6 +543,56 @@ class TestOutputRemainderBound:
                                   STACK_ORDER)
                 bound = 3.0 * (np.linalg.norm(truth.Va) + 2.0) * (x @ x)
                 assert np.linalg.norm(y - c @ x) <= bound
+
+
+class TestTickAgainstPublicPieces:
+    """The merged tick equals the cycle composed from the public pieces."""
+
+    @pytest.mark.parametrize("kinds", [
+        (),
+        (SensorKind.BARO,),
+        (SensorKind.MAG, SensorKind.PITOT),
+        (SensorKind.PITOT, SensorKind.MAG, SensorKind.BARO),
+    ])
+    def test_one_tick(self, kinds, probes, mag_ref, weights):
+        spec = TrajectorySpec.paper()
+        T = 0.005
+        s = truth_state(spec, 0.3)
+        inp = truth_inputs(spec, 0.3)
+        rng = np.random.default_rng(13)
+        est = ObserverState(
+            Rhat=geometry.exp_so3(0.1 * rng.standard_normal(3)) @ s.R,
+            Vahat=s.Va + rng.standard_normal(3), hhat=s.h + 0.5,
+            P=weights.P0.copy())
+        measured = {SensorKind.PITOT: probes.B.T @ s.Va + 0.1,
+                    SensorKind.MAG: s.R.T @ M_I,
+                    SensorKind.BARO: s.h - 0.2}
+        payloads = {SensorKind.IMU: (inp.omega, inp.a)}
+        payloads.update((kind, measured[kind]) for kind in kinds)
+        out = observer_tick(est, payloads, weights, probes, mag_ref, G, T)
+
+        p = riccati_predict(est.P, state_matrix_dt(est.Rhat, inp.a, T),
+                            weights.S, T)
+        if len(kinds) == 3:
+            subsets = [STACK_ORDER]
+        else:
+            subsets = [(kind,) for kind in (SensorKind.BARO, SensorKind.MAG,
+                                            SensorKind.PITOT)
+                       if kind in kinds]
+        u = np.zeros(7)
+        for subset in subsets:
+            y = residual(payloads, est, probes, mag_ref, subset)
+            c = output_matrix(est.Rhat, est.Vahat, probes, mag_ref, subset)
+            k, p = riccati_update(p, c, additive_weight(weights, subset,
+                                                        "covariance"))
+            u += innovation_from_gain(k, y).as_vector()
+        innov = Innovation(delta_R=u[0:3], delta_v=u[3:6], delta_h=u[6])
+        r_ref, va_ref, h_ref = observer_step_state(est, inp.omega, inp.a, G,
+                                                   innov, T)
+        np.testing.assert_allclose(out.P, p, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(out.Rhat, r_ref, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(out.Vahat, va_ref, rtol=1e-12, atol=1e-14)
+        assert out.hhat == pytest.approx(h_ref, rel=1e-12)
 
 
 class TestObserverTickEventList:

@@ -20,6 +20,7 @@ from airnav.sensors import (
     sample_mag,
     sample_pitot,
     substream,
+    tick_times,
 )
 
 
@@ -121,6 +122,76 @@ class TestSampleMag:
         assert np.all(stds >= 0.0096) and np.all(stds <= 0.0104)
 
 
+class TestBatchedSampling:
+    """One call over n ticks draws exactly what n single-tick calls draw."""
+
+    N = 64
+    SEED = (7, 2)
+
+    def _rng(self, kind):
+        return substream(*self.SEED, STREAM_IDS[kind])
+
+    def _truths(self):
+        gen = np.random.default_rng(9)
+        r = np.array([exp_so3(v) for v in gen.standard_normal((self.N, 3))])
+        va = 10.0 * gen.standard_normal((self.N, 3))
+        h = 50.0 * gen.standard_normal(self.N)
+        return NavState(R=r, Va=va, h=h, v=np.einsum("nij,nj->ni", r, va))
+
+    def _single(self, truths, i):
+        return NavState(R=truths.R[i], Va=truths.Va[i], h=float(truths.h[i]),
+                        v=truths.v[i])
+
+    def test_imu(self):
+        gen = np.random.default_rng(10)
+        omega = gen.standard_normal((self.N, 3))
+        a = gen.standard_normal((self.N, 3))
+        noise = NoiseSpec()
+        omega_b, a_b = sample_imu(BodyInputs(omega=omega, a=a), noise,
+                                  self._rng(SensorKind.IMU))
+        rng = self._rng(SensorKind.IMU)
+        single = [sample_imu(BodyInputs(omega=omega[i], a=a[i]), noise, rng)
+                  for i in range(self.N)]
+        assert np.array_equal(omega_b, np.array([s[0] for s in single]))
+        assert np.array_equal(a_b, np.array([s[1] for s in single]))
+
+    @pytest.mark.parametrize("axes", [
+        [[1, 0, 0]],
+        [[1, 0, 0], [0.6, 0.8, 0], [0.6, 0, 0.8]],
+    ])
+    def test_pitot(self, axes):
+        probes = ProbeSet.from_axes(axes)
+        noise = NoiseSpec(sigma_p=np.full(probes.m, 0.5))
+        truths = self._truths()
+        batched = sample_pitot(truths, probes, noise,
+                               self._rng(SensorKind.PITOT))
+        rng = self._rng(SensorKind.PITOT)
+        single = [sample_pitot(self._single(truths, i), probes, noise, rng)
+                  for i in range(self.N)]
+        assert batched.shape == (self.N, probes.m)
+        assert np.array_equal(batched, np.array(single))
+
+    def test_mag(self):
+        ref = MagReference(m_I=np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0))
+        noise = NoiseSpec()
+        truths = self._truths()
+        batched = sample_mag(truths, ref, noise, self._rng(SensorKind.MAG))
+        rng = self._rng(SensorKind.MAG)
+        single = [sample_mag(self._single(truths, i), ref, noise, rng)
+                  for i in range(self.N)]
+        assert np.array_equal(batched, np.array(single))
+
+    def test_baro(self):
+        noise = NoiseSpec()
+        truths = self._truths()
+        batched = sample_baro(truths, noise, self._rng(SensorKind.BARO))
+        rng = self._rng(SensorKind.BARO)
+        single = [sample_baro(self._single(truths, i), noise, rng)
+                  for i in range(self.N)]
+        assert all(isinstance(x, float) for x in single)
+        assert np.array_equal(batched, np.array(single))
+
+
 class TestReferenceValidation:
     def test_collinear_rejected(self):
         with pytest.raises(ValueError):
@@ -183,6 +254,11 @@ class TestSchedule:
         assert SensorKind.PITOT in tick.kinds
         assert SensorKind.MAG in tick.kinds
         assert SensorKind.BARO not in tick.kinds
+
+    def test_slots_sit_on_tick_grid(self):
+        rates = RateSpec()
+        slots = make_schedule(rates, 1.0)
+        assert [s.t for s in slots] == tick_times(rates, 1.0).tolist()
 
     def test_sorted_and_gap_free(self):
         slots = make_schedule(RateSpec(), 2.0)
