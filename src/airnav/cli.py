@@ -6,7 +6,7 @@ Subcommands::
     airnav montecarlo    --config FILE [--runs N] [--seed N] [--out DIR]
     airnav observability --config FILE [--window SECONDS] [--out DIR]
 
-Exit codes: 0 success, 2 configuration error, 3 divergence.
+Exit codes: 0 success, 2 configuration or ``--window`` error, 3 divergence.
 """
 
 from __future__ import annotations
@@ -110,10 +110,14 @@ def _nanmax(values) -> float:
 def _cmd_observability(args, config) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    report, rows = observability.observability_verdict(
-        config.trajectory, config.probes, config.mag_ref,
-        delta=args.window, duration=config.duration,
-    )
+    try:
+        report, rows = observability.observability_verdict(
+            config.trajectory, config.probes, config.mag_ref,
+            delta=args.window, duration=config.duration,
+        )
+    except ValueError as exc:
+        print(f"window error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     harness.write_observability_csv(out / "observability.csv", rows)
     print(f"{'t_start':>8} {'lam_min_W':>12} {'lam_max_W':>12} "
           f"{'mu_pi':>10} {'mu_api':>10} verdict")

@@ -71,6 +71,10 @@ class SimConfig:
             raise ConfigValidationError("base_seed must be non-negative")
         if self.duration <= 0.0:
             raise ConfigValidationError("duration must be positive")
+        # floor(duration * f_imu) + 1 ticks must fit in an array index
+        if not self.duration * self.rates.f_imu < np.iinfo(np.intp).max:
+            raise ConfigValidationError(
+                "duration * f_imu exceeds the largest array index")
         if self.q_convention not in Q_CONVENTIONS:
             raise ConfigValidationError(
                 f"q_convention must be one of {Q_CONVENTIONS}")

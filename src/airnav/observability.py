@@ -7,6 +7,13 @@ Windowed observability Gramians and the two persistent-excitation margins
 (horizontal Pitot projection, horizontal specific-force coupling) are
 assembled from those blocks; positive margins certify uniform observability
 for the trajectory, which the Gramian spectrum then witnesses directly.
+
+Each window's Gramian is one matrix product.  The rows ``M = C* Phi*`` are
+written in closed form for every grid point and stacked as an (n r) x 7
+matrix (stored transposed); with ``w`` the exact composite-Simpson weights of the grid (the
+unequal-interval rule of ``scipy.integrate.simpson``, so that ``w @ y``
+equals ``simpson(y, x=s)``), the Gramian is ``M^T (w * M) / delta``.  The PE
+Gram matrices are the same weighted products of their 2-column rows.
 """
 
 from __future__ import annotations
@@ -14,14 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
+from scipy.integrate import cumulative_simpson
 
 from . import dynamics
 from .dynamics import TrajectorySpec
 from .geometry import E3, skew
 from .sensors import MagReference, ProbeSet, SensorKind
-
-J_HORIZONTAL = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
 DEFAULT_QUAD_STEP = 1e-3
 DEFAULT_WINDOW = 4.0
@@ -82,10 +87,15 @@ def _grid(tau: float, t: float, quad_step: float) -> np.ndarray:
 
 def _integrated_force(spec: TrajectorySpec, s: np.ndarray,
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Specific force w(s) = R a and its first and second running integrals."""
+    """Specific force w(s) = R a and its first and second running integrals.
+
+    ``s`` is a uniform :func:`_grid`, so the equal-interval rule applies
+    (it matches the ``x=s`` rule to rounding and costs a third as much).
+    """
     w = dynamics.inertial_specific_force(spec, s)
-    g1 = cumulative_simpson(w, x=s, axis=0, initial=0.0)
-    g2 = cumulative_simpson(g1, x=s, axis=0, initial=0.0)
+    dx = (s[-1] - s[0]) / (s.shape[0] - 1)
+    g1 = cumulative_simpson(w, dx=dx, axis=0, initial=0.0)
+    g2 = cumulative_simpson(g1, dx=dx, axis=0, initial=0.0)
     return w, g1, g2
 
 
@@ -110,38 +120,33 @@ def phi_blocks(spec: TrajectorySpec, t: float, tau: float,
     return TransitionBlocks(phi11=phi11, phi21=phi21, t=t, tau=tau)
 
 
-def _a_star(spec: TrajectorySpec, s: float) -> np.ndarray:
-    m = np.zeros((7, 7))
-    m[3:6, 0:3] = -skew(dynamics.inertial_specific_force(spec, s))
-    m[6, 3:6] = E3
-    return m
-
-
 def integrate_phi(spec: TrajectorySpec, t: float, tau: float,
                   step: float = DEFAULT_QUAD_STEP) -> np.ndarray:
     """RK4 integration of the transition-matrix ODE (validation oracle).
 
     The product A*(s) Phi is evaluated blockwise (two block rows of A* are
-    nonzero) with the specific force precomputed on the half-step grid.
+    nonzero) with ``-(R a)^x`` precomputed on the half-step grid; the four
+    stage derivatives are written into reused 7x7 buffers whose first three
+    rows stay zero.
     """
     n = max(1, int(round((t - tau) / step)))
     h = (t - tau) / n
     times = tau + 0.5 * h * np.arange(2 * n + 1)
-    w = dynamics.inertial_specific_force(spec, times)
+    neg_skew = -_batch_skew(dynamics.inertial_specific_force(spec, times))
 
-    def a_mul(wk: np.ndarray, m: np.ndarray) -> np.ndarray:
-        out = np.zeros((7, 7))
-        out[3:6] = -skew(wk) @ m[0:3]
+    def a_mul(ws: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.matmul(ws, m[0:3], out=out[3:6])
         out[6] = m[5]
         return out
 
+    k1, k2, k3, k4 = (np.zeros((7, 7)) for _ in range(4))
     phi = np.eye(7)
     for k in range(n):
-        w0, wm, w1 = w[2 * k], w[2 * k + 1], w[2 * k + 2]
-        k1 = a_mul(w0, phi)
-        k2 = a_mul(wm, phi + 0.5 * h * k1)
-        k3 = a_mul(wm, phi + 0.5 * h * k2)
-        k4 = a_mul(w1, phi + h * k3)
+        w0, wm, w1 = neg_skew[2 * k], neg_skew[2 * k + 1], neg_skew[2 * k + 2]
+        a_mul(w0, phi, k1)
+        a_mul(wm, phi + 0.5 * h * k1, k2)
+        a_mul(wm, phi + 0.5 * h * k2, k3)
+        a_mul(w1, phi + h * k3, k4)
         phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return phi
 
@@ -157,46 +162,66 @@ def _batch_skew(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _output_rows(spec: TrajectorySpec, probes: ProbeSet,
-                 mag_ref: MagReference, s: np.ndarray, sensors) -> np.ndarray:
-    """True-trajectory output matrix C*(s) for all grid times."""
+def _simpson_weights(s: np.ndarray) -> np.ndarray:
+    """Weights ``w`` with ``w @ y == simpson(y, x=s)`` on an odd-length grid.
+
+    Each interval pair ``(h0, h1)`` contributes the unequal-interval rule
+    ``scipy.integrate.simpson`` applies; shared end points sum two terms.
+    """
+    h = np.diff(s)
+    h0, h1 = h[0::2], h[1::2]
+    hsum6 = (h0 + h1) / 6.0
+    w = np.zeros_like(s)
+    w[0:-1:2] = hsum6 * (2.0 - h1 / h0)
+    w[1::2] = hsum6 * (h0 + h1) ** 2 / (h0 * h1)
+    w[2::2] += hsum6 * (2.0 - h0 / h1)
+    return w
+
+
+def _output_transition_rows(spec: TrajectorySpec, probes: ProbeSet,
+                            mag_ref: MagReference, s: np.ndarray,
+                            sensors) -> np.ndarray:
+    """Rows of ``C*(s) Phi*(s, s[0])`` at every grid time, as (7, r, n).
+
+    With ``g1``, ``g2`` the running integrals of ``R a`` and ``va`` the
+    inertial air velocity, the closed-form products are
+
+    * Pitot: ``[B^T R^T (va - g1)^x | B^T R^T | 0]``,
+    * mag: ``[-(m_I)^x | 0 | 0]``,
+    * baro: ``[g2_y, -g2_x, 0, 0, 0, s - s[0], 1]``.
+
+    Row blocks follow :data:`ALL_SENSORS` order, one per requested sensor.
+    The column index comes first and the grid index last, so every
+    elementwise operation runs along the contiguous grid axis.
+    """
+    kinds = [kind for kind in ALL_SENSORS if kind in sensors]
+    sizes = {SensorKind.PITOT: probes.m, SensorKind.MAG: 3,
+             SensorKind.BARO: 1}
     n = s.shape[0]
-    rot = dynamics.attitude_batch(spec, s)
-    blocks = []
-    for kind in ALL_SENSORS:
-        if kind not in sensors:
-            continue
+    rows = np.zeros((7, sum(sizes[kind] for kind in kinds), n))
+    if SensorKind.PITOT in kinds or SensorKind.BARO in kinds:
+        _, g1, g2 = _integrated_force(spec, s)
+    i = 0
+    for kind in kinds:
+        block = rows[:, i:i + sizes[kind]]
         if kind is SensorKind.PITOT:
-            va_inertial = dynamics.velocity(spec, s) - spec.wind
-            bt_rt = np.einsum("ij,njk->nik", probes.B.T,
-                              np.transpose(rot, (0, 2, 1)))
-            block = np.zeros((n, probes.m, 7))
-            block[:, :, 0:3] = np.einsum("nij,njk->nik", bt_rt,
-                                         _batch_skew(va_inertial))
-            block[:, :, 3:6] = bt_rt
+            rot = dynamics.attitude_batch(spec, s)
+            # the rows of B^T R^T are the columns of R B: (3, m, n)
+            r_b = (rot.reshape(-1, 3) @ probes.B).reshape(n, 3, probes.m)
+            bt_rt = r_b.transpose(1, 2, 0)
+            d = (dynamics.velocity(spec, s) - spec.wind - g1).T
+            # v @ d^x == v x d for row vectors
+            block[0:3] = np.cross(bt_rt, d[:, None, :], axis=0)
+            block[3:6] = bt_rt
         elif kind is SensorKind.MAG:
-            block = np.zeros((n, 3, 7))
-            block[:, :, 0:3] = -skew(mag_ref.m_I)
+            block[0:3] = -skew(mag_ref.m_I).T[:, :, None]
         else:
-            block = np.zeros((n, 1, 7))
-            block[:, 0, 6] = 1.0
-        blocks.append(block)
-    if not blocks:
-        return np.zeros((n, 0, 7))
-    return np.concatenate(blocks, axis=1)
-
-
-def _transition_batch(spec: TrajectorySpec, s: np.ndarray) -> np.ndarray:
-    """Phi*(s, s[0]) for every grid time, shape (n, 7, 7)."""
-    n = s.shape[0]
-    _, g1, g2 = _integrated_force(spec, s)
-    phi = np.tile(np.eye(7), (n, 1, 1))
-    phi[:, 3:6, 0:3] = -_batch_skew(g1)
-    # e3^T [-skew(g2) | (s - t) I]
-    phi[:, 6, 0] = g2[:, 1]
-    phi[:, 6, 1] = -g2[:, 0]
-    phi[:, 6, 5] = s - s[0]
-    return phi
+            block[0, 0] = g2[:, 1]
+            block[1, 0] = -g2[:, 0]
+            block[5, 0] = s - s[0]
+            block[6, 0] = 1.0
+        i += sizes[kind]
+    return rows
 
 
 def gramian(spec: TrajectorySpec, probes: ProbeSet, mag_ref: MagReference,
@@ -204,20 +229,19 @@ def gramian(spec: TrajectorySpec, probes: ProbeSet, mag_ref: MagReference,
             sensors=ALL_SENSORS) -> np.ndarray:
     """Windowed observability Gramian over [t, t + delta].
 
-    Assembled as the Simpson integral of ``(C* Phi*)^T (C* Phi*) / delta``
-    on the closed-form truth; the result is symmetrized, hence PSD up to
-    quadrature error.
+    The Simpson integral of ``(C* Phi*)^T (C* Phi*) / delta`` on the
+    closed-form truth, assembled as one product ``M^T (w * M) / delta`` of
+    the stacked rows ``M`` with their quadrature weights ``w``; the result
+    is symmetrized, hence PSD up to quadrature error.
     """
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     if quad_step > delta / 100.0:
         raise ValueError("quad_step must be at most delta / 100")
     s = _grid(t, t + delta, quad_step)
-    phi = _transition_batch(spec, s)
-    c = _output_rows(spec, probes, mag_ref, s, sensors)
-    m = np.einsum("nij,njk->nik", c, phi)
-    integrand = np.einsum("nri,nrj->nij", m, m)
-    w = simpson(integrand, x=s, axis=0) / delta
+    rows = _output_transition_rows(spec, probes, mag_ref, s, sensors)
+    weights = _simpson_weights(s) / delta
+    w = (rows * weights).reshape(7, -1) @ rows.reshape(7, -1).T
     return 0.5 * (w + w.T)
 
 
@@ -235,13 +259,14 @@ def pe_margins(spec: TrajectorySpec, probes: ProbeSet, t: float, delta: float,
     if delta <= 0.0:
         raise ValueError("delta must be positive")
     s = _grid(t, t + delta, quad_step)
+    weights = _simpson_weights(s) / delta
     rot = dynamics.attitude_batch(spec, s)
-    pi = np.einsum("ij,njk,kl->nil", probes.B.T, rot, J_HORIZONTAL)
-    gram_pi = simpson(np.einsum("nij,nik->njk", pi, pi), x=s, axis=0) / delta
+    # rows of B^T R J (J keeps two columns), probe-major: (m n, 2)
+    pi = np.tensordot(probes.B, rot[:, :, 0:2], (0, 1)).reshape(-1, 2)
+    gram_pi = pi.T @ (np.tile(weights, probes.m)[:, None] * pi)
     w = dynamics.inertial_specific_force(spec, s)
-    a_pi = np.stack((-w[:, 1], w[:, 0]), axis=-1)[:, None, :]
-    gram_api = simpson(np.einsum("nij,nik->njk", a_pi, a_pi),
-                       x=s, axis=0) / delta
+    a_pi = np.stack((-w[:, 1], w[:, 0]), axis=-1)
+    gram_api = a_pi.T @ (weights[:, None] * a_pi)
     return (float(np.linalg.eigvalsh(gram_pi)[0]),
             float(np.linalg.eigvalsh(gram_api)[0]))
 
@@ -256,23 +281,31 @@ def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
                           ) -> tuple[GramianReport, list[WindowRow]]:
     """Sweep half-overlapping windows and aggregate a uniform-observability verdict.
 
-    Window starts are ``0, delta/2, delta, ...`` while the window fits in
-    ``[0, duration]``.  The overall verdict is true iff the smallest Gramian
-    eigenvalue over all windows stays at or above ``lam_threshold``; the
-    returned report carries the worst window's Gramian and the smallest PE
-    margins for diagnosis.
+    Window starts are ``k delta/2`` for ``k = 0, 1, ...`` while the window
+    fits in ``[0, duration]``.  The overall verdict is true iff the smallest
+    Gramian eigenvalue over all windows stays at or above ``lam_threshold``;
+    the returned report carries the worst window's Gramian and the smallest
+    PE margins for diagnosis.
+
+    Raises
+    ------
+    ValueError
+        When ``delta`` is not finite and positive, exceeds ``duration`` or
+        is shorter than ``100 quad_step``, or when ``lam_threshold`` is not
+        positive; always before the first window's Gramian is computed.
     """
     if lam_threshold <= 0.0:
         raise ValueError("lam_threshold must be positive")
     if duration is None:
         duration = spec.duration
-    starts = []
-    t = 0.0
-    while t + delta <= duration + 1e-9:
-        starts.append(min(t, duration - delta))
-        t += delta / 2.0
-    if not starts:
-        raise ValueError("duration shorter than one window")
+    if not (np.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"window must be finite and positive, got {delta}")
+    if delta > duration + 1e-9:
+        raise ValueError(f"window {delta:g} s is longer than the "
+                         f"{duration:g} s duration")
+    count = int(np.floor((duration - delta + 1e-9) / (0.5 * delta))) + 1
+    starts = np.minimum(0.5 * delta * np.arange(count),
+                        duration - delta).tolist()
     rows = []
     worst = None
     for t0 in starts:

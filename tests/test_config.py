@@ -180,7 +180,16 @@ class TestNonFiniteInput:
         with pytest.raises(ConfigParseError):
             parse_config_text("runs = [3]\n")
 
-    @pytest.mark.parametrize("text", ["runs = 1e400", "f_imu = inf"])
+    @pytest.mark.parametrize("text", ["duration = 1e300", "duration = 5e16",
+                                      "f_imu = 1e300\nf_pitot = 1e300\n"
+                                      "f_mag = 1e300\nf_baro = 1e300"])
+    def test_tick_grid_beyond_index_range_rejected(self, text):
+        # floor(duration * f_imu) + 1 ticks cannot be indexed by np.intp
+        with pytest.raises(ConfigValidationError):
+            parse_config_text(text + "\n")
+
+    @pytest.mark.parametrize("text", ["runs = 1e400", "f_imu = inf",
+                                      "duration = 1e300"])
     def test_cli_exits_2(self, text, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(text + "\n", encoding="utf-8")

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -378,6 +382,23 @@ class TestCli:
         assert code == 0
         assert (out / "observability.csv").exists()
         assert "overall verdict" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("window, code", [("4", 0), ("0", 2), ("-1", 2),
+                                              ("nan", 2)])
+    def test_module_entry_window_exit_codes(self, tmp_path, window, code):
+        cfg = self._write_config(tmp_path, "duration = 8\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "airnav", "observability", "--config",
+             str(cfg), f"--window={window}", "--out", str(tmp_path / "obs")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        if code == 2:
+            assert proc.stderr.startswith("window error: ")
+            assert proc.stderr.count("\n") == 1
 
     def test_invalid_config_exits_2(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -1,8 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson, simpson
 
+from airnav import dynamics
 from airnav.dynamics import TrajectoryKind, TrajectorySpec
+from airnav.geometry import skew
 from airnav.observability import (
+    ALL_SENSORS,
+    _batch_skew,
+    _grid,
+    _simpson_weights,
     gramian,
     integrate_phi,
     observability_verdict,
@@ -13,6 +22,7 @@ from airnav.sensors import MagReference, ProbeSet, SensorKind
 
 G = 9.81
 M_I = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
+J_HORIZONTAL = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
 
 
 @pytest.fixture
@@ -51,6 +61,90 @@ def random_spec(rng, duration=60.0):
         yaw_amp=rng.uniform(0.2, 1.0),
         yaw_freq=rng.uniform(0.5, 2.5),
     )
+
+
+def _oracle_output_rows(spec, probes, mag_ref, s, sensors):
+    """True-trajectory output matrix C*(s) for all grid times."""
+    n = s.shape[0]
+    rot = dynamics.attitude_batch(spec, s)
+    blocks = []
+    for kind in ALL_SENSORS:
+        if kind not in sensors:
+            continue
+        if kind is SensorKind.PITOT:
+            va_inertial = dynamics.velocity(spec, s) - spec.wind
+            bt_rt = np.einsum("ij,njk->nik", probes.B.T,
+                              np.transpose(rot, (0, 2, 1)))
+            block = np.zeros((n, probes.m, 7))
+            block[:, :, 0:3] = np.einsum("nij,njk->nik", bt_rt,
+                                         _batch_skew(va_inertial))
+            block[:, :, 3:6] = bt_rt
+        elif kind is SensorKind.MAG:
+            block = np.zeros((n, 3, 7))
+            block[:, :, 0:3] = -skew(mag_ref.m_I)
+        else:
+            block = np.zeros((n, 1, 7))
+            block[:, 0, 6] = 1.0
+        blocks.append(block)
+    if not blocks:
+        return np.zeros((n, 0, 7))
+    return np.concatenate(blocks, axis=1)
+
+
+def _oracle_transition(spec, s):
+    """Phi*(s, s[0]) for every grid time, shape (n, 7, 7)."""
+    n = s.shape[0]
+    w = dynamics.inertial_specific_force(spec, s)
+    g1 = cumulative_simpson(w, x=s, axis=0, initial=0.0)
+    g2 = cumulative_simpson(g1, x=s, axis=0, initial=0.0)
+    phi = np.tile(np.eye(7), (n, 1, 1))
+    phi[:, 3:6, 0:3] = -_batch_skew(g1)
+    phi[:, 6, 0] = g2[:, 1]
+    phi[:, 6, 1] = -g2[:, 0]
+    phi[:, 6, 5] = s - s[0]
+    return phi
+
+
+def oracle_gramian(spec, probes, mag_ref, t, delta, quad_step=1e-3,
+                   sensors=ALL_SENSORS):
+    """Per-point C* Phi* products and Simpson over the (n, 7, 7) integrand."""
+    s = _grid(t, t + delta, quad_step)
+    c = _oracle_output_rows(spec, probes, mag_ref, s, sensors)
+    m = np.einsum("nij,njk->nik", c, _oracle_transition(spec, s))
+    integrand = np.einsum("nri,nrj->nij", m, m)
+    w = simpson(integrand, x=s, axis=0) / delta
+    return 0.5 * (w + w.T)
+
+
+def oracle_pe_grams(spec, probes, t, delta, quad_step=1e-3):
+    """The two PE Gram matrices by per-point einsums and Simpson."""
+    s = _grid(t, t + delta, quad_step)
+    rot = dynamics.attitude_batch(spec, s)
+    pi = np.einsum("ij,njk,kl->nil", probes.B.T, rot, J_HORIZONTAL)
+    gram_pi = simpson(np.einsum("nij,nik->njk", pi, pi), x=s, axis=0) / delta
+    w = dynamics.inertial_specific_force(spec, s)
+    a_pi = np.stack((-w[:, 1], w[:, 0]), axis=-1)[:, None, :]
+    gram_api = simpson(np.einsum("nij,nik->njk", a_pi, a_pi),
+                       x=s, axis=0) / delta
+    return gram_pi, gram_api
+
+
+PROBE_SETS = {
+    1: [[1.0, 0.0, 0.0]],
+    2: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    3: [[0.8, 0.6, 0.0], [0.0, 1.0, 0.0], [0.0, 0.6, 0.8]],
+}
+
+SENSOR_SUBSETS = [subset for r in range(len(ALL_SENSORS) + 1)
+                  for subset in itertools.combinations(ALL_SENSORS, r)]
+
+
+def _trajectory(name):
+    if name == "paper":
+        return TrajectorySpec.paper(duration=60.0, gravity=G)
+    if name == "hover":
+        return TrajectorySpec.hover(duration=60.0, gravity=G)
+    return random_spec(np.random.default_rng(7))
 
 
 class TestPhiBlocks:
@@ -134,6 +228,27 @@ class TestGramian:
         with pytest.raises(ValueError):
             gramian(paper, single_probe, mag_ref, 0.0, 4.0, quad_step=0.1)
 
+    @pytest.mark.parametrize("traj", ["paper", "hover", "random"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_einsum_oracle(self, traj, m, mag_ref):
+        spec = _trajectory(traj)
+        probes = ProbeSet.from_axes(PROBE_SETS[m])
+        for subset in SENSOR_SUBSETS:
+            w = gramian(spec, probes, mag_ref, 1.5, 2.0, sensors=subset)
+            ref = oracle_gramian(spec, probes, mag_ref, 1.5, 2.0,
+                                 sensors=subset)
+            np.testing.assert_allclose(
+                w, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max(),
+                err_msg=str(subset))
+
+
+def test_simpson_weights_match_scipy_on_unequal_grid():
+    rng = np.random.default_rng(3)
+    s = np.cumsum(rng.uniform(0.5, 1.5, 9)) - 0.3
+    y = rng.standard_normal((9, 4))
+    np.testing.assert_allclose(_simpson_weights(s) @ y,
+                               simpson(y, x=s, axis=0), rtol=1e-14)
+
 
 class TestPeMargins:
     def test_hover_single_probe_degenerate(self, hover, single_probe):
@@ -159,6 +274,19 @@ class TestPeMargins:
             if mu_pi > 1e-3 and mu_api > 1e-3:
                 w = gramian(paper, single_probe, mag_ref, t0, 4.0)
                 assert np.linalg.eigvalsh(w)[0] > 0.0
+
+
+@pytest.mark.parametrize("traj", ["paper", "hover", "random"])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_pe_margins_match_einsum_oracle(traj, m):
+    spec = _trajectory(traj)
+    probes = ProbeSet.from_axes(PROBE_SETS[m])
+    for t0 in (0.0, 9.0):
+        mu = pe_margins(spec, probes, t0, 4.0)
+        for value, gram in zip(mu, oracle_pe_grams(spec, probes, t0, 4.0)):
+            ref = np.linalg.eigvalsh(gram)[0]
+            assert value == pytest.approx(
+                ref, rel=1e-12, abs=1e-12 * np.abs(gram).max())
 
 
 class TestVerdict:
@@ -196,3 +324,36 @@ class TestVerdict:
         assert eig[0] >= -1e-10
         mu_pi, mu_api = pe_margins(hover, two_probes, 0.0, 4.0)
         assert mu_pi >= 0.9 and abs(mu_api) <= 1e-12
+
+    def test_sweep_matches_oracle_row_by_row(self, paper, single_probe,
+                                             mag_ref):
+        _, rows = observability_verdict(paper, single_probe, mag_ref,
+                                        delta=4.0, duration=60.0)
+        assert [r.t_start for r in rows] == [2.0 * k for k in range(29)]
+        for row in rows:
+            eig = np.linalg.eigvalsh(oracle_gramian(
+                paper, single_probe, mag_ref, row.t_start, 4.0))
+            mu = [np.linalg.eigvalsh(g)[0] for g in
+                  oracle_pe_grams(paper, single_probe, row.t_start, 4.0)]
+            assert row.lam_min == pytest.approx(eig[0], rel=1e-10)
+            assert row.lam_max == pytest.approx(eig[-1], rel=1e-12)
+            assert row.mu_pi == pytest.approx(mu[0], rel=1e-12)
+            assert row.mu_api == pytest.approx(mu[1], rel=1e-12)
+            assert row.verdict == bool(eig[0] >= 1e-6)
+
+    def test_last_window_clamped_to_duration(self, paper, single_probe,
+                                             mag_ref):
+        duration = 3.0 - 5e-10
+        _, rows = observability_verdict(paper, single_probe, mag_ref,
+                                        delta=1.0, duration=duration)
+        assert [r.t_start for r in rows[:-1]] == [0.0, 0.5, 1.0, 1.5]
+        assert rows[-1].t_start == duration - 1.0
+
+    # Zero and negative windows are checked through the CLI in a subprocess
+    # with a timeout (tests/test_harness.py), so a regression that loops
+    # cannot hang the suite.
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, 12.5, 0.05])
+    def test_rejects_bad_window(self, paper, single_probe, mag_ref, delta):
+        with pytest.raises(ValueError):
+            observability_verdict(paper, single_probe, mag_ref, delta=delta,
+                                  duration=12.0)
