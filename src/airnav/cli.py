@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import harness, observability
-from .config import load_config, with_overrides
-from .exceptions import ConfigParseError, ConfigValidationError, DivergenceError
+from .config import load_config
+from .exceptions import ConfigParseError, ConfigValidationError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -57,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_simulate(args, config) -> int:
     if args.seed is not None:
-        config = with_overrides(config, base_seed=args.seed)
+        config = replace(config, base_seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics = harness.run_single(config, run_index=args.run_index)
@@ -76,9 +79,9 @@ def _cmd_simulate(args, config) -> int:
 
 def _cmd_montecarlo(args, config) -> int:
     if args.seed is not None:
-        config = with_overrides(config, base_seed=args.seed)
+        config = replace(config, base_seed=args.seed)
     if args.runs is not None:
-        config = with_overrides(config, runs=args.runs)
+        config = replace(config, runs=args.runs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     summary, all_metrics = harness.run_montecarlo(config)
@@ -90,21 +93,11 @@ def _cmd_montecarlo(args, config) -> int:
     print(f"divergences: {summary.divergence_count}/{summary.runs}")
     for key in ("err_att", "err_v_body"):
         values = summary.final_means[key]
-        print(f"final-5s mean {key}: median={_nanmedian(values):.3e} "
-              f"max={_nanmax(values):.3e}")
+        print(f"final-5s mean {key}: median={np.nanmedian(values):.3e} "
+              f"max={np.nanmax(values):.3e}")
     if summary.divergence_count:
         return EXIT_DIVERGED
     return EXIT_OK
-
-
-def _nanmedian(values) -> float:
-    import numpy as np
-    return float(np.nanmedian(values))
-
-
-def _nanmax(values) -> float:
-    import numpy as np
-    return float(np.nanmax(values))
 
 
 def _cmd_observability(args, config) -> int:
@@ -139,15 +132,12 @@ def main(argv=None) -> int:
         if args.command == "montecarlo":
             return _cmd_montecarlo(args, config)
         return _cmd_observability(args, config)
-    except (ConfigParseError, ConfigValidationError) as exc:
+    # A config that validates can still ask for more memory than there is,
+    # e.g. a tick grid of 2e17 samples.
+    except (ConfigParseError, ConfigValidationError, FileNotFoundError,
+            MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DivergenceError as exc:
-        print(f"divergence: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
 
 
 if __name__ == "__main__":

@@ -4,15 +4,15 @@ The config file is UTF-8 text with one ``key = value`` assignment per line.
 ``#`` starts a comment, blank lines are ignored.  Values are numbers, bare
 words (``paper_yaw_only``), bracketed vectors ``[a, b, c]`` or row-major
 bracketed matrices ``[[a, b], [c, d]]``.  Unknown keys are rejected.  An
-empty file yields the reference simulation setup; see the README for the
-key table.
+empty file yields the reference simulation setup; ``_DEFAULTS`` lists every
+key with its default value, and :func:`default_config` builds that setup.
 """
 
 from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -288,7 +288,3 @@ def _assemble(values: dict) -> SimConfig:
                      q_convention=str(values["q_convention"]),
                      integrator=str(values["integrator"]))
 
-
-def with_overrides(config: SimConfig, **kwargs) -> SimConfig:
-    """Return a copy of ``config`` with dataclass fields replaced."""
-    return replace(config, **kwargs)

@@ -154,22 +154,25 @@ def euler_zyx_to_rot(roll: float, pitch: float, yaw: float) -> np.ndarray:
     ])
 
 
-def rot_to_euler_zyx(r: np.ndarray) -> tuple[float, float, float]:
-    """Extract (roll, pitch, yaw) from a rotation matrix.
+def rot_to_euler_zyx(r: np.ndarray) -> np.ndarray:
+    """Extract ZYX Euler angles ``(roll, pitch, yaw)`` from rotation matrices.
+
+    ``r`` is (3, 3) or a (..., 3, 3) stack; the result is (3,) or (..., 3).
 
     Raises
     ------
     GimbalLockError
-        If ``|pitch|`` is within 1e-6 rad of 90 degrees.
+        If any ``|pitch|`` is within 1e-6 rad of 90 degrees.
     """
-    sp = -float(r[2, 0])
-    sp = min(1.0, max(-1.0, sp))
-    pitch = np.arcsin(sp)
-    if abs(pitch) >= np.pi / 2.0 - 1e-6:
-        raise GimbalLockError(f"pitch {pitch:.6f} rad is too close to +/-pi/2")
-    roll = np.arctan2(r[2, 1], r[2, 2])
-    yaw = np.arctan2(r[1, 0], r[0, 0])
-    return float(roll), float(pitch), float(yaw)
+    r = np.asarray(r)
+    sp = -r[..., 2, 0]
+    if np.any(np.abs(sp) >= np.sin(np.pi / 2.0 - 1e-6)):
+        raise GimbalLockError("pitch too close to +/-pi/2")
+    return np.stack((
+        np.arctan2(r[..., 2, 1], r[..., 2, 2]),
+        np.arcsin(np.clip(sp, -1.0, 1.0)),
+        np.arctan2(r[..., 1, 0], r[..., 0, 0]),
+    ), axis=-1)
 
 
 def project_to_so3(m: np.ndarray) -> np.ndarray:

@@ -11,10 +11,12 @@ One run (:func:`run_single`) has three phases: truth on the whole tick
 grid and every sensor's measurements for the whole run, drawn in one call
 per sensor; the tick loop, which hands each tick's payloads to
 :meth:`~airnav.observer.AirDataObserver.tick` and records the estimate; and
-the vectorized metrics.  A numerical failure inside the loop ends that run
-only: its series is truncated and flagged, and :func:`run_montecarlo`
-carries on with the next run.  :func:`write_trace_csv` formats each row
-with one ``%`` format and writes blocks of rows.
+the vectorized metrics, whose Euler-angle columns come from
+:func:`~airnav.geometry.rot_to_euler_zyx` on the whole series.  A
+numerical failure inside the loop ends that run only: its series is
+truncated and flagged, and :func:`run_montecarlo` carries on with the next
+run.  :func:`write_trace_csv` formats each row with one ``%`` format and
+writes blocks of rows.
 """
 
 from __future__ import annotations
@@ -29,12 +31,12 @@ from .config import SimConfig
 from .exceptions import (
     DegenerateMatrixError,
     DivergenceError,
-    GimbalLockError,
     SingularInnovationError,
 )
 from .observer import AirDataObserver, ObserverState
 from .sensors import (
     INIT_STREAM_ID,
+    STACK_ORDER,
     STREAM_IDS,
     SensorKind,
     sample_baro,
@@ -172,8 +174,7 @@ def run_single(config: SimConfig, run_index: int = 0,
 
     # The last tick is recorded but not processed.
     steps = n - 1
-    dec_p, dec_m, dec_b = (rates.decimation(kind) for kind in
-                           (SensorKind.PITOT, SensorKind.MAG, SensorKind.BARO))
+    dec_p, dec_m, dec_b = (rates.decimation(kind) for kind in STACK_ORDER)
 
     def rng(kind):
         return substream(config.base_seed, run_index, STREAM_IDS[kind])
@@ -239,8 +240,8 @@ def run_single(config: SimConfig, run_index: int = 0,
     return RunMetrics(
         run_index=run_index,
         t=ts[sl],
-        euler=_euler_zyx_batch(r_t),
-        euler_hat=_euler_zyx_batch(r_h),
+        euler=geometry.rot_to_euler_zyx(r_t),
+        euler_hat=geometry.rot_to_euler_zyx(r_h),
         va=va_t,
         va_hat=va_h,
         h=h_truth[sl],
@@ -254,18 +255,6 @@ def run_single(config: SimConfig, run_index: int = 0,
         diverged=diverged,
         divergence_time=divergence_time,
     )
-
-
-def _euler_zyx_batch(r: np.ndarray) -> np.ndarray:
-    """Vectorized ZYX Euler extraction with the shared gimbal-lock guard."""
-    sp = -r[:, 2, 0]
-    if np.any(np.abs(sp) >= np.sin(np.pi / 2.0 - 1e-6)):
-        raise GimbalLockError("pitch too close to +/-pi/2 in metric series")
-    return np.stack((
-        np.arctan2(r[:, 2, 1], r[:, 2, 2]),
-        np.arcsin(np.clip(sp, -1.0, 1.0)),
-        np.arctan2(r[:, 1, 0], r[:, 0, 0]),
-    ), axis=-1)
 
 
 def run_montecarlo(config: SimConfig,

@@ -26,12 +26,10 @@ from scipy.integrate import cumulative_simpson
 from . import dynamics
 from .dynamics import TrajectorySpec
 from .geometry import E3, skew
-from .sensors import MagReference, ProbeSet, SensorKind
+from .sensors import STACK_ORDER, MagReference, ProbeSet, SensorKind
 
 DEFAULT_QUAD_STEP = 1e-3
 DEFAULT_WINDOW = 4.0
-
-ALL_SENSORS = (SensorKind.PITOT, SensorKind.MAG, SensorKind.BARO)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,11 +188,11 @@ def _output_transition_rows(spec: TrajectorySpec, probes: ProbeSet,
     * mag: ``[-(m_I)^x | 0 | 0]``,
     * baro: ``[g2_y, -g2_x, 0, 0, 0, s - s[0], 1]``.
 
-    Row blocks follow :data:`ALL_SENSORS` order, one per requested sensor.
-    The column index comes first and the grid index last, so every
+    Row blocks follow :data:`~airnav.sensors.STACK_ORDER`, one per requested
+    sensor.  The column index comes first and the grid index last, so every
     elementwise operation runs along the contiguous grid axis.
     """
-    kinds = [kind for kind in ALL_SENSORS if kind in sensors]
+    kinds = [kind for kind in STACK_ORDER if kind in sensors]
     sizes = {SensorKind.PITOT: probes.m, SensorKind.MAG: 3,
              SensorKind.BARO: 1}
     n = s.shape[0]
@@ -226,7 +224,7 @@ def _output_transition_rows(spec: TrajectorySpec, probes: ProbeSet,
 
 def gramian(spec: TrajectorySpec, probes: ProbeSet, mag_ref: MagReference,
             t: float, delta: float, quad_step: float = DEFAULT_QUAD_STEP,
-            sensors=ALL_SENSORS) -> np.ndarray:
+            sensors=STACK_ORDER) -> np.ndarray:
     """Windowed observability Gramian over [t, t + delta].
 
     The Simpson integral of ``(C* Phi*)^T (C* Phi*) / delta`` on the
@@ -277,7 +275,7 @@ def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
                           lam_threshold: float = 1e-6,
                           duration: float | None = None,
                           quad_step: float = DEFAULT_QUAD_STEP,
-                          sensors=ALL_SENSORS,
+                          sensors=STACK_ORDER,
                           ) -> tuple[GramianReport, list[WindowRow]]:
     """Sweep half-overlapping windows and aggregate a uniform-observability verdict.
 

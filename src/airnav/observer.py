@@ -21,8 +21,10 @@ One tick, :meth:`AirDataObserver.tick`, does the whole discrete cycle:
    for two-step Adams-Bashforth, so both integrators share one code path;
 4. the divergence-floor check.
 
-:func:`observer_tick` and :func:`observer_step_state` are stateless entry
-points to the same code with the Euler coefficients.
+The tick is the only way to advance an estimate.  It reuses the public
+pieces :func:`state_matrix_dt`, :func:`output_matrix`,
+:func:`additive_weight`, :func:`riccati_predict` and :func:`riccati_update`,
+and :func:`residual` forms the same residuals the tick writes in place.
 
 Weight conventions
 ------------------
@@ -52,10 +54,7 @@ from .exceptions import (
     SingularInnovationError,
 )
 from .geometry import E3, cross3, skew
-from .sensors import MagReference, ProbeSet, SensorKind
-
-# Sensors are always stacked in this order when more than one updates at once.
-STACK_ORDER = (SensorKind.PITOT, SensorKind.MAG, SensorKind.BARO)
+from .sensors import STACK_ORDER, MagReference, ProbeSet, SensorKind
 
 STATE_FLOOR = 1e9
 P_TRACE_FLOOR = 1e12
@@ -128,22 +127,6 @@ class ObserverState:
     def copy(self) -> ObserverState:
         return ObserverState(self.Rhat.copy(), self.Vahat.copy(),
                              float(self.hhat), self.P.copy())
-
-
-@dataclass(frozen=True, eq=False)
-class Innovation:
-    """Gain-weighted output corrections injected into the observer."""
-
-    delta_R: np.ndarray
-    delta_v: np.ndarray
-    delta_h: float
-
-    @classmethod
-    def zero(cls) -> Innovation:
-        return cls(delta_R=np.zeros(3), delta_v=np.zeros(3), delta_h=0.0)
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate((self.delta_R, self.delta_v, [self.delta_h]))
 
 
 def state_matrix_ct(rhat: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -312,12 +295,6 @@ def _update_cholesky(P: np.ndarray, C: np.ndarray, Q: np.ndarray,
     return w.T @ chol_inv, P - w.T @ w
 
 
-def innovation_from_gain(K: np.ndarray, y: np.ndarray) -> Innovation:
-    """Partition ``u = -K y`` into the three innovation terms."""
-    u = -K @ y
-    return Innovation(delta_R=u[0:3], delta_v=u[3:6], delta_h=float(u[6]))
-
-
 def _rates(rhat: np.ndarray, vahat: np.ndarray, rv: np.ndarray,
            omega: np.ndarray, a: np.ndarray, gravity: float) -> np.ndarray:
     """Input-driven rates ``[omega, dVahat/dt, dhhat/dt]`` of the state step.
@@ -356,25 +333,6 @@ def _step(rhat: np.ndarray, vahat: np.ndarray, rv: np.ndarray, hhat: float,
     return rhat_new, vahat + dv, float(hhat + dh)
 
 
-def observer_step_state(est: ObserverState, omega: np.ndarray, a: np.ndarray,
-                        gravity: float, innov: Innovation, T: float,
-                        ) -> tuple[np.ndarray, np.ndarray, float]:
-    """One explicit (Euler) integration step of the observer state.
-
-    Exponential step on SO(3) for the attitude, explicit Euler for the
-    air-velocity and altitude estimates; the innovation enters at full
-    strength.  This is the step :meth:`AirDataObserver.tick` takes with the
-    Euler coefficients.
-    """
-    if T <= 0.0:
-        raise ValueError("T must be positive")
-    rhat, vahat = est.Rhat, est.Vahat
-    rv = rhat @ vahat
-    return _step(rhat, vahat, rv, est.hhat,
-                 _rates(rhat, vahat, rv, omega, a, gravity),
-                 innov.as_vector(), T)
-
-
 def _check_floor(state: ObserverState) -> None:
     v = state.Vahat
     biggest = max(abs(v[0]), abs(v[1]), abs(v[2]), abs(state.hhat))
@@ -382,30 +340,6 @@ def _check_floor(state: ObserverState) -> None:
     # NaN fails both comparisons, so non-finite states also trip the floor.
     if not (biggest < STATE_FLOOR) or not (p_trace < P_TRACE_FLOOR):
         raise DivergenceError("observer state exceeded the numerical floor")
-
-
-def observer_tick(est: ObserverState, events, weights: RiccatiWeights,
-                  probes: ProbeSet, mag_ref: MagReference, gravity: float,
-                  T: float, q_convention: str = "covariance") -> ObserverState:
-    """One full Euler observer tick from ``est``: predict, update, integrate.
-
-    ``events`` is an iterable of :class:`~airnav.sensors.SensorEvent` (or a
-    mapping kind -> payload) sharing one timestamp; the IMU payload must be
-    present.  Equivalent to the first tick of a fresh
-    :class:`AirDataObserver`.
-
-    Raises
-    ------
-    MissingPayloadError
-        If no IMU payload is supplied.
-    DivergenceError
-        If the updated state exceeds the numerical divergence floor.
-    """
-    payloads = events if isinstance(events, dict) else {
-        ev.kind: ev.payload for ev in events}
-    observer = AirDataObserver(est, weights, probes, mag_ref, dt=T,
-                               gravity=gravity, q_convention=q_convention)
-    return observer.tick(payloads)
 
 
 class AirDataObserver:

@@ -8,16 +8,13 @@ runs are mutually independent.
 
 from __future__ import annotations
 
-import csv
 import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import BodyInputs, NavState
-from .exceptions import MissingPayloadError, RateMismatchError
-
-FLOAT_FORMAT = "%.17g"
+from .exceptions import RateMismatchError
 
 
 class SensorKind(enum.Enum):
@@ -31,6 +28,9 @@ class SensorKind(enum.Enum):
     # keys several times per tick.
     __hash__ = object.__hash__
 
+
+# Row order of the aiding sensors wherever their outputs are stacked.
+STACK_ORDER = (SensorKind.PITOT, SensorKind.MAG, SensorKind.BARO)
 
 # Substream identifiers; INIT draws the randomized initial estimates.
 STREAM_IDS = {
@@ -157,19 +157,6 @@ class RateSpec:
         return int(round(self.f_imu / f))
 
 
-@dataclass(frozen=True, eq=False)
-class SensorEvent:
-    """One timestamped measurement.
-
-    ``payload`` is ``(omega, a)`` for IMU, an (m,) array for Pitot, a
-    3-vector for the magnetometer and a float for the barometer.
-    """
-
-    t: float
-    kind: SensorKind
-    payload: object
-
-
 @dataclass(frozen=True)
 class ScheduleSlot:
     """One IMU tick and the set of sensors that sample on it."""
@@ -258,76 +245,3 @@ def make_schedule(rates: RateSpec, duration: float) -> list[ScheduleSlot]:
         slots.append(ScheduleSlot(t=t, kinds=tuple(kinds)))
     return slots
 
-
-_EXPORT_KINDS = {"imu_gyro", "imu_acc", "pitot", "mag", "baro"}
-
-
-def export_sensor_log(path, events: list[SensorEvent]) -> None:
-    """Write events as ``t,kind,v1..v3`` CSV (17 significant digits).
-
-    IMU events become two rows (``imu_gyro`` and ``imu_acc``); Pitot rows with
-    fewer than three probes pad the unused columns with empty fields.
-    """
-    def fmt(x: float) -> str:
-        return FLOAT_FORMAT % x
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "kind", "v1", "v2", "v3"])
-        for ev in events:
-            ts = fmt(ev.t)
-            if ev.kind is SensorKind.IMU:
-                omega, a = ev.payload
-                writer.writerow([ts, "imu_gyro"] + [fmt(x) for x in omega])
-                writer.writerow([ts, "imu_acc"] + [fmt(x) for x in a])
-            elif ev.kind is SensorKind.PITOT:
-                y = np.atleast_1d(ev.payload)
-                if y.shape[0] > 3:
-                    raise ValueError("sensor-log format holds at most 3 probes")
-                row = [fmt(x) for x in y] + [""] * (3 - y.shape[0])
-                writer.writerow([ts, "pitot"] + row)
-            elif ev.kind is SensorKind.MAG:
-                writer.writerow([ts, "mag"] + [fmt(x) for x in ev.payload])
-            else:
-                writer.writerow([ts, "baro", fmt(float(ev.payload)), "", ""])
-
-
-def import_sensor_log(path) -> list[SensorEvent]:
-    """Rebuild the event stream written by :func:`export_sensor_log`."""
-    events: list[SensorEvent] = []
-    pending_gyro: tuple[float, np.ndarray] | None = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["t", "kind"]:
-            raise ValueError("not a sensor log: bad header")
-        for row in reader:
-            t = float(row[0])
-            kind = row[1]
-            if kind not in _EXPORT_KINDS:
-                raise ValueError(f"unknown sensor kind {kind!r}")
-            vals = [float(x) for x in row[2:5] if x != ""]
-            if kind == "imu_gyro":
-                pending_gyro = (t, np.array(vals))
-            elif kind == "imu_acc":
-                if pending_gyro is None or pending_gyro[0] != t:
-                    raise MissingPayloadError(
-                        f"imu_acc at t={t} has no matching imu_gyro row"
-                    )
-                events.append(SensorEvent(
-                    t=t, kind=SensorKind.IMU,
-                    payload=(pending_gyro[1], np.array(vals)),
-                ))
-                pending_gyro = None
-            elif kind == "pitot":
-                events.append(SensorEvent(t=t, kind=SensorKind.PITOT,
-                                          payload=np.array(vals)))
-            elif kind == "mag":
-                events.append(SensorEvent(t=t, kind=SensorKind.MAG,
-                                          payload=np.array(vals)))
-            else:
-                events.append(SensorEvent(t=t, kind=SensorKind.BARO,
-                                          payload=vals[0]))
-    if pending_gyro is not None:
-        raise MissingPayloadError("trailing imu_gyro row without imu_acc")
-    return events

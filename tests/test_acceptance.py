@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from airnav import cli, dynamics, geometry, harness, observability, observer
-from airnav.config import default_config, parse_config_text, with_overrides
+from airnav.config import default_config, parse_config_text
 from airnav.dynamics import TrajectorySpec, truth_inputs, truth_state
 from airnav.observer import (
     AirDataObserver,
-    Innovation,
     ObserverState,
     STACK_ORDER,
     additive_weight,

@@ -217,11 +217,13 @@ class TestEulerZyx:
 
     def test_round_trip(self):
         rng = np.random.default_rng(14)
-        for _ in range(100):
-            angles = rng.uniform(-1, 1, 3)
-            r = euler_zyx_to_rot(*angles)
+        all_angles = rng.uniform(-1, 1, (100, 3))
+        rs = np.array([euler_zyx_to_rot(*angles) for angles in all_angles])
+        for r, angles in zip(rs, all_angles):
             np.testing.assert_allclose(rot_to_euler_zyx(r), angles,
                                        atol=1e-12)
+        np.testing.assert_allclose(rot_to_euler_zyx(rs), all_angles,
+                                   atol=1e-12)
 
     def test_gimbal_lock_raises(self):
         r = euler_zyx_to_rot(0.3, np.pi / 2 - 1e-9, -0.2)

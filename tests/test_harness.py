@@ -2,13 +2,14 @@ import csv
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from airnav import cli, dynamics, geometry, harness
-from airnav.config import default_config, parse_config_text, with_overrides
+from airnav.config import default_config, parse_config_text
 from airnav.exceptions import DivergenceError, SingularInnovationError
 from airnav.harness import (
     TRACE_COLUMNS,
@@ -183,7 +184,7 @@ class TestRunSingle:
             rtol=1e-9)
         r_ref = np.array([s.Rhat for s in states])
         np.testing.assert_allclose(
-            m.euler_hat, harness._euler_zyx_batch(r_ref), rtol=1e-9,
+            m.euler_hat, geometry.rot_to_euler_zyx(r_ref), rtol=1e-9,
             atol=1e-12)
 
     def test_singular_innovation_truncates_series(self, short_config,
@@ -200,7 +201,7 @@ class TestRunSingle:
 
 class TestMonteCarlo:
     def test_single_run_summary_matches_run(self, short_config):
-        cfg = with_overrides(short_config, runs=1)
+        cfg = replace(short_config, runs=1)
         summary, all_metrics = run_montecarlo(cfg)
         assert summary.runs == 1
         assert summary.divergence_count == 0
@@ -428,15 +429,14 @@ class TestCli:
 
 class TestDivergenceFloor:
     def test_huge_residual_trips_floor(self):
-        from airnav.observer import observer_tick
         cfg = default_config()
         spec = cfg.trajectory
         truth0 = dynamics.truth_state(spec, 0.0)
         inp = dynamics.truth_inputs(spec, 0.0)
         est = ObserverState(Rhat=truth0.R.copy(), Vahat=truth0.Va.copy(),
                             hhat=truth0.h, P=cfg.weights.P0.copy())
+        obs = AirDataObserver(est, cfg.weights, cfg.probes, cfg.mag_ref,
+                              dt=cfg.imu_period, gravity=cfg.gravity)
         with pytest.raises(DivergenceError):
-            observer_tick(est, {SensorKind.IMU: (inp.omega, inp.a),
-                                SensorKind.BARO: 1e13},
-                          cfg.weights, cfg.probes, cfg.mag_ref,
-                          cfg.gravity, cfg.imu_period)
+            obs.tick({SensorKind.IMU: (inp.omega, inp.a),
+                      SensorKind.BARO: 1e13})

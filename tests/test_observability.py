@@ -8,7 +8,6 @@ from airnav import dynamics
 from airnav.dynamics import TrajectoryKind, TrajectorySpec
 from airnav.geometry import skew
 from airnav.observability import (
-    ALL_SENSORS,
     _batch_skew,
     _grid,
     _simpson_weights,
@@ -18,7 +17,7 @@ from airnav.observability import (
     pe_margins,
     phi_blocks,
 )
-from airnav.sensors import MagReference, ProbeSet, SensorKind
+from airnav.sensors import STACK_ORDER, MagReference, ProbeSet, SensorKind
 
 G = 9.81
 M_I = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
@@ -68,7 +67,7 @@ def _oracle_output_rows(spec, probes, mag_ref, s, sensors):
     n = s.shape[0]
     rot = dynamics.attitude_batch(spec, s)
     blocks = []
-    for kind in ALL_SENSORS:
+    for kind in STACK_ORDER:
         if kind not in sensors:
             continue
         if kind is SensorKind.PITOT:
@@ -106,7 +105,7 @@ def _oracle_transition(spec, s):
 
 
 def oracle_gramian(spec, probes, mag_ref, t, delta, quad_step=1e-3,
-                   sensors=ALL_SENSORS):
+                   sensors=STACK_ORDER):
     """Per-point C* Phi* products and Simpson over the (n, 7, 7) integrand."""
     s = _grid(t, t + delta, quad_step)
     c = _oracle_output_rows(spec, probes, mag_ref, s, sensors)
@@ -135,8 +134,8 @@ PROBE_SETS = {
     3: [[0.8, 0.6, 0.0], [0.0, 1.0, 0.0], [0.0, 0.6, 0.8]],
 }
 
-SENSOR_SUBSETS = [subset for r in range(len(ALL_SENSORS) + 1)
-                  for subset in itertools.combinations(ALL_SENSORS, r)]
+SENSOR_SUBSETS = [subset for r in range(len(STACK_ORDER) + 1)
+                  for subset in itertools.combinations(STACK_ORDER, r)]
 
 
 def _trajectory(name):

@@ -7,15 +7,11 @@ from airnav.dynamics import TrajectorySpec, truth_inputs, truth_state
 from airnav.exceptions import MissingPayloadError, SingularInnovationError
 from airnav.observer import (
     AirDataObserver,
-    Innovation,
     ObserverState,
     RiccatiWeights,
     STACK_ORDER,
     additive_weight,
     cre_rhs,
-    innovation_from_gain,
-    observer_step_state,
-    observer_tick,
     output_matrix,
     residual,
     riccati_predict,
@@ -48,6 +44,33 @@ def truth_observer_state(spec, t, p=None):
     s = truth_state(spec, t)
     return ObserverState(Rhat=s.R.copy(), Vahat=s.Va.copy(), hhat=s.h,
                          P=np.eye(7) if p is None else p)
+
+
+def tick_once(est, payloads, weights, probes, mag_ref, T=0.005):
+    """State after one tick of a fresh Euler observer started at ``est``."""
+    obs = AirDataObserver(est, weights, probes, mag_ref, dt=T, gravity=G)
+    return obs.tick(payloads)
+
+
+def euler_step(est, omega, a, u, T):
+    """Euler state step of the discrete algorithm, written out independently.
+
+    ``u = [dR, dv, dh]`` is the gain-weighted innovation ``-sum K y``; it
+    enters at full strength, the IMU-driven kinematics scale with ``T``::
+
+        Rhat+  = Rhat exp((T omega - Rhat^T dR)^x)
+        Vahat+ = Vahat + T (Vahat x omega + g Rhat^T e3 + a)
+                 + (Rhat^T dR) x Vahat - Rhat^T dv
+        hhat+  = hhat + T e3^T Rhat Vahat - dh
+    """
+    rhat, vahat = est.Rhat, est.Vahat
+    d_r, d_v, d_h = u[0:3], u[3:6], u[6]
+    r_new = rhat @ geometry.exp_so3(T * omega - rhat.T @ d_r)
+    va_new = (vahat + T * (np.cross(vahat, omega) + G * rhat.T @ geometry.E3
+                           + a)
+              + np.cross(rhat.T @ d_r, vahat) - rhat.T @ d_v)
+    h_new = est.hhat + T * (rhat @ vahat)[2] - d_h
+    return r_new, va_new, h_new
 
 
 class TestStateMatrices:
@@ -248,52 +271,32 @@ class TestRiccatiUpdate:
             riccati_update(np.full((7, 7), np.nan), c, np.array([[1.0]]))
 
 
-class TestInnovation:
-    def test_zero_residual(self):
-        innov = innovation_from_gain(np.ones((7, 5)), np.zeros(5))
-        np.testing.assert_allclose(innov.as_vector(), np.zeros(7))
-
-    def test_baro_row_gain(self):
-        k = np.zeros((7, 1))
-        k[6, 0] = 1.0
-        innov = innovation_from_gain(k, np.array([2.0]))
-        assert innov.delta_h == pytest.approx(-2.0)
-        np.testing.assert_allclose(innov.delta_R, np.zeros(3))
-        np.testing.assert_allclose(innov.delta_v, np.zeros(3))
-
-    def test_partition_identity(self):
-        rng = np.random.default_rng(3)
-        k = rng.standard_normal((7, 5))
-        y = rng.standard_normal(5)
-        innov = innovation_from_gain(k, y)
-        np.testing.assert_array_equal(innov.as_vector(), -k @ y)
-
-
 class TestObserverStepState:
-    def test_equilibrium_is_frozen(self):
+    def test_equilibrium_is_frozen(self, probes, mag_ref, weights):
         rhat = geometry.exp_so3(np.array([0.2, -0.1, 0.4]))
         est = ObserverState(Rhat=rhat, Vahat=np.zeros(3), hhat=5.0,
                             P=np.eye(7))
         a = -G * (rhat.T @ geometry.E3)
-        r_new, va_new, h_new = observer_step_state(
-            est, np.zeros(3), a, G, Innovation.zero(), 0.005)
-        np.testing.assert_allclose(r_new, rhat, atol=1e-15)
-        np.testing.assert_allclose(va_new, np.zeros(3), atol=1e-15)
-        assert h_new == pytest.approx(5.0)
+        out = tick_once(est, {SensorKind.IMU: (np.zeros(3), a)}, weights,
+                        probes, mag_ref)
+        np.testing.assert_allclose(out.Rhat, rhat, atol=1e-15)
+        np.testing.assert_allclose(out.Vahat, np.zeros(3), atol=1e-15)
+        assert out.hhat == pytest.approx(5.0)
 
-    def test_zero_innovation_matches_rk4_to_second_order(self):
+    def test_zero_innovation_matches_rk4_to_second_order(self, probes,
+                                                         mag_ref, weights):
         spec = TrajectorySpec.paper()
         s0 = truth_state(spec, 0.0)
         inp = truth_inputs(spec, 0.0)
 
         def one_step_error(T):
             est = truth_observer_state(spec, 0.0)
-            _, va_new, _ = observer_step_state(est, inp.omega, inp.a, G,
-                                               Innovation.zero(), T)
+            out = tick_once(est, {SensorKind.IMU: (inp.omega, inp.a)},
+                            weights, probes, mag_ref, T)
             ref = dynamics.propagate_truth(s0,
                                            lambda t: truth_inputs(spec, t),
                                            dt=T / 200.0, steps=200, gravity=G)
-            return np.linalg.norm(va_new - ref.Va)
+            return np.linalg.norm(out.Vahat - ref.Va)
 
         err_full = one_step_error(0.01)
         err_half = one_step_error(0.005)
@@ -302,12 +305,12 @@ class TestObserverStepState:
     def test_altitude_innovation_full_strength(self):
         # the gain-weighted correction enters unscaled by the tick period
         rhat = np.eye(3)
-        est = ObserverState(Rhat=rhat, Vahat=np.array([3.0, 0.0, 0.0]),
-                            hhat=10.0, P=np.eye(7))
-        innov = Innovation(delta_R=np.zeros(3), delta_v=np.zeros(3),
-                           delta_h=1.0)
-        _, _, h_new = observer_step_state(est, np.zeros(3), np.zeros(3), G,
-                                          innov, 0.005)
+        vahat = np.array([3.0, 0.0, 0.0])
+        rv = rhat @ vahat
+        f = observer._rates(rhat, vahat, rv, np.zeros(3), np.zeros(3), G)
+        u = np.zeros(7)
+        u[6] = 1.0
+        _, _, h_new = observer._step(rhat, vahat, rv, 10.0, f, u, 0.005)
         assert h_new == pytest.approx(9.0)
 
     def test_attitude_innovation_composition(self):
@@ -317,13 +320,12 @@ class TestObserverStepState:
         s = truth_state(spec, 0.0)
         lam = np.array([0.0, 0.0, 0.2])
         rhat = geometry.rot_from_small_angle(lam).T @ s.R
-        est = ObserverState(Rhat=rhat, Vahat=s.Va.copy(), hhat=s.h,
-                            P=np.eye(7))
-        innov = Innovation(delta_R=np.array([0.0, 0.0, 0.1]),
-                           delta_v=np.zeros(3), delta_h=0.0)
-        r_new, _, _ = observer_step_state(est, np.zeros(3),
-                                          -G * (rhat.T @ geometry.E3), G,
-                                          innov, 0.005)
+        vahat = s.Va.copy()
+        rv = rhat @ vahat
+        f = observer._rates(rhat, vahat, rv, np.zeros(3),
+                            -G * (rhat.T @ geometry.E3), G)
+        u = np.array([0.0, 0.0, 0.1, 0.0, 0.0, 0.0, 0.0])
+        r_new, _, _ = observer._step(rhat, vahat, rv, s.h, f, u, 0.005)
         new_lam = geometry.small_angle(geometry.rot_to_quat(s.R @ r_new.T))
         np.testing.assert_allclose(new_lam, [0, 0, 0.3], atol=1e-3)
 
@@ -332,17 +334,17 @@ class TestObserverTick:
     def test_requires_imu(self, probes, mag_ref, weights):
         est = truth_observer_state(TrajectorySpec.paper(), 0.0)
         with pytest.raises(MissingPayloadError):
-            observer_tick(est, {}, weights, probes, mag_ref, G, 0.005)
+            tick_once(est, {}, weights, probes, mag_ref)
 
     def test_imu_only_grows_covariance(self, probes, mag_ref, weights):
         spec = TrajectorySpec.paper()
         est = truth_observer_state(spec, 0.0, p=weights.P0.copy())
         inp = truth_inputs(spec, 0.0)
-        out = observer_tick(est, {SensorKind.IMU: (inp.omega, inp.a)},
-                            weights, probes, mag_ref, G, 0.005)
+        out = tick_once(est, {SensorKind.IMU: (inp.omega, inp.a)}, weights,
+                        probes, mag_ref)
         assert np.trace(out.P) > np.trace(est.P)
-        r_ref, va_ref, h_ref = observer_step_state(
-            est, inp.omega, inp.a, G, Innovation.zero(), 0.005)
+        r_ref, va_ref, h_ref = euler_step(est, inp.omega, inp.a, np.zeros(7),
+                                          0.005)
         np.testing.assert_allclose(out.Rhat, r_ref)
         np.testing.assert_allclose(out.Vahat, va_ref)
         assert out.hhat == pytest.approx(h_ref)
@@ -354,18 +356,17 @@ class TestObserverTick:
         s = truth_state(spec, t)
         inp = truth_inputs(spec, t)
         est = truth_observer_state(spec, t, p=weights.P0.copy())
-        payloads = {
-            SensorKind.IMU: (inp.omega, inp.a),
+        imu = {SensorKind.IMU: (inp.omega, inp.a)}
+        payloads = dict(imu)
+        payloads.update({
             SensorKind.PITOT: probes.B.T @ s.Va,
             SensorKind.MAG: s.R.T @ M_I,
             SensorKind.BARO: s.h,
-        }
-        out = observer_tick(est, payloads, weights, probes, mag_ref, G,
-                            0.005)
-        prediction = observer_step_state(est, inp.omega, inp.a, G,
-                                         Innovation.zero(), 0.005)
-        np.testing.assert_allclose(out.Vahat, prediction[1], atol=1e-9)
-        assert abs(out.hhat - prediction[2]) < 1e-9
+        })
+        out = tick_once(est, payloads, weights, probes, mag_ref)
+        prediction = tick_once(est, imu, weights, probes, mag_ref)
+        np.testing.assert_allclose(out.Vahat, prediction.Vahat, atol=1e-9)
+        assert abs(out.hhat - prediction.hhat) < 1e-9
 
     def test_symmetry_and_pd_over_short_run(self, probes, mag_ref, weights):
         spec = TrajectorySpec.paper()
@@ -569,7 +570,7 @@ class TestTickAgainstPublicPieces:
                     SensorKind.BARO: s.h - 0.2}
         payloads = {SensorKind.IMU: (inp.omega, inp.a)}
         payloads.update((kind, measured[kind]) for kind in kinds)
-        out = observer_tick(est, payloads, weights, probes, mag_ref, G, T)
+        out = tick_once(est, payloads, weights, probes, mag_ref, T)
 
         p = riccati_predict(est.P, state_matrix_dt(est.Rhat, inp.a, T),
                             weights.S, T)
@@ -585,36 +586,10 @@ class TestTickAgainstPublicPieces:
             c = output_matrix(est.Rhat, est.Vahat, probes, mag_ref, subset)
             k, p = riccati_update(p, c, additive_weight(weights, subset,
                                                         "covariance"))
-            u += innovation_from_gain(k, y).as_vector()
-        innov = Innovation(delta_R=u[0:3], delta_v=u[3:6], delta_h=u[6])
-        r_ref, va_ref, h_ref = observer_step_state(est, inp.omega, inp.a, G,
-                                                   innov, T)
+            u -= k @ y
+        r_ref, va_ref, h_ref = euler_step(est, inp.omega, inp.a, u, T)
         np.testing.assert_allclose(out.P, p, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(out.Rhat, r_ref, rtol=0, atol=1e-14)
         np.testing.assert_allclose(out.Vahat, va_ref, rtol=1e-12, atol=1e-14)
         assert out.hhat == pytest.approx(h_ref, rel=1e-12)
 
-
-class TestObserverTickEventList:
-    def test_accepts_sensor_event_batch(self):
-        from airnav.sensors import SensorEvent
-        from airnav.config import default_config
-        cfg = default_config()
-        spec = cfg.trajectory
-        s = truth_state(spec, 0.0)
-        inp = truth_inputs(spec, 0.0)
-        est = ObserverState(Rhat=s.R.copy(), Vahat=s.Va.copy(), hhat=s.h,
-                            P=cfg.weights.P0.copy())
-        events = [
-            SensorEvent(t=0.0, kind=SensorKind.IMU,
-                        payload=(inp.omega, inp.a)),
-            SensorEvent(t=0.0, kind=SensorKind.BARO, payload=s.h),
-        ]
-        out = observer_tick(est, events, cfg.weights, cfg.probes,
-                            cfg.mag_ref, cfg.gravity, cfg.imu_period)
-        payload_dict = {SensorKind.IMU: (inp.omega, inp.a),
-                        SensorKind.BARO: s.h}
-        ref = observer_tick(est, payload_dict, cfg.weights, cfg.probes,
-                            cfg.mag_ref, cfg.gravity, cfg.imu_period)
-        np.testing.assert_array_equal(out.Vahat, ref.Vahat)
-        np.testing.assert_array_equal(out.P, ref.P)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from airnav.dynamics import BodyInputs, NavState, TrajectorySpec, truth_state
-from airnav.exceptions import MissingPayloadError, RateMismatchError
+from airnav.exceptions import RateMismatchError
 from airnav.geometry import exp_so3
 from airnav.sensors import (
     STREAM_IDS,
@@ -10,10 +10,7 @@ from airnav.sensors import (
     NoiseSpec,
     ProbeSet,
     RateSpec,
-    SensorEvent,
     SensorKind,
-    export_sensor_log,
-    import_sensor_log,
     make_schedule,
     sample_baro,
     sample_imu,
@@ -280,39 +277,3 @@ class TestSubstreams:
         a = substream(0, 0, 0).standard_normal(4)
         b = substream(0, 1, 0).standard_normal(4)
         assert not np.allclose(a, b)
-
-
-class TestSensorLogRoundTrip:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        events = [
-            SensorEvent(t=0.0, kind=SensorKind.IMU,
-                        payload=(rng.standard_normal(3),
-                                 rng.standard_normal(3))),
-            SensorEvent(t=0.0, kind=SensorKind.PITOT,
-                        payload=np.array([12.25])),
-            SensorEvent(t=0.0, kind=SensorKind.MAG,
-                        payload=rng.standard_normal(3)),
-            SensorEvent(t=0.2, kind=SensorKind.BARO, payload=-1.75),
-        ]
-        path = tmp_path / "log.csv"
-        export_sensor_log(path, events)
-        back = import_sensor_log(path)
-        assert [e.kind for e in back] == [e.kind for e in events]
-        for orig, rebuilt in zip(events, back):
-            assert rebuilt.t == orig.t
-            if orig.kind is SensorKind.IMU:
-                np.testing.assert_array_equal(rebuilt.payload[0],
-                                              orig.payload[0])
-                np.testing.assert_array_equal(rebuilt.payload[1],
-                                              orig.payload[1])
-            elif orig.kind is SensorKind.BARO:
-                assert rebuilt.payload == orig.payload
-            else:
-                np.testing.assert_array_equal(rebuilt.payload, orig.payload)
-
-    def test_orphan_gyro_rejected(self, tmp_path):
-        path = tmp_path / "log.csv"
-        path.write_text("t,kind,v1,v2,v3\n0,imu_gyro,1,2,3\n")
-        with pytest.raises(MissingPayloadError):
-            import_sensor_log(path)
