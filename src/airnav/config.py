@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import TrajectoryKind, TrajectorySpec
+from .dynamics import TrajectorySpec
 from .exceptions import ConfigParseError, ConfigValidationError, RateMismatchError
 from .observer import INTEGRATORS, Q_CONVENTIONS, RiccatiWeights
 from .sensors import MagReference, NoiseSpec, ProbeSet, RateSpec
@@ -67,6 +67,10 @@ class SimConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ConfigValidationError("runs must be at least 1")
+        # run indices, like tick indices, must fit in an array index
+        if self.runs > np.iinfo(np.intp).max:
+            raise ConfigValidationError(
+                "runs exceeds the largest array index")
         if self.base_seed < 0:
             raise ConfigValidationError("base_seed must be non-negative")
         if self.duration <= 0.0:

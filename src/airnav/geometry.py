@@ -28,20 +28,10 @@ ORTHONORMALITY_TOL = 1e-9
 def skew(u: np.ndarray) -> np.ndarray:
     """Return the 3x3 matrix ``[u]_x`` with ``[u]_x w = u x w``."""
     ux, uy, uz = np.asarray(u, dtype=float).tolist()
-    # A flat list builds faster than a nested one; the tick calls this in
-    # its inner loop.
+    # A flat list builds faster than a nested one.
     return np.array([0.0, -uz, uy,
                      uz, 0.0, -ux,
                      -uy, ux, 0.0]).reshape(3, 3)
-
-
-def cross3(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors (faster than np.cross for scalars)."""
-    return np.array([
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    ])
 
 
 def unskew(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:

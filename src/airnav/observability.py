@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from . import dynamics
 from .dynamics import TrajectorySpec
@@ -83,6 +82,27 @@ def _grid(tau: float, t: float, quad_step: float) -> np.ndarray:
     return np.linspace(tau, t, n + 1)
 
 
+def _cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Running composite-Simpson integral of ``y`` along axis 0, from 0.
+
+    The equal-interval rule of ``scipy.integrate.cumulative_simpson(y,
+    dx=dx, axis=0, initial=0.0)`` with the same operations, so the bits
+    agree: the first interval of each pair, ``[x_i, x_i+1]``, integrates
+    the quadratic through ``y_i, y_i+1, y_i+2``; the second one, and the
+    last interval of an odd interval count, integrate the quadratic through
+    the point before.  ``y`` needs at least three points.
+    """
+    y0, y1, y2 = y[0:-2:2], y[1:-1:2], y[2::2]
+    d3 = dx / 3
+    out = np.empty_like(y)
+    out[0] = 0.0
+    out[1:-1:2] = d3 * (5 * y0 / 4 + 2 * y1 - y2 / 4)
+    out[2::2] = d3 * (5 * y2 / 4 + 2 * y1 - y0 / 4)
+    out[-1] = d3 * (5 * y[-1] / 4 + 2 * y[-2] - y[-3] / 4)
+    # Summing from the 0.0 row gives scipy's "sum, then add initial" bits.
+    return np.cumsum(out, axis=0)
+
+
 def _integrated_force(spec: TrajectorySpec, s: np.ndarray,
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Specific force w(s) = R a and its first and second running integrals.
@@ -92,8 +112,8 @@ def _integrated_force(spec: TrajectorySpec, s: np.ndarray,
     """
     w = dynamics.inertial_specific_force(spec, s)
     dx = (s[-1] - s[0]) / (s.shape[0] - 1)
-    g1 = cumulative_simpson(w, dx=dx, axis=0, initial=0.0)
-    g2 = cumulative_simpson(g1, dx=dx, axis=0, initial=0.0)
+    g1 = _cumulative_simpson(w, dx)
+    g2 = _cumulative_simpson(g1, dx)
     return w, g1, g2
 
 

@@ -15,16 +15,25 @@ One tick, :meth:`AirDataObserver.tick`, does the whole discrete cycle:
    one-row update (barometer, single-probe Pitot) is a scalar division and a
    rank-1 covariance downdate, a several-row update goes through a Cholesky
    factor of the innovation covariance;
-3. state integration: exponential step on SO(3), explicit step for the
-   vector part.  The input-driven rates combine the current and previous
-   tick with fixed coefficients, ``(1, 0)`` for Euler and ``(3/2, -1/2)``
-   for two-step Adams-Bashforth, so both integrators share one code path;
-4. the divergence-floor check.
+3. state integration on Python floats: exponential step on SO(3), explicit
+   step for the vector part.  ``Rhat``, ``Vahat``, the IMU inputs and the
+   innovation are unpacked once per tick; the rates, their blend, the
+   innovation injection and the Rodrigues product ``Rhat exp(theta^x)``
+   with its orthonormality defect (:func:`_rotate`) are scalar arithmetic,
+   and only the new ``Rhat`` and ``Vahat`` become arrays again.  The
+   input-driven rates combine the current and previous tick with fixed
+   coefficients, ``(1, 0)`` for Euler and ``(3/2, -1/2)`` for two-step
+   Adams-Bashforth, so both integrators share one code path;
+4. the divergence-floor check on ``Vahat``, ``hhat``, the trace of ``P``
+   and the attitude (a non-finite ``Rhat`` trips it), then the
+   re-projection of ``Rhat`` onto SO(3) if its defect exceeds
+   ``ORTHONORMALITY_TOL``.
 
-The tick is the only way to advance an estimate.  It reuses the public
-pieces :func:`state_matrix_dt`, :func:`output_matrix`,
-:func:`additive_weight`, :func:`riccati_predict` and :func:`riccati_update`,
-and :func:`residual` forms the same residuals the tick writes in place.
+The tick is the only way to advance an estimate.  The 7x7 covariance stays
+in numpy: the tick reuses the public pieces :func:`state_matrix_dt`,
+:func:`output_matrix`, :func:`additive_weight`, :func:`riccati_predict` and
+:func:`riccati_update`, and :func:`residual` forms the same residuals the
+tick writes in place.
 
 Weight conventions
 ------------------
@@ -42,10 +51,10 @@ The continuous-time Riccati equation (:func:`cre_rhs`) always treats its
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import geometry
 from .exceptions import (
@@ -53,7 +62,7 @@ from .exceptions import (
     MissingPayloadError,
     SingularInnovationError,
 )
-from .geometry import E3, cross3, skew
+from .geometry import E3, ORTHONORMALITY_TOL, SMALL_ANGLE_SWITCH, skew
 from .sensors import STACK_ORDER, MagReference, ProbeSet, SensorKind
 
 STATE_FLOOR = 1e9
@@ -224,7 +233,13 @@ def additive_weight(weights: RiccatiWeights, subset, q_convention: str,
         if q_convention == "precision":
             block = np.linalg.inv(block)
         blocks.append(block)
-    return scipy.linalg.block_diag(*blocks)
+    q = np.zeros((sum(b.shape[0] for b in blocks),) * 2)
+    i = 0
+    for block in blocks:
+        j = i + block.shape[0]
+        q[i:j, i:j] = block
+        i = j
+    return q
 
 
 def riccati_predict(P: np.ndarray, A_d: np.ndarray, S: np.ndarray,
@@ -295,51 +310,57 @@ def _update_cholesky(P: np.ndarray, C: np.ndarray, Q: np.ndarray,
     return w.T @ chol_inv, P - w.T @ w
 
 
-def _rates(rhat: np.ndarray, vahat: np.ndarray, rv: np.ndarray,
-           omega: np.ndarray, a: np.ndarray, gravity: float) -> np.ndarray:
-    """Input-driven rates ``[omega, dVahat/dt, dhhat/dt]`` of the state step.
+def _rotate(r: list[float], t0: float, t1: float, t2: float,
+            ) -> tuple[list[float], float]:
+    """Rodrigues product ``R exp([t]_x)`` and its orthonormality defect.
 
-    ``rv`` is ``Rhat Vahat``; ``Rhat^T e3`` is the last row of ``Rhat``.
+    ``r`` holds the nine entries of ``R`` row by row, and so does the
+    returned product.  The coefficients follow :func:`geometry.exp_so3`,
+    Taylor branch below ``SMALL_ANGLE_SWITCH`` included; a non-finite angle
+    gives NaN coefficients, as ``exp_so3`` does.  The defect is
+    :func:`geometry.rotation_defect` of the product, the Frobenius norm of
+    ``R^T R - I`` with ``R`` the product.
     """
-    f = np.empty(7)
-    f[0:3] = omega
-    f[3:6] = -cross3(omega, vahat) + gravity * rhat[2] + a
-    f[6] = rv[2]
-    return f
-
-
-def _step(rhat: np.ndarray, vahat: np.ndarray, rv: np.ndarray, hhat: float,
-          f: np.ndarray, u: np.ndarray | None, T: float,
-          ) -> tuple[np.ndarray, np.ndarray, float]:
-    """Advance the state by the rates ``f`` and inject ``u = [dR, dv, dh]``.
-
-    The dynamics terms advance by the tick period ``T``; the innovation
-    terms are discrete gain-weighted corrections and enter at full
-    strength, which keeps the state correction consistent with the
-    ``(I - K C) P`` covariance reduction of the measurement update.
-    ``u = None`` means no aiding sensor sampled on the tick.
-    """
-    theta = T * f[0:3]
-    dv = T * f[3:6]
-    dh = T * f[6]
-    if u is not None:
-        d_r = u[0:3]
-        theta -= rhat.T @ d_r
-        dv += rhat.T @ (cross3(d_r, rv) - u[3:6])
-        dh -= u[6]
-    rhat_new = rhat @ geometry.exp_so3(theta)
-    if geometry.rotation_defect(rhat_new) > geometry.ORTHONORMALITY_TOL:
-        rhat_new = geometry.project_to_so3(rhat_new)
-    return rhat_new, vahat + dv, float(hhat + dh)
-
-
-def _check_floor(state: ObserverState) -> None:
-    v = state.Vahat
-    biggest = max(abs(v[0]), abs(v[1]), abs(v[2]), abs(state.hhat))
-    p_trace = float(state.P.trace())
-    # NaN fails both comparisons, so non-finite states also trip the floor.
-    if not (biggest < STATE_FLOOR) or not (p_trace < P_TRACE_FLOOR):
-        raise DivergenceError("observer state exceeded the numerical floor")
+    angle2 = t0 * t0 + t1 * t1 + t2 * t2
+    if angle2 < SMALL_ANGLE_SWITCH**2:
+        c1 = 1.0 - angle2 / 6.0
+        c2 = 0.5 - angle2 / 24.0
+    elif angle2 < math.inf:
+        angle = math.sqrt(angle2)
+        c1 = math.sin(angle) / angle
+        c2 = (1.0 - math.cos(angle)) / angle2
+    else:
+        c1 = c2 = math.nan
+    # exp([t]_x) = I + c1 [t]_x + c2 [t]_x^2, with [t]_x^2 = t t^T - |t|^2 I
+    s0, s1, s2 = c1 * t0, c1 * t1, c1 * t2
+    p01, p02, p12 = c2 * t0 * t1, c2 * t0 * t2, c2 * t1 * t2
+    e00 = 1.0 - c2 * (t1 * t1 + t2 * t2)
+    e11 = 1.0 - c2 * (t0 * t0 + t2 * t2)
+    e22 = 1.0 - c2 * (t0 * t0 + t1 * t1)
+    e01, e10 = p01 - s2, p01 + s2
+    e02, e20 = p02 + s1, p02 - s1
+    e12, e21 = p12 - s0, p12 + s0
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+    out = [r00 * e00 + r01 * e10 + r02 * e20,
+           r00 * e01 + r01 * e11 + r02 * e21,
+           r00 * e02 + r01 * e12 + r02 * e22,
+           r10 * e00 + r11 * e10 + r12 * e20,
+           r10 * e01 + r11 * e11 + r12 * e21,
+           r10 * e02 + r11 * e12 + r12 * e22,
+           r20 * e00 + r21 * e10 + r22 * e20,
+           r20 * e01 + r21 * e11 + r22 * e21,
+           r20 * e02 + r21 * e12 + r22 * e22]
+    n00, n01, n02, n10, n11, n12, n20, n21, n22 = out
+    # Gram matrix of the columns: its diagonal should be 1, the rest 0.
+    g00 = n00 * n00 + n10 * n10 + n20 * n20 - 1.0
+    g11 = n01 * n01 + n11 * n11 + n21 * n21 - 1.0
+    g22 = n02 * n02 + n12 * n12 + n22 * n22 - 1.0
+    g01 = n00 * n01 + n10 * n11 + n20 * n21
+    g02 = n00 * n02 + n10 * n12 + n20 * n22
+    g12 = n01 * n02 + n11 * n12 + n21 * n22
+    defect = math.sqrt(g00 * g00 + g11 * g11 + g22 * g22
+                       + 2.0 * (g01 * g01 + g02 * g02 + g12 * g12))
+    return out, defect
 
 
 class AirDataObserver:
@@ -379,7 +400,7 @@ class AirDataObserver:
         self.q_convention = q_convention
         self.integrator = integrator
         self._c_now, self._c_prev = INTEGRATORS[integrator]
-        self._prev_rates: np.ndarray | None = None
+        self._prev_rates: list[float] | None = None
         self._a_d = state_matrix_dt(np.eye(3), np.zeros(3), self.dt)
         # Stacked output rows and residuals in STACK_ORDER; only the Pitot
         # rows depend on the estimate, the mag and baro rows stay as built.
@@ -394,9 +415,15 @@ class AirDataObserver:
             for kind, rows in ((SensorKind.PITOT, slice(0, m)),
                                (SensorKind.MAG, slice(m, m + 3)),
                                (SensorKind.BARO, slice(m + 3, m + 4)))}
+        self._probe_axes = probes.B.T.tolist()
+        self._m_i = mag_ref.m_I.tolist()
 
     def tick(self, payloads: dict) -> ObserverState:
         """Advance one IMU tick given ``{SensorKind: payload}``; returns state.
+
+        Payloads are numpy arrays (the IMU payload a pair of 3-vectors
+        ``(omega, a)``) except the barometer's, a float.  If the tick fails,
+        :attr:`state` stays at the last valid estimate.
 
         Raises
         ------
@@ -405,58 +432,124 @@ class AirDataObserver:
         SingularInnovationError
             If an innovation covariance is not positive definite.
         DivergenceError
-            If the updated state exceeds the numerical divergence floor.
+            If the updated state exceeds the numerical divergence floor or
+            the attitude estimate is not finite.
         """
         imu = payloads.get(SensorKind.IMU)
         if imu is None:
             raise MissingPayloadError("observer tick requires an IMU payload")
         omega, a = imu
         est = self.state
-        rhat, vahat, T = est.Rhat, est.Vahat, self.dt
-        rv = rhat @ vahat
+        T = self.dt
+        r = est.Rhat.ravel().tolist()
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+        v0, v1, v2 = est.Vahat.tolist()
+        h = est.hhat
+        rv0 = r00 * v0 + r01 * v1 + r02 * v2
+        rv1 = r10 * v0 + r11 * v1 + r12 * v2
+        rv2 = r20 * v0 + r21 * v1 + r22 * v2
 
+        # A_d = I + T A(Rhat): its only varying block is -T (Rhat a)^x.
+        a0, a1, a2 = a.tolist()
+        k0 = -T * (r00 * a0 + r01 * a1 + r02 * a2)
+        k1 = -T * (r10 * a0 + r11 * a1 + r12 * a2)
+        k2 = -T * (r20 * a0 + r21 * a1 + r22 * a2)
         a_d = self._a_d
-        a_d[3:6, 0:3] = skew(-T * (rhat @ a))
+        a_d[3, 1] = -k2
+        a_d[3, 2] = k1
+        a_d[4, 0] = k2
+        a_d[4, 2] = -k0
+        a_d[5, 0] = -k1
+        a_d[5, 1] = k0
         p = riccati_predict(est.P, a_d, self.weights.S, T)
 
         # Residuals and Pitot rows of the sensors that sampled, collected
         # in the sequential update order: barometer, magnetometer, Pitot.
-        c, y, bt = self._c, self._y, self.probes.B.T
+        c, y = self._c, self._y
         fired = []
         baro = payloads.get(SensorKind.BARO)
         if baro is not None:
-            y[-1] = baro - est.hhat
+            y[-1] = baro - h
             fired.append(SensorKind.BARO)
         mag = payloads.get(SensorKind.MAG)
         if mag is not None:
-            y[-4:-1] = self.mag_ref.m_I - rhat @ mag
+            m0, m1, m2 = mag.tolist()
+            mi0, mi1, mi2 = self._m_i
+            y[-4:-1] = [mi0 - (r00 * m0 + r01 * m1 + r02 * m2),
+                        mi1 - (r10 * m0 + r11 * m1 + r12 * m2),
+                        mi2 - (r20 * m0 + r21 * m1 + r22 * m2)]
             fired.append(SensorKind.MAG)
         pitot = payloads.get(SensorKind.PITOT)
         if pitot is not None:
-            m = bt.shape[0]
-            bt_rt = bt @ rhat.T
-            c[:m, 0:3] = bt_rt @ skew(rv)
-            c[:m, 3:6] = bt_rt
-            y[:m] = pitot - bt @ vahat
+            # Probe j's row is [x_j x (Rhat Vahat) | x_j | 0], x_j = Rhat b_j.
+            pitot_rows, pitot_res = [], []
+            for (b0, b1, b2), meas in zip(self._probe_axes, pitot.tolist()):
+                x0 = r00 * b0 + r01 * b1 + r02 * b2
+                x1 = r10 * b0 + r11 * b1 + r12 * b2
+                x2 = r20 * b0 + r21 * b1 + r22 * b2
+                pitot_rows.append([x1 * rv2 - x2 * rv1, x2 * rv0 - x0 * rv2,
+                                   x0 * rv1 - x1 * rv0, x0, x1, x2])
+                pitot_res.append(meas - (b0 * v0 + b1 * v1 + b2 * v2))
+            c[:len(pitot_rows), 0:6] = pitot_rows
+            y[:len(pitot_res)] = pitot_res
             fired.append(SensorKind.PITOT)
         u = None
         if len(fired) == 3:
             k, p = riccati_update(p, c, self._q_stacked)
-            u = -(k @ y)
+            u = (-(k @ y)).tolist()
         elif fired:
-            u = np.zeros(7)
+            acc = np.zeros(7)
             for kind in fired:
                 rows, q = self._single[kind]
                 k, p = riccati_update(p, c[rows], q)
-                u -= k @ y[rows]
+                acc -= k @ y[rows]
+            u = acc.tolist()
 
-        f = _rates(rhat, vahat, rv, omega, a, self.gravity)
+        # Input-driven rates [omega, dVahat/dt, dhhat/dt], blended with the
+        # previous tick's; Rhat^T e3 is the last row of Rhat.
+        w0, w1, w2 = omega.tolist()
+        g = self.gravity
+        f = [w0, w1, w2,
+             -(w1 * v2 - w2 * v1) + g * r20 + a0,
+             -(w2 * v0 - w0 * v2) + g * r21 + a1,
+             -(w0 * v1 - w1 * v0) + g * r22 + a2,
+             rv2]
         prev, self._prev_rates = self._prev_rates, f
         if prev is not None:
-            f = self._c_now * f + self._c_prev * prev
-        rhat, vahat, hhat = _step(rhat, vahat, rv, est.hhat, f, u, T)
-        self.state = ObserverState(Rhat=rhat, Vahat=vahat, hhat=hhat, P=p)
-        _check_floor(self.state)
+            c_now, c_prev = self._c_now, self._c_prev
+            f = [c_now * fi + c_prev * pi for fi, pi in zip(f, prev)]
+        t0, t1, t2, dv0, dv1, dv2, dh = [T * fi for fi in f]
+        if u is not None:
+            # The gain-weighted innovation u = [dR, dv, dh] enters at full
+            # strength, consistent with the (I - K C) P reduction.
+            d0, d1, d2, e0, e1, e2, e6 = u
+            t0 -= r00 * d0 + r10 * d1 + r20 * d2
+            t1 -= r01 * d0 + r11 * d1 + r21 * d2
+            t2 -= r02 * d0 + r12 * d1 + r22 * d2
+            z0 = (d1 * rv2 - d2 * rv1) - e0
+            z1 = (d2 * rv0 - d0 * rv2) - e1
+            z2 = (d0 * rv1 - d1 * rv0) - e2
+            dv0 += r00 * z0 + r10 * z1 + r20 * z2
+            dv1 += r01 * z0 + r11 * z1 + r21 * z2
+            dv2 += r02 * z0 + r12 * z1 + r22 * z2
+            dh -= e6
+        r, defect = _rotate(r, t0, t1, t2)
+        v0 += dv0
+        v1 += dv1
+        v2 += dv2
+        h = float(h + dh)
+        # NaN fails every comparison, so non-finite states trip the floor.
+        if not (abs(v0) < STATE_FLOOR and abs(v1) < STATE_FLOOR
+                and abs(v2) < STATE_FLOOR and abs(h) < STATE_FLOOR
+                and sum(p.diagonal().tolist()) < P_TRACE_FLOOR
+                and defect < math.inf):
+            raise DivergenceError(
+                "observer state exceeded the numerical floor")
+        rhat = np.array(r).reshape(3, 3)
+        if defect > ORTHONORMALITY_TOL:
+            rhat = geometry.project_to_so3(rhat)
+        self.state = ObserverState(Rhat=rhat, Vahat=np.array([v0, v1, v2]),
+                                   hhat=h, P=p)
         return self.state
 
 

@@ -190,7 +190,8 @@ class TestNonFiniteInput:
             parse_config_text(text + "\n")
 
     @pytest.mark.parametrize("text", ["runs = 1e400", "f_imu = inf",
-                                      "duration = 1e300", "duration = 1e15"])
+                                      "duration = 1e300", "duration = 1e15",
+                                      "runs = 1e300"])
     def test_cli_exits_2(self, text, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text(text + "\n", encoding="utf-8")

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airnav import cli, dynamics, geometry, harness
+from airnav import cli, dynamics, geometry, harness, observer
 from airnav.config import default_config, parse_config_text
 from airnav.exceptions import DivergenceError, SingularInnovationError
 from airnav.harness import (
@@ -440,3 +440,47 @@ class TestDivergenceFloor:
         with pytest.raises(DivergenceError):
             obs.tick({SensorKind.IMU: (inp.omega, inp.a),
                       SensorKind.BARO: 1e13})
+
+    def test_non_finite_attitude_truncates_series(self, short_config,
+                                                  monkeypatch):
+        # from the tenth tick on the attitude step turns NaN while Vahat,
+        # hhat and P stay finite; only the attitude check can catch it
+        calls = {"n": 0}
+        orig = observer._rotate
+
+        def rotate(r, t0, t1, t2):
+            calls["n"] += 1
+            return orig(r, t0 if calls["n"] < 10 else np.nan, t1, t2)
+
+        monkeypatch.setattr(observer, "_rotate", rotate)
+        m = run_single(short_config, 0)
+        assert m.diverged
+        assert m.t.shape[0] == 10
+        assert m.divergence_time == pytest.approx(m.t[-1])
+        assert np.all(np.isfinite(m.euler_hat))
+
+    def test_failed_tick_keeps_last_valid_state(self, monkeypatch):
+        cfg = default_config()
+        inp = dynamics.truth_inputs(cfg.trajectory, 0.0)
+        obs = AirDataObserver(init_estimates(cfg, 0), cfg.weights,
+                              cfg.probes, cfg.mag_ref, dt=cfg.imu_period,
+                              gravity=cfg.gravity)
+        before = obs.state
+        monkeypatch.setattr(observer, "_rotate",
+                            lambda r, t0, t1, t2: ([np.nan] * 9, np.nan))
+        with pytest.raises(DivergenceError):
+            obs.tick({SensorKind.IMU: (inp.omega, inp.a)})
+        assert obs.state is before
+
+    @pytest.mark.parametrize("va, h", [([1.0, np.nan, 0.0], 5.0),
+                                       ([1.0, 0.0, 0.0], np.nan)])
+    def test_nan_after_a_finite_component_trips_floor(self, va, h):
+        # a NaN that is not the first of Vahat, hhat must not slip through
+        cfg = default_config()
+        est = ObserverState(Rhat=np.eye(3), Vahat=np.array(va), hhat=h,
+                            P=cfg.weights.P0.copy())
+        obs = AirDataObserver(est, cfg.weights, cfg.probes, cfg.mag_ref,
+                              dt=cfg.imu_period, gravity=cfg.gravity)
+        with pytest.raises(DivergenceError):
+            obs.tick({SensorKind.IMU: (np.zeros(3),
+                                       np.array([0.0, 0.0, -cfg.gravity]))})

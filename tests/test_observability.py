@@ -9,6 +9,7 @@ from airnav.dynamics import TrajectoryKind, TrajectorySpec
 from airnav.geometry import skew
 from airnav.observability import (
     _batch_skew,
+    _cumulative_simpson,
     _grid,
     _simpson_weights,
     gramian,
@@ -247,6 +248,26 @@ def test_simpson_weights_match_scipy_on_unequal_grid():
     y = rng.standard_normal((9, 4))
     np.testing.assert_allclose(_simpson_weights(s) @ y,
                                simpson(y, x=s, axis=0), rtol=1e-14)
+
+
+@pytest.mark.parametrize("n", [3, 4, 4000, 4001])
+def test_cumulative_simpson_is_bit_equal_to_scipy(n):
+    # odd and even point counts; signed zeros exercise the initial row.
+    # Data confined to the first or last points keeps the running sums
+    # small, so a last-bit change in the end pieces is not absorbed.
+    rng = np.random.default_rng(n)
+    full = rng.standard_normal((n, 3))
+    full[:, 2] = 0.0
+    full[::3, 2] = -0.0
+    head, tail = np.zeros((n, 3)), np.zeros((n, 3))
+    head[:3] = rng.standard_normal((3, 3))
+    tail[-3:] = rng.standard_normal((3, 3))
+    dx = 60.0 / 4000
+    for y in (full, head, tail):
+        expected = cumulative_simpson(y, dx=dx, axis=0, initial=0.0)
+        got = _cumulative_simpson(y, dx)
+        assert np.array_equal(got, expected)
+        assert got.tobytes() == expected.tobytes()
 
 
 class TestPeMargins:

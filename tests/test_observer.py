@@ -1,5 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from airnav import dynamics, geometry, observer
 from airnav.config import default_config
@@ -8,6 +13,7 @@ from airnav.exceptions import MissingPayloadError, SingularInnovationError
 from airnav.observer import (
     AirDataObserver,
     ObserverState,
+    Q_CONVENTIONS,
     RiccatiWeights,
     STACK_ORDER,
     additive_weight,
@@ -186,6 +192,23 @@ class TestResidual:
             residual({}, est, probes, mag_ref, (SensorKind.BARO,))
 
 
+@pytest.mark.parametrize("q_convention", Q_CONVENTIONS)
+def test_additive_weight_matches_scipy_block_diag(q_convention):
+    rng = np.random.default_rng(5)
+    qp, qm = (x @ x.T + np.eye(len(x)) for x in
+              (rng.standard_normal((2, 2)), rng.standard_normal((3, 3))))
+    w = RiccatiWeights(Qp=qp, Qm=qm, Qb=0.3, S=np.eye(7), P0=np.eye(7))
+    blocks = {SensorKind.PITOT: qp, SensorKind.MAG: qm,
+              SensorKind.BARO: np.array([[0.3]])}
+    for n in (1, 2, 3):
+        for subset in itertools.combinations(STACK_ORDER, n):
+            parts = [blocks[kind] for kind in subset]
+            if q_convention == "precision":
+                parts = [np.linalg.inv(b) for b in parts]
+            assert np.array_equal(additive_weight(w, subset, q_convention),
+                                  block_diag(*parts))
+
+
 class TestRiccatiPredict:
     def test_identity_transition_no_noise(self):
         p = np.diag([1.0, 2, 3, 4, 5, 6, 7])
@@ -302,30 +325,35 @@ class TestObserverStepState:
         err_half = one_step_error(0.005)
         assert err_full / err_half == pytest.approx(4.0, rel=0.5)
 
-    def test_altitude_innovation_full_strength(self):
+    def test_altitude_innovation_full_strength(self, probes, mag_ref,
+                                               weights):
         # the gain-weighted correction enters unscaled by the tick period
-        rhat = np.eye(3)
-        vahat = np.array([3.0, 0.0, 0.0])
-        rv = rhat @ vahat
-        f = observer._rates(rhat, vahat, rv, np.zeros(3), np.zeros(3), G)
-        u = np.zeros(7)
-        u[6] = 1.0
-        _, _, h_new = observer._step(rhat, vahat, rv, 10.0, f, u, 0.005)
+        T = 0.005
+        est = ObserverState(Rhat=np.eye(3), Vahat=np.array([3.0, 0.0, 0.0]),
+                            hhat=10.0, P=np.eye(7))
+        baro_only = (SensorKind.BARO,)
+        p = riccati_predict(est.P, state_matrix_dt(est.Rhat, np.zeros(3), T),
+                            weights.S, T)
+        k, _ = riccati_update(
+            p, output_matrix(est.Rhat, est.Vahat, probes, mag_ref, baro_only),
+            additive_weight(weights, baro_only, "covariance"))
+        # a barometer residual y with K_h y = -1 makes the correction dh = 1
+        payloads = {SensorKind.IMU: (np.zeros(3), np.zeros(3)),
+                    SensorKind.BARO: 10.0 - 1.0 / k[6, 0]}
+        h_new = tick_once(est, payloads, weights, probes, mag_ref, T).hhat
         assert h_new == pytest.approx(9.0)
 
     def test_attitude_innovation_composition(self):
         # the error rotation composes as R_err <- R_err exp(delta_R^x), the
-        # discrete realization of the error dynamics d(lam)/dt = delta_R
+        # discrete realization of the error dynamics d(lam)/dt = delta_R;
+        # with omega = 0 the tick's attitude step is Rhat exp(-Rhat^T dR)
         spec = TrajectorySpec.hover()
         s = truth_state(spec, 0.0)
         lam = np.array([0.0, 0.0, 0.2])
         rhat = geometry.rot_from_small_angle(lam).T @ s.R
-        vahat = s.Va.copy()
-        rv = rhat @ vahat
-        f = observer._rates(rhat, vahat, rv, np.zeros(3),
-                            -G * (rhat.T @ geometry.E3), G)
-        u = np.array([0.0, 0.0, 0.1, 0.0, 0.0, 0.0, 0.0])
-        r_new, _, _ = observer._step(rhat, vahat, rv, s.h, f, u, 0.005)
+        theta = -rhat.T @ np.array([0.0, 0.0, 0.1])
+        r_new, _ = observer._rotate(rhat.ravel().tolist(), *theta.tolist())
+        r_new = np.array(r_new).reshape(3, 3)
         new_lam = geometry.small_angle(geometry.rot_to_quat(s.R @ r_new.T))
         np.testing.assert_allclose(new_lam, [0, 0, 0.3], atol=1e-3)
 
@@ -593,3 +621,41 @@ class TestTickAgainstPublicPieces:
         np.testing.assert_allclose(out.Vahat, va_ref, rtol=1e-12, atol=1e-14)
         assert out.hhat == pytest.approx(h_ref, rel=1e-12)
 
+
+
+_unit_vector = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(
+    np.array).filter(lambda v: np.linalg.norm(v) > 0.1).map(
+    lambda v: v / np.linalg.norm(v))
+_quaternion = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).map(
+    np.array).filter(lambda q: np.linalg.norm(q) > 0.1).map(
+    lambda q: q / np.linalg.norm(q))
+_angle = st.one_of(
+    st.floats(0.0, 0.999e-6),                             # Taylor branch
+    st.floats(1e-6, 3.0),                                 # ordinary angles
+    st.floats(np.pi - 1e-6, np.pi + 1e-6),                # near pi
+)
+
+
+class TestRotateHelper:
+    """The tick's float Rodrigues product against the numpy geometry."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_quaternion, _unit_vector, _angle,
+           st.sampled_from([0.0, 1e-8, 1e-3]), st.integers(0, 2**32 - 1))
+    def test_matches_exp_so3_and_rotation_defect(self, q, axis, angle,
+                                                 drift, seed):
+        # drift > 0 leaves SO(3) so that the defect is not only roundoff
+        noise = np.random.default_rng(seed).standard_normal((3, 3))
+        r = geometry.quat_to_rot(q) + drift * noise
+        theta = angle * axis
+        out, defect = observer._rotate(r.ravel().tolist(), *theta.tolist())
+        out = np.array(out).reshape(3, 3)
+        np.testing.assert_allclose(out, r @ geometry.exp_so3(theta),
+                                   rtol=0, atol=1e-14)
+        assert defect == pytest.approx(geometry.rotation_defect(out),
+                                       rel=1e-12, abs=1e-14)
+
+    def test_non_finite_angle_gives_nan(self):
+        out, defect = observer._rotate(np.eye(3).ravel().tolist(),
+                                       np.inf, 0.0, 0.0)
+        assert np.all(np.isnan(out)) and np.isnan(defect)
