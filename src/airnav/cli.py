@@ -64,7 +64,7 @@ def _cmd_simulate(args, config) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     metrics = harness.run_single(config, run_index=args.run_index)
-    trace_path = out / f"run_{args.run_index:03d}.csv"
+    trace_path = harness.trace_path(out, args.run_index)
     harness.write_trace_csv(trace_path, metrics)
     print(f"wrote {trace_path}")
     if metrics.diverged:
@@ -84,10 +84,7 @@ def _cmd_montecarlo(args, config) -> int:
         config = replace(config, runs=args.runs)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    summary, all_metrics = harness.run_montecarlo(config)
-    for metrics in all_metrics:
-        harness.write_trace_csv(out / f"run_{metrics.run_index:03d}.csv",
-                                metrics)
+    summary, _ = harness.run_montecarlo(config, out)
     harness.write_summary_csv(out / "summary.csv", summary)
     print(f"wrote {summary.runs} run traces and summary.csv to {out}")
     print(f"divergences: {summary.divergence_count}/{summary.runs}")

@@ -144,6 +144,10 @@ def euler_zyx_to_rot(roll: float, pitch: float, yaw: float) -> np.ndarray:
     ])
 
 
+# |sin(pitch)| at which ZYX Euler extraction is refused: 1e-6 rad from 90 deg.
+GIMBAL_LOCK_SIN_PITCH = np.sin(np.pi / 2.0 - 1e-6)
+
+
 def rot_to_euler_zyx(r: np.ndarray) -> np.ndarray:
     """Extract ZYX Euler angles ``(roll, pitch, yaw)`` from rotation matrices.
 
@@ -156,7 +160,7 @@ def rot_to_euler_zyx(r: np.ndarray) -> np.ndarray:
     """
     r = np.asarray(r)
     sp = -r[..., 2, 0]
-    if np.any(np.abs(sp) >= np.sin(np.pi / 2.0 - 1e-6)):
+    if np.any(np.abs(sp) >= GIMBAL_LOCK_SIN_PITCH):
         raise GimbalLockError("pitch too close to +/-pi/2")
     return np.stack((
         np.arctan2(r[..., 2, 1], r[..., 2, 2]),

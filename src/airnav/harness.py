@@ -12,17 +12,29 @@ grid and every sensor's measurements for the whole run, drawn in one call
 per sensor; the tick loop, which hands each tick's payloads to
 :meth:`~airnav.observer.AirDataObserver.tick` and records the estimate; and
 the vectorized metrics, whose Euler-angle columns come from
-:func:`~airnav.geometry.rot_to_euler_zyx` on the whole series.  A
-numerical failure inside the loop ends that run only: its series is
-truncated and flagged, and :func:`run_montecarlo` carries on with the next
-run.  :func:`write_trace_csv` formats each row with one ``%`` format and
-writes blocks of rows.
+:func:`~airnav.geometry.rot_to_euler_zyx` on the whole series (NaN on rows
+at gimbal lock).  A numerical failure inside the loop ends that run only:
+its series is truncated and flagged, and :func:`run_montecarlo` carries on
+with the other runs.
+
+:func:`run_montecarlo` hands the runs to forked worker processes, one per
+available CPU, each of which also writes its own run's trace.  Every run
+draws from its own ``(base_seed, run_index)`` substreams and the results
+are collected in run-index order, so every output is byte-identical to
+running the runs one after another, which is what happens in-process on a
+single CPU or where the ``fork`` start method does not exist.  On Python
+3.12 and later, the fork emits a ``DeprecationWarning`` because numpy's
+BLAS threads exist in the parent process.
+:func:`write_trace_csv` formats each row with one ``%`` format and writes
+blocks of rows.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -240,8 +252,8 @@ def run_single(config: SimConfig, run_index: int = 0,
     return RunMetrics(
         run_index=run_index,
         t=ts[sl],
-        euler=geometry.rot_to_euler_zyx(r_t),
-        euler_hat=geometry.rot_to_euler_zyx(r_h),
+        euler=_euler_columns(r_t),
+        euler_hat=_euler_columns(r_h),
         va=va_t,
         va_hat=va_h,
         h=h_truth[sl],
@@ -257,15 +269,86 @@ def run_single(config: SimConfig, run_index: int = 0,
     )
 
 
-def run_montecarlo(config: SimConfig,
+def _euler_columns(r: np.ndarray) -> np.ndarray:
+    """ZYX Euler angles of a rotation series, NaN on gimbal-locked rows.
+
+    A reporting column must not end a run, so rows that
+    :func:`~airnav.geometry.rot_to_euler_zyx` would refuse are left NaN.
+    """
+    euler = np.full((r.shape[0], 3), np.nan)
+    ok = np.abs(r[:, 2, 0]) < geometry.GIMBAL_LOCK_SIN_PITCH
+    euler[ok] = geometry.rot_to_euler_zyx(r[ok])
+    return euler
+
+
+def trace_path(out, run_index: int) -> Path:
+    """Path of run ``run_index``'s trace CSV in directory ``out``."""
+    return Path(out) / f"run_{run_index:03d}.csv"
+
+
+def _run_and_write(config: SimConfig, run_index: int, out) -> RunMetrics:
+    """One Monte Carlo task: run ``run_index`` and, given ``out``, its trace."""
+    metrics = run_single(config, run_index)
+    if out is not None:
+        write_trace_csv(trace_path(out, run_index), metrics)
+    return metrics
+
+
+def _worker_count(runs: int) -> int:
+    """Worker processes for ``runs`` runs: one per CPU this process may use."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(runs, cpus)
+
+
+def _run_pooled(config: SimConfig, out, workers: int) -> list[RunMetrics]:
+    """Run every task in ``workers`` forked processes, in run-index order.
+
+    Forked workers inherit the imported package, so nothing is re-imported
+    and the caller's ``__main__`` is not re-run.  The pool lives only inside
+    this call: on any exception the runs not yet started are cancelled, the
+    workers are joined, and the run's exception reaches the caller.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        futures = [pool.submit(_run_and_write, config, k, out)
+                   for k in range(config.runs)]
+        try:
+            return [future.result() for future in futures]
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
+
+
+def run_montecarlo(config: SimConfig, out=None,
                    ) -> tuple[MonteCarloSummary, list[RunMetrics]]:
     """Run all configured Monte Carlo repetitions and aggregate statistics.
 
-    Runs are seeded independently, so the fold over run indices is
-    deterministic no matter how the runs would be scheduled.  Diverged runs
-    keep their partial series and are excluded from aggregate statistics.
+    Given an existing directory ``out``, each run's trace is written there
+    as :func:`trace_path` names it.  The runs go to forked worker processes,
+    one per available CPU (no more than there are runs), and each worker
+    writes the traces of its own runs.  Runs are seeded independently and
+    collected in run-index order, so the traces, metrics and summary are
+    byte-identical to running the runs one after another, as is done
+    in-process when only one CPU is available or the ``fork`` start method
+    does not exist.  On Python 3.12 and later the fork emits a
+    ``DeprecationWarning`` because numpy's BLAS threads exist.  A numerical
+    failure (:data:`RUN_FAILURES`) stays inside its run; any other
+    exception cancels the runs not yet started and reaches the caller.
+    Diverged runs keep their partial series and are excluded from
+    aggregate statistics.
     """
-    all_metrics = [run_single(config, k) for k in range(config.runs)]
+    workers = _worker_count(config.runs)
+    if workers >= 2 and hasattr(os, "fork"):
+        all_metrics = _run_pooled(config, out, workers)
+    else:
+        all_metrics = [_run_and_write(config, k, out)
+                       for k in range(config.runs)]
     return summarize(config, all_metrics), all_metrics
 
 

@@ -8,9 +8,8 @@ Monte Carlo reproduction.
 import time
 
 import numpy as np
-import pytest
 
-from airnav import cli, dynamics, geometry, harness, observability, observer
+from airnav import cli, dynamics, geometry, harness, observability
 from airnav.config import default_config, parse_config_text
 from airnav.dynamics import TrajectorySpec, truth_inputs, truth_state
 from airnav.observer import (

@@ -3,7 +3,6 @@ import pytest
 
 from airnav import dynamics, geometry
 from airnav.dynamics import (
-    NavState,
     TrajectorySpec,
     error_state,
     propagate_truth,

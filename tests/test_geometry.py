@@ -8,7 +8,6 @@ from airnav.exceptions import (
     NotSkewSymmetricError,
 )
 from airnav.geometry import (
-    E3,
     euler_zyx_to_rot,
     exp_so3,
     project_to_so3,

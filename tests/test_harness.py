@@ -1,4 +1,5 @@
 import csv
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,7 +11,11 @@ import pytest
 
 from airnav import cli, dynamics, geometry, harness, observer
 from airnav.config import default_config, parse_config_text
-from airnav.exceptions import DivergenceError, SingularInnovationError
+from airnav.exceptions import (
+    DivergenceError,
+    OutOfRangeError,
+    SingularInnovationError,
+)
 from airnav.harness import (
     TRACE_COLUMNS,
     RunMetrics,
@@ -34,6 +39,14 @@ from airnav.sensors import (
     sample_pitot,
     substream,
 )
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="the fork start method is missing")
+
+
+def _pin_workers(monkeypatch, workers):
+    monkeypatch.setattr(harness, "_worker_count", lambda runs: workers)
 
 
 @pytest.fixture
@@ -124,6 +137,14 @@ class TestRunSingle:
         assert m.va_hat.shape == (n, 3)
         assert np.all(m.err_att >= -1e-12) and np.all(m.err_att <= 4.0 + 1e-12)
         assert np.all(m.err_v_body >= 0) and np.all(m.err_h >= 0)
+
+    def test_gimbal_locked_estimate_gives_nan_euler_row(self, short_config):
+        st = init_estimates(short_config, 0)
+        st.Rhat = geometry.euler_zyx_to_rot(0.0, np.pi / 2.0, 0.0)
+        m = run_single(short_config, 0, initial_state=st)
+        assert m.t.shape[0] == 401
+        assert np.all(np.isnan(m.euler_hat[0]))
+        assert np.all(np.isfinite(m.euler))
 
     def test_divergence_truncates_series(self, short_config, monkeypatch):
         ticks = {"n": 0}
@@ -225,6 +246,8 @@ class TestMonteCarlo:
 
     def test_partial_results_preserved_on_divergence(self, short_config,
                                                      monkeypatch):
+        # the tick counter spans runs, so the runs must share one process
+        _pin_workers(monkeypatch, 1)
         calls = {"n": 0}
         orig = AirDataObserver.tick
 
@@ -244,6 +267,8 @@ class TestMonteCarlo:
 
     def test_singular_innovation_in_one_run_spares_the_batch(
             self, short_config, monkeypatch):
+        # the tick counter spans runs, so the runs must share one process
+        _pin_workers(monkeypatch, 1)
         intact = run_single(short_config, 1)
         calls = {"n": 0}
         orig = AirDataObserver.tick
@@ -263,6 +288,94 @@ class TestMonteCarlo:
         assert not run_1.diverged
         np.testing.assert_array_equal(run_1.va_hat, intact.va_hat)
         np.testing.assert_array_equal(run_1.err_att, intact.err_att)
+
+    @needs_fork
+    def test_singular_innovation_in_one_pooled_run_spares_the_batch(
+            self, short_config, monkeypatch):
+        # forked workers inherit the patched run_single; the fault is keyed
+        # on the run index because each worker counts its own ticks
+        _pin_workers(monkeypatch, 2)
+        cfg = replace(short_config, runs=3)
+        intact = [run_single(cfg, k) for k in (1, 2)]
+        orig = harness.run_single
+
+        def run_single_failing_in_run_0(config, run_index=0,
+                                        initial_state=None):
+            if run_index != 0:
+                return orig(config, run_index, initial_state)
+            calls = {"n": 0}
+            tick = AirDataObserver.tick
+
+            def failing_tick(self, payloads):
+                calls["n"] += 1
+                if calls["n"] == 50:
+                    raise SingularInnovationError("forced for test")
+                return tick(self, payloads)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(AirDataObserver, "tick", failing_tick)
+                return orig(config, run_index, initial_state)
+
+        monkeypatch.setattr(harness, "run_single", run_single_failing_in_run_0)
+        summary, all_metrics = run_montecarlo(cfg)
+        assert summary.divergence_count == 1
+        assert all_metrics[0].diverged
+        assert all_metrics[0].t.shape[0] == 50
+        for run, ref in zip(all_metrics[1:], intact):
+            assert not run.diverged
+            np.testing.assert_array_equal(run.va_hat, ref.va_hat)
+            np.testing.assert_array_equal(run.err_att, ref.err_att)
+
+    @needs_fork
+    def test_pooled_outputs_match_in_process(self, short_config, tmp_path,
+                                             monkeypatch):
+        cfg = replace(short_config, runs=3)
+        outputs = {}
+        for workers in (1, 2):
+            _pin_workers(monkeypatch, workers)
+            out = tmp_path / f"workers_{workers}"
+            out.mkdir()
+            summary, _ = run_montecarlo(cfg, out)
+            write_summary_csv(out / "summary.csv", summary)
+            outputs[workers] = {path.name: path.read_bytes()
+                                for path in sorted(out.iterdir())}
+        assert sorted(outputs[2]) == ["run_000.csv", "run_001.csv",
+                                      "run_002.csv", "summary.csv"]
+        assert outputs[2] == outputs[1]
+
+    @needs_fork
+    def test_pool_runs_elsewhere_and_leaves_no_process(self, short_config,
+                                                       monkeypatch):
+        _pin_workers(monkeypatch, 2)
+        orig = harness.run_single
+
+        def run_single_noting_pid(config, run_index=0, initial_state=None):
+            metrics = orig(config, run_index, initial_state)
+            metrics.pid = os.getpid()
+            return metrics
+
+        monkeypatch.setattr(harness, "run_single", run_single_noting_pid)
+        _, all_metrics = run_montecarlo(replace(short_config, runs=3))
+        assert [m.run_index for m in all_metrics] == [0, 1, 2]
+        assert os.getpid() not in {m.pid for m in all_metrics}
+        assert multiprocessing.active_children() == []
+
+    @needs_fork
+    def test_other_error_in_pooled_run_reaches_caller(self, short_config,
+                                                      monkeypatch):
+        _pin_workers(monkeypatch, 2)
+        orig = harness.run_single
+
+        def run_single_failing_in_run_1(config, run_index=0,
+                                        initial_state=None):
+            if run_index == 1:
+                raise OutOfRangeError("forced for test")
+            return orig(config, run_index, initial_state)
+
+        monkeypatch.setattr(harness, "run_single", run_single_failing_in_run_1)
+        with pytest.raises(OutOfRangeError, match="forced for test"):
+            run_montecarlo(replace(short_config, runs=4))
+        assert multiprocessing.active_children() == []
 
 
 def _trace_oracle(path, m: RunMetrics) -> None:
