@@ -8,12 +8,15 @@ Windowed observability Gramians and the two persistent-excitation margins
 assembled from those blocks; positive margins certify uniform observability
 for the trajectory, which the Gramian spectrum then witnesses directly.
 
-Each window's Gramian is one matrix product.  The rows ``M = C* Phi*`` are
-written in closed form for every grid point and stacked as an (n r) x 7
-matrix (stored transposed); with ``w`` the exact composite-Simpson weights of the grid (the
-unequal-interval rule of ``scipy.integrate.simpson``, so that ``w @ y``
-equals ``simpson(y, x=s)``), the Gramian is ``M^T (w * M) / delta``.  The PE
-Gram matrices are the same weighted products of their 2-column rows.
+Each window [t0, t0 + delta] is split at its midpoint into two halves,
+each evaluated once by :func:`_half_window`.  The transition composes,
+``Phi*(s, t0) = Phi*(s, t_mid) Phi*(t_mid, t0)``, so the window Gramian is
+``(G_a + Phi_a^T G_b Phi_a) / delta`` and each PE Gram matrix is
+``(a + b) / delta``.  :func:`_grid` gives the window a multiple of 4
+intervals, so each half's Simpson pairs line up with the window's and the
+junction weights 1 + 1 give its 2: in exact arithmetic this is the
+whole-window quadrature.  Half-overlapping windows share a half, so a
+sweep of N windows builds N + 1 halves.
 """
 
 from __future__ import annotations
@@ -75,10 +78,8 @@ class WindowRow:
 
 
 def _grid(tau: float, t: float, quad_step: float) -> np.ndarray:
-    """Uniform quadrature grid over [tau, t] with an even interval count."""
-    n = max(2, int(np.ceil((t - tau) / quad_step)))
-    if n % 2:
-        n += 1
+    """Uniform grid over [tau, t]; a multiple of 4 intervals (even halves)."""
+    n = 4 * max(1, -(-int(np.ceil((t - tau) / quad_step)) // 4))
     return np.linspace(tau, t, n + 1)
 
 
@@ -110,7 +111,8 @@ def _integrated_force(spec: TrajectorySpec, s: np.ndarray,
     ``s`` is a uniform :func:`_grid`, so the equal-interval rule applies
     (it matches the ``x=s`` rule to rounding and costs a third as much).
     """
-    w = dynamics.inertial_specific_force(spec, s)
+    # column-major, so the rule's slices run along the grid axis; same bits
+    w = np.asfortranarray(dynamics.inertial_specific_force(spec, s))
     dx = (s[-1] - s[0]) / (s.shape[0] - 1)
     g1 = _cumulative_simpson(w, dx)
     g2 = _cumulative_simpson(g1, dx)
@@ -196,50 +198,81 @@ def _simpson_weights(s: np.ndarray) -> np.ndarray:
     return w
 
 
-def _output_transition_rows(spec: TrajectorySpec, probes: ProbeSet,
-                            mag_ref: MagReference, s: np.ndarray,
-                            sensors) -> np.ndarray:
-    """Rows of ``C*(s) Phi*(s, s[0])`` at every grid time, as (7, r, n).
+def _half_window(spec: TrajectorySpec, probes: ProbeSet,
+                 mag_ref: MagReference | None, s: np.ndarray, sensors,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Simpson sums and transition of one half-window grid ``s``.
 
-    With ``g1``, ``g2`` the running integrals of ``R a`` and ``va`` the
-    inertial air velocity, the closed-form products are
+    Evaluates the truth and the running integrals ``g1``, ``g2`` of
+    ``R a`` once and returns ``(G, Phi_h, gram_pi, gram_api)``, none of
+    them divided by the window length:
 
-    * Pitot: ``[B^T R^T (va - g1)^x | B^T R^T | 0]``,
-    * mag: ``[-(m_I)^x | 0 | 0]``,
-    * baro: ``[g2_y, -g2_x, 0, 0, 0, s - s[0], 1]``.
+    * ``G = sum w M^T M`` over the requested sensors' rows
+      ``M = C*(s) Phi*(s, s[0])``, whose closed form, with ``va`` the
+      inertial air velocity, is Pitot ``[B^T R^T (va - g1)^x | B^T R^T | 0]``,
+      mag ``[-(m_I)^x | 0 | 0]`` and baro
+      ``[g2_y, -g2_x, 0, 0, 0, s - s[0], 1]``;
+    * ``Phi_h = Phi*(s[-1], s[0])``, the blocks of :func:`phi_blocks`;
+    * the PE Gram sums of the horizontal Pitot projection ``B^T R J`` and
+      of the horizontal specific-force row ``e3^T (R a)^x J``.
 
-    Row blocks follow :data:`~airnav.sensors.STACK_ORDER`, one per requested
-    sensor.  The column index comes first and the grid index last, so every
-    elementwise operation runs along the contiguous grid axis.
+    ``w`` are the composite-Simpson weights of ``s``.  The Pitot and baro
+    rows are stored as (7, r, n), grid index last, so every elementwise
+    operation runs along the contiguous grid axis; the constant mag rows
+    are summed in closed form.
     """
-    kinds = [kind for kind in STACK_ORDER if kind in sensors]
-    sizes = {SensorKind.PITOT: probes.m, SensorKind.MAG: 3,
-             SensorKind.BARO: 1}
     n = s.shape[0]
-    rows = np.zeros((7, sum(sizes[kind] for kind in kinds), n))
-    if SensorKind.PITOT in kinds or SensorKind.BARO in kinds:
-        _, g1, g2 = _integrated_force(spec, s)
-    i = 0
-    for kind in kinds:
-        block = rows[:, i:i + sizes[kind]]
-        if kind is SensorKind.PITOT:
-            rot = dynamics.attitude_batch(spec, s)
-            # the rows of B^T R^T are the columns of R B: (3, m, n)
-            r_b = (rot.reshape(-1, 3) @ probes.B).reshape(n, 3, probes.m)
-            bt_rt = r_b.transpose(1, 2, 0)
-            d = (dynamics.velocity(spec, s) - spec.wind - g1).T
-            # v @ d^x == v x d for row vectors
-            block[0:3] = np.cross(bt_rt, d[:, None, :], axis=0)
-            block[3:6] = bt_rt
-        elif kind is SensorKind.MAG:
-            block[0:3] = -skew(mag_ref.m_I).T[:, :, None]
-        else:
-            block[0, 0] = g2[:, 1]
-            block[1, 0] = -g2[:, 0]
-            block[5, 0] = s - s[0]
-            block[6, 0] = 1.0
-        i += sizes[kind]
-    return rows
+    weights = _simpson_weights(s)
+    rot = dynamics.attitude_batch(spec, s)
+    w, g1, g2 = _integrated_force(spec, s)
+    m = probes.m if SensorKind.PITOT in sensors else 0
+    rows = np.zeros((7, m + (SensorKind.BARO in sensors), n))
+    if m:
+        # the rows of B^T R^T are the columns of R B: (3, m, n)
+        bt_rt = (rot.reshape(-1, 3) @ probes.B).reshape(n, 3, m).transpose(
+            1, 2, 0)
+        d = (dynamics.velocity(spec, s) - spec.wind - g1).T
+        # v @ d^x == v x d for row vectors
+        rows[0:3, 0:m] = np.cross(bt_rt, d[:, None, :], axis=0)
+        rows[3:6, 0:m] = bt_rt
+    if SensorKind.BARO in sensors:
+        rows[0:2, m] = g2[:, 1], -g2[:, 0]
+        rows[5, m] = s - s[0]
+        rows[6, m] = 1.0
+    gram = (rows * weights).reshape(7, -1) @ rows.reshape(7, -1).T
+    if SensorKind.MAG in sensors:
+        # the mag rows are constant, so they add (sum w) (m_I^x)^T m_I^x
+        mx = skew(mag_ref.m_I)
+        gram[0:3, 0:3] += weights.sum() * (mx.T @ mx)
+    phi = np.eye(7)
+    phi[3:6, 0:3] = -skew(g1[-1])
+    phi[6, 0:2] = g2[-1, 1], -g2[-1, 0]
+    phi[6, 5] = s[-1] - s[0]
+    # J^T R^T B, the transposed rows of B^T R J (J keeps two columns): (2, n m)
+    pi = (rot[:, :, 0:2].transpose(2, 0, 1).reshape(-1, 3)
+          @ probes.B).reshape(2, -1)
+    gram_pi = (pi * np.repeat(weights, probes.m)) @ pi.T
+    a_pi = np.stack((-w[:, 1], w[:, 0]), axis=-1)
+    gram_api = a_pi.T @ (weights[:, None] * a_pi)
+    return gram, phi, gram_pi, gram_api
+
+
+def _window(spec, probes, mag_ref, t, delta, quad_step, sensors, first=None):
+    """(W, mu_pi, mu_api, second half) of [t, t + delta]; reuses ``first``."""
+    if not (np.isfinite(delta) and delta > 0.0):
+        raise ValueError(f"window must be finite and positive, got {delta}")
+    if not 0.0 < quad_step <= delta / 100.0:
+        raise ValueError("quad_step must be positive and at most delta / 100")
+    s = _grid(t, t + delta, quad_step)
+    mid = s.shape[0] // 2
+    if first is None:
+        first = _half_window(spec, probes, mag_ref, s[:mid + 1], sensors)
+    second = _half_window(spec, probes, mag_ref, s[mid:], sensors)
+    (g_a, phi_a, pi_a, api_a), (g_b, _, pi_b, api_b) = first, second
+    w = (g_a + phi_a.T @ g_b @ phi_a) / delta
+    return (0.5 * (w + w.T),
+            float(np.linalg.eigvalsh((pi_a + pi_b) / delta)[0]),
+            float(np.linalg.eigvalsh((api_a + api_b) / delta)[0]), second)
 
 
 def gramian(spec: TrajectorySpec, probes: ProbeSet, mag_ref: MagReference,
@@ -248,19 +281,13 @@ def gramian(spec: TrajectorySpec, probes: ProbeSet, mag_ref: MagReference,
     """Windowed observability Gramian over [t, t + delta].
 
     The Simpson integral of ``(C* Phi*)^T (C* Phi*) / delta`` on the
-    closed-form truth, assembled as one product ``M^T (w * M) / delta`` of
-    the stacked rows ``M`` with their quadrature weights ``w``; the result
-    is symmetrized, hence PSD up to quadrature error.
+    closed-form truth, composed from the two half-windows as
+    ``(G_a + Phi_a^T G_b Phi_a) / delta`` (see the module docstring); the
+    result is symmetrized, hence PSD up to quadrature error.  Raises
+    ``ValueError`` unless ``delta`` is finite and positive and
+    ``0 < quad_step <= delta / 100``.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    if quad_step > delta / 100.0:
-        raise ValueError("quad_step must be at most delta / 100")
-    s = _grid(t, t + delta, quad_step)
-    rows = _output_transition_rows(spec, probes, mag_ref, s, sensors)
-    weights = _simpson_weights(s) / delta
-    w = (rows * weights).reshape(7, -1) @ rows.reshape(7, -1).T
-    return 0.5 * (w + w.T)
+    return _window(spec, probes, mag_ref, t, delta, quad_step, sensors)[0]
 
 
 def pe_margins(spec: TrajectorySpec, probes: ProbeSet, t: float, delta: float,
@@ -272,21 +299,9 @@ def pe_margins(spec: TrajectorySpec, probes: ProbeSet, t: float, delta: float,
     (mu_pi, mu_api):
         Smallest eigenvalues of the windowed Gram matrices of the horizontal
         Pitot projection ``B^T R J`` and of the horizontal specific-force
-        row ``e3^T (R a)^x J``.
+        row ``e3^T (R a)^x J``, composed like :func:`gramian`'s.
     """
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
-    s = _grid(t, t + delta, quad_step)
-    weights = _simpson_weights(s) / delta
-    rot = dynamics.attitude_batch(spec, s)
-    # rows of B^T R J (J keeps two columns), probe-major: (m n, 2)
-    pi = np.tensordot(probes.B, rot[:, :, 0:2], (0, 1)).reshape(-1, 2)
-    gram_pi = pi.T @ (np.tile(weights, probes.m)[:, None] * pi)
-    w = dynamics.inertial_specific_force(spec, s)
-    a_pi = np.stack((-w[:, 1], w[:, 0]), axis=-1)
-    gram_api = a_pi.T @ (weights[:, None] * a_pi)
-    return (float(np.linalg.eigvalsh(gram_pi)[0]),
-            float(np.linalg.eigvalsh(gram_api)[0]))
+    return _window(spec, probes, None, t, delta, quad_step, ())[1:3]
 
 
 def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
@@ -300,7 +315,10 @@ def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
     """Sweep half-overlapping windows and aggregate a uniform-observability verdict.
 
     Window starts are ``k delta/2`` for ``k = 0, 1, ...`` while the window
-    fits in ``[0, duration]``.  The overall verdict is true iff the smallest
+    fits in ``[0, duration]``, the last one clamped to ``duration - delta``.
+    An aligned window reuses the previous window's second half as its first,
+    so N aligned windows build N + 1 halves; a clamped window off that grid
+    builds its own two.  The overall verdict is true iff the smallest
     Gramian eigenvalue over all windows stays at or above ``lam_threshold``;
     the returned report carries the worst window's Gramian and the smallest
     PE margins for diagnosis.
@@ -310,10 +328,10 @@ def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
     ValueError
         When ``delta`` is not finite and positive, exceeds ``duration`` or
         is shorter than ``100 quad_step``, or when ``lam_threshold`` is not
-        positive; always before the first window's Gramian is computed.
+        finite and positive; always before the first window is computed.
     """
-    if lam_threshold <= 0.0:
-        raise ValueError("lam_threshold must be positive")
+    if not (np.isfinite(lam_threshold) and lam_threshold > 0.0):
+        raise ValueError("lam_threshold must be finite and positive")
     if duration is None:
         duration = spec.duration
     if not (np.isfinite(delta) and delta > 0.0):
@@ -322,14 +340,16 @@ def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
         raise ValueError(f"window {delta:g} s is longer than the "
                          f"{duration:g} s duration")
     count = int(np.floor((duration - delta + 1e-9) / (0.5 * delta))) + 1
-    starts = np.minimum(0.5 * delta * np.arange(count),
-                        duration - delta).tolist()
     rows = []
     worst = None
-    for t0 in starts:
-        w = gramian(spec, probes, mag_ref, t0, delta, quad_step, sensors)
+    later = None
+    for edge in (0.5 * delta * np.arange(count)).tolist():
+        t0 = min(edge, duration - delta)
+        # an aligned window's first half is the previous window's second
+        w, mu_pi, mu_api, later = _window(
+            spec, probes, mag_ref, t0, delta, quad_step, sensors,
+            later if t0 == edge else None)
         eig = np.linalg.eigvalsh(w)
-        mu_pi, mu_api = pe_margins(spec, probes, t0, delta, quad_step)
         row = WindowRow(t_start=t0, lam_min=float(eig[0]),
                         lam_max=float(eig[-1]), mu_pi=mu_pi, mu_api=mu_api,
                         verdict=bool(eig[0] >= lam_threshold))

@@ -377,3 +377,86 @@ class TestVerdict:
         with pytest.raises(ValueError):
             observability_verdict(paper, single_probe, mag_ref, delta=delta,
                                   duration=12.0)
+
+
+class TestHalfWindowComposition:
+    def test_grid_is_a_multiple_of_4_and_unchanged_for_used_windows(self):
+        for delta, intervals in ((4.0, 4000), (2.0, 2000), (1.0, 1000),
+                                 (1.25, 1252), (0.002, 4)):
+            assert _grid(3.0, 3.0 + delta, 1e-3).shape[0] - 1 == intervals
+
+    def test_sweep_builds_each_half_window_once(self, monkeypatch, paper,
+                                                single_probe, mag_ref):
+        calls = {"force": 0, "attitude": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(dynamics, "inertial_specific_force", counted(
+            "force", dynamics.inertial_specific_force))
+        monkeypatch.setattr(dynamics, "attitude_batch", counted(
+            "attitude", dynamics.attitude_batch))
+        _, rows = observability_verdict(paper, single_probe, mag_ref,
+                                        delta=4.0, duration=20.0)
+        assert len(rows) == 9
+        assert calls == {"force": 10, "attitude": 10}
+
+    def test_clamped_off_grid_window_matches_oracle_row_by_row(
+            self, paper, single_probe, mag_ref):
+        duration = 3.0 - 5e-10
+        _, rows = observability_verdict(paper, single_probe, mag_ref,
+                                        delta=1.0, duration=duration)
+        assert rows[-1].t_start == duration - 1.0
+        for row in rows:
+            eig = np.linalg.eigvalsh(oracle_gramian(
+                paper, single_probe, mag_ref, row.t_start, 1.0))
+            mu = [np.linalg.eigvalsh(g)[0] for g in
+                  oracle_pe_grams(paper, single_probe, row.t_start, 1.0)]
+            assert row.lam_min == pytest.approx(eig[0], rel=1e-10)
+            assert row.lam_max == pytest.approx(eig[-1], rel=1e-12)
+            assert row.mu_pi == pytest.approx(mu[0], rel=1e-12)
+            assert row.mu_api == pytest.approx(mu[1], rel=1e-12)
+
+    @pytest.mark.parametrize("traj", ["paper", "random"])
+    def test_window_off_the_old_grid_rule_matches_oracle(self, traj,
+                                                         mag_ref):
+        # 1.25 s at 1e-3 was 1250 intervals (even, not a multiple of 4)
+        spec = _trajectory(traj)
+        probes = ProbeSet.from_axes(PROBE_SETS[2])
+        w = gramian(spec, probes, mag_ref, 0.5, 1.25)
+        ref = oracle_gramian(spec, probes, mag_ref, 0.5, 1.25)
+        np.testing.assert_allclose(w, ref, rtol=1e-12,
+                                   atol=1e-12 * np.abs(ref).max())
+        mu = pe_margins(spec, probes, 0.5, 1.25)
+        for value, gram in zip(mu, oracle_pe_grams(spec, probes, 0.5, 1.25)):
+            assert value == pytest.approx(np.linalg.eigvalsh(gram)[0],
+                                          rel=1e-12,
+                                          abs=1e-12 * np.abs(gram).max())
+
+    @pytest.mark.parametrize("delta", [np.inf, -np.inf, np.nan, 0.0, -4.0])
+    def test_gramian_and_pe_margins_reject_bad_window(self, paper,
+                                                      single_probe, mag_ref,
+                                                      delta):
+        with pytest.raises(ValueError):
+            gramian(paper, single_probe, mag_ref, 0.0, delta)
+        with pytest.raises(ValueError):
+            pe_margins(paper, single_probe, 0.0, delta)
+
+    @pytest.mark.parametrize("quad_step", [1.0, 0.05, 0.0, -1e-3, np.nan])
+    def test_gramian_and_pe_margins_reject_bad_quad_step(
+            self, paper, single_probe, mag_ref, quad_step):
+        with pytest.raises(ValueError):
+            gramian(paper, single_probe, mag_ref, 0.0, 4.0,
+                    quad_step=quad_step)
+        with pytest.raises(ValueError):
+            pe_margins(paper, single_probe, 0.0, 4.0, quad_step=quad_step)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0, -1e-6])
+    def test_verdict_rejects_bad_threshold(self, paper, single_probe,
+                                           mag_ref, threshold):
+        with pytest.raises(ValueError, match="lam_threshold"):
+            observability_verdict(paper, single_probe, mag_ref, delta=4.0,
+                                  lam_threshold=threshold, duration=12.0)
