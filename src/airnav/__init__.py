@@ -5,14 +5,9 @@ a uniform-observability toolkit, and a reproducible simulation harness."""
 from .config import InitSpec, SimConfig, default_config, load_config
 from .dynamics import (
     BodyInputs,
-    ErrorState,
     NavState,
     TrajectoryKind,
     TrajectorySpec,
-    error_state,
-    propagate_truth,
-    truth_inputs,
-    truth_state,
 )
 from .harness import (
     MonteCarloSummary,
@@ -23,22 +18,17 @@ from .harness import (
 )
 from .observability import (
     GramianReport,
-    TransitionBlocks,
     gramian,
     observability_verdict,
     pe_margins,
-    phi_blocks,
 )
 from .observer import (
     AirDataObserver,
     ObserverState,
     RiccatiWeights,
-    cre_rhs,
     output_matrix,
-    residual,
     riccati_predict,
     riccati_update,
-    state_matrix_ct,
     state_matrix_dt,
 )
 from .sensors import (
@@ -47,7 +37,6 @@ from .sensors import (
     ProbeSet,
     RateSpec,
     SensorKind,
-    make_schedule,
     sample_baro,
     sample_imu,
     sample_mag,
@@ -59,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AirDataObserver",
     "BodyInputs",
-    "ErrorState",
     "GramianReport",
     "InitSpec",
     "MagReference",
@@ -75,20 +63,13 @@ __all__ = [
     "SimConfig",
     "TrajectoryKind",
     "TrajectorySpec",
-    "TransitionBlocks",
-    "cre_rhs",
     "default_config",
-    "error_state",
     "gramian",
     "init_estimates",
     "load_config",
-    "make_schedule",
     "observability_verdict",
     "output_matrix",
     "pe_margins",
-    "phi_blocks",
-    "propagate_truth",
-    "residual",
     "riccati_predict",
     "riccati_update",
     "run_montecarlo",
@@ -97,8 +78,5 @@ __all__ = [
     "sample_imu",
     "sample_mag",
     "sample_pitot",
-    "state_matrix_ct",
     "state_matrix_dt",
-    "truth_inputs",
-    "truth_state",
 ]

@@ -6,7 +6,8 @@ Subcommands::
     airnav montecarlo    --config FILE [--runs N] [--seed N] [--out DIR]
     airnav observability --config FILE [--window SECONDS] [--out DIR]
 
-Exit codes: 0 success, 2 configuration or ``--window`` error, 3 divergence.
+Exit codes: 0 success, 2 configuration, ``--window``, ``--run-index`` or
+output-directory error, 3 divergence.
 """
 
 from __future__ import annotations
@@ -27,6 +28,17 @@ EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="airnav",
@@ -39,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seed", type=int, default=None,
                      help="override base_seed")
     sim.add_argument("--out", default=".", help="output directory")
-    sim.add_argument("--run-index", type=int, default=0,
+    sim.add_argument("--run-index", type=_non_negative_int, default=0,
                      help="Monte Carlo run index to simulate")
 
     mc = sub.add_parser("montecarlo", help="run the Monte Carlo batch")
@@ -62,7 +74,6 @@ def _cmd_simulate(args, config) -> int:
     if args.seed is not None:
         config = replace(config, base_seed=args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     metrics = harness.run_single(config, run_index=args.run_index)
     trace_path = harness.trace_path(out, args.run_index)
     harness.write_trace_csv(trace_path, metrics)
@@ -83,7 +94,6 @@ def _cmd_montecarlo(args, config) -> int:
     if args.runs is not None:
         config = replace(config, runs=args.runs)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     summary, _ = harness.run_montecarlo(config, out)
     harness.write_summary_csv(out / "summary.csv", summary)
     print(f"wrote {summary.runs} run traces and summary.csv to {out}")
@@ -99,7 +109,6 @@ def _cmd_montecarlo(args, config) -> int:
 
 def _cmd_observability(args, config) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         report, rows = observability.observability_verdict(
             config.trajectory, config.probes, config.mag_ref,
@@ -124,6 +133,11 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
+        try:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
         if args.command == "simulate":
             return _cmd_simulate(args, config)
         if args.command == "montecarlo":

@@ -20,12 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import geometry
-from .exceptions import OutOfRangeError
-from .geometry import E3
-
-_TIME_SLACK = 1e-9
-
 
 class TrajectoryKind(enum.Enum):
     PAPER_YAW_ONLY = "paper_yaw_only"
@@ -100,26 +94,6 @@ class BodyInputs:
     a: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class ErrorState:
-    """First-order estimation errors (attitude, inertial air velocity, altitude)."""
-
-    lam: np.ndarray
-    v_tilde: np.ndarray
-    h_tilde: float
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate((self.lam, self.v_tilde, [self.h_tilde]))
-
-
-def _check_time(spec: TrajectorySpec, t) -> None:
-    t = np.asarray(t, dtype=float)
-    if np.any(t < -_TIME_SLACK) or np.any(t > spec.duration + _TIME_SLACK):
-        raise OutOfRangeError(
-            f"t outside [0, {spec.duration}]"
-        )
-
-
 def velocity(spec: TrajectorySpec, t) -> np.ndarray:
     """Inertial velocity v(t); broadcasts over array-valued t (last axis 3)."""
     t = np.asarray(t, dtype=float)
@@ -159,13 +133,6 @@ def yaw_rate(spec: TrajectorySpec, t) -> np.ndarray:
     return spec.yaw_amp * np.sin(spec.yaw_freq * t)
 
 
-def attitude(spec: TrajectorySpec, t: float) -> np.ndarray:
-    """Truth rotation matrix Rz(psi(t)) (truth attitude starts at identity)."""
-    psi = float(yaw_angle(spec, t))
-    c, s = np.cos(psi), np.sin(psi)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
 def attitude_batch(spec: TrajectorySpec, t: np.ndarray) -> np.ndarray:
     """Truth rotations at all times in ``t``, shape ``t.shape + (3, 3)``."""
     psi = yaw_angle(spec, t)
@@ -184,87 +151,3 @@ def inertial_specific_force(spec: TrajectorySpec, t) -> np.ndarray:
     w = velocity_dot(spec, t).copy()
     w[..., 2] -= spec.gravity
     return w
-
-
-def truth_state(spec: TrajectorySpec, t: float) -> NavState:
-    """Exact truth state at time t.
-
-    Raises
-    ------
-    OutOfRangeError
-        If ``t`` lies outside ``[0, spec.duration]``.
-    """
-    _check_time(spec, t)
-    r = attitude(spec, t)
-    v = velocity(spec, t)
-    va = r.T @ (v - spec.wind)
-    return NavState(R=r, Va=va, h=float(altitude(spec, t)), v=v)
-
-
-def truth_inputs(spec: TrajectorySpec, t: float) -> BodyInputs:
-    """Exact IMU inputs (angular rate, specific acceleration) at time t."""
-    _check_time(spec, t)
-    r = attitude(spec, t)
-    omega = np.array([0.0, 0.0, float(yaw_rate(spec, t))])
-    a = r.T @ inertial_specific_force(spec, t)
-    return BodyInputs(omega=omega, a=a)
-
-
-def propagate_truth(state: NavState, inputs_fn, dt: float, steps: int,
-                    gravity: float = 9.81, t0: float = 0.0) -> NavState:
-    """Integrate the rigid-body kinematics with RK4.
-
-    The vector part (V_a, h, v) uses classical RK4; the rotation advances by
-    the exponential of the midpoint angular-rate increment at each stage, and
-    is re-projected onto SO(3) whenever the orthonormality defect exceeds
-    the shared drift tolerance.
-
-    Parameters
-    ----------
-    state:
-        Initial :class:`NavState`.
-    inputs_fn:
-        Callable ``t -> BodyInputs`` supplying the true IMU signals.
-    dt, steps:
-        Substep length (s) and number of substeps.
-    """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    r = state.R.copy()
-    va = state.Va.copy()
-    h = float(state.h)
-    v = state.v.copy()
-    t = float(t0)
-
-    def rates(t_s: float, r_s: np.ndarray, va_s: np.ndarray):
-        inp = inputs_fn(t_s)
-        dva = -np.cross(inp.omega, va_s) + gravity * (r_s.T @ E3) + inp.a
-        dh = float(E3 @ (r_s @ va_s))
-        dv = r_s @ inp.a + gravity * E3
-        return dva, dh, dv
-
-    for _ in range(steps):
-        # Midpoint-rate exponential increments for the stage rotations.
-        r_half = r @ geometry.exp_so3(0.5 * dt * inputs_fn(t + 0.25 * dt).omega)
-        r_full = r @ geometry.exp_so3(dt * inputs_fn(t + 0.5 * dt).omega)
-        k1 = rates(t, r, va)
-        k2 = rates(t + 0.5 * dt, r_half, va + 0.5 * dt * k1[0])
-        k3 = rates(t + 0.5 * dt, r_half, va + 0.5 * dt * k2[0])
-        k4 = rates(t + dt, r_full, va + dt * k3[0])
-        va = va + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        h = h + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        v = v + (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
-        r = r_full
-        if geometry.rotation_defect(r) > geometry.ORTHONORMALITY_TOL:
-            r = geometry.project_to_so3(r)
-        t += dt
-    return NavState(R=r, Va=va, h=h, v=v)
-
-
-def error_state(truth: NavState, est) -> ErrorState:
-    """Estimation errors of ``est`` (any object with Rhat/Vahat/hhat) vs truth."""
-    r_tilde = truth.R @ est.Rhat.T
-    lam = geometry.small_angle(geometry.rot_to_quat(r_tilde))
-    v_tilde = truth.R @ truth.Va - est.Rhat @ est.Vahat
-    return ErrorState(lam=lam, v_tilde=v_tilde,
-                      h_tilde=float(truth.h) - float(est.hhat))

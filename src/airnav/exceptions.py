@@ -5,20 +5,12 @@ class AirnavError(Exception):
     """Base class for all airnav errors."""
 
 
-class NotSkewSymmetricError(AirnavError):
-    """Matrix handed to unskew() is not skew-symmetric within tolerance."""
-
-
 class GimbalLockError(AirnavError):
     """Euler-angle extraction attempted with pitch too close to +/-90 deg."""
 
 
 class DegenerateMatrixError(AirnavError):
     """Matrix cannot be projected onto the rotation group."""
-
-
-class OutOfRangeError(AirnavError):
-    """Trajectory queried outside its time domain."""
 
 
 class RateMismatchError(AirnavError):

@@ -103,20 +103,17 @@ class RunMetrics:
     diverged: bool = False
     divergence_time: float | None = None
 
-    def metric(self, key: str) -> np.ndarray:
-        return getattr(self, key)
-
     def at_time(self, key: str, t: float) -> float:
         """Metric value at the tick closest to ``t``."""
         idx = int(np.argmin(np.abs(self.t - t)))
-        return float(self.metric(key)[idx])
+        return float(getattr(self, key)[idx])
 
     def window_mean(self, key: str, t_from: float,
                     t_to: float | None = None) -> float:
         mask = self.t >= t_from
         if t_to is not None:
             mask &= self.t <= t_to
-        values = self.metric(key)[mask]
+        values = getattr(self, key)[mask]
         return float(np.mean(values)) if values.size else float("nan")
 
 

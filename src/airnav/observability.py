@@ -17,6 +17,11 @@ intervals, so each half's Simpson pairs line up with the window's and the
 junction weights 1 + 1 give its 2: in exact arithmetic this is the
 whole-window quadrature.  Half-overlapping windows share a half, so a
 sweep of N windows builds N + 1 halves.
+
+The transition of a half, ``Phi_a``, comes from :func:`_transition`, the
+one closed form that :func:`phi_blocks` uses too; the test suite checks
+``phi_blocks`` against an RK4 integration of the transition-matrix ODE, so
+that check covers the matrix the sweep composes with.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import TrajectorySpec
-from .geometry import E3, skew
+from .geometry import skew
 from .sensors import STACK_ORDER, MagReference, ProbeSet, SensorKind
 
 DEFAULT_QUAD_STEP = 1e-3
@@ -119,67 +124,36 @@ def _integrated_force(spec: TrajectorySpec, s: np.ndarray,
     return w, g1, g2
 
 
+def _transition(s: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
+    """Transition ``Phi*(s[-1], s[0])`` from the running integrals on ``s``.
+
+    ``g1`` and ``g2`` are the first and second running integrals of ``R a``
+    from :func:`_integrated_force`.  The 6x6 block is lower-triangular with
+    ``-(g1)^x`` in its lower-left corner; the altitude row
+    ``e3^T [-(g2)^x | (s[-1] - s[0]) I | 1]`` couples the attitude and
+    velocity errors into the altitude error through the double integral.
+    """
+    phi = np.eye(7)
+    phi[3:6, 0:3] = -skew(g1[-1])
+    phi[6, 0:2] = g2[-1, 1], -g2[-1, 0]
+    phi[6, 5] = s[-1] - s[0]
+    return phi
+
+
 def phi_blocks(spec: TrajectorySpec, t: float, tau: float,
                quad_step: float = DEFAULT_QUAD_STEP) -> TransitionBlocks:
     """Closed-form transition blocks over [tau, t].
 
-    ``phi11`` is block lower-triangular with ``-(integral of (R a)^x)`` in
-    the lower-left corner; ``phi21`` couples attitude and velocity errors
-    into the altitude error through the double integral.
+    :func:`_transition` on the grid and running integrals that a
+    :func:`_half_window` over [tau, t] uses.
     """
     if tau > t:
         raise ValueError("tau must not exceed t")
-    phi11 = np.eye(6)
-    if t > tau:
-        s = _grid(tau, t, quad_step)
-        _, g1, g2 = _integrated_force(spec, s)
-        phi11[3:6, 0:3] = -skew(g1[-1])
-        phi21 = E3 @ np.hstack((-skew(g2[-1]), (t - tau) * np.eye(3)))
-    else:
-        phi21 = np.zeros(6)
-    return TransitionBlocks(phi11=phi11, phi21=phi21, t=t, tau=tau)
-
-
-def integrate_phi(spec: TrajectorySpec, t: float, tau: float,
-                  step: float = DEFAULT_QUAD_STEP) -> np.ndarray:
-    """RK4 integration of the transition-matrix ODE (validation oracle).
-
-    The product A*(s) Phi is evaluated blockwise (two block rows of A* are
-    nonzero) with ``-(R a)^x`` precomputed on the half-step grid; the four
-    stage derivatives are written into reused 7x7 buffers whose first three
-    rows stay zero.
-    """
-    n = max(1, int(round((t - tau) / step)))
-    h = (t - tau) / n
-    times = tau + 0.5 * h * np.arange(2 * n + 1)
-    neg_skew = -_batch_skew(dynamics.inertial_specific_force(spec, times))
-
-    def a_mul(ws: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.matmul(ws, m[0:3], out=out[3:6])
-        out[6] = m[5]
-        return out
-
-    k1, k2, k3, k4 = (np.zeros((7, 7)) for _ in range(4))
-    phi = np.eye(7)
-    for k in range(n):
-        w0, wm, w1 = neg_skew[2 * k], neg_skew[2 * k + 1], neg_skew[2 * k + 2]
-        a_mul(w0, phi, k1)
-        a_mul(wm, phi + 0.5 * h * k1, k2)
-        a_mul(wm, phi + 0.5 * h * k2, k3)
-        a_mul(w1, phi + h * k3, k4)
-        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return phi
-
-
-def _batch_skew(v: np.ndarray) -> np.ndarray:
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
+    s = _grid(tau, t, quad_step)
+    _, g1, g2 = _integrated_force(spec, s)
+    phi = _transition(s, g1, g2)
+    return TransitionBlocks(phi11=phi[0:6, 0:6], phi21=phi[6, 0:6], t=t,
+                            tau=tau)
 
 
 def _simpson_weights(s: np.ndarray) -> np.ndarray:
@@ -212,7 +186,8 @@ def _half_window(spec: TrajectorySpec, probes: ProbeSet,
       inertial air velocity, is Pitot ``[B^T R^T (va - g1)^x | B^T R^T | 0]``,
       mag ``[-(m_I)^x | 0 | 0]`` and baro
       ``[g2_y, -g2_x, 0, 0, 0, s - s[0], 1]``;
-    * ``Phi_h = Phi*(s[-1], s[0])``, the blocks of :func:`phi_blocks`;
+    * ``Phi_h = Phi*(s[-1], s[0])``, built by :func:`_transition` as
+      :func:`phi_blocks` builds it;
     * the PE Gram sums of the horizontal Pitot projection ``B^T R J`` and
       of the horizontal specific-force row ``e3^T (R a)^x J``.
 
@@ -244,10 +219,7 @@ def _half_window(spec: TrajectorySpec, probes: ProbeSet,
         # the mag rows are constant, so they add (sum w) (m_I^x)^T m_I^x
         mx = skew(mag_ref.m_I)
         gram[0:3, 0:3] += weights.sum() * (mx.T @ mx)
-    phi = np.eye(7)
-    phi[3:6, 0:3] = -skew(g1[-1])
-    phi[6, 0:2] = g2[-1, 1], -g2[-1, 0]
-    phi[6, 5] = s[-1] - s[0]
+    phi = _transition(s, g1, g2)
     # J^T R^T B, the transposed rows of B^T R J (J keeps two columns): (2, n m)
     pi = (rot[:, :, 0:2].transpose(2, 0, 1).reshape(-1, 3)
           @ probes.B).reshape(2, -1)

@@ -32,8 +32,10 @@ One tick, :meth:`AirDataObserver.tick`, does the whole discrete cycle:
 The tick is the only way to advance an estimate.  The 7x7 covariance stays
 in numpy: the tick reuses the public pieces :func:`state_matrix_dt`,
 :func:`output_matrix`, :func:`additive_weight`, :func:`riccati_predict` and
-:func:`riccati_update`, and :func:`residual` forms the same residuals the
-tick writes in place.
+:func:`riccati_update`.  The reference code these are checked against (the
+stacked residuals, the continuous-time ``A(Rhat)`` and an RK4 integrator of
+the continuous Riccati equation) lives with the tests, in
+``tests/oracles.py``, and is not part of the package.
 
 Weight conventions
 ------------------
@@ -44,9 +46,6 @@ How they enter the gain is controlled by ``q_convention``:
   innovation-covariance term of the discrete gain,
 * ``"precision"``: the blocks are information weights; their inverses form
   the additive term.
-
-The continuous-time Riccati equation (:func:`cre_rhs`) always treats its
-``Q`` argument as an information weight.
 """
 
 from __future__ import annotations
@@ -138,14 +137,6 @@ class ObserverState:
                              float(self.hhat), self.P.copy())
 
 
-def state_matrix_ct(rhat: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Continuous-time error-state matrix A(Rhat)."""
-    m = np.zeros((7, 7))
-    m[3:6, 0:3] = -skew(rhat @ a)
-    m[6, 3:6] = E3
-    return m
-
-
 def state_matrix_dt(rhat: np.ndarray, a: np.ndarray, T: float) -> np.ndarray:
     """First-order discretization A_d = I + T A(Rhat)."""
     if T <= 0.0:
@@ -190,31 +181,6 @@ def output_matrix(rhat: np.ndarray, vahat: np.ndarray, probes: ProbeSet,
             block[0, 6] = 1.0
             rows.append(block)
     return np.vstack(rows)
-
-
-def residual(payloads, est: ObserverState, probes: ProbeSet,
-             mag_ref: MagReference, subset) -> np.ndarray:
-    """Stacked measurement residuals in the fixed sensor order.
-
-    The magnetometer residual is formed in the inertial frame,
-    ``m_I - Rhat m_B``.
-
-    Raises
-    ------
-    MissingPayloadError
-        If a sensor in ``subset`` has no payload.
-    """
-    parts = []
-    for kind in _subset_in_stack_order(subset):
-        if kind not in payloads:
-            raise MissingPayloadError(f"no payload for {kind.value}")
-        if kind is SensorKind.PITOT:
-            parts.append(np.atleast_1d(payloads[kind]) - probes.B.T @ est.Vahat)
-        elif kind is SensorKind.MAG:
-            parts.append(mag_ref.m_I - est.Rhat @ np.asarray(payloads[kind]))
-        else:
-            parts.append(np.array([float(payloads[kind]) - est.hhat]))
-    return np.concatenate(parts)
 
 
 def additive_weight(weights: RiccatiWeights, subset, q_convention: str,
@@ -551,37 +517,3 @@ class AirDataObserver:
         self.state = ObserverState(Rhat=rhat, Vahat=np.array([v0, v1, v2]),
                                    hhat=h, P=p)
         return self.state
-
-
-def cre_rhs(P: np.ndarray, A_ct: np.ndarray, C: np.ndarray, Q: np.ndarray,
-            S: np.ndarray) -> np.ndarray:
-    """Right-hand side of the continuous Riccati equation.
-
-    ``Q`` is the information-style weight multiplying ``C^T Q C``.
-    """
-    return A_ct @ P + P @ A_ct.T - P @ C.T @ Q @ C @ P + S
-
-
-def integrate_cre(P0: np.ndarray, a_fn, c_fn, Q: np.ndarray, S: np.ndarray,
-                  t0: float, t1: float, dt: float,
-                  substeps: int = 1) -> np.ndarray:
-    """Fixed-step RK4 integration of the continuous Riccati equation.
-
-    ``a_fn`` and ``c_fn`` map time to the state and output matrices.
-    ``substeps`` subdivides each ``dt`` for stiff configurations.
-    """
-    p = np.array(P0, dtype=float)
-    n = int(round((t1 - t0) / dt))
-    h = dt / substeps
-    t = float(t0)
-    for _ in range(n * substeps):
-        k1 = cre_rhs(p, a_fn(t), c_fn(t), Q, S)
-        k2 = cre_rhs(p + 0.5 * h * k1, a_fn(t + 0.5 * h), c_fn(t + 0.5 * h),
-                     Q, S)
-        k3 = cre_rhs(p + 0.5 * h * k2, a_fn(t + 0.5 * h), c_fn(t + 0.5 * h),
-                     Q, S)
-        k4 = cre_rhs(p + h * k3, a_fn(t + h), c_fn(t + h), Q, S)
-        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        p = 0.5 * (p + p.T)
-        t += h
-    return p

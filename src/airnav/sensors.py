@@ -1,4 +1,4 @@
-"""Measurement synthesis and the multirate sensor schedule.
+"""Measurement synthesis and the multirate tick grid.
 
 Each sensor draws its noise from its own RNG substream, keyed by
 ``(base_seed, run_index, stream_id)``; the number of draws consumed by one
@@ -157,14 +157,6 @@ class RateSpec:
         return int(round(self.f_imu / f))
 
 
-@dataclass(frozen=True)
-class ScheduleSlot:
-    """One IMU tick and the set of sensors that sample on it."""
-
-    t: float
-    kinds: tuple[SensorKind, ...]
-
-
 def sample_imu(inputs: BodyInputs, noise: NoiseSpec,
                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Gyroscope and accelerometer measurements with additive Gaussian noise.
@@ -226,22 +218,3 @@ def tick_times(rates: RateSpec, duration: float) -> np.ndarray:
         raise ValueError("duration must be non-negative")
     n_ticks = int(np.floor(duration * rates.f_imu + 1e-9))
     return np.arange(n_ticks + 1) / rates.f_imu
-
-
-def make_schedule(rates: RateSpec, duration: float) -> list[ScheduleSlot]:
-    """Tick schedule at the IMU rate with slower sensors on their multiples.
-
-    One slot per tick of :func:`tick_times`; coincident samples are merged
-    into one slot.
-    """
-    dec = {kind: rates.decimation(kind)
-           for kind in (SensorKind.PITOT, SensorKind.MAG, SensorKind.BARO)}
-    slots = []
-    for k, t in enumerate(tick_times(rates, duration).tolist()):
-        kinds = [SensorKind.IMU]
-        for kind in (SensorKind.PITOT, SensorKind.MAG, SensorKind.BARO):
-            if k % dec[kind] == 0:
-                kinds.append(kind)
-        slots.append(ScheduleSlot(t=t, kinds=tuple(kinds)))
-    return slots
-

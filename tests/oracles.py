@@ -1,0 +1,379 @@
+"""Validation oracles: reference code the test suite checks ``airnav`` against.
+
+Nothing under ``src/`` imports this module, so ``import airnav`` does not
+carry it.  It holds the pieces that exist only to cross-check the package:
+
+* quaternion and small-angle maps and ``unskew`` (geometry round trips and
+  the first-order attitude error);
+* the scalar truth state and IMU inputs, an RK4 integrator of the
+  rigid-body kinematics and the first-order error state (the closed-form
+  truth and the linearization checks);
+* the stacked measurement residuals, the continuous-time state matrix
+  ``A(Rhat)`` and an RK4 integrator of the continuous Riccati equation (the
+  discrete recursion and the output matrix);
+* an RK4 integrator of the transition-matrix ODE (the closed-form
+  transition of :mod:`airnav.observability`);
+* a per-tick sensor schedule (tick-by-tick runs that mirror
+  :func:`airnav.harness.run_single`).
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from airnav import dynamics, geometry
+from airnav.dynamics import BodyInputs, NavState, TrajectorySpec
+from airnav.exceptions import AirnavError, MissingPayloadError
+from airnav.geometry import E3, I3, skew
+from airnav.observability import DEFAULT_QUAD_STEP
+from airnav.observer import ObserverState, _subset_in_stack_order
+from airnav.sensors import MagReference, ProbeSet, RateSpec, SensorKind, tick_times
+
+_TIME_SLACK = 1e-9
+
+
+class NotSkewSymmetricError(AirnavError):
+    """Matrix handed to unskew() is not skew-symmetric within tolerance."""
+
+
+class OutOfRangeError(AirnavError):
+    """Trajectory queried outside its time domain."""
+
+
+# --- geometry ---------------------------------------------------------------
+
+def unskew(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+    """Invert :func:`airnav.geometry.skew`.
+
+    Parameters
+    ----------
+    m:
+        (3, 3) matrix, skew-symmetric up to ``tol`` in Frobenius norm.
+    tol:
+        Maximum allowed ``||m + m^T||_F``.
+
+    Raises
+    ------
+    NotSkewSymmetricError
+        If the symmetric part of ``m`` exceeds ``tol``.
+    """
+    defect = np.linalg.norm(m + m.T)
+    if defect > tol:
+        raise NotSkewSymmetricError(
+            f"symmetric part has Frobenius norm {defect:.3e} > {tol:.3e}"
+        )
+    return np.array([
+        0.5 * (m[2, 1] - m[1, 2]),
+        0.5 * (m[0, 2] - m[2, 0]),
+        0.5 * (m[1, 0] - m[0, 1]),
+    ])
+
+
+def quat_to_rot(q: np.ndarray) -> np.ndarray:
+    """Rotation matrix of a unit quaternion: ``I + 2 q_v^x (q0 I + q_v^x)``."""
+    qv = np.asarray(q[1:], dtype=float)
+    s = skew(qv)
+    return I3 + 2.0 * s @ (float(q[0]) * I3 + s)
+
+
+def rot_to_quat(r: np.ndarray) -> np.ndarray:
+    """Unit quaternion of a rotation matrix, scalar part kept non-negative.
+
+    Uses the Shepperd branch selection for numerical robustness near
+    180-degree rotations.
+    """
+    t = np.trace(r)
+    if t >= max(r[0, 0], r[1, 1], r[2, 2]):
+        q0 = 0.5 * np.sqrt(max(1.0 + t, 0.0))
+        f = 0.25 / q0
+        q = np.array([
+            q0,
+            f * (r[2, 1] - r[1, 2]),
+            f * (r[0, 2] - r[2, 0]),
+            f * (r[1, 0] - r[0, 1]),
+        ])
+    else:
+        i = int(np.argmax([r[0, 0], r[1, 1], r[2, 2]]))
+        j, k = (i + 1) % 3, (i + 2) % 3
+        qi = 0.5 * np.sqrt(max(1.0 + r[i, i] - r[j, j] - r[k, k], 0.0))
+        f = 0.25 / qi
+        q = np.zeros(4)
+        q[0] = f * (r[k, j] - r[j, k])
+        q[1 + i] = qi
+        q[1 + j] = f * (r[j, i] + r[i, j])
+        q[1 + k] = f * (r[k, i] + r[i, k])
+    if q[0] < 0.0:
+        q = -q
+    return q / np.linalg.norm(q)
+
+
+def small_angle(q: np.ndarray) -> np.ndarray:
+    """First-order attitude-error vector ``2 sign(q0) q_v`` (sign(0) = +1)."""
+    sign = 1.0 if q[0] >= 0.0 else -1.0
+    return 2.0 * sign * np.asarray(q[1:], dtype=float)
+
+
+def rot_from_small_angle(lam: np.ndarray) -> np.ndarray:
+    """Exact inverse of ``small_angle(rot_to_quat(.))`` for ``|lam| < 2``."""
+    lam = np.asarray(lam, dtype=float)
+    half = 0.5 * lam
+    q0 = np.sqrt(max(1.0 - float(half @ half), 0.0))
+    return quat_to_rot(np.concatenate(([q0], half)))
+
+
+# --- truth ------------------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class ErrorState:
+    """First-order estimation errors (attitude, inertial air velocity, altitude)."""
+
+    lam: np.ndarray
+    v_tilde: np.ndarray
+    h_tilde: float
+
+    def as_vector(self) -> np.ndarray:
+        return np.concatenate((self.lam, self.v_tilde, [self.h_tilde]))
+
+
+def _check_time(spec: TrajectorySpec, t) -> None:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < -_TIME_SLACK) or np.any(t > spec.duration + _TIME_SLACK):
+        raise OutOfRangeError(
+            f"t outside [0, {spec.duration}]"
+        )
+
+
+def attitude(spec: TrajectorySpec, t: float) -> np.ndarray:
+    """Truth rotation matrix Rz(psi(t)) (truth attitude starts at identity)."""
+    psi = float(dynamics.yaw_angle(spec, t))
+    c, s = np.cos(psi), np.sin(psi)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def truth_state(spec: TrajectorySpec, t: float) -> NavState:
+    """Exact truth state at time t.
+
+    Raises
+    ------
+    OutOfRangeError
+        If ``t`` lies outside ``[0, spec.duration]``.
+    """
+    _check_time(spec, t)
+    r = attitude(spec, t)
+    v = dynamics.velocity(spec, t)
+    va = r.T @ (v - spec.wind)
+    return NavState(R=r, Va=va, h=float(dynamics.altitude(spec, t)), v=v)
+
+
+def truth_inputs(spec: TrajectorySpec, t: float) -> BodyInputs:
+    """Exact IMU inputs (angular rate, specific acceleration) at time t."""
+    _check_time(spec, t)
+    r = attitude(spec, t)
+    omega = np.array([0.0, 0.0, float(dynamics.yaw_rate(spec, t))])
+    a = r.T @ dynamics.inertial_specific_force(spec, t)
+    return BodyInputs(omega=omega, a=a)
+
+
+def propagate_truth(state: NavState, inputs_fn, dt: float, steps: int,
+                    gravity: float = 9.81, t0: float = 0.0) -> NavState:
+    """Integrate the rigid-body kinematics with RK4.
+
+    The vector part (V_a, h, v) uses classical RK4; the rotation advances by
+    the exponential of the midpoint angular-rate increment at each stage, and
+    is re-projected onto SO(3) whenever the orthonormality defect exceeds
+    the shared drift tolerance.
+
+    Parameters
+    ----------
+    state:
+        Initial :class:`NavState`.
+    inputs_fn:
+        Callable ``t -> BodyInputs`` supplying the true IMU signals.
+    dt, steps:
+        Substep length (s) and number of substeps.
+    """
+    if dt <= 0.0:
+        raise ValueError("dt must be positive")
+    r = state.R.copy()
+    va = state.Va.copy()
+    h = float(state.h)
+    v = state.v.copy()
+    t = float(t0)
+
+    def rates(t_s: float, r_s: np.ndarray, va_s: np.ndarray):
+        inp = inputs_fn(t_s)
+        dva = -np.cross(inp.omega, va_s) + gravity * (r_s.T @ E3) + inp.a
+        dh = float(E3 @ (r_s @ va_s))
+        dv = r_s @ inp.a + gravity * E3
+        return dva, dh, dv
+
+    for _ in range(steps):
+        # Midpoint-rate exponential increments for the stage rotations.
+        r_half = r @ geometry.exp_so3(0.5 * dt * inputs_fn(t + 0.25 * dt).omega)
+        r_full = r @ geometry.exp_so3(dt * inputs_fn(t + 0.5 * dt).omega)
+        k1 = rates(t, r, va)
+        k2 = rates(t + 0.5 * dt, r_half, va + 0.5 * dt * k1[0])
+        k3 = rates(t + 0.5 * dt, r_half, va + 0.5 * dt * k2[0])
+        k4 = rates(t + dt, r_full, va + dt * k3[0])
+        va = va + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
+        h = h + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
+        v = v + (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        r = r_full
+        if geometry.rotation_defect(r) > geometry.ORTHONORMALITY_TOL:
+            r = geometry.project_to_so3(r)
+        t += dt
+    return NavState(R=r, Va=va, h=h, v=v)
+
+
+def error_state(truth: NavState, est) -> ErrorState:
+    """Estimation errors of ``est`` (any object with Rhat/Vahat/hhat) vs truth."""
+    r_tilde = truth.R @ est.Rhat.T
+    lam = small_angle(rot_to_quat(r_tilde))
+    v_tilde = truth.R @ truth.Va - est.Rhat @ est.Vahat
+    return ErrorState(lam=lam, v_tilde=v_tilde,
+                      h_tilde=float(truth.h) - float(est.hhat))
+
+
+# --- observer ---------------------------------------------------------------
+
+def state_matrix_ct(rhat: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Continuous-time error-state matrix A(Rhat)."""
+    m = np.zeros((7, 7))
+    m[3:6, 0:3] = -skew(rhat @ a)
+    m[6, 3:6] = E3
+    return m
+
+
+def residual(payloads, est: ObserverState, probes: ProbeSet,
+             mag_ref: MagReference, subset) -> np.ndarray:
+    """Stacked measurement residuals in the fixed sensor order.
+
+    The magnetometer residual is formed in the inertial frame,
+    ``m_I - Rhat m_B``, as :meth:`airnav.observer.AirDataObserver.tick`
+    forms it in place.
+
+    Raises
+    ------
+    MissingPayloadError
+        If a sensor in ``subset`` has no payload.
+    """
+    parts = []
+    for kind in _subset_in_stack_order(subset):
+        if kind not in payloads:
+            raise MissingPayloadError(f"no payload for {kind.value}")
+        if kind is SensorKind.PITOT:
+            parts.append(np.atleast_1d(payloads[kind]) - probes.B.T @ est.Vahat)
+        elif kind is SensorKind.MAG:
+            parts.append(mag_ref.m_I - est.Rhat @ np.asarray(payloads[kind]))
+        else:
+            parts.append(np.array([float(payloads[kind]) - est.hhat]))
+    return np.concatenate(parts)
+
+
+def cre_rhs(P: np.ndarray, A_ct: np.ndarray, C: np.ndarray, Q: np.ndarray,
+            S: np.ndarray) -> np.ndarray:
+    """Right-hand side of the continuous Riccati equation.
+
+    ``Q`` is the information-style weight multiplying ``C^T Q C``, whatever
+    the observer's ``q_convention``.
+    """
+    return A_ct @ P + P @ A_ct.T - P @ C.T @ Q @ C @ P + S
+
+
+def integrate_cre(P0: np.ndarray, a_fn, c_fn, Q: np.ndarray, S: np.ndarray,
+                  t0: float, t1: float, dt: float,
+                  substeps: int = 1) -> np.ndarray:
+    """Fixed-step RK4 integration of the continuous Riccati equation.
+
+    ``a_fn`` and ``c_fn`` map time to the state and output matrices.
+    ``substeps`` subdivides each ``dt`` for stiff configurations.
+    """
+    p = np.array(P0, dtype=float)
+    n = int(round((t1 - t0) / dt))
+    h = dt / substeps
+    t = float(t0)
+    for _ in range(n * substeps):
+        k1 = cre_rhs(p, a_fn(t), c_fn(t), Q, S)
+        k2 = cre_rhs(p + 0.5 * h * k1, a_fn(t + 0.5 * h), c_fn(t + 0.5 * h),
+                     Q, S)
+        k3 = cre_rhs(p + 0.5 * h * k2, a_fn(t + 0.5 * h), c_fn(t + 0.5 * h),
+                     Q, S)
+        k4 = cre_rhs(p + h * k3, a_fn(t + h), c_fn(t + h), Q, S)
+        p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        p = 0.5 * (p + p.T)
+        t += h
+    return p
+
+
+# --- observability ----------------------------------------------------------
+
+def _batch_skew(v: np.ndarray) -> np.ndarray:
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
+
+
+def integrate_phi(spec: TrajectorySpec, t: float, tau: float,
+                  step: float = DEFAULT_QUAD_STEP) -> np.ndarray:
+    """RK4 integration of the transition-matrix ODE.
+
+    The product A*(s) Phi is evaluated blockwise (two block rows of A* are
+    nonzero) with ``-(R a)^x`` precomputed on the half-step grid; the four
+    stage derivatives are written into reused 7x7 buffers whose first three
+    rows stay zero.
+    """
+    n = max(1, int(round((t - tau) / step)))
+    h = (t - tau) / n
+    times = tau + 0.5 * h * np.arange(2 * n + 1)
+    neg_skew = -_batch_skew(dynamics.inertial_specific_force(spec, times))
+
+    def a_mul(ws: np.ndarray, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.matmul(ws, m[0:3], out=out[3:6])
+        out[6] = m[5]
+        return out
+
+    k1, k2, k3, k4 = (np.zeros((7, 7)) for _ in range(4))
+    phi = np.eye(7)
+    for k in range(n):
+        w0, wm, w1 = neg_skew[2 * k], neg_skew[2 * k + 1], neg_skew[2 * k + 2]
+        a_mul(w0, phi, k1)
+        a_mul(wm, phi + 0.5 * h * k1, k2)
+        a_mul(wm, phi + 0.5 * h * k2, k3)
+        a_mul(w1, phi + h * k3, k4)
+        phi = phi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return phi
+
+
+# --- sensors ----------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ScheduleSlot:
+    """One IMU tick and the set of sensors that sample on it."""
+
+    t: float
+    kinds: tuple[SensorKind, ...]
+
+
+def make_schedule(rates: RateSpec, duration: float) -> list[ScheduleSlot]:
+    """Tick schedule at the IMU rate with slower sensors on their multiples.
+
+    One slot per tick of :func:`airnav.sensors.tick_times`; coincident
+    samples are merged into one slot.
+    """
+    dec = {kind: rates.decimation(kind)
+           for kind in (SensorKind.PITOT, SensorKind.MAG, SensorKind.BARO)}
+    slots = []
+    for k, t in enumerate(tick_times(rates, duration).tolist()):
+        kinds = [SensorKind.IMU]
+        for kind in (SensorKind.PITOT, SensorKind.MAG, SensorKind.BARO):
+            if k % dec[kind] == 0:
+                kinds.append(kind)
+        slots.append(ScheduleSlot(t=t, kinds=tuple(kinds)))
+    return slots

@@ -11,18 +11,15 @@ import numpy as np
 
 from airnav import cli, dynamics, geometry, harness, observability
 from airnav.config import default_config, parse_config_text
-from airnav.dynamics import TrajectorySpec, truth_inputs, truth_state
+from airnav.dynamics import TrajectorySpec
 from airnav.observer import (
     AirDataObserver,
     ObserverState,
     STACK_ORDER,
     additive_weight,
-    integrate_cre,
     output_matrix,
-    residual,
     riccati_predict,
     riccati_update,
-    state_matrix_ct,
     state_matrix_dt,
 )
 from airnav.sensors import (
@@ -30,12 +27,28 @@ from airnav.sensors import (
     MagReference,
     ProbeSet,
     SensorKind,
-    make_schedule,
     sample_baro,
     sample_imu,
     sample_mag,
     sample_pitot,
     substream,
+)
+
+from oracles import (
+    attitude,
+    error_state,
+    integrate_cre,
+    integrate_phi,
+    make_schedule,
+    propagate_truth,
+    quat_to_rot,
+    residual,
+    rot_from_small_angle,
+    rot_to_quat,
+    state_matrix_ct,
+    truth_inputs,
+    truth_state,
+    unskew,
 )
 
 G = 9.81
@@ -159,8 +172,8 @@ def test_criterion_4_transition_matrix_cross_check():
     starts = np.arange(0.0, 56.0 + 1e-9, 2.0)
     for start in starts:
         blocks = observability.phi_blocks(spec, start + 4.0, start)
-        phi_ode = observability.integrate_phi(spec, start + 4.0, start,
-                                              step=1e-3)
+        phi_ode = integrate_phi(spec, start + 4.0, start,
+                                step=1e-3)
         rel = (np.linalg.norm(blocks.full() - phi_ode)
                / np.linalg.norm(phi_ode))
         worst = max(worst, rel)
@@ -174,7 +187,7 @@ def test_criterion_4_transition_matrix_cross_check():
 
 
 def _estimate_from_error(truth, lam, v_tilde, h_tilde, p):
-    r_err = geometry.rot_from_small_angle(lam)
+    r_err = rot_from_small_angle(lam)
     rhat = r_err.T @ truth.R
     vahat = rhat.T @ (truth.R @ truth.Va - v_tilde)
     return ObserverState(Rhat=rhat, Vahat=vahat,
@@ -193,13 +206,13 @@ def _error_rate_via_fd(spec, t, lam, v_tilde, h_tilde, dt):
     nav = est_nav
     for k in range(3):
         tk = t + k * dt
-        err = dynamics.error_state(
+        err = error_state(
             truth_state(spec, tk),
             ObserverState(Rhat=nav.R, Vahat=nav.Va, hhat=nav.h, P=np.eye(7)))
         xs.append(err.as_vector())
         if k < 2:
-            nav = dynamics.propagate_truth(nav, inputs, dt=dt, steps=1,
-                                           gravity=spec.gravity, t0=tk)
+            nav = propagate_truth(nav, inputs, dt=dt, steps=1,
+                                  gravity=spec.gravity, t0=tk)
     rate = (xs[2] - xs[0]) / (2.0 * dt)
     return rate, xs[1]
 
@@ -315,7 +328,7 @@ def test_criterion_6_riccati_properties():
     q_cre = np.linalg.inv(r_d) / T
 
     def a_star(t):
-        return state_matrix_ct(dynamics.attitude(cre_spec, t),
+        return state_matrix_ct(attitude(cre_spec, t),
                                truth_inputs(cre_spec, t).a)
 
     def c_star(t):
@@ -325,7 +338,7 @@ def test_criterion_6_riccati_properties():
     p_disc = cfg.weights.P0.copy()
     for k in range(200):
         t = k * T
-        a_d = state_matrix_dt(dynamics.attitude(cre_spec, t),
+        a_d = state_matrix_dt(attitude(cre_spec, t),
                               truth_inputs(cre_spec, t).a, T)
         p_disc = riccati_predict(p_disc, a_d, cfg.weights.S, T)
         _, p_disc = riccati_update(p_disc, c_star(t), r_d)
@@ -348,7 +361,7 @@ def test_criterion_7_geometry_property_suite():
     t0 = time.time()
     for _ in range(1000):
         u = rng.standard_normal(3)
-        np.testing.assert_allclose(geometry.unskew(geometry.skew(u)), u,
+        np.testing.assert_allclose(unskew(geometry.skew(u)), u,
                                    atol=1e-12)
     for _ in range(1000):
         theta = rng.uniform(0, np.pi) * _unit(rng)
@@ -358,8 +371,8 @@ def test_criterion_7_geometry_property_suite():
     for _ in range(1000):
         q = rng.standard_normal(4)
         q /= np.linalg.norm(q)
-        r = geometry.quat_to_rot(q)
-        np.testing.assert_allclose(geometry.quat_to_rot(geometry.rot_to_quat(r)),
+        r = quat_to_rot(q)
+        np.testing.assert_allclose(quat_to_rot(rot_to_quat(r)),
                                    r, atol=1e-9)
     for _ in range(1000):
         lam = rng.uniform(0, 0.1) * _unit(rng)

@@ -5,17 +5,20 @@ from airnav import geometry
 from airnav.exceptions import (
     DegenerateMatrixError,
     GimbalLockError,
-    NotSkewSymmetricError,
 )
 from airnav.geometry import (
     euler_zyx_to_rot,
     exp_so3,
     project_to_so3,
+    rot_to_euler_zyx,
+    skew,
+)
+
+from oracles import (
+    NotSkewSymmetricError,
     quat_to_rot,
     rot_from_small_angle,
-    rot_to_euler_zyx,
     rot_to_quat,
-    skew,
     small_angle,
     unskew,
 )

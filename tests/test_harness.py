@@ -9,11 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airnav import cli, dynamics, geometry, harness, observer
+from airnav import cli, geometry, harness, observer
 from airnav.config import default_config, parse_config_text
 from airnav.exceptions import (
     DivergenceError,
-    OutOfRangeError,
     SingularInnovationError,
 )
 from airnav.harness import (
@@ -32,13 +31,14 @@ from airnav.observer import AirDataObserver, ObserverState
 from airnav.sensors import (
     STREAM_IDS,
     SensorKind,
-    make_schedule,
     sample_baro,
     sample_imu,
     sample_mag,
     sample_pitot,
     substream,
 )
+
+from oracles import OutOfRangeError, make_schedule, truth_inputs, truth_state
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
@@ -106,7 +106,7 @@ class TestRunSingle:
         # 60 s with the two-step scheme)
         cfg = parse_config_text(NOISE_FREE.replace("duration = 5",
                                                    "duration = 60"))
-        truth0 = dynamics.truth_state(cfg.trajectory, 0.0)
+        truth0 = truth_state(cfg.trajectory, 0.0)
         st = ObserverState(Rhat=truth0.R.copy(), Vahat=truth0.Va.copy(),
                            hhat=truth0.h, P=cfg.weights.P0.copy())
         m = run_single(cfg, 0, initial_state=st)
@@ -122,7 +122,7 @@ class TestRunSingle:
         # setup with zero initial error stays at the noise floor
         text = NOISE_FREE.replace("duration = 5", "duration = 20")
         cfg = parse_config_text(text + "trajectory = hover\n")
-        truth0 = dynamics.truth_state(cfg.trajectory, 0.0)
+        truth0 = truth_state(cfg.trajectory, 0.0)
         rhat = geometry.exp_so3(0.5 * cfg.mag_ref.m_I).T @ truth0.R
         st = ObserverState(Rhat=rhat, Vahat=truth0.Va.copy(), hhat=truth0.h,
                            P=cfg.weights.P0.copy())
@@ -179,8 +179,8 @@ class TestRunSingle:
                               integrator=cfg.integrator)
         states = [obs.state]
         for slot in make_schedule(cfg.rates, cfg.duration)[:-1]:
-            truth = dynamics.truth_state(spec, slot.t)
-            inputs = dynamics.truth_inputs(spec, slot.t)
+            truth = truth_state(spec, slot.t)
+            inputs = truth_inputs(spec, slot.t)
             payloads = {SensorKind.IMU: sample_imu(inputs, cfg.noise,
                                                    rngs[SensorKind.IMU])}
             if SensorKind.PITOT in slot.kinds:
@@ -528,6 +528,28 @@ class TestCli:
         assert cli.main(["simulate", "--config",
                          str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize("run_index", ["-1", "x"])
+    def test_bad_run_index_exits_2(self, tmp_path, capsys, run_index):
+        cfg = self._write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["simulate", "--config", str(cfg), "--out",
+                      str(tmp_path / "out"), "--run-index", run_index])
+        assert exc.value.code == 2
+        assert "expected a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, out", [("simulate", "file"),
+                                              ("observability", "file"),
+                                              ("montecarlo", "file/x")])
+    def test_unusable_out_exits_2(self, tmp_path, capsys, command, out):
+        cfg = self._write_config(tmp_path)
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        assert cli.main([command, "--config", str(cfg), "--out",
+                         str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ")
+        assert err.count("\n") == 1
+
     def test_divergence_exits_3(self, tmp_path, monkeypatch):
         cfg = self._write_config(tmp_path)
 
@@ -544,8 +566,8 @@ class TestDivergenceFloor:
     def test_huge_residual_trips_floor(self):
         cfg = default_config()
         spec = cfg.trajectory
-        truth0 = dynamics.truth_state(spec, 0.0)
-        inp = dynamics.truth_inputs(spec, 0.0)
+        truth0 = truth_state(spec, 0.0)
+        inp = truth_inputs(spec, 0.0)
         est = ObserverState(Rhat=truth0.R.copy(), Vahat=truth0.Va.copy(),
                             hhat=truth0.h, P=cfg.weights.P0.copy())
         obs = AirDataObserver(est, cfg.weights, cfg.probes, cfg.mag_ref,
@@ -574,7 +596,7 @@ class TestDivergenceFloor:
 
     def test_failed_tick_keeps_last_valid_state(self, monkeypatch):
         cfg = default_config()
-        inp = dynamics.truth_inputs(cfg.trajectory, 0.0)
+        inp = truth_inputs(cfg.trajectory, 0.0)
         obs = AirDataObserver(init_estimates(cfg, 0), cfg.weights,
                               cfg.probes, cfg.mag_ref, dt=cfg.imu_period,
                               gravity=cfg.gravity)

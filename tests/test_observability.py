@@ -8,17 +8,17 @@ from airnav import dynamics
 from airnav.dynamics import TrajectoryKind, TrajectorySpec
 from airnav.geometry import skew
 from airnav.observability import (
-    _batch_skew,
     _cumulative_simpson,
     _grid,
     _simpson_weights,
     gramian,
-    integrate_phi,
     observability_verdict,
     pe_margins,
     phi_blocks,
 )
 from airnav.sensors import STACK_ORDER, MagReference, ProbeSet, SensorKind
+
+from oracles import _batch_skew, integrate_phi
 
 G = 9.81
 M_I = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
-from airnav import dynamics, geometry, observer
+from airnav import geometry, observer
 from airnav.config import default_config
-from airnav.dynamics import TrajectorySpec, truth_inputs, truth_state
+from airnav.dynamics import TrajectorySpec
 from airnav.exceptions import MissingPayloadError, SingularInnovationError
 from airnav.observer import (
     AirDataObserver,
@@ -17,15 +17,27 @@ from airnav.observer import (
     RiccatiWeights,
     STACK_ORDER,
     additive_weight,
-    cre_rhs,
     output_matrix,
-    residual,
     riccati_predict,
     riccati_update,
-    state_matrix_ct,
     state_matrix_dt,
 )
 from airnav.sensors import MagReference, ProbeSet, SensorKind
+
+from oracles import (
+    attitude,
+    cre_rhs,
+    error_state,
+    propagate_truth,
+    quat_to_rot,
+    residual,
+    rot_from_small_angle,
+    rot_to_quat,
+    small_angle,
+    state_matrix_ct,
+    truth_inputs,
+    truth_state,
+)
 
 G = 9.81
 M_I = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
@@ -178,7 +190,7 @@ class TestResidual:
         s = truth_state(spec, 2.0)
         for _ in range(20):
             lam = 1e-3 * rng.standard_normal(3)
-            rhat = geometry.rot_from_small_angle(lam).T @ s.R
+            rhat = rot_from_small_angle(lam).T @ s.R
             est = ObserverState(Rhat=rhat, Vahat=s.Va.copy(), hhat=s.h,
                                 P=np.eye(7))
             y = residual({SensorKind.MAG: s.R.T @ M_I}, est, probes, mag_ref,
@@ -316,9 +328,9 @@ class TestObserverStepState:
             est = truth_observer_state(spec, 0.0)
             out = tick_once(est, {SensorKind.IMU: (inp.omega, inp.a)},
                             weights, probes, mag_ref, T)
-            ref = dynamics.propagate_truth(s0,
-                                           lambda t: truth_inputs(spec, t),
-                                           dt=T / 200.0, steps=200, gravity=G)
+            ref = propagate_truth(s0,
+                                  lambda t: truth_inputs(spec, t),
+                                  dt=T / 200.0, steps=200, gravity=G)
             return np.linalg.norm(out.Vahat - ref.Va)
 
         err_full = one_step_error(0.01)
@@ -350,11 +362,11 @@ class TestObserverStepState:
         spec = TrajectorySpec.hover()
         s = truth_state(spec, 0.0)
         lam = np.array([0.0, 0.0, 0.2])
-        rhat = geometry.rot_from_small_angle(lam).T @ s.R
+        rhat = rot_from_small_angle(lam).T @ s.R
         theta = -rhat.T @ np.array([0.0, 0.0, 0.1])
         r_new, _ = observer._rotate(rhat.ravel().tolist(), *theta.tolist())
         r_new = np.array(r_new).reshape(3, 3)
-        new_lam = geometry.small_angle(geometry.rot_to_quat(s.R @ r_new.T))
+        new_lam = small_angle(rot_to_quat(s.R @ r_new.T))
         np.testing.assert_allclose(new_lam, [0, 0, 0.3], atol=1e-3)
 
 
@@ -436,7 +448,7 @@ class TestCopyOfDynamics:
             inp = truth_inputs(spec, i * T)
             obs.tick({SensorKind.IMU: (inp.omega, inp.a)})
         truth = truth_state(spec, n * T)
-        err = dynamics.error_state(truth, obs.state)
+        err = error_state(truth, obs.state)
         assert np.linalg.norm(err.v_tilde) <= 30.0 * T
         assert np.linalg.norm(err.lam) <= 1e-3
         assert abs(err.h_tilde) <= 0.1
@@ -455,7 +467,7 @@ class TestCopyOfDynamics:
             for i in range(int(10.0 / T)):
                 inp = truth_inputs(spec, i * T)
                 obs.tick({SensorKind.IMU: (inp.omega, inp.a)})
-            err = dynamics.error_state(truth_state(spec, 10.0), obs.state)
+            err = error_state(truth_state(spec, 10.0), obs.state)
             errs[integ] = np.linalg.norm(err.v_tilde)
         assert errs["ab2"] < 0.1 * errs["euler"]
 
@@ -511,8 +523,9 @@ class TestCreDiscreteSchemeGap:
         # regression pins its scale
         from airnav.config import default_config
         from airnav.observer import (STACK_ORDER, additive_weight,
-                                     integrate_cre, riccati_predict,
-                                     riccati_update)
+                                     riccati_predict, riccati_update)
+
+        from oracles import integrate_cre
         cfg = default_config()
         spec = TrajectorySpec.paper(duration=2.0)
         T = cfg.imu_period
@@ -520,7 +533,7 @@ class TestCreDiscreteSchemeGap:
         q_cre = np.linalg.inv(r_d) / T
 
         def a_star(t):
-            return state_matrix_ct(dynamics.attitude(spec, t),
+            return state_matrix_ct(attitude(spec, t),
                                    truth_inputs(spec, t).a)
 
         def c_star(t):
@@ -531,7 +544,7 @@ class TestCreDiscreteSchemeGap:
         p = cfg.weights.P0.copy()
         for k in range(200):
             t = k * T
-            a_d = state_matrix_dt(dynamics.attitude(spec, t),
+            a_d = state_matrix_dt(attitude(spec, t),
                                   truth_inputs(spec, t).a, T)
             p = riccati_predict(p, a_d, cfg.weights.S, T)
             _, p = riccati_update(p, c_star(t), r_d)
@@ -557,7 +570,7 @@ class TestOutputRemainderBound:
                 v_tilde = scale * rng.standard_normal(3)
                 h_tilde = scale * rng.standard_normal()
                 x = np.concatenate((lam, v_tilde, [h_tilde]))
-                r_err = geometry.rot_from_small_angle(lam)
+                r_err = rot_from_small_angle(lam)
                 rhat = r_err.T @ truth.R
                 vahat = rhat.T @ (truth.R @ truth.Va - v_tilde)
                 est = ObserverState(Rhat=rhat, Vahat=vahat,
@@ -646,7 +659,7 @@ class TestRotateHelper:
                                                  drift, seed):
         # drift > 0 leaves SO(3) so that the defect is not only roundoff
         noise = np.random.default_rng(seed).standard_normal((3, 3))
-        r = geometry.quat_to_rot(q) + drift * noise
+        r = quat_to_rot(q) + drift * noise
         theta = angle * axis
         out, defect = observer._rotate(r.ravel().tolist(), *theta.tolist())
         out = np.array(out).reshape(3, 3)

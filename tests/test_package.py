@@ -12,19 +12,49 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test-only dependency: the package runs on numpy alone
+# Validation code kept in tests/oracles.py, and names deleted outright.
+ORACLE_NAMES = (
+    "ErrorState", "NotSkewSymmetricError", "OutOfRangeError", "ScheduleSlot",
+    "_batch_skew", "_check_time", "attitude", "cre_rhs", "error_state",
+    "integrate_cre", "integrate_phi", "make_schedule", "propagate_truth",
+    "quat_to_rot", "residual", "rot_from_small_angle", "rot_to_quat",
+    "small_angle", "state_matrix_ct", "truth_inputs", "truth_state", "unskew",
+)
+DELETED_NAMES = ("E1", "E2")
+
+
+def _after_import(code: str) -> str:
+    """Stdout of ``code`` run in a fresh interpreter after ``import airnav,
+    airnav.cli``, with ``src/`` and ``tests/`` on the path."""
     src = Path(airnav.__file__).resolve().parents[1]
+    tests = Path(__file__).resolve().parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = ("import sys, airnav, airnav.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
-            "'scipy'))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+        filter(None, [str(src), str(tests), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, airnav, airnav.cli; " + code],
+        env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: the package runs on numpy alone
+    assert _after_import(
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+        "'scipy'))") == "[]"
+
+
+def test_package_carries_no_oracle_code():
+    names = ORACLE_NAMES + DELETED_NAMES
+    found = _after_import(
+        f"names = {names!r}; "
+        "mods = [m for k, m in sys.modules.items() "
+        "if k.split('.')[0] == 'airnav']; "
+        "print(sorted(f'{m.__name__}.{n}' for m in mods for n in names "
+        "if hasattr(m, n)), 'oracles' in sys.modules)")
+    assert found == "[] False"
+    assert not hasattr(airnav.RunMetrics, "metric")
 
 
 def _unused_imports(path: Path) -> list[str]:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from airnav.dynamics import BodyInputs, NavState, TrajectorySpec, truth_state
+from airnav.dynamics import BodyInputs, NavState, TrajectorySpec
 from airnav.exceptions import RateMismatchError
 from airnav.geometry import exp_so3
 from airnav.sensors import (
@@ -11,7 +11,6 @@ from airnav.sensors import (
     ProbeSet,
     RateSpec,
     SensorKind,
-    make_schedule,
     sample_baro,
     sample_imu,
     sample_mag,
@@ -19,6 +18,8 @@ from airnav.sensors import (
     substream,
     tick_times,
 )
+
+from oracles import make_schedule, truth_state
 
 
 def nav(r=None, va=(0.0, 0.0, 0.0), h=0.0):
