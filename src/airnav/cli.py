@@ -99,9 +99,14 @@ def _cmd_montecarlo(args, config) -> int:
     print(f"wrote {summary.runs} run traces and summary.csv to {out}")
     print(f"divergences: {summary.divergence_count}/{summary.runs}")
     for key in ("err_att", "err_v_body"):
+        # Diverged runs are NaN; with no run left there is nothing to show.
         values = summary.final_means[key]
-        print(f"final-5s mean {key}: median={np.nanmedian(values):.3e} "
-              f"max={np.nanmax(values):.3e}")
+        values = values[~np.isnan(values)]
+        if values.size:
+            print(f"final-5s mean {key}: median={np.median(values):.3e} "
+                  f"max={np.max(values):.3e}")
+        else:
+            print(f"final-5s mean {key}: n/a (every run diverged)")
     if summary.divergence_count:
         return EXIT_DIVERGED
     return EXIT_OK

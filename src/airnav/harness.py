@@ -9,9 +9,10 @@ functions of (config, base_seed).
 
 One run (:func:`run_single`) has three phases: truth on the whole tick
 grid and every sensor's measurements for the whole run, drawn in one call
-per sensor; the tick loop, which hands each tick's payloads to
-:meth:`~airnav.observer.AirDataObserver.tick` and records the estimate; and
-the vectorized metrics, whose Euler-angle columns come from
+per sensor; the tick loop, which hands each tick's measurements, as
+Python floats, to the observer's float step (what
+:meth:`~airnav.observer.AirDataObserver.tick` runs) and records the float
+estimate; and the vectorized metrics, whose Euler-angle columns come from
 :func:`~airnav.geometry.rot_to_euler_zyx` on the whole series (NaN on rows
 at gimbal lock).  A numerical failure inside the loop ends that run only:
 its series is truncated and flagged, and :func:`run_montecarlo` carries on
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import csv
 import os
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,7 +47,7 @@ from .exceptions import (
     DivergenceError,
     SingularInnovationError,
 )
-from .observer import AirDataObserver, ObserverState
+from .observer import PACKED_INDEX, AirDataObserver, ObserverState
 from .sensors import (
     INIT_STREAM_ID,
     STACK_ORDER,
@@ -74,6 +76,12 @@ RUN_FAILURES = (DivergenceError, SingularInnovationError,
 
 # Rows formatted per write in write_trace_csv.
 TRACE_BLOCK_ROWS = 256
+
+# Floats recorded per tick in run_single: Rhat, Vahat, hhat, packed P.
+RECORD_WIDTH = 9 + 3 + 1 + 28
+
+# Covariance rows expanded to 7x7 per eigvalsh call in run_single.
+EIG_BLOCK_ROWS = 1024
 
 METRIC_KEYS = ("err_att", "err_v_body", "err_v_inertial", "err_h")
 
@@ -159,14 +167,15 @@ def run_single(config: SimConfig, run_index: int = 0,
     front.  Each sensor's measurements for the whole run are then drawn in
     one call, on the ticks where it samples (``k % decimation == 0``); the
     draws equal those of one call per tick on the same substream.  The loop
-    builds each tick's payloads from those arrays and calls
-    :meth:`AirDataObserver.tick` once per tick.  The estimate is recorded at
-    every IMU tick before that tick's measurements are processed, so row 0
-    reflects the initial estimate, and the derived metrics are computed
-    vectorized after the loop.  If a tick fails numerically (divergence
-    floor, singular innovation, degenerate attitude), the series is
-    truncated at the last valid tick and flagged, and the caller's batch
-    goes on.
+    converts each tick's rows of those arrays to floats and runs the step
+    behind :meth:`AirDataObserver.tick` once per tick, without building an
+    :class:`~airnav.observer.ObserverState`.  The estimate is recorded, as
+    floats with ``P`` packed, at every IMU tick before that tick's
+    measurements are processed, so row 0 reflects the initial estimate, and
+    the derived metrics are computed vectorized after the loop.  If a tick
+    fails numerically (divergence floor, singular innovation, degenerate
+    attitude), the series is truncated at the last valid tick and flagged,
+    and the caller's batch goes on.
     """
     spec = config.trajectory
     rates = config.rates
@@ -203,49 +212,44 @@ def run_single(config: SimConfig, run_index: int = 0,
                           rng(SensorKind.MAG))
     baro_meas = sample_baro(truth_every(dec_b), noise, rng(SensorKind.BARO))
 
-    state0 = (initial_state.copy() if initial_state is not None
+    state0 = (initial_state if initial_state is not None
               else init_estimates(config, run_index))
     observer = AirDataObserver(
         state0, config.weights, config.probes, config.mag_ref,
         dt=config.imu_period, gravity=config.gravity,
         q_convention=config.q_convention, integrator=config.integrator,
     )
-    rhat_hist = np.empty((n, 3, 3))
-    vahat_hist = np.empty((n, 3))
-    hhat_hist = np.empty(n)
-    p_hist = np.empty((n, 7, 7))
+    # One record per tick: Rhat row by row, Vahat, hhat and the packed P.
+    record = struct.Struct(f"{RECORD_WIDTH}d")
+    hist = bytearray(record.size * n)
     diverged = False
     divergence_time = None
     recorded = 0
+    step = observer._step
     for i in range(n):
-        est = observer.state
-        rhat_hist[i] = est.Rhat
-        vahat_hist[i] = est.Vahat
-        hhat_hist[i] = est.hhat
-        p_hist[i] = est.P
+        record.pack_into(hist, record.size * i, *observer._r, *observer._v,
+                         observer._h, *observer._p)
         recorded = i + 1
         if i == steps:
             break
-        payloads = {SensorKind.IMU: (omega_meas[i], a_meas[i])}
-        if i % dec_p == 0:
-            payloads[SensorKind.PITOT] = pitot_meas[i // dec_p]
-        if i % dec_m == 0:
-            payloads[SensorKind.MAG] = mag_meas[i // dec_m]
-        if i % dec_b == 0:
-            payloads[SensorKind.BARO] = baro_meas[i // dec_b]
         try:
-            observer.tick(payloads)
+            step(omega_meas[i].tolist(), a_meas[i].tolist(),
+                 pitot_meas[i // dec_p].tolist() if i % dec_p == 0 else None,
+                 mag_meas[i // dec_m].tolist() if i % dec_m == 0 else None,
+                 float(baro_meas[i // dec_b]) if i % dec_b == 0 else None)
         except RUN_FAILURES:
             diverged = True
             divergence_time = float(ts[i])
             break
 
     sl = slice(0, recorded)
-    r_t, r_h = r_truth[sl], rhat_hist[sl]
-    va_t, va_h = va_truth[sl], vahat_hist[sl]
+    rows = np.frombuffer(hist).reshape(n, RECORD_WIDTH)[sl]
+    r_t, r_h = r_truth[sl], rows[:, 0:9].reshape(-1, 3, 3)
+    va_t, va_h = va_truth[sl], rows[:, 9:12].copy()
+    h_h = rows[:, 12].copy()
     v_inertial_t = np.einsum("nij,nj->ni", r_t, va_t)
     v_inertial_h = np.einsum("nij,nj->ni", r_h, va_h)
-    eigs = np.linalg.eigvalsh(p_hist[sl])
+    lam_min, lam_max = _p_extreme_eigenvalues(rows[:, 13:])
     return RunMetrics(
         run_index=run_index,
         t=ts[sl],
@@ -254,16 +258,33 @@ def run_single(config: SimConfig, run_index: int = 0,
         va=va_t,
         va_hat=va_h,
         h=h_truth[sl],
-        h_hat=hhat_hist[sl],
+        h_hat=h_h,
         err_v_body=np.linalg.norm(va_t - va_h, axis=1),
         err_v_inertial=np.linalg.norm(v_inertial_t - v_inertial_h, axis=1),
         err_att=3.0 - np.einsum("nij,nij->n", r_t, r_h),
-        err_h=np.abs(h_truth[sl] - hhat_hist[sl]),
-        lam_min_p=eigs[:, 0],
-        lam_max_p=eigs[:, -1],
+        err_h=np.abs(h_truth[sl] - h_h),
+        lam_min_p=lam_min,
+        lam_max_p=lam_max,
         diverged=diverged,
         divergence_time=divergence_time,
     )
+
+
+def _p_extreme_eigenvalues(packed: np.ndarray,
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalue of each packed ``P`` row.
+
+    The full matrices are built ``EIG_BLOCK_ROWS`` at a time, so no
+    ``(n, 7, 7)`` history is held.
+    """
+    lam_min = np.empty(packed.shape[0])
+    lam_max = np.empty(packed.shape[0])
+    for start in range(0, packed.shape[0], EIG_BLOCK_ROWS):
+        block = slice(start, start + EIG_BLOCK_ROWS)
+        eigs = np.linalg.eigvalsh(packed[block][:, PACKED_INDEX])
+        lam_min[block] = eigs[:, 0]
+        lam_max[block] = eigs[:, -1]
+    return lam_min, lam_max
 
 
 def _euler_columns(r: np.ndarray) -> np.ndarray:

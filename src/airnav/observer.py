@@ -4,38 +4,49 @@ The estimator runs a copy of the vehicle kinematics driven by IMU inputs and
 injects innovation terms computed from a 7-state Riccati recursion
 (attitude error, inertial air-velocity error, altitude error).
 
-One tick, :meth:`AirDataObserver.tick`, does the whole discrete cycle:
+One tick, :meth:`AirDataObserver.tick`, does the whole discrete cycle on
+Python floats.  Between ticks the estimate is ``Rhat`` (row by row),
+``Vahat``, ``hhat`` and ``P`` packed as the 28 floats of its upper triangle;
+:attr:`AirDataObserver.state` builds the arrays only when asked.
 
-1. covariance prediction ``A_d P A_d^T + S T`` with ``A_d = I + T A(Rhat)``,
-   built in a buffer the observer owns;
-2. measurement update for the aiding sensors that sampled on the tick: one
-   stacked update when Pitot, magnetometer and barometer coincide, otherwise
-   one update per sensor in the order barometer, magnetometer, Pitot.  The
-   magnetometer and barometer output rows are constant and built once; a
-   one-row update (barometer, single-probe Pitot) is a scalar division and a
-   rank-1 covariance downdate, a several-row update goes through a Cholesky
-   factor of the innovation covariance;
-3. state integration on Python floats: exponential step on SO(3), explicit
-   step for the vector part.  ``Rhat``, ``Vahat``, the IMU inputs and the
-   innovation are unpacked once per tick; the rates, their blend, the
-   innovation injection and the Rodrigues product ``Rhat exp(theta^x)``
-   with its orthonormality defect (:func:`_rotate`) are scalar arithmetic,
-   and only the new ``Rhat`` and ``Vahat`` become arrays again.  The
-   input-driven rates combine the current and previous tick with fixed
-   coefficients, ``(1, 0)`` for Euler and ``(3/2, -1/2)`` for two-step
-   Adams-Bashforth, so both integrators share one code path;
+1. covariance prediction ``A_d P A_d^T + S T`` with ``A_d = I + T A(Rhat)``
+   (:func:`_predict_packed`).  ``A_d - I`` has two small blocks, so the
+   product is written out on the upper triangle; the result is exactly
+   symmetric by construction and ``S T`` is packed once;
+2. measurement update for the aiding sensors that sampled on the tick,
+   every row through one scalar kernel (:func:`_update_row`): ``g = P c``,
+   ``s = c^T g + q``, ``P - g g^T / s``, with ``s > 0`` checked.  Each
+   sensor's constant additive block is factored once (:func:`_whitener`)
+   and its rows and residuals whitened by that factor, so a non-diagonal
+   block or ``q_convention = "precision"`` takes the same path.  The rows
+   are folded in the order barometer, magnetometer, Pitot, each with the
+   sequential innovation ``y_j - c_j . delta`` of the correction ``delta``
+   so far, which is the block update's algebra (Bierman 1977).  When
+   Pitot, magnetometer and barometer coincide, ``delta`` runs on over every
+   row, which is the stacked update; otherwise each sensor's correction
+   starts from zero, from its raw residual, and the corrections are added.
+   The magnetometer and barometer rows are constant and built once;
+3. state integration: exponential step on SO(3), explicit step for the
+   vector part.  The rates, their blend, the innovation injection and the
+   Rodrigues product ``Rhat exp(theta^x)`` with its orthonormality defect
+   (:func:`_rotate`) are scalar arithmetic.  The input-driven rates combine
+   the current and previous tick with fixed coefficients, ``(1, 0)`` for
+   Euler and ``(3/2, -1/2)`` for two-step Adams-Bashforth, so both
+   integrators share one code path;
 4. the divergence-floor check on ``Vahat``, ``hhat``, the trace of ``P``
    and the attitude (a non-finite ``Rhat`` trips it), then the
    re-projection of ``Rhat`` onto SO(3) if its defect exceeds
    ``ORTHONORMALITY_TOL``.
 
-The tick is the only way to advance an estimate.  The 7x7 covariance stays
-in numpy: the tick reuses the public pieces :func:`state_matrix_dt`,
-:func:`output_matrix`, :func:`additive_weight`, :func:`riccati_predict` and
-:func:`riccati_update`.  The reference code these are checked against (the
-stacked residuals, the continuous-time ``A(Rhat)`` and an RK4 integrator of
-the continuous Riccati equation) lives with the tests, in
-``tests/oracles.py``, and is not part of the package.
+The tick is the only way to advance an estimate.  The dense forms of the
+recursion stay public as references: :func:`state_matrix_dt` and
+:func:`riccati_predict` for step 1, :func:`output_matrix` and
+:func:`additive_weight` for the rows and weights of step 2, and
+:func:`riccati_update`, which runs the tick's scalar kernel row by row on
+a dense ``P``.  The reference code these are checked against (the stacked
+residuals, the continuous-time ``A(Rhat)`` and an RK4 integrator of the
+continuous Riccati equation) lives with the tests, in ``tests/oracles.py``,
+and is not part of the package.
 
 Weight conventions
 ------------------
@@ -51,6 +62,7 @@ How they enter the gain is controlled by ``q_convention``:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,10 +144,6 @@ class ObserverState:
         if np.linalg.eigvalsh(self.P)[0] <= 0.0:
             raise ValueError("P is not positive definite")
 
-    def copy(self) -> ObserverState:
-        return ObserverState(self.Rhat.copy(), self.Vahat.copy(),
-                             float(self.hhat), self.P.copy())
-
 
 def state_matrix_dt(rhat: np.ndarray, a: np.ndarray, T: float) -> np.ndarray:
     """First-order discretization A_d = I + T A(Rhat)."""
@@ -212,8 +220,7 @@ def riccati_predict(P: np.ndarray, A_d: np.ndarray, S: np.ndarray,
                     T: float) -> np.ndarray:
     """Covariance prediction ``A_d P A_d^T + S T``, returned exactly symmetric.
 
-    :func:`riccati_update` relies on a symmetric ``P``; a one-row update
-    then keeps it symmetric to the last bit.
+    The dense reference form of the tick's :func:`_predict_packed`.
     """
     p = A_d @ P @ A_d.T + S * T
     return 0.5 * (p + p.T)
@@ -223,12 +230,11 @@ def riccati_update(P: np.ndarray, C: np.ndarray, Q: np.ndarray,
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Measurement update: gain and corrected covariance.
 
-    ``P`` is symmetric and ``Q`` is the additive innovation term.  The
-    innovation covariance ``C P C^T + Q`` must be positive definite; a
-    single 1e-12 jitter retry guards against marginal conditioning before
-    giving up.  A one-row ``C`` makes it a scalar, so the gain is a
-    division and the covariance update a rank-1 downdate; several rows go
-    through its Cholesky factor.
+    ``P`` is symmetric (only its upper triangle is read) and ``Q`` is the
+    additive innovation term, positive definite unless diagonal.  The rows
+    are whitened by :func:`_whitener` and folded into ``P`` one at a time
+    by :func:`_update_row`, the kernel the tick runs; the gain is collected
+    from the sequential innovations ``y_j - c_j . delta``.
 
     Returns
     -------
@@ -238,42 +244,183 @@ def riccati_update(P: np.ndarray, C: np.ndarray, Q: np.ndarray,
     Raises
     ------
     SingularInnovationError
-        If the innovation covariance is not positive definite.
+        If an innovation variance is not positive.
     """
-    if C.shape[0] == 1:
-        return _update_one_row(P, C[0], float(Q[0, 0]))
-    return _update_cholesky(P, C, Q)
+    w, d = _whitener(Q)
+    cw = np.asarray(C, dtype=float)
+    if w is not None:
+        cw = np.array(w) @ cw
+    p = _pack(P)
+    # Gain on the whitened residual: delta_j = delta + k_j (y_j - c_j delta).
+    gain = np.zeros((7, C.shape[0]))
+    for j, (c, q) in enumerate(zip(cw.tolist(), d)):
+        p, k = _update_row(p, c, q, 1.0, _ZERO7)
+        k = np.array(k)
+        gain -= np.outer(k, cw[j] @ gain)
+        gain[:, j] += k
+    if w is not None:
+        gain = gain @ np.array(w)
+    return gain, _unpack(p)
 
 
-def _update_one_row(P: np.ndarray, c: np.ndarray, q: float,
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    g = P @ c
-    s = float(c @ g) + q
+# A symmetric 7x7 matrix packed as its 28 upper-triangle entries, row by
+# row: (0,0), (0,1), ..., (0,6), (1,1), ..., (6,6).  PACKED_INDEX maps each
+# (i, j) to the position of entry (min(i, j), max(i, j)).
+_UPPER = np.triu_indices(7)
+PACKED_INDEX = np.empty((7, 7), dtype=np.intp)
+PACKED_INDEX[_UPPER] = PACKED_INDEX.T[_UPPER] = np.arange(28)
+
+
+def _pack(m: np.ndarray) -> tuple[float, ...]:
+    return tuple(np.asarray(m, dtype=float)[_UPPER].tolist())
+
+
+def _unpack(p: tuple[float, ...]) -> np.ndarray:
+    return np.array(p)[PACKED_INDEX]
+
+
+def _whitener(q: np.ndarray) -> tuple[list[list[float]] | None, list[float]]:
+    """Unit lower-triangular ``W`` and ``d`` with ``W Q W^T = diag(d)``.
+
+    ``W`` is None for a diagonal ``Q``: its rows need no whitening, and
+    ``d`` is then its diagonal, as given.  Otherwise ``W = L^-1`` for the
+    factor ``Q = L diag(d) L^T``, and whitened rows ``W C`` with residuals
+    ``W y`` take scalar updates with the variances ``d``.
+    """
+    q = np.asarray(q, dtype=float)
+    if not np.any(q - np.diag(np.diag(q))):
+        return None, np.diag(q).tolist()
+    chol = np.linalg.cholesky(q)
+    scale = np.diag(chol)
+    return np.linalg.inv(chol / scale).tolist(), (scale * scale).tolist()
+
+
+def _lower_times(w: list[list[float]], y: list[float]) -> list[float]:
+    """``W y`` for the whitener ``W`` of :func:`_whitener`."""
+    return [sum(wj[i] * y[i] for i in range(j + 1)) for j, wj in enumerate(w)]
+
+
+def _predict_packed(p: tuple[float, ...], k0: float, k1: float, k2: float,
+                    T: float, st: tuple[float, ...]) -> tuple[float, ...]:
+    """Packed ``A_d P A_d^T + S T`` for ``A_d = I + N``.
+
+    ``N`` holds ``K = (k)^x`` in rows 3-5, columns 0-2 (``k = -T Rhat a``)
+    and ``T`` at (6, 5); ``st`` is the packed ``S T``.  With the attitude
+    (a), velocity (v) and altitude (h) blocks of ``P``, ``X = K P_aa + P_va``
+    and ``Y = K P_av + P_vv`` (rows 3-5 of ``A_d P``), the result has the
+    blocks ``P_aa``, ``X^T`` and ``X K^T + Y``, and its altitude column adds
+    ``T`` times column 5 of ``A_d P`` to column 6.  Only the upper triangle
+    is formed, so the result is exactly symmetric.
+    """
+    (p00, p01, p02, p03, p04, p05, p06,
+     p11, p12, p13, p14, p15, p16,
+     p22, p23, p24, p25, p26,
+     p33, p34, p35, p36,
+     p44, p45, p46,
+     p55, p56,
+     p66) = p
+    # X[i][j]: rows 3-5, columns 0-2 of A_d P; (k)^x m is k x m.
+    x00 = k1 * p02 - k2 * p01 + p03
+    x10 = k2 * p00 - k0 * p02 + p04
+    x20 = k0 * p01 - k1 * p00 + p05
+    x01 = k1 * p12 - k2 * p11 + p13
+    x11 = k2 * p01 - k0 * p12 + p14
+    x21 = k0 * p11 - k1 * p01 + p15
+    x02 = k1 * p22 - k2 * p12 + p23
+    x12 = k2 * p02 - k0 * p22 + p24
+    x22 = k0 * p12 - k1 * p02 + p25
+    # Rows 3-5 of A_d P: Y (columns 3-5, upper triangle) and column 6.
+    y00 = k1 * p23 - k2 * p13 + p33
+    y01 = k1 * p24 - k2 * p14 + p34
+    y02 = k1 * p25 - k2 * p15 + p35
+    y11 = k2 * p04 - k0 * p24 + p44
+    y12 = k2 * p05 - k0 * p25 + p45
+    y22 = k0 * p15 - k1 * p05 + p55
+    z0 = k1 * p26 - k2 * p16 + p36
+    z1 = k2 * p06 - k0 * p26 + p46
+    z2 = k0 * p16 - k1 * p06 + p56
+    (s00, s01, s02, s03, s04, s05, s06,
+     s11, s12, s13, s14, s15, s16,
+     s22, s23, s24, s25, s26,
+     s33, s34, s35, s36,
+     s44, s45, s46,
+     s55, s56,
+     s66) = st
+    return (
+        p00 + s00, p01 + s01, p02 + s02, x00 + s03, x10 + s04, x20 + s05,
+        p06 + T * p05 + s06,
+        p11 + s11, p12 + s12, x01 + s13, x11 + s14, x21 + s15,
+        p16 + T * p15 + s16,
+        p22 + s22, x02 + s23, x12 + s24, x22 + s25, p26 + T * p25 + s26,
+        k1 * x02 - k2 * x01 + y00 + s33, k2 * x00 - k0 * x02 + y01 + s34,
+        k0 * x01 - k1 * x00 + y02 + s35, z0 + T * y02 + s36,
+        k2 * x10 - k0 * x12 + y11 + s44, k0 * x11 - k1 * x10 + y12 + s45,
+        z1 + T * y12 + s46,
+        k0 * x21 - k1 * x20 + y22 + s55, z2 + T * y22 + s56,
+        p66 + T * p56 + T * (p56 + T * p55) + s66)
+
+
+def _update_row(p: tuple[float, ...], c, q: float, y: float,
+                d: tuple[float, ...],
+                ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """One scalar measurement row folded into ``P`` and the correction ``d``.
+
+    With ``g = P c`` and ``s = c^T g + q``, returns the packed
+    ``P - g g^T / s`` and ``d + (g / s)(y - c . d)``: the row takes the
+    sequential innovation of the correction so far, so rows folded one
+    after another make the block update ``d + K (y - C d)`` when their
+    additive terms are uncorrelated.  ``y = 1`` and ``d = 0`` give the gain
+    ``g / s`` itself.  ``s`` must be positive; a single 1e-12 retry guards
+    against marginal conditioning before giving up.
+    """
+    (p00, p01, p02, p03, p04, p05, p06,
+     p11, p12, p13, p14, p15, p16,
+     p22, p23, p24, p25, p26,
+     p33, p34, p35, p36,
+     p44, p45, p46,
+     p55, p56,
+     p66) = p
+    c0, c1, c2, c3, c4, c5, c6 = c
+    g0 = (p00 * c0 + p01 * c1 + p02 * c2 + p03 * c3 + p04 * c4 + p05 * c5
+          + p06 * c6)
+    g1 = (p01 * c0 + p11 * c1 + p12 * c2 + p13 * c3 + p14 * c4 + p15 * c5
+          + p16 * c6)
+    g2 = (p02 * c0 + p12 * c1 + p22 * c2 + p23 * c3 + p24 * c4 + p25 * c5
+          + p26 * c6)
+    g3 = (p03 * c0 + p13 * c1 + p23 * c2 + p33 * c3 + p34 * c4 + p35 * c5
+          + p36 * c6)
+    g4 = (p04 * c0 + p14 * c1 + p24 * c2 + p34 * c3 + p44 * c4 + p45 * c5
+          + p46 * c6)
+    g5 = (p05 * c0 + p15 * c1 + p25 * c2 + p35 * c3 + p45 * c4 + p55 * c5
+          + p56 * c6)
+    g6 = (p06 * c0 + p16 * c1 + p26 * c2 + p36 * c3 + p46 * c4 + p56 * c5
+          + p66 * c6)
+    s = (c0 * g0 + c1 * g1 + c2 * g2 + c3 * g3 + c4 * g4 + c5 * g5 + c6 * g6
+         + q)
     # NaN fails the comparison too, so a non-finite P cannot slip through.
     if not s > 0.0:
         s += 1e-12
         if not s > 0.0:
             raise SingularInnovationError(
                 "innovation covariance is not positive definite")
-    return (g / s)[:, None], P - (g[:, None] * g) / s
-
-
-def _update_cholesky(P: np.ndarray, C: np.ndarray, Q: np.ndarray,
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    cp = C @ P
-    # cholesky reads only the lower triangle of the innovation covariance.
-    s = cp @ C.T + Q
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        try:
-            chol = np.linalg.cholesky(s + 1e-12 * np.eye(s.shape[0]))
-        except np.linalg.LinAlgError:
-            raise SingularInnovationError(
-                "innovation covariance is not positive definite") from None
-    chol_inv = np.linalg.inv(chol)
-    w = chol_inv @ cp  # L^-1 C P: K = w^T L^-1 and K C P = w^T w
-    return w.T @ chol_inv, P - w.T @ w
+    k0, k1, k2, k3, k4, k5, k6 = (g0 / s, g1 / s, g2 / s, g3 / s, g4 / s,
+                                  g5 / s, g6 / s)
+    d0, d1, d2, d3, d4, d5, d6 = d
+    e = y - (c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3 + c4 * d4 + c5 * d5
+             + c6 * d6)
+    return (
+        p00 - k0 * g0, p01 - k0 * g1, p02 - k0 * g2, p03 - k0 * g3,
+        p04 - k0 * g4, p05 - k0 * g5, p06 - k0 * g6,
+        p11 - k1 * g1, p12 - k1 * g2, p13 - k1 * g3, p14 - k1 * g4,
+        p15 - k1 * g5, p16 - k1 * g6,
+        p22 - k2 * g2, p23 - k2 * g3, p24 - k2 * g4, p25 - k2 * g5,
+        p26 - k2 * g6,
+        p33 - k3 * g3, p34 - k3 * g4, p35 - k3 * g5, p36 - k3 * g6,
+        p44 - k4 * g4, p45 - k4 * g5, p46 - k4 * g6,
+        p55 - k5 * g5, p56 - k5 * g6,
+        p66 - k6 * g6), (
+        d0 + k0 * e, d1 + k1 * e, d2 + k2 * e, d3 + k3 * e, d4 + k4 * e,
+        d5 + k5 * e, d6 + k6 * e)
 
 
 def _rotate(r: list[float], t0: float, t1: float, t2: float,
@@ -335,7 +482,8 @@ class AirDataObserver:
     Parameters
     ----------
     state0:
-        Initial :class:`ObserverState` (``P`` is usually ``weights.P0``).
+        Initial :class:`ObserverState` (``P`` is usually ``weights.P0``;
+        only its upper triangle is read).
     weights, probes, mag_ref, gravity:
         Fixed configuration shared by all ticks.
     dt:
@@ -357,7 +505,6 @@ class AirDataObserver:
             raise ValueError(f"unknown q_convention {q_convention!r}")
         if integrator not in INTEGRATORS:
             raise ValueError(f"unknown integrator {integrator!r}")
-        self.state = state0.copy()
         self.weights = weights
         self.probes = probes
         self.mag_ref = mag_ref
@@ -366,28 +513,48 @@ class AirDataObserver:
         self.q_convention = q_convention
         self.integrator = integrator
         self._c_now, self._c_prev = INTEGRATORS[integrator]
-        self._prev_rates: list[float] | None = None
-        self._a_d = state_matrix_dt(np.eye(3), np.zeros(3), self.dt)
-        # Stacked output rows and residuals in STACK_ORDER; only the Pitot
-        # rows depend on the estimate, the mag and baro rows stay as built.
-        m = probes.m
-        self._c = output_matrix(self.state.Rhat, self.state.Vahat, probes,
-                                mag_ref, STACK_ORDER)
-        self._y = np.zeros(m + 4)
-        self._q_stacked = additive_weight(weights, STACK_ORDER, q_convention)
-        # Rows of _c and _y and the additive weight of each sensor alone.
-        self._single = {
-            kind: (rows, additive_weight(weights, (kind,), q_convention))
-            for kind, rows in ((SensorKind.PITOT, slice(0, m)),
-                               (SensorKind.MAG, slice(m, m + 3)),
-                               (SensorKind.BARO, slice(m + 3, m + 4)))}
-        self._probe_axes = probes.B.T.tolist()
+        self._prev_rates: tuple[float, ...] | None = None
+        # The estimate between ticks: Rhat row by row, Vahat, hhat, packed P.
+        self._r = np.asarray(state0.Rhat, dtype=float).ravel().tolist()
+        self._v = np.asarray(state0.Vahat, dtype=float).tolist()
+        self._h = float(state0.hhat)
+        self._p = _pack(state0.P)
+        self._state: ObserverState | None = None
+        self._st = _pack(weights.S * self.dt)
+        # Each sensor's additive block, factored once: whitened constant
+        # rows (mag, baro), whitened probe axes, and the row variances.
+        self._w_pitot, self._q_pitot = _whitener(
+            additive_weight(weights, (SensorKind.PITOT,), q_convention))
+        self._w_mag, self._q_mag = _whitener(
+            additive_weight(weights, (SensorKind.MAG,), q_convention))
+        _, self._q_baro = _whitener(
+            additive_weight(weights, (SensorKind.BARO,), q_convention))
+        eye, zero = np.eye(3), np.zeros(3)
+        mag_rows = output_matrix(eye, zero, probes, mag_ref, (SensorKind.MAG,))
+        axes = probes.B.T
+        if self._w_pitot is not None:
+            axes = np.array(self._w_pitot) @ axes
+        if self._w_mag is not None:
+            mag_rows = np.array(self._w_mag) @ mag_rows
+        self._probe_axes = axes.tolist()
+        self._mag_rows = mag_rows.tolist()
+        self._baro_rows = output_matrix(eye, zero, probes, mag_ref,
+                                        (SensorKind.BARO,)).tolist()
         self._m_i = mag_ref.m_I.tolist()
+
+    @property
+    def state(self) -> ObserverState:
+        """The current estimate, built on first access after each tick."""
+        if self._state is None:
+            self._state = ObserverState(
+                Rhat=np.array(self._r).reshape(3, 3),
+                Vahat=np.array(self._v), hhat=self._h, P=_unpack(self._p))
+        return self._state
 
     def tick(self, payloads: dict) -> ObserverState:
         """Advance one IMU tick given ``{SensorKind: payload}``; returns state.
 
-        Payloads are numpy arrays (the IMU payload a pair of 3-vectors
+        Payloads are arrays (the IMU payload a pair of 3-vectors
         ``(omega, a)``) except the barometer's, a float.  If the tick fails,
         :attr:`state` stays at the last valid estimate.
 
@@ -396,7 +563,7 @@ class AirDataObserver:
         MissingPayloadError
             If no IMU payload is supplied.
         SingularInnovationError
-            If an innovation covariance is not positive definite.
+            If an innovation variance is not positive.
         DivergenceError
             If the updated state exceeds the numerical divergence floor or
             the attitude estimate is not finite.
@@ -405,115 +572,134 @@ class AirDataObserver:
         if imu is None:
             raise MissingPayloadError("observer tick requires an IMU payload")
         omega, a = imu
-        est = self.state
+        pitot = payloads.get(SensorKind.PITOT)
+        mag = payloads.get(SensorKind.MAG)
+        baro = payloads.get(SensorKind.BARO)
+        self._step(_floats(omega), _floats(a),
+                   None if pitot is None else _floats(pitot),
+                   None if mag is None else _floats(mag),
+                   None if baro is None else float(baro))
+        return self.state
+
+    def _step(self, omega: list[float], a: list[float],
+              pitot: list[float] | None, mag: list[float] | None,
+              baro: float | None) -> None:
+        """The tick on Python floats; a sensor that did not sample is None."""
         T = self.dt
-        r = est.Rhat.ravel().tolist()
+        r = self._r
         r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
-        v0, v1, v2 = est.Vahat.tolist()
-        h = est.hhat
+        v0, v1, v2 = self._v
+        h = self._h
         rv0 = r00 * v0 + r01 * v1 + r02 * v2
         rv1 = r10 * v0 + r11 * v1 + r12 * v2
         rv2 = r20 * v0 + r21 * v1 + r22 * v2
 
-        # A_d = I + T A(Rhat): its only varying block is -T (Rhat a)^x.
-        a0, a1, a2 = a.tolist()
-        k0 = -T * (r00 * a0 + r01 * a1 + r02 * a2)
-        k1 = -T * (r10 * a0 + r11 * a1 + r12 * a2)
-        k2 = -T * (r20 * a0 + r21 * a1 + r22 * a2)
-        a_d = self._a_d
-        a_d[3, 1] = -k2
-        a_d[3, 2] = k1
-        a_d[4, 0] = k2
-        a_d[4, 2] = -k0
-        a_d[5, 0] = -k1
-        a_d[5, 1] = k0
-        p = riccati_predict(est.P, a_d, self.weights.S, T)
+        # A_d = I + T A(Rhat): its only varying block is (k)^x, k = -T Rhat a.
+        a0, a1, a2 = a
+        p = _predict_packed(self._p,
+                            -T * (r00 * a0 + r01 * a1 + r02 * a2),
+                            -T * (r10 * a0 + r11 * a1 + r12 * a2),
+                            -T * (r20 * a0 + r21 * a1 + r22 * a2),
+                            T, self._st)
 
-        # Residuals and Pitot rows of the sensors that sampled, collected
-        # in the sequential update order: barometer, magnetometer, Pitot.
-        c, y = self._c, self._y
-        fired = []
-        baro = payloads.get(SensorKind.BARO)
+        # Whitened rows, residuals and variances of the sensors that
+        # sampled, in the sequential update order: barometer, magnetometer,
+        # Pitot.
+        blocks = []
         if baro is not None:
-            y[-1] = baro - h
-            fired.append(SensorKind.BARO)
-        mag = payloads.get(SensorKind.MAG)
+            blocks.append((self._baro_rows, (baro - h,), self._q_baro))
         if mag is not None:
-            m0, m1, m2 = mag.tolist()
+            m0, m1, m2 = mag
             mi0, mi1, mi2 = self._m_i
-            y[-4:-1] = [mi0 - (r00 * m0 + r01 * m1 + r02 * m2),
-                        mi1 - (r10 * m0 + r11 * m1 + r12 * m2),
-                        mi2 - (r20 * m0 + r21 * m1 + r22 * m2)]
-            fired.append(SensorKind.MAG)
-        pitot = payloads.get(SensorKind.PITOT)
+            y = [mi0 - (r00 * m0 + r01 * m1 + r02 * m2),
+                 mi1 - (r10 * m0 + r11 * m1 + r12 * m2),
+                 mi2 - (r20 * m0 + r21 * m1 + r22 * m2)]
+            if self._w_mag is not None:
+                y = _lower_times(self._w_mag, y)
+            blocks.append((self._mag_rows, y, self._q_mag))
         if pitot is not None:
+            if self._w_pitot is not None:
+                pitot = _lower_times(self._w_pitot, pitot)
             # Probe j's row is [x_j x (Rhat Vahat) | x_j | 0], x_j = Rhat b_j.
-            pitot_rows, pitot_res = [], []
-            for (b0, b1, b2), meas in zip(self._probe_axes, pitot.tolist()):
+            rows, y = [], []
+            for (b0, b1, b2), meas in zip(self._probe_axes, pitot):
                 x0 = r00 * b0 + r01 * b1 + r02 * b2
                 x1 = r10 * b0 + r11 * b1 + r12 * b2
                 x2 = r20 * b0 + r21 * b1 + r22 * b2
-                pitot_rows.append([x1 * rv2 - x2 * rv1, x2 * rv0 - x0 * rv2,
-                                   x0 * rv1 - x1 * rv0, x0, x1, x2])
-                pitot_res.append(meas - (b0 * v0 + b1 * v1 + b2 * v2))
-            c[:len(pitot_rows), 0:6] = pitot_rows
-            y[:len(pitot_res)] = pitot_res
-            fired.append(SensorKind.PITOT)
-        u = None
-        if len(fired) == 3:
-            k, p = riccati_update(p, c, self._q_stacked)
-            u = (-(k @ y)).tolist()
-        elif fired:
-            acc = np.zeros(7)
-            for kind in fired:
-                rows, q = self._single[kind]
-                k, p = riccati_update(p, c[rows], q)
-                acc -= k @ y[rows]
-            u = acc.tolist()
+                rows.append((x1 * rv2 - x2 * rv1, x2 * rv0 - x0 * rv2,
+                             x0 * rv1 - x1 * rv0, x0, x1, x2, 0.0))
+                y.append(meas - (b0 * v0 + b1 * v1 + b2 * v2))
+            blocks.append((rows, y, self._q_pitot))
+        # On a stacked tick every row takes the sequential innovation;
+        # otherwise each sensor's correction comes from its own raw residual.
+        stacked = len(blocks) == 3
+        u = _ZERO7
+        for rows, ys, qs in blocks:
+            d = u if stacked else _ZERO7
+            for c, y, q in zip(rows, ys, qs):
+                p, d = _update_row(p, c, q, y, d)
+            u = d if stacked else tuple(map(operator.add, u, d))
 
         # Input-driven rates [omega, dVahat/dt, dhhat/dt], blended with the
         # previous tick's; Rhat^T e3 is the last row of Rhat.
-        w0, w1, w2 = omega.tolist()
+        w0, w1, w2 = omega
         g = self.gravity
-        f = [w0, w1, w2,
-             -(w1 * v2 - w2 * v1) + g * r20 + a0,
-             -(w2 * v0 - w0 * v2) + g * r21 + a1,
-             -(w0 * v1 - w1 * v0) + g * r22 + a2,
-             rv2]
-        prev, self._prev_rates = self._prev_rates, f
+        rates = (w0, w1, w2,
+                 -(w1 * v2 - w2 * v1) + g * r20 + a0,
+                 -(w2 * v0 - w0 * v2) + g * r21 + a1,
+                 -(w0 * v1 - w1 * v0) + g * r22 + a2,
+                 rv2)
+        f0, f1, f2, f3, f4, f5, f6 = rates
+        prev, self._prev_rates = self._prev_rates, rates
         if prev is not None:
             c_now, c_prev = self._c_now, self._c_prev
-            f = [c_now * fi + c_prev * pi for fi, pi in zip(f, prev)]
-        t0, t1, t2, dv0, dv1, dv2, dh = [T * fi for fi in f]
-        if u is not None:
-            # The gain-weighted innovation u = [dR, dv, dh] enters at full
-            # strength, consistent with the (I - K C) P reduction.
+            q0, q1, q2, q3, q4, q5, q6 = prev
+            f0 = c_now * f0 + c_prev * q0
+            f1 = c_now * f1 + c_prev * q1
+            f2 = c_now * f2 + c_prev * q2
+            f3 = c_now * f3 + c_prev * q3
+            f4 = c_now * f4 + c_prev * q4
+            f5 = c_now * f5 + c_prev * q5
+            f6 = c_now * f6 + c_prev * q6
+        t0, t1, t2, dv0, dv1, dv2, dh = (T * f0, T * f1, T * f2, T * f3,
+                                         T * f4, T * f5, T * f6)
+        if blocks:
+            # The correction u = K y = [dR, dv, dh] enters at full strength,
+            # consistent with the (I - K C) P reduction.
             d0, d1, d2, e0, e1, e2, e6 = u
-            t0 -= r00 * d0 + r10 * d1 + r20 * d2
-            t1 -= r01 * d0 + r11 * d1 + r21 * d2
-            t2 -= r02 * d0 + r12 * d1 + r22 * d2
-            z0 = (d1 * rv2 - d2 * rv1) - e0
-            z1 = (d2 * rv0 - d0 * rv2) - e1
-            z2 = (d0 * rv1 - d1 * rv0) - e2
+            t0 += r00 * d0 + r10 * d1 + r20 * d2
+            t1 += r01 * d0 + r11 * d1 + r21 * d2
+            t2 += r02 * d0 + r12 * d1 + r22 * d2
+            z0 = e0 - (d1 * rv2 - d2 * rv1)
+            z1 = e1 - (d2 * rv0 - d0 * rv2)
+            z2 = e2 - (d0 * rv1 - d1 * rv0)
             dv0 += r00 * z0 + r10 * z1 + r20 * z2
             dv1 += r01 * z0 + r11 * z1 + r21 * z2
             dv2 += r02 * z0 + r12 * z1 + r22 * z2
-            dh -= e6
+            dh += e6
         r, defect = _rotate(r, t0, t1, t2)
         v0 += dv0
         v1 += dv1
         v2 += dv2
-        h = float(h + dh)
+        h += dh
         # NaN fails every comparison, so non-finite states trip the floor.
-        if not (abs(v0) < STATE_FLOOR and abs(v1) < STATE_FLOOR
-                and abs(v2) < STATE_FLOOR and abs(h) < STATE_FLOOR
-                and sum(p.diagonal().tolist()) < P_TRACE_FLOOR
+        floor = STATE_FLOOR
+        if not (-floor < v0 < floor and -floor < v1 < floor
+                and -floor < v2 < floor and -floor < h < floor
+                and (p[0] + p[7] + p[13] + p[18] + p[22] + p[25] + p[27]
+                     < P_TRACE_FLOOR)
                 and defect < math.inf):
             raise DivergenceError(
                 "observer state exceeded the numerical floor")
-        rhat = np.array(r).reshape(3, 3)
         if defect > ORTHONORMALITY_TOL:
-            rhat = geometry.project_to_so3(rhat)
-        self.state = ObserverState(Rhat=rhat, Vahat=np.array([v0, v1, v2]),
-                                   hhat=h, P=p)
-        return self.state
+            r = geometry.project_to_so3(
+                np.array(r).reshape(3, 3)).ravel().tolist()
+        self._r, self._v, self._h, self._p = r, [v0, v1, v2], h, p
+        self._state = None
+
+
+_ZERO7 = (0.0,) * 7
+
+
+def _floats(x) -> list[float]:
+    return np.asarray(x, dtype=float).ravel().tolist()

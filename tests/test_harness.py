@@ -99,6 +99,53 @@ class TestInitEstimates:
                                    atol=0.1)
 
 
+def _assert_run_matches_tick_loop(cfg):
+    """run_single equals one AirDataObserver.tick per schedule slot.
+
+    The reference draws with one sample_* call per sensor and tick and
+    takes truth from the scalar closed form.
+    """
+    spec = cfg.trajectory
+    rngs = {kind: substream(cfg.base_seed, 0, sid)
+            for kind, sid in STREAM_IDS.items()}
+    obs = AirDataObserver(init_estimates(cfg, 0), cfg.weights,
+                          cfg.probes, cfg.mag_ref, dt=cfg.imu_period,
+                          gravity=cfg.gravity,
+                          q_convention=cfg.q_convention,
+                          integrator=cfg.integrator)
+    states = [obs.state]
+    for slot in make_schedule(cfg.rates, cfg.duration)[:-1]:
+        truth = truth_state(spec, slot.t)
+        inputs = truth_inputs(spec, slot.t)
+        payloads = {SensorKind.IMU: sample_imu(inputs, cfg.noise,
+                                               rngs[SensorKind.IMU])}
+        if SensorKind.PITOT in slot.kinds:
+            payloads[SensorKind.PITOT] = sample_pitot(
+                truth, cfg.probes, cfg.noise, rngs[SensorKind.PITOT])
+        if SensorKind.MAG in slot.kinds:
+            payloads[SensorKind.MAG] = sample_mag(
+                truth, cfg.mag_ref, cfg.noise, rngs[SensorKind.MAG])
+        if SensorKind.BARO in slot.kinds:
+            payloads[SensorKind.BARO] = sample_baro(
+                truth, cfg.noise, rngs[SensorKind.BARO])
+        states.append(obs.tick(payloads))
+
+    m = run_single(cfg, 0)
+    assert not m.diverged
+    assert m.t.shape[0] == len(states)
+    np.testing.assert_allclose(m.va_hat, [s.Vahat for s in states],
+                               rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(m.h_hat, [s.hhat for s in states],
+                               rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(
+        m.lam_max_p, [np.linalg.eigvalsh(s.P)[-1] for s in states],
+        rtol=1e-9)
+    r_ref = np.array([s.Rhat for s in states])
+    np.testing.assert_allclose(
+        m.euler_hat, geometry.rot_to_euler_zyx(r_ref), rtol=1e-9,
+        atol=1e-12)
+
+
 class TestRunSingle:
     def test_noiseless_zero_error_stays_at_integration_floor(self):
         # starting exactly at truth with no noise, the only residual error
@@ -148,15 +195,15 @@ class TestRunSingle:
 
     def test_divergence_truncates_series(self, short_config, monkeypatch):
         ticks = {"n": 0}
-        orig = AirDataObserver.tick
+        orig = AirDataObserver._step
 
-        def failing_tick(self, payloads):
+        def failing_step(self, *args):
             ticks["n"] += 1
             if ticks["n"] >= 10:
                 raise DivergenceError("forced for test")
-            return orig(self, payloads)
+            return orig(self, *args)
 
-        monkeypatch.setattr(AirDataObserver, "tick", failing_tick)
+        monkeypatch.setattr(AirDataObserver, "_step", failing_step)
         m = run_single(short_config, 0)
         assert m.diverged
         assert m.t.shape[0] == 10
@@ -165,55 +212,42 @@ class TestRunSingle:
 
     @pytest.mark.parametrize("integrator", ["ab2", "euler"])
     def test_matches_per_tick_reference_loop(self, integrator):
-        # one sample_* call per sensor and tick, truth from the scalar
-        # closed form, one AirDataObserver.tick per schedule slot
         cfg = parse_config_text(f"duration = 2\nruns = 1\n"
                                 f"integrator = {integrator}\n")
-        spec = cfg.trajectory
-        rngs = {kind: substream(cfg.base_seed, 0, sid)
-                for kind, sid in STREAM_IDS.items()}
-        obs = AirDataObserver(init_estimates(cfg, 0), cfg.weights,
-                              cfg.probes, cfg.mag_ref, dt=cfg.imu_period,
-                              gravity=cfg.gravity,
-                              q_convention=cfg.q_convention,
-                              integrator=cfg.integrator)
-        states = [obs.state]
-        for slot in make_schedule(cfg.rates, cfg.duration)[:-1]:
-            truth = truth_state(spec, slot.t)
-            inputs = truth_inputs(spec, slot.t)
-            payloads = {SensorKind.IMU: sample_imu(inputs, cfg.noise,
-                                                   rngs[SensorKind.IMU])}
-            if SensorKind.PITOT in slot.kinds:
-                payloads[SensorKind.PITOT] = sample_pitot(
-                    truth, cfg.probes, cfg.noise, rngs[SensorKind.PITOT])
-            if SensorKind.MAG in slot.kinds:
-                payloads[SensorKind.MAG] = sample_mag(
-                    truth, cfg.mag_ref, cfg.noise, rngs[SensorKind.MAG])
-            if SensorKind.BARO in slot.kinds:
-                payloads[SensorKind.BARO] = sample_baro(
-                    truth, cfg.noise, rngs[SensorKind.BARO])
-            states.append(obs.tick(payloads))
+        _assert_run_matches_tick_loop(cfg)
 
-        m = run_single(cfg, 0)
-        assert m.t.shape[0] == len(states)
-        np.testing.assert_allclose(m.va_hat, [s.Vahat for s in states],
-                                   rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(m.h_hat, [s.hhat for s in states],
-                                   rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(
-            m.lam_max_p, [np.linalg.eigvalsh(s.P)[-1] for s in states],
-            rtol=1e-9)
-        r_ref = np.array([s.Rhat for s in states])
-        np.testing.assert_allclose(
-            m.euler_hat, geometry.rot_to_euler_zyx(r_ref), rtol=1e-9,
-            atol=1e-12)
+    @pytest.mark.parametrize("extra", [
+        "",
+        "q_convention = precision\n",
+        "probes = [[1, 0, 0], [0.6, 0.8, 0]]\nsigma_pitot = [0.5, 0.5]\n"
+        "q_pitot = [[25, 10], [10, 30]]\nf_baro = 50\n",
+    ], ids=["covariance", "precision", "pitot_and_stacked"])
+    def test_non_diagonal_weights_match_per_tick_loop(self, extra):
+        # whitened rows in run_single against the public tick, on the
+        # sequential and (with f_baro = 50) the stacked path
+        cfg = parse_config_text(
+            "duration = 2\nruns = 1\n"
+            "q_mag = [[0.01, 0.004, 0], [0.004, 0.02, -0.003], "
+            "[0, -0.003, 0.015]]\n" + extra)
+        assert np.any(cfg.weights.Qm != np.diag(np.diag(cfg.weights.Qm)))
+        _assert_run_matches_tick_loop(cfg)
+
+    def test_tick_returns_the_state(self, short_config):
+        cfg = short_config
+        obs = AirDataObserver(init_estimates(cfg, 0), cfg.weights,
+                              cfg.probes, cfg.mag_ref, dt=cfg.imu_period)
+        inp = truth_inputs(cfg.trajectory, 0.0)
+        state = obs.tick({SensorKind.IMU: (inp.omega, inp.a),
+                          SensorKind.BARO: 10.0})
+        assert state is obs.state
+        np.testing.assert_array_equal(state.P, state.P.T)
 
     def test_singular_innovation_truncates_series(self, short_config,
                                                   monkeypatch):
-        def failing_tick(self, payloads):
+        def failing_step(self, *args):
             raise SingularInnovationError("forced for test")
 
-        monkeypatch.setattr(AirDataObserver, "tick", failing_tick)
+        monkeypatch.setattr(AirDataObserver, "_step", failing_step)
         m = run_single(short_config, 0)
         assert m.diverged
         assert m.t.shape[0] == 1
@@ -249,15 +283,15 @@ class TestMonteCarlo:
         # the tick counter spans runs, so the runs must share one process
         _pin_workers(monkeypatch, 1)
         calls = {"n": 0}
-        orig = AirDataObserver.tick
+        orig = AirDataObserver._step
 
-        def sometimes_failing(self, payloads):
+        def sometimes_failing(self, *args):
             calls["n"] += 1
             if calls["n"] == 50:
                 raise DivergenceError("forced for test")
-            return orig(self, payloads)
+            return orig(self, *args)
 
-        monkeypatch.setattr(AirDataObserver, "tick", sometimes_failing)
+        monkeypatch.setattr(AirDataObserver, "_step", sometimes_failing)
         summary, all_metrics = run_montecarlo(short_config)
         assert summary.divergence_count == 1
         assert all_metrics[0].diverged
@@ -271,15 +305,15 @@ class TestMonteCarlo:
         _pin_workers(monkeypatch, 1)
         intact = run_single(short_config, 1)
         calls = {"n": 0}
-        orig = AirDataObserver.tick
+        orig = AirDataObserver._step
 
-        def failing_in_run_0(self, payloads):
+        def failing_in_run_0(self, *args):
             calls["n"] += 1
             if calls["n"] == 50:
                 raise SingularInnovationError("forced for test")
-            return orig(self, payloads)
+            return orig(self, *args)
 
-        monkeypatch.setattr(AirDataObserver, "tick", failing_in_run_0)
+        monkeypatch.setattr(AirDataObserver, "_step", failing_in_run_0)
         summary, all_metrics = run_montecarlo(short_config)
         assert summary.divergence_count == 1
         assert all_metrics[0].diverged
@@ -304,16 +338,16 @@ class TestMonteCarlo:
             if run_index != 0:
                 return orig(config, run_index, initial_state)
             calls = {"n": 0}
-            tick = AirDataObserver.tick
+            step = AirDataObserver._step
 
-            def failing_tick(self, payloads):
+            def failing_step(self, *args):
                 calls["n"] += 1
                 if calls["n"] == 50:
                     raise SingularInnovationError("forced for test")
-                return tick(self, payloads)
+                return step(self, *args)
 
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(AirDataObserver, "tick", failing_tick)
+                mp.setattr(AirDataObserver, "_step", failing_step)
                 return orig(config, run_index, initial_state)
 
         monkeypatch.setattr(harness, "run_single", run_single_failing_in_run_0)
@@ -414,10 +448,10 @@ class TestCsvPersistence:
                 == (tmp_path / "oracle.csv").read_bytes())
 
     def test_trace_of_one_row(self, short_config, tmp_path, monkeypatch):
-        def failing_tick(self, payloads):
+        def failing_step(self, *args):
             raise DivergenceError("forced for test")
 
-        monkeypatch.setattr(AirDataObserver, "tick", failing_tick)
+        monkeypatch.setattr(AirDataObserver, "_step", failing_step)
         m = run_single(short_config, 0)
         write_trace_csv(tmp_path / "fast.csv", m)
         _trace_oracle(tmp_path / "oracle.csv", m)
@@ -553,13 +587,31 @@ class TestCli:
     def test_divergence_exits_3(self, tmp_path, monkeypatch):
         cfg = self._write_config(tmp_path)
 
-        def fail_tick(self, payloads):
+        def fail_step(self, *args):
             raise DivergenceError("forced for test")
 
-        monkeypatch.setattr(AirDataObserver, "tick", fail_tick)
+        monkeypatch.setattr(AirDataObserver, "_step", fail_step)
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", str(cfg), "--out",
                          str(out)]) == 3
+
+    def test_all_diverged_batch_exits_3_without_warnings(self, tmp_path):
+        # a numerical failure is flagged and nothing else is printed
+        cfg = self._write_config(tmp_path, "s_vel = 1e12\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "airnav", "montecarlo", "--config",
+             str(cfg), "--out", str(tmp_path / "mc")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert "divergences: 2/2" in proc.stdout
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
+        for key in ("err_att", "err_v_body"):
+            assert (f"final-5s mean {key}: n/a (every run diverged)"
+                    in proc.stdout)
 
 
 class TestDivergenceFloor:

@@ -58,6 +58,56 @@ def weights():
     return default_config().weights
 
 
+def _random_spd(rng, n=7):
+    m = rng.standard_normal((n, n))
+    return m @ m.T + 0.1 * np.eye(n)
+
+
+def _dense_update(p, c, q):
+    """Gain and corrected covariance from the block formula, inverted."""
+    k = p @ c.T @ np.linalg.inv(c @ p @ c.T + q)
+    return k, p - k @ c @ p
+
+
+# Sensor subsets and weights of the kernel cases: probe count, whether Qp
+# and Qm are non-diagonal, and the q_convention.
+_CASES = {
+    "baro": ((SensorKind.BARO,), 1, False, "covariance"),
+    "pitot": ((SensorKind.PITOT,), 1, False, "covariance"),
+    "pitot2": ((SensorKind.PITOT,), 2, False, "covariance"),
+    "pitot3": ((SensorKind.PITOT,), 3, False, "covariance"),
+    "mag": ((SensorKind.MAG,), 1, False, "covariance"),
+    "stacked": (STACK_ORDER, 3, False, "covariance"),
+    "mag_non_diagonal": ((SensorKind.MAG,), 1, True, "covariance"),
+    "pitot_non_diagonal": ((SensorKind.PITOT,), 3, True, "covariance"),
+    "mag_and_pitot": ((SensorKind.PITOT, SensorKind.MAG), 2, True,
+                      "covariance"),
+    "precision": (STACK_ORDER, 2, True, "precision"),
+}
+
+
+def _case_setup(case, rng):
+    """Probes, weights and q_convention of one kernel case."""
+    subset, m, non_diagonal, q_convention = _CASES[case]
+    axes = [[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.6, 0.0, 0.8]][:m]
+    qp, qm = np.diag(rng.uniform(0.5, 2.0, m)), np.diag(rng.uniform(
+        0.01, 0.1, 3))
+    if non_diagonal:
+        qp, qm = (_random_spd(rng, len(b)) * b.max() for b in (qp, qm))
+    w = RiccatiWeights(Qp=qp, Qm=qm, Qb=0.3, S=0.01 * _random_spd(rng),
+                       P0=_random_spd(rng))
+    return subset, ProbeSet.from_axes(axes), w, q_convention
+
+
+def _sensor_case(case, rng):
+    """Subset, output rows and additive term of one kernel case."""
+    subset, probes, w, q_convention = _case_setup(case, rng)
+    c = output_matrix(geometry.exp_so3(rng.standard_normal(3)),
+                      5.0 * rng.standard_normal(3), probes,
+                      MagReference(m_I=M_I), subset)
+    return subset, c, additive_weight(w, subset, q_convention)
+
+
 def truth_observer_state(spec, t, p=None):
     s = truth_state(spec, t)
     return ObserverState(Rhat=s.R.copy(), Vahat=s.Va.copy(), hhat=s.h,
@@ -272,27 +322,23 @@ class TestRiccatiUpdate:
             riccati_update(np.eye(7), c, np.array([[-1.0]]))
 
 
-    @pytest.mark.parametrize("row", ["baro", "pitot", "random"])
-    def test_one_row_matches_cholesky_path(self, row, probes, mag_ref):
+    @pytest.mark.parametrize("case", ["random", *_CASES])
+    def test_matches_dense_formula(self, case):
+        # the row-by-row kernel against P C^T (C P C^T + Q)^-1 written out
         rng = np.random.default_rng(12)
-        m = rng.standard_normal((7, 7))
-        p = m @ m.T + 0.1 * np.eye(7)
-        if row == "baro":
-            c = np.zeros((1, 7))
-            c[0, 6] = 1.0
-        elif row == "pitot":
-            c = output_matrix(geometry.exp_so3(rng.standard_normal(3)),
-                              5.0 * rng.standard_normal(3), probes, mag_ref,
-                              (SensorKind.PITOT,))
+        p = _random_spd(rng)
+        if case == "random":
+            c, q = rng.standard_normal((1, 7)), np.array([[0.7]])
         else:
-            c = rng.standard_normal((1, 7))
-        q = np.array([[0.7]])
-        k1, p1 = riccati_update(p, c, q)
-        k2, p2 = observer._update_cholesky(p, c, q)
-        assert k1.shape == k2.shape == (7, 1)
-        np.testing.assert_allclose(k1, k2, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(p1, p2, rtol=1e-12, atol=1e-12)
-        assert np.array_equal(p1, p1.T)
+            subset, c, q = _sensor_case(case, rng)
+        y = rng.standard_normal(c.shape[0])
+        k, p_new = riccati_update(p, c, q)
+        k_ref, p_ref = _dense_update(p, c, q)
+        assert k.shape == (7, c.shape[0])
+        np.testing.assert_allclose(k, k_ref, rtol=1e-11, atol=1e-13)
+        np.testing.assert_allclose(k @ y, k_ref @ y, rtol=1e-11, atol=1e-13)
+        np.testing.assert_allclose(p_new, p_ref, rtol=1e-11, atol=1e-13)
+        assert np.array_equal(p_new, p_new.T)
 
     def test_singular_stacked_innovation_raises(self):
         c = np.zeros((2, 7))
@@ -585,6 +631,101 @@ class TestOutputRemainderBound:
                                   STACK_ORDER)
                 bound = 3.0 * (np.linalg.norm(truth.Va) + 2.0) * (x @ x)
                 assert np.linalg.norm(y - c @ x) <= bound
+
+
+class TestPackedKernels:
+    """The tick's float kernels against the dense reference forms."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_predict_matches_riccati_predict(self, seed):
+        rng = np.random.default_rng(seed)
+        p, s = _random_spd(rng), _random_spd(rng)
+        rhat = geometry.exp_so3(rng.standard_normal(3))
+        a = 10.0 * rng.standard_normal(3)
+        T = 0.005
+        k0, k1, k2 = (-T * rhat @ a).tolist()
+        out = observer._predict_packed(observer._pack(p), k0, k1, k2, T,
+                                       observer._pack(s * T))
+        ref = riccati_predict(p, state_matrix_dt(rhat, a, T), s, T)
+        np.testing.assert_allclose(observer._unpack(out), ref, rtol=1e-13,
+                                   atol=1e-14)
+
+    @pytest.mark.parametrize("case", list(_CASES))
+    def test_tick_matches_dense_formula(self, case):
+        # predict, then the block formula per sensor (raw residuals) or once
+        # over the stacked rows, then the Euler state step
+        rng = np.random.default_rng(21)
+        subset, probes, w, q_convention = _case_setup(case, rng)
+        mag_ref = MagReference(m_I=M_I)
+        spec = TrajectorySpec.paper()
+        T = 0.005
+        s = truth_state(spec, 0.3)
+        inp = truth_inputs(spec, 0.3)
+        est = ObserverState(
+            Rhat=geometry.exp_so3(0.1 * rng.standard_normal(3)) @ s.R,
+            Vahat=s.Va + rng.standard_normal(3), hhat=s.h + 0.5, P=w.P0)
+        measured = {SensorKind.PITOT: probes.B.T @ s.Va + 0.1,
+                    SensorKind.MAG: s.R.T @ M_I + 0.01,
+                    SensorKind.BARO: s.h - 0.2}
+        payloads = {SensorKind.IMU: (inp.omega, inp.a)}
+        payloads.update((kind, measured[kind]) for kind in subset)
+        obs = AirDataObserver(est, w, probes, mag_ref, dt=T, gravity=G,
+                              q_convention=q_convention)
+        out = obs.tick(payloads)
+
+        p = riccati_predict(est.P, state_matrix_dt(est.Rhat, inp.a, T), w.S,
+                            T)
+        groups = ([subset] if len(subset) == 3 else
+                  [(kind,) for kind in (SensorKind.BARO, SensorKind.MAG,
+                                        SensorKind.PITOT) if kind in subset])
+        u = np.zeros(7)
+        for group in groups:
+            c = output_matrix(est.Rhat, est.Vahat, probes, mag_ref, group)
+            k, p = _dense_update(p, c, additive_weight(w, group, q_convention))
+            u -= k @ residual(payloads, est, probes, mag_ref, group)
+        r_ref, va_ref, h_ref = euler_step(est, inp.omega, inp.a, u, T)
+        assert np.array_equal(out.P, out.P.T)
+        np.testing.assert_allclose(out.P, p, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(out.Rhat, r_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(out.Vahat, va_ref, rtol=1e-10, atol=1e-12)
+        assert out.hhat == pytest.approx(h_ref, rel=1e-10)
+
+    @pytest.mark.parametrize("case", ["stacked", "precision",
+                                      "mag_and_pitot"])
+    def test_tick_makes_no_linalg_call(self, case, monkeypatch):
+        rng = np.random.default_rng(3)
+        subset, probes, w, q_convention = _case_setup(case, rng)
+        spec = TrajectorySpec.paper()
+        obs = AirDataObserver(truth_observer_state(spec, 0.0, p=w.P0), w,
+                              probes, MagReference(m_I=M_I), dt=0.005,
+                              q_convention=q_convention)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("numpy.linalg called in the tick")
+
+        for name in ("cholesky", "inv", "solve", "svd", "det", "eigh",
+                     "eigvalsh", "norm"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        for i in range(20):
+            s = truth_state(spec, 0.005 * i)
+            inp = truth_inputs(spec, 0.005 * i)
+            payloads = {SensorKind.IMU: (inp.omega, inp.a),
+                        SensorKind.PITOT: probes.B.T @ s.Va,
+                        SensorKind.MAG: s.R.T @ M_I,
+                        SensorKind.BARO: s.h}
+            obs.tick({kind: payloads[kind]
+                      for kind in (SensorKind.IMU, *subset)})
+
+    def test_nan_covariance_raises_and_keeps_state(self, probes, mag_ref,
+                                                   weights):
+        est = truth_observer_state(TrajectorySpec.paper(), 0.0,
+                                   p=np.full((7, 7), np.nan))
+        obs = AirDataObserver(est, weights, probes, mag_ref, dt=0.005)
+        before = obs.state
+        with pytest.raises(SingularInnovationError):
+            obs.tick({SensorKind.IMU: (np.zeros(3), np.zeros(3)),
+                      SensorKind.BARO: 1.0})
+        assert obs.state is before
 
 
 class TestTickAgainstPublicPieces:
