@@ -3,12 +3,7 @@ barometer and magnetometer measurements: a Riccati-gain nonlinear observer,
 a uniform-observability toolkit, and a reproducible simulation harness."""
 
 from .config import InitSpec, SimConfig, default_config, load_config
-from .dynamics import (
-    BodyInputs,
-    NavState,
-    TrajectoryKind,
-    TrajectorySpec,
-)
+from .dynamics import BodyInputs, NavState, TrajectorySpec
 from .harness import (
     MonteCarloSummary,
     RunMetrics,
@@ -22,15 +17,7 @@ from .observability import (
     observability_verdict,
     pe_margins,
 )
-from .observer import (
-    AirDataObserver,
-    ObserverState,
-    RiccatiWeights,
-    output_matrix,
-    riccati_predict,
-    riccati_update,
-    state_matrix_dt,
-)
+from .observer import AirDataObserver, ObserverState, RiccatiWeights
 from .sensors import (
     MagReference,
     NoiseSpec,
@@ -61,22 +48,17 @@ __all__ = [
     "RunMetrics",
     "SensorKind",
     "SimConfig",
-    "TrajectoryKind",
     "TrajectorySpec",
     "default_config",
     "gramian",
     "init_estimates",
     "load_config",
     "observability_verdict",
-    "output_matrix",
     "pe_margins",
-    "riccati_predict",
-    "riccati_update",
     "run_montecarlo",
     "run_single",
     "sample_baro",
     "sample_imu",
     "sample_mag",
     "sample_pitot",
-    "state_matrix_dt",
 ]

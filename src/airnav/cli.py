@@ -150,8 +150,7 @@ def main(argv=None) -> int:
         return _cmd_observability(args, config)
     # A config that validates can still ask for more memory than there is,
     # e.g. a tick grid of 2e17 samples.
-    except (ConfigParseError, ConfigValidationError, FileNotFoundError,
-            MemoryError) as exc:
+    except (ConfigParseError, ConfigValidationError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -211,12 +211,17 @@ def load_config(path) -> SimConfig:
     Raises
     ------
     ConfigParseError
-        On syntax errors or unknown keys (message carries the line number).
+        When the file cannot be opened or decoded as UTF-8, or on syntax
+        errors or unknown keys (message carries the line number).
     ConfigValidationError
         When a parsed value violates an invariant.
     """
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigParseError(f"cannot read {path}: {exc}") from exc
+    return parse_config_text(text)
 
 
 def default_config() -> SimConfig:

@@ -15,23 +15,15 @@ hover case are both members of this family.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-
-
-class TrajectoryKind(enum.Enum):
-    PAPER_YAW_ONLY = "paper_yaw_only"
-    HOVER = "hover"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True, eq=False)
 class TrajectorySpec:
     """Closed-form truth trajectory with a fixed body-z rotation axis."""
 
-    kind: TrajectoryKind
     duration: float = 60.0
     gravity: float = 9.81
     vel_amp: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -58,7 +50,6 @@ class TrajectorySpec:
     def paper(cls, duration: float = 60.0, gravity: float = 9.81) -> TrajectorySpec:
         """Yaw-only excitation reference trajectory."""
         return cls(
-            kind=TrajectoryKind.PAPER_YAW_ONLY,
             duration=duration,
             gravity=gravity,
             vel_amp=np.array([1.5, 3.0, -15.0 * np.sqrt(3.0) / 4.0]),
@@ -72,8 +63,7 @@ class TrajectorySpec:
     def hover(cls, duration: float = 60.0, gravity: float = 9.81,
               h0: float = 0.0) -> TrajectorySpec:
         """Static truth: zero velocity, constant altitude and attitude."""
-        return cls(kind=TrajectoryKind.HOVER, duration=duration,
-                   gravity=gravity, h0=h0)
+        return cls(duration=duration, gravity=gravity, h0=h0)
 
 
 @dataclass(frozen=True, eq=False)

@@ -30,7 +30,7 @@ class DivergenceError(AirnavError):
 
 
 class ConfigParseError(AirnavError):
-    """Config file is syntactically invalid; carries the offending line number."""
+    """Config file cannot be read, or is malformed (line number if known)."""
 
     def __init__(self, message: str, line_no: int | None = None):
         self.line_no = line_no

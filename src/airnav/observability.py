@@ -19,9 +19,10 @@ whole-window quadrature.  Half-overlapping windows share a half, so a
 sweep of N windows builds N + 1 halves.
 
 The transition of a half, ``Phi_a``, comes from :func:`_transition`, the
-one closed form that :func:`phi_blocks` uses too; the test suite checks
-``phi_blocks`` against an RK4 integration of the transition-matrix ODE, so
-that check covers the matrix the sweep composes with.
+one closed form that :func:`phi_blocks` returns too; the test suite checks
+the 7x7 matrix of ``phi_blocks`` against an RK4 integration of the
+transition-matrix ODE, so that check covers the matrix the sweep composes
+with.
 """
 
 from __future__ import annotations
@@ -37,24 +38,6 @@ from .sensors import STACK_ORDER, MagReference, ProbeSet, SensorKind
 
 DEFAULT_QUAD_STEP = 1e-3
 DEFAULT_WINDOW = 4.0
-
-
-@dataclass(frozen=True, eq=False)
-class TransitionBlocks:
-    """Closed-form blocks of the true-trajectory transition matrix."""
-
-    phi11: np.ndarray
-    phi21: np.ndarray
-    t: float
-    tau: float
-
-    def full(self) -> np.ndarray:
-        """Assemble the 7x7 transition matrix."""
-        phi = np.zeros((7, 7))
-        phi[0:6, 0:6] = self.phi11
-        phi[6, 0:6] = self.phi21
-        phi[6, 6] = 1.0
-        return phi
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,8 +124,8 @@ def _transition(s: np.ndarray, g1: np.ndarray, g2: np.ndarray) -> np.ndarray:
 
 
 def phi_blocks(spec: TrajectorySpec, t: float, tau: float,
-               quad_step: float = DEFAULT_QUAD_STEP) -> TransitionBlocks:
-    """Closed-form transition blocks over [tau, t].
+               quad_step: float = DEFAULT_QUAD_STEP) -> np.ndarray:
+    """Closed-form 7x7 transition matrix ``Phi*(t, tau)``.
 
     :func:`_transition` on the grid and running integrals that a
     :func:`_half_window` over [tau, t] uses.
@@ -151,9 +134,7 @@ def phi_blocks(spec: TrajectorySpec, t: float, tau: float,
         raise ValueError("tau must not exceed t")
     s = _grid(tau, t, quad_step)
     _, g1, g2 = _integrated_force(spec, s)
-    phi = _transition(s, g1, g2)
-    return TransitionBlocks(phi11=phi[0:6, 0:6], phi21=phi[6, 0:6], t=t,
-                            tau=tau)
+    return _transition(s, g1, g2)
 
 
 def _simpson_weights(s: np.ndarray) -> np.ndarray:

@@ -38,15 +38,14 @@ Python floats.  Between ticks the estimate is ``Rhat`` (row by row),
    re-projection of ``Rhat`` onto SO(3) if its defect exceeds
    ``ORTHONORMALITY_TOL``.
 
-The tick is the only way to advance an estimate.  The dense forms of the
-recursion stay public as references: :func:`state_matrix_dt` and
-:func:`riccati_predict` for step 1, :func:`output_matrix` and
-:func:`additive_weight` for the rows and weights of step 2, and
-:func:`riccati_update`, which runs the tick's scalar kernel row by row on
-a dense ``P``.  The reference code these are checked against (the stacked
-residuals, the continuous-time ``A(Rhat)`` and an RK4 integrator of the
-continuous Riccati equation) lives with the tests, in ``tests/oracles.py``,
-and is not part of the package.
+The tick is the only way to advance an estimate.  :func:`riccati_update`
+runs the tick's scalar kernel row by row on a dense ``P``, so the test
+suite can check that kernel against the block formula.  The dense forms of
+the recursion (``A_d``, the predict, the output rows and additive weights)
+and the reference code they are checked against (the stacked residuals,
+the continuous-time ``A(Rhat)`` and an RK4 integrator of the continuous
+Riccati equation) live with the tests, in ``tests/oracles.py``, and are not
+part of the package.
 
 Weight conventions
 ------------------
@@ -73,8 +72,8 @@ from .exceptions import (
     MissingPayloadError,
     SingularInnovationError,
 )
-from .geometry import E3, ORTHONORMALITY_TOL, SMALL_ANGLE_SWITCH, skew
-from .sensors import STACK_ORDER, MagReference, ProbeSet, SensorKind
+from .geometry import ORTHONORMALITY_TOL, SMALL_ANGLE_SWITCH, skew
+from .sensors import MagReference, ProbeSet, SensorKind
 
 STATE_FLOOR = 1e9
 P_TRACE_FLOOR = 1e12
@@ -143,87 +142,6 @@ class ObserverState:
             raise ValueError("P is not symmetric")
         if np.linalg.eigvalsh(self.P)[0] <= 0.0:
             raise ValueError("P is not positive definite")
-
-
-def state_matrix_dt(rhat: np.ndarray, a: np.ndarray, T: float) -> np.ndarray:
-    """First-order discretization A_d = I + T A(Rhat)."""
-    if T <= 0.0:
-        raise ValueError("T must be positive")
-    m = np.eye(7)
-    m[3:6, 0:3] = -T * skew(rhat @ a)
-    m[6, 3:6] = T * E3
-    return m
-
-
-def _subset_in_stack_order(subset) -> tuple[SensorKind, ...]:
-    kinds = tuple(k for k in STACK_ORDER if k in set(subset))
-    if not kinds:
-        raise ValueError("sensor subset must be nonempty")
-    return kinds
-
-
-def output_matrix(rhat: np.ndarray, vahat: np.ndarray, probes: ProbeSet,
-                  mag_ref: MagReference, subset) -> np.ndarray:
-    """Stacked output matrix for the requested sensors (Pitot, Mag, Baro order).
-
-    Row blocks::
-
-        Pitot: [ B^T Rhat^T (Rhat Vahat)^x | B^T Rhat^T | 0 ]
-        Mag:   [ -(m_I)^x                  | 0          | 0 ]
-        Baro:  [ 0                         | 0          | 1 ]
-    """
-    rows = []
-    for kind in _subset_in_stack_order(subset):
-        if kind is SensorKind.PITOT:
-            bt_rt = probes.B.T @ rhat.T
-            block = np.zeros((probes.m, 7))
-            block[:, 0:3] = bt_rt @ skew(rhat @ vahat)
-            block[:, 3:6] = bt_rt
-            rows.append(block)
-        elif kind is SensorKind.MAG:
-            block = np.zeros((3, 7))
-            block[:, 0:3] = -skew(mag_ref.m_I)
-            rows.append(block)
-        else:
-            block = np.zeros((1, 7))
-            block[0, 6] = 1.0
-            rows.append(block)
-    return np.vstack(rows)
-
-
-def additive_weight(weights: RiccatiWeights, subset, q_convention: str,
-                    ) -> np.ndarray:
-    """Additive innovation term for the requested sensors (stack order)."""
-    if q_convention not in Q_CONVENTIONS:
-        raise ValueError(f"unknown q_convention {q_convention!r}")
-    blocks = []
-    for kind in _subset_in_stack_order(subset):
-        if kind is SensorKind.PITOT:
-            block = np.array(weights.Qp)
-        elif kind is SensorKind.MAG:
-            block = np.array(weights.Qm)
-        else:
-            block = np.array([[weights.Qb]])
-        if q_convention == "precision":
-            block = np.linalg.inv(block)
-        blocks.append(block)
-    q = np.zeros((sum(b.shape[0] for b in blocks),) * 2)
-    i = 0
-    for block in blocks:
-        j = i + block.shape[0]
-        q[i:j, i:j] = block
-        i = j
-    return q
-
-
-def riccati_predict(P: np.ndarray, A_d: np.ndarray, S: np.ndarray,
-                    T: float) -> np.ndarray:
-    """Covariance prediction ``A_d P A_d^T + S T``, returned exactly symmetric.
-
-    The dense reference form of the tick's :func:`_predict_packed`.
-    """
-    p = A_d @ P @ A_d.T + S * T
-    return 0.5 * (p + p.T)
 
 
 def riccati_update(P: np.ndarray, C: np.ndarray, Q: np.ndarray,
@@ -523,14 +441,14 @@ class AirDataObserver:
         self._st = _pack(weights.S * self.dt)
         # Each sensor's additive block, factored once: whitened constant
         # rows (mag, baro), whitened probe axes, and the row variances.
-        self._w_pitot, self._q_pitot = _whitener(
-            additive_weight(weights, (SensorKind.PITOT,), q_convention))
-        self._w_mag, self._q_mag = _whitener(
-            additive_weight(weights, (SensorKind.MAG,), q_convention))
-        _, self._q_baro = _whitener(
-            additive_weight(weights, (SensorKind.BARO,), q_convention))
-        eye, zero = np.eye(3), np.zeros(3)
-        mag_rows = output_matrix(eye, zero, probes, mag_ref, (SensorKind.MAG,))
+        blocks = (weights.Qp, weights.Qm, np.array([[weights.Qb]]))
+        if q_convention == "precision":
+            blocks = [np.linalg.inv(block) for block in blocks]
+        ((self._w_pitot, self._q_pitot), (self._w_mag, self._q_mag),
+         (_, self._q_baro)) = map(_whitener, blocks)
+        # Mag rows [-(m_I)^x | 0 | 0], baro row [0 | 0 | 1].
+        mag_rows = np.zeros((3, 7))
+        mag_rows[:, 0:3] = -skew(mag_ref.m_I)
         axes = probes.B.T
         if self._w_pitot is not None:
             axes = np.array(self._w_pitot) @ axes
@@ -538,8 +456,7 @@ class AirDataObserver:
             mag_rows = np.array(self._w_mag) @ mag_rows
         self._probe_axes = axes.tolist()
         self._mag_rows = mag_rows.tolist()
-        self._baro_rows = output_matrix(eye, zero, probes, mag_ref,
-                                        (SensorKind.BARO,)).tolist()
+        self._baro_rows = [[0.0] * 6 + [1.0]]
         self._m_i = mag_ref.m_I.tolist()
 
     @property

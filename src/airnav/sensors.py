@@ -23,11 +23,6 @@ class SensorKind(enum.Enum):
     MAG = "mag"
     BARO = "baro"
 
-    # Members compare by identity, so the identity hash is consistent and
-    # much cheaper than Enum's name-based one; payload dicts hash these
-    # keys several times per tick.
-    __hash__ = object.__hash__
-
 
 # Row order of the aiding sensors wherever their outputs are stacked.
 STACK_ORDER = (SensorKind.PITOT, SensorKind.MAG, SensorKind.BARO)

@@ -8,6 +8,9 @@ carry it.  It holds the pieces that exist only to cross-check the package:
 * the scalar truth state and IMU inputs, an RK4 integrator of the
   rigid-body kinematics and the first-order error state (the closed-form
   truth and the linearization checks);
+* the dense forms of the discrete recursion: the first-order ``A_d``, the
+  covariance prediction, the stacked output matrix and additive weights
+  (the tick's float kernels and :func:`airnav.observer.riccati_update`);
 * the stacked measurement residuals, the continuous-time state matrix
   ``A(Rhat)`` and an RK4 integrator of the continuous Riccati equation (the
   discrete recursion and the output matrix);
@@ -28,8 +31,15 @@ from airnav.dynamics import BodyInputs, NavState, TrajectorySpec
 from airnav.exceptions import AirnavError, MissingPayloadError
 from airnav.geometry import E3, I3, skew
 from airnav.observability import DEFAULT_QUAD_STEP
-from airnav.observer import ObserverState, _subset_in_stack_order
-from airnav.sensors import MagReference, ProbeSet, RateSpec, SensorKind, tick_times
+from airnav.observer import ObserverState, RiccatiWeights
+from airnav.sensors import (
+    STACK_ORDER,
+    MagReference,
+    ProbeSet,
+    RateSpec,
+    SensorKind,
+    tick_times,
+)
 
 _TIME_SLACK = 1e-9
 
@@ -244,6 +254,78 @@ def state_matrix_ct(rhat: np.ndarray, a: np.ndarray) -> np.ndarray:
     m[3:6, 0:3] = -skew(rhat @ a)
     m[6, 3:6] = E3
     return m
+
+
+def state_matrix_dt(rhat: np.ndarray, a: np.ndarray, T: float) -> np.ndarray:
+    """First-order discretization ``A_d = I + T A(Rhat)``."""
+    if T <= 0.0:
+        raise ValueError("T must be positive")
+    return np.eye(7) + T * state_matrix_ct(rhat, a)
+
+
+def riccati_predict(P: np.ndarray, A_d: np.ndarray, S: np.ndarray,
+                    T: float) -> np.ndarray:
+    """Covariance prediction ``A_d P A_d^T + S T``, returned exactly symmetric.
+
+    The dense form of :func:`airnav.observer._predict_packed`.
+    """
+    p = A_d @ P @ A_d.T + S * T
+    return 0.5 * (p + p.T)
+
+
+def _subset_in_stack_order(subset) -> tuple[SensorKind, ...]:
+    kinds = tuple(k for k in STACK_ORDER if k in set(subset))
+    if not kinds:
+        raise ValueError("sensor subset must be nonempty")
+    return kinds
+
+
+def output_matrix(rhat: np.ndarray, vahat: np.ndarray, probes: ProbeSet,
+                  mag_ref: MagReference, subset) -> np.ndarray:
+    """Stacked output matrix for the requested sensors (Pitot, Mag, Baro order).
+
+    Row blocks::
+
+        Pitot: [ B^T Rhat^T (Rhat Vahat)^x | B^T Rhat^T | 0 ]
+        Mag:   [ -(m_I)^x                  | 0          | 0 ]
+        Baro:  [ 0                         | 0          | 1 ]
+    """
+    rows = []
+    for kind in _subset_in_stack_order(subset):
+        if kind is SensorKind.PITOT:
+            bt_rt = probes.B.T @ rhat.T
+            block = np.zeros((probes.m, 7))
+            block[:, 0:3] = bt_rt @ skew(rhat @ vahat)
+            block[:, 3:6] = bt_rt
+        elif kind is SensorKind.MAG:
+            block = np.zeros((3, 7))
+            block[:, 0:3] = -skew(mag_ref.m_I)
+        else:
+            block = np.zeros((1, 7))
+            block[0, 6] = 1.0
+        rows.append(block)
+    return np.vstack(rows)
+
+
+def additive_weight(weights: RiccatiWeights, subset, q_convention: str,
+                    ) -> np.ndarray:
+    """Block-diagonal additive innovation term for the requested sensors.
+
+    The blocks ``Qp``, ``Qm``, ``[[Qb]]`` in stack order, each inverted
+    under ``q_convention = "precision"``.
+    """
+    blocks = {SensorKind.PITOT: weights.Qp, SensorKind.MAG: weights.Qm,
+              SensorKind.BARO: np.array([[weights.Qb]])}
+    parts = [blocks[kind] for kind in _subset_in_stack_order(subset)]
+    if q_convention == "precision":
+        parts = [np.linalg.inv(b) for b in parts]
+    q = np.zeros((sum(b.shape[0] for b in parts),) * 2)
+    i = 0
+    for b in parts:
+        j = i + b.shape[0]
+        q[i:j, i:j] = b
+        i = j
+    return q
 
 
 def residual(payloads, est: ObserverState, probes: ProbeSet,

@@ -13,14 +13,16 @@ from airnav.config import (
     load_config,
     parse_config_text,
 )
-from airnav.dynamics import TrajectoryKind
+from airnav.dynamics import TrajectorySpec
 from airnav.exceptions import ConfigParseError, ConfigValidationError
 
 
 class TestDefaults:
     def test_empty_file_gives_reference_setup(self):
         cfg = parse_config_text("")
-        assert cfg.trajectory.kind is TrajectoryKind.PAPER_YAW_ONLY
+        paper = TrajectorySpec.paper()
+        np.testing.assert_array_equal(cfg.trajectory.vel_amp, paper.vel_amp)
+        assert cfg.trajectory.yaw_amp == paper.yaw_amp
         assert cfg.duration == 60.0
         assert cfg.runs == 20
         assert cfg.rates.f_imu == 200.0
@@ -81,7 +83,9 @@ class TestParsing:
     def test_string_keys(self):
         cfg = parse_config_text("trajectory = hover\nq_convention = precision\n"
                                 "integrator = euler\n")
-        assert cfg.trajectory.kind is TrajectoryKind.HOVER
+        np.testing.assert_array_equal(cfg.trajectory.vel_amp,
+                                      TrajectorySpec.hover().vel_amp)
+        assert cfg.trajectory.yaw_amp == 0.0
         assert cfg.q_convention == "precision"
         assert cfg.integrator == "euler"
 

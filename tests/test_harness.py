@@ -562,6 +562,19 @@ class TestCli:
         assert cli.main(["simulate", "--config",
                          str(tmp_path / "nope.cfg")]) == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "utf16"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"\xff\xferuns = 1\n")
+        assert cli.main(["simulate", "--config", str(path), "--out",
+                         str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("run_index", ["-1", "x"])
     def test_bad_run_index_exits_2(self, tmp_path, capsys, run_index):
         cfg = self._write_config(tmp_path)

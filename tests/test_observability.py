@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import cumulative_simpson, simpson
 
 from airnav import dynamics
-from airnav.dynamics import TrajectoryKind, TrajectorySpec
+from airnav.dynamics import TrajectorySpec
 from airnav.geometry import skew
 from airnav.observability import (
     _cumulative_simpson,
@@ -52,7 +52,6 @@ def mag_ref():
 
 def random_spec(rng, duration=60.0):
     return TrajectorySpec(
-        kind=TrajectoryKind.CUSTOM,
         duration=duration,
         gravity=G,
         vel_amp=rng.uniform(-5, 5, 3),
@@ -149,35 +148,32 @@ def _trajectory(name):
 
 class TestPhiBlocks:
     def test_initial_condition(self, paper):
-        blocks = phi_blocks(paper, 3.0, 3.0)
-        np.testing.assert_allclose(blocks.phi11, np.eye(6))
-        np.testing.assert_allclose(blocks.phi21, np.zeros(6))
+        np.testing.assert_allclose(phi_blocks(paper, 3.0, 3.0), np.eye(7))
 
     def test_hover_analytic(self, hover):
         # constant R a = -g e3: the single integral is -(t-tau)(-g e3)^x and
         # the altitude row reduces to (0,0,0, 0,0,t-tau)
         t, tau = 5.0, 2.0
-        blocks = phi_blocks(hover, t, tau)
+        phi = phi_blocks(hover, t, tau)
         e3x = np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0.0]])
-        np.testing.assert_allclose(blocks.phi11[3:6, 0:3],
-                                   (t - tau) * G * e3x, atol=1e-9)
-        np.testing.assert_allclose(blocks.phi11[0:3, 0:3], np.eye(3))
-        np.testing.assert_allclose(blocks.phi21,
-                                   [0, 0, 0, 0, 0, t - tau], atol=1e-9)
+        np.testing.assert_allclose(phi[3:6, 0:3], (t - tau) * G * e3x,
+                                   atol=1e-9)
+        np.testing.assert_allclose(phi[0:3, 0:3], np.eye(3))
+        np.testing.assert_allclose(phi[6], [0, 0, 0, 0, 0, t - tau, 1],
+                                   atol=1e-9)
 
     def test_matches_ode_oracle_on_paper_trajectory(self, paper):
         for t0 in (0.0, 7.0):
-            blocks = phi_blocks(paper, t0 + 4.0, t0)
             phi_ode = integrate_phi(paper, t0 + 4.0, t0, step=1e-3)
-            np.testing.assert_allclose(blocks.full(), phi_ode, atol=1e-6)
+            np.testing.assert_allclose(phi_blocks(paper, t0 + 4.0, t0),
+                                       phi_ode, atol=1e-6)
 
     def test_matches_ode_oracle_on_random_specs(self):
         rng = np.random.default_rng(0)
         for _ in range(3):
             spec = random_spec(rng)
-            blocks = phi_blocks(spec, 3.5, 1.0)
             phi_ode = integrate_phi(spec, 3.5, 1.0, step=1e-3)
-            err = np.linalg.norm(blocks.full() - phi_ode)
+            err = np.linalg.norm(phi_blocks(spec, 3.5, 1.0) - phi_ode)
             assert err / np.linalg.norm(phi_ode) < 1e-6
 
     def test_rejects_reversed_window(self, paper):

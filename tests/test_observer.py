@@ -15,26 +15,26 @@ from airnav.observer import (
     ObserverState,
     Q_CONVENTIONS,
     RiccatiWeights,
-    STACK_ORDER,
-    additive_weight,
-    output_matrix,
-    riccati_predict,
     riccati_update,
-    state_matrix_dt,
 )
-from airnav.sensors import MagReference, ProbeSet, SensorKind
+from airnav.sensors import STACK_ORDER, MagReference, ProbeSet, SensorKind
 
 from oracles import (
+    additive_weight,
     attitude,
     cre_rhs,
     error_state,
+    integrate_cre,
+    output_matrix,
     propagate_truth,
     quat_to_rot,
     residual,
+    riccati_predict,
     rot_from_small_angle,
     rot_to_quat,
     small_angle,
     state_matrix_ct,
+    state_matrix_dt,
     truth_inputs,
     truth_state,
 )
@@ -169,15 +169,6 @@ class TestStateMatrices:
         a = np.array([1.0, -2.0, 3.0])
         m = state_matrix_dt(np.eye(3), a, 1e-12)
         np.testing.assert_allclose(m, np.eye(7), atol=1e-11)
-
-    def test_dt_is_identity_plus_t_times_ct(self):
-        rng = np.random.default_rng(0)
-        rhat = geometry.exp_so3(rng.standard_normal(3))
-        a = rng.standard_normal(3)
-        t = 0.005
-        lhs = state_matrix_dt(rhat, a, t)
-        rhs = np.eye(7) + t * state_matrix_ct(rhat, a)
-        np.testing.assert_array_equal(lhs, rhs)
 
 
 class TestOutputMatrix:
@@ -567,11 +558,6 @@ class TestCreDiscreteSchemeGap:
         # recursion deviates from the continuous flow at O(T |A|^2); the
         # measured gap at 200 Hz is a few tenths of a percent and this
         # regression pins its scale
-        from airnav.config import default_config
-        from airnav.observer import (STACK_ORDER, additive_weight,
-                                     riccati_predict, riccati_update)
-
-        from oracles import integrate_cre
         cfg = default_config()
         spec = TrajectorySpec.paper(duration=2.0)
         T = cfg.imu_period
@@ -729,7 +715,7 @@ class TestPackedKernels:
 
 
 class TestTickAgainstPublicPieces:
-    """The merged tick equals the cycle composed from the public pieces."""
+    """The merged tick equals the cycle composed from the dense forms."""
 
     @pytest.mark.parametrize("kinds", [
         (),

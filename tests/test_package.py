@@ -15,12 +15,19 @@ def test_every_exported_name_resolves():
 # Validation code kept in tests/oracles.py, and names deleted outright.
 ORACLE_NAMES = (
     "ErrorState", "NotSkewSymmetricError", "OutOfRangeError", "ScheduleSlot",
-    "_batch_skew", "_check_time", "attitude", "cre_rhs", "error_state",
-    "integrate_cre", "integrate_phi", "make_schedule", "propagate_truth",
-    "quat_to_rot", "residual", "rot_from_small_angle", "rot_to_quat",
-    "small_angle", "state_matrix_ct", "truth_inputs", "truth_state", "unskew",
+    "_batch_skew", "_check_time", "_subset_in_stack_order", "additive_weight",
+    "attitude", "cre_rhs", "error_state", "integrate_cre", "integrate_phi",
+    "make_schedule", "output_matrix", "propagate_truth", "quat_to_rot",
+    "residual", "riccati_predict", "rot_from_small_angle", "rot_to_quat",
+    "small_angle", "state_matrix_ct", "state_matrix_dt", "truth_inputs",
+    "truth_state", "unskew",
 )
-DELETED_NAMES = ("E1", "E2")
+DELETED_NAMES = ("E1", "E2", "TransitionBlocks", "TrajectoryKind")
+
+
+def test_dense_forms_are_not_exported():
+    assert not {"output_matrix", "riccati_predict", "riccati_update",
+                "state_matrix_dt", "TrajectoryKind"} & set(airnav.__all__)
 
 
 def _after_import(code: str) -> str:
