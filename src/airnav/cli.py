@@ -98,6 +98,7 @@ def _cmd_montecarlo(args, config) -> int:
     harness.write_summary_csv(out / "summary.csv", summary)
     print(f"wrote {summary.runs} run traces and summary.csv to {out}")
     print(f"divergences: {summary.divergence_count}/{summary.runs}")
+    print(f"unconverged: {summary.unconverged_count}/{summary.runs}")
     for key in ("err_att", "err_v_body"):
         # Diverged runs are NaN; with no run left there is nothing to show.
         values = summary.final_means[key]

@@ -15,17 +15,23 @@ Python floats, to the observer's float step (what
 estimate; and the vectorized metrics, whose Euler-angle columns come from
 :func:`~airnav.geometry.rot_to_euler_zyx` on the whole series (NaN on rows
 at gimbal lock).  A numerical failure inside the loop ends that run only:
-its series is truncated and flagged, and :func:`run_montecarlo` carries on
-with the other runs.
+its series is truncated and flagged with the failure's class, and
+:func:`run_montecarlo` carries on with the other runs.
 
 :func:`run_montecarlo` hands the runs to forked worker processes, one per
-available CPU, each of which also writes its own run's trace.  Every run
-draws from its own ``(base_seed, run_index)`` substreams and the results
-are collected in run-index order, so every output is byte-identical to
-running the runs one after another, which is what happens in-process on a
-single CPU or where the ``fork`` start method does not exist.  On Python
-3.12 and later, the fork emits a ``DeprecationWarning`` because numpy's
-BLAS threads exist in the parent process.
+available CPU.  Each task runs one run, writes its trace, and reduces its
+series to a :class:`RunRecord` of a few hundred bytes: the run's status
+(ok, diverged or unconverged by :data:`CONVERGED_ERR_ATT` and
+:data:`CONVERGED_ERR_V_BODY`), the final-window means and the values at
+:data:`SUMMARY_SAMPLE_TIMES`.  Only records travel back to the parent, so
+a batch holds no series and the parent's memory does not grow with the
+number of runs; :func:`summarize` folds the records.  Every run draws from
+its own ``(base_seed, run_index)`` substreams and the records are
+collected in run-index order, so every output is byte-identical to running
+the runs one after another, which is what happens in-process on a single
+CPU or where the ``fork`` start method does not exist.  On Python 3.12 and
+later, the fork emits a ``DeprecationWarning`` because numpy's BLAS
+threads exist in the parent process.
 :func:`write_trace_csv` formats each row with one ``%`` format and writes
 blocks of rows.
 """
@@ -89,6 +95,14 @@ METRIC_KEYS = ("err_att", "err_v_body", "err_v_inertial", "err_h")
 SUMMARY_SAMPLE_TIMES = (5.0, 15.0, 30.0)
 FINAL_WINDOW = 5.0
 
+# A run that does not diverge has converged when its final-window means are
+# at most these (the reference study's convergence test).
+CONVERGED_ERR_ATT = 0.05
+CONVERGED_ERR_V_BODY = 0.5
+
+# RunRecord.status values.
+OK, DIVERGED, UNCONVERGED = "ok", "diverged", "unconverged"
+
 
 @dataclass(eq=False)
 class RunMetrics:
@@ -110,6 +124,8 @@ class RunMetrics:
     lam_max_p: np.ndarray
     diverged: bool = False
     divergence_time: float | None = None
+    # Class name of the RUN_FAILURES exception that ended the run.
+    divergence_cause: str | None = None
 
     def at_time(self, key: str, t: float) -> float:
         """Metric value at the tick closest to ``t``."""
@@ -125,12 +141,69 @@ class RunMetrics:
         return float(np.mean(values)) if values.size else float("nan")
 
 
+@dataclass(frozen=True)
+class RunRecord:
+    """What a Monte Carlo batch keeps of one run, as plain Python values.
+
+    ``final_means`` and ``at_times`` map each of :data:`METRIC_KEYS` to
+    :meth:`RunMetrics.window_mean` over the final :data:`FINAL_WINDOW`
+    seconds (NaN when diverged) and to :meth:`RunMetrics.at_time` at each of
+    :data:`SUMMARY_SAMPLE_TIMES` inside the duration (of the partial series
+    when diverged; :func:`summarize` leaves those out).  ``status`` is
+    :data:`OK`, :data:`DIVERGED` or :data:`UNCONVERGED`; ``cause`` says why
+    a run is not ok and is empty when it is.
+    """
+
+    run_index: int
+    status: str
+    cause: str
+    divergence_time: float | None
+    final_means: dict[str, float]
+    at_times: dict[str, tuple[float, ...]]
+
+    @property
+    def diverged(self) -> bool:
+        return self.status == DIVERGED
+
+
+def _sample_times(duration: float) -> tuple[float, ...]:
+    return tuple(t for t in SUMMARY_SAMPLE_TIMES if t <= duration)
+
+
+def _run_record(config: SimConfig, metrics: RunMetrics) -> RunRecord:
+    """Reduce one run's series to its :class:`RunRecord`."""
+    final_means = {
+        key: (float("nan") if metrics.diverged else
+              metrics.window_mean(key, config.duration - FINAL_WINDOW))
+        for key in METRIC_KEYS}
+    at_times = {key: tuple(metrics.at_time(key, t)
+                           for t in _sample_times(config.duration))
+                for key in METRIC_KEYS}
+    if metrics.diverged:
+        status = DIVERGED
+        cause = (f"{metrics.divergence_cause} at "
+                 f"t={metrics.divergence_time:g} s")
+    else:
+        # NaN fails both comparisons, so it counts as unconverged.
+        missed = [f"{key}={final_means[key]:.3g} > {tol:g}"
+                  for key, tol in (("err_att", CONVERGED_ERR_ATT),
+                                   ("err_v_body", CONVERGED_ERR_V_BODY))
+                  if not final_means[key] <= tol]
+        status = UNCONVERGED if missed else OK
+        cause = (f"final-{FINAL_WINDOW:g}s " + ", ".join(missed)
+                 if missed else "")
+    return RunRecord(run_index=metrics.run_index, status=status, cause=cause,
+                     divergence_time=metrics.divergence_time,
+                     final_means=final_means, at_times=at_times)
+
+
 @dataclass(eq=False)
 class MonteCarloSummary:
     """Aggregate statistics of a Monte Carlo batch."""
 
     runs: int
     divergence_count: int
+    unconverged_count: int
     sample_times: tuple[float, ...]
     final_means: dict[str, np.ndarray]
     median_at_times: dict[str, np.ndarray]
@@ -174,8 +247,8 @@ def run_single(config: SimConfig, run_index: int = 0,
     measurements are processed, so row 0 reflects the initial estimate, and
     the derived metrics are computed vectorized after the loop.  If a tick
     fails numerically (divergence floor, singular innovation, degenerate
-    attitude), the series is truncated at the last valid tick and flagged,
-    and the caller's batch goes on.
+    attitude), the series is truncated at the last valid tick and flagged
+    with the failure's class name, and the caller's batch goes on.
     """
     spec = config.trajectory
     rates = config.rates
@@ -224,6 +297,7 @@ def run_single(config: SimConfig, run_index: int = 0,
     hist = bytearray(record.size * n)
     diverged = False
     divergence_time = None
+    divergence_cause = None
     recorded = 0
     step = observer._step
     for i in range(n):
@@ -237,9 +311,10 @@ def run_single(config: SimConfig, run_index: int = 0,
                  pitot_meas[i // dec_p].tolist() if i % dec_p == 0 else None,
                  mag_meas[i // dec_m].tolist() if i % dec_m == 0 else None,
                  float(baro_meas[i // dec_b]) if i % dec_b == 0 else None)
-        except RUN_FAILURES:
+        except RUN_FAILURES as exc:
             diverged = True
             divergence_time = float(ts[i])
+            divergence_cause = type(exc).__name__
             break
 
     sl = slice(0, recorded)
@@ -267,6 +342,7 @@ def run_single(config: SimConfig, run_index: int = 0,
         lam_max_p=lam_max,
         diverged=diverged,
         divergence_time=divergence_time,
+        divergence_cause=divergence_cause,
     )
 
 
@@ -304,12 +380,13 @@ def trace_path(out, run_index: int) -> Path:
     return Path(out) / f"run_{run_index:03d}.csv"
 
 
-def _run_and_write(config: SimConfig, run_index: int, out) -> RunMetrics:
-    """One Monte Carlo task: run ``run_index`` and, given ``out``, its trace."""
+def _run_and_write(config: SimConfig, run_index: int, out) -> RunRecord:
+    """One Monte Carlo task: run ``run_index``, write its trace given ``out``,
+    and return its :class:`RunRecord`; the series go no further."""
     metrics = run_single(config, run_index)
     if out is not None:
         write_trace_csv(trace_path(out, run_index), metrics)
-    return metrics
+    return _run_record(config, metrics)
 
 
 def _worker_count(runs: int) -> int:
@@ -321,7 +398,7 @@ def _worker_count(runs: int) -> int:
     return min(runs, cpus)
 
 
-def _run_pooled(config: SimConfig, out, workers: int) -> list[RunMetrics]:
+def _run_pooled(config: SimConfig, out, workers: int) -> list[RunRecord]:
     """Run every task in ``workers`` forked processes, in run-index order.
 
     Forked workers inherit the imported package, so nothing is re-imported
@@ -344,48 +421,49 @@ def _run_pooled(config: SimConfig, out, workers: int) -> list[RunMetrics]:
 
 
 def run_montecarlo(config: SimConfig, out=None,
-                   ) -> tuple[MonteCarloSummary, list[RunMetrics]]:
+                   ) -> tuple[MonteCarloSummary, list[RunRecord]]:
     """Run all configured Monte Carlo repetitions and aggregate statistics.
 
-    Given an existing directory ``out``, each run's trace is written there
-    as :func:`trace_path` names it.  The runs go to forked worker processes,
-    one per available CPU (no more than there are runs), and each worker
-    writes the traces of its own runs.  Runs are seeded independently and
-    collected in run-index order, so the traces, metrics and summary are
-    byte-identical to running the runs one after another, as is done
-    in-process when only one CPU is available or the ``fork`` start method
-    does not exist.  On Python 3.12 and later the fork emits a
-    ``DeprecationWarning`` because numpy's BLAS threads exist.  A numerical
-    failure (:data:`RUN_FAILURES`) stays inside its run; any other
-    exception cancels the runs not yet started and reaches the caller.
-    Diverged runs keep their partial series and are excluded from
-    aggregate statistics.
+    Returns the summary and one :class:`RunRecord` per run, in run-index
+    order; no run's series outlives its task.  Given an existing directory
+    ``out``, each run's trace is written there as :func:`trace_path` names
+    it; without ``out`` no trace is formatted.  The runs go to forked worker
+    processes, one per available CPU (no more than there are runs), and
+    each worker writes the traces of its own runs and sends back only their
+    records.  Runs are seeded independently and collected in run-index
+    order, so the traces, records and summary are byte-identical to running
+    the runs one after another, as is done in-process when only one CPU is
+    available or the ``fork`` start method does not exist.  On Python 3.12
+    and later the fork emits a ``DeprecationWarning`` because numpy's BLAS
+    threads exist.  A numerical failure (:data:`RUN_FAILURES`) stays inside
+    its run, whose trace keeps the partial series; any other exception
+    cancels the runs not yet started and reaches the caller.
     """
     workers = _worker_count(config.runs)
     if workers >= 2 and hasattr(os, "fork"):
-        all_metrics = _run_pooled(config, out, workers)
+        records = _run_pooled(config, out, workers)
     else:
-        all_metrics = [_run_and_write(config, k, out)
-                       for k in range(config.runs)]
-    return summarize(config, all_metrics), all_metrics
+        records = [_run_and_write(config, k, out)
+                   for k in range(config.runs)]
+    return summarize(config, records), records
 
 
 def summarize(config: SimConfig,
-              all_metrics: list[RunMetrics]) -> MonteCarloSummary:
-    sample_times = tuple(t for t in SUMMARY_SAMPLE_TIMES
-                         if t <= config.duration)
+              records: list[RunRecord]) -> MonteCarloSummary:
+    """Fold the batch's run records into across-run statistics.
+
+    Each run's final-window means are kept, NaN for a diverged run; the
+    median, minimum and maximum at each sample time inside the duration
+    are taken over the runs that did not diverge.
+    """
+    sample_times = _sample_times(config.duration)
     final_means = {}
     median_at, min_at, max_at = {}, {}, {}
-    clean = [m for m in all_metrics if not m.diverged]
+    clean = [r for r in records if not r.diverged]
     for key in METRIC_KEYS:
-        final_means[key] = np.array([
-            m.window_mean(key, config.duration - FINAL_WINDOW)
-            if not m.diverged else np.nan
-            for m in all_metrics
-        ])
+        final_means[key] = np.array([r.final_means[key] for r in records])
         if clean and sample_times:
-            at_times = np.array([[m.at_time(key, t) for t in sample_times]
-                                 for m in clean])
+            at_times = np.array([r.at_times[key] for r in clean])
             median_at[key] = np.median(at_times, axis=0)
             min_at[key] = np.min(at_times, axis=0)
             max_at[key] = np.max(at_times, axis=0)
@@ -393,8 +471,9 @@ def summarize(config: SimConfig,
             empty = np.full(len(sample_times), np.nan)
             median_at[key], min_at[key], max_at[key] = empty, empty, empty
     return MonteCarloSummary(
-        runs=len(all_metrics),
-        divergence_count=sum(m.diverged for m in all_metrics),
+        runs=len(records),
+        divergence_count=sum(r.diverged for r in records),
+        unconverged_count=sum(r.status == UNCONVERGED for r in records),
         sample_times=sample_times,
         final_means=final_means,
         median_at_times=median_at,

@@ -22,6 +22,7 @@ carry it.  It holds the pieces that exist only to cross-check the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,8 +149,13 @@ class ErrorState:
 
 
 def _check_time(spec: TrajectorySpec, t) -> None:
-    t = np.asarray(t, dtype=float)
-    if np.any(t < -_TIME_SLACK) or np.any(t > spec.duration + _TIME_SLACK):
+    if isinstance(t, float):  # the common scalar query, without numpy
+        outside = t < -_TIME_SLACK or t > spec.duration + _TIME_SLACK
+    else:
+        t = np.asarray(t, dtype=float)
+        outside = (np.any(t < -_TIME_SLACK)
+                   or np.any(t > spec.duration + _TIME_SLACK))
+    if outside:
         raise OutOfRangeError(
             f"t outside [0, {spec.duration}]"
         )
@@ -186,6 +192,48 @@ def truth_inputs(spec: TrajectorySpec, t: float) -> BodyInputs:
     return BodyInputs(omega=omega, a=a)
 
 
+def _exp_so3_floats(x: float, y: float, z: float) -> tuple[float, ...]:
+    """:func:`airnav.geometry.exp_so3` of ``(x, y, z)``, row-major floats."""
+    angle2 = x * x + y * y + z * z
+    if angle2 < geometry.SMALL_ANGLE_SWITCH**2:
+        c1 = 1.0 - angle2 / 6.0
+        c2 = 0.5 - angle2 / 24.0
+    else:
+        angle = math.sqrt(angle2)
+        c1 = math.sin(angle) / angle
+        c2 = (1.0 - math.cos(angle)) / angle2
+    # I + c1 [theta]_x + c2 [theta]_x^2, the square written out entrywise
+    return (1.0 + c2 * (-z * z - y * y), c1 * -z + c2 * (y * x),
+            c1 * y + c2 * (z * x),
+            c1 * z + c2 * (x * y), 1.0 + c2 * (-z * z - x * x),
+            c1 * -x + c2 * (z * y),
+            c1 * -y + c2 * (x * z), c1 * x + c2 * (y * z),
+            1.0 + c2 * (-y * y - x * x))
+
+
+def _mat_mul(a, b) -> tuple[float, ...]:
+    """Product of two row-major 3x3 float tuples."""
+    return tuple(a[i] * b[j] + a[i + 1] * b[j + 3] + a[i + 2] * b[j + 6]
+                 for i in (0, 3, 6) for j in (0, 1, 2))
+
+
+def _mat_vec(a, u) -> tuple[float, float, float]:
+    """Row-major 3x3 float tuple times a 3-vector."""
+    return (a[0] * u[0] + a[1] * u[1] + a[2] * u[2],
+            a[3] * u[0] + a[4] * u[1] + a[5] * u[2],
+            a[6] * u[0] + a[7] * u[1] + a[8] * u[2])
+
+
+def _rotation_defect(r) -> float:
+    """:func:`airnav.geometry.rotation_defect` of a row-major float tuple."""
+    total = 0.0
+    for i in range(3):
+        for j in range(3):
+            dot = r[i] * r[j] + r[i + 3] * r[j + 3] + r[i + 6] * r[j + 6]
+            total += (dot - (i == j)) ** 2
+    return math.sqrt(total)
+
+
 def propagate_truth(state: NavState, inputs_fn, dt: float, steps: int,
                     gravity: float = 9.81, t0: float = 0.0) -> NavState:
     """Integrate the rigid-body kinematics with RK4.
@@ -193,7 +241,9 @@ def propagate_truth(state: NavState, inputs_fn, dt: float, steps: int,
     The vector part (V_a, h, v) uses classical RK4; the rotation advances by
     the exponential of the midpoint angular-rate increment at each stage, and
     is re-projected onto SO(3) whenever the orthonormality defect exceeds
-    the shared drift tolerance.
+    the shared drift tolerance.  The step runs on Python floats; each of the
+    stage times ``t``, ``t + dt/4``, ``t + dt/2`` and ``t + dt`` asks
+    ``inputs_fn`` once, and the end of one step is the start of the next.
 
     Parameters
     ----------
@@ -206,35 +256,58 @@ def propagate_truth(state: NavState, inputs_fn, dt: float, steps: int,
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    r = state.R.copy()
-    va = state.Va.copy()
+    r = tuple(state.R.ravel().tolist())
+    va = state.Va.tolist()
     h = float(state.h)
-    v = state.v.copy()
+    v = state.v.tolist()
     t = float(t0)
 
-    def rates(t_s: float, r_s: np.ndarray, va_s: np.ndarray):
+    def inputs(t_s: float):
         inp = inputs_fn(t_s)
-        dva = -np.cross(inp.omega, va_s) + gravity * (r_s.T @ E3) + inp.a
-        dh = float(E3 @ (r_s @ va_s))
-        dv = r_s @ inp.a + gravity * E3
-        return dva, dh, dv
+        return inp.omega.tolist(), inp.a.tolist()
 
+    def rates(inp, r_s, va_s):
+        (wx, wy, wz), a = inp
+        cross = (wy * va_s[2] - wz * va_s[1], wz * va_s[0] - wx * va_s[2],
+                 wx * va_s[1] - wy * va_s[0])
+        dva = [-cross[i] + gravity * r_s[6 + i] + a[i] for i in range(3)]
+        dh = r_s[6] * va_s[0] + r_s[7] * va_s[1] + r_s[8] * va_s[2]
+        ra = _mat_vec(r_s, a)
+        return dva, dh, (ra[0], ra[1], ra[2] + gravity)
+
+    def advance(x, k, scale):
+        return [x[i] + scale * k[i] for i in range(3)]
+
+    def combine(k1, k2, k3, k4):
+        return (k1 + 2.0 * k2) + 2.0 * k3 + k4
+
+    inp_start = inputs(t)
     for _ in range(steps):
+        inp_quarter = inputs(t + 0.25 * dt)
+        inp_mid = inputs(t + 0.5 * dt)
+        inp_end = inputs(t + dt)
         # Midpoint-rate exponential increments for the stage rotations.
-        r_half = r @ geometry.exp_so3(0.5 * dt * inputs_fn(t + 0.25 * dt).omega)
-        r_full = r @ geometry.exp_so3(dt * inputs_fn(t + 0.5 * dt).omega)
-        k1 = rates(t, r, va)
-        k2 = rates(t + 0.5 * dt, r_half, va + 0.5 * dt * k1[0])
-        k3 = rates(t + 0.5 * dt, r_half, va + 0.5 * dt * k2[0])
-        k4 = rates(t + dt, r_full, va + dt * k3[0])
-        va = va + (dt / 6.0) * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-        h = h + (dt / 6.0) * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-        v = v + (dt / 6.0) * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2])
+        r_half = _mat_mul(r, _exp_so3_floats(
+            *[0.5 * dt * w for w in inp_quarter[0]]))
+        r_full = _mat_mul(r, _exp_so3_floats(*[dt * w for w in inp_mid[0]]))
+        k1 = rates(inp_start, r, va)
+        k2 = rates(inp_mid, r_half, advance(va, k1[0], 0.5 * dt))
+        k3 = rates(inp_mid, r_half, advance(va, k2[0], 0.5 * dt))
+        k4 = rates(inp_end, r_full, advance(va, k3[0], dt))
+        sixth = dt / 6.0
+        va = [va[i] + sixth * combine(k1[0][i], k2[0][i], k3[0][i], k4[0][i])
+              for i in range(3)]
+        h = h + sixth * combine(k1[1], k2[1], k3[1], k4[1])
+        v = [v[i] + sixth * combine(k1[2][i], k2[2][i], k3[2][i], k4[2][i])
+             for i in range(3)]
         r = r_full
-        if geometry.rotation_defect(r) > geometry.ORTHONORMALITY_TOL:
-            r = geometry.project_to_so3(r)
+        if _rotation_defect(r) > geometry.ORTHONORMALITY_TOL:
+            r = tuple(geometry.project_to_so3(
+                np.array(r).reshape(3, 3)).ravel().tolist())
         t += dt
-    return NavState(R=r, Va=va, h=h, v=v)
+        inp_start = inp_end
+    return NavState(R=np.array(r).reshape(3, 3), Va=np.array(va), h=h,
+                    v=np.array(v))
 
 
 def error_state(truth: NavState, est) -> ErrorState:

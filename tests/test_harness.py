@@ -1,6 +1,7 @@
 import csv
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import replace
@@ -52,6 +53,18 @@ def _pin_workers(monkeypatch, workers):
 @pytest.fixture
 def short_config():
     return parse_config_text("duration = 2\nruns = 2\n")
+
+
+def _trace_va_hat(trace) -> np.ndarray:
+    """The estimated air velocity of a trace read by ``read_trace_csv``."""
+    return np.column_stack([trace[f"Va{i}_hat"] for i in (1, 2, 3)])
+
+
+def _assert_trace_matches(out, run_index, metrics) -> None:
+    """The written trace of ``run_index`` holds ``metrics``' series."""
+    trace = read_trace_csv(harness.trace_path(out, run_index))
+    np.testing.assert_array_equal(_trace_va_hat(trace), metrics.va_hat)
+    np.testing.assert_array_equal(trace["err_att"], metrics.err_att)
 
 
 NOISE_FREE = """
@@ -252,27 +265,89 @@ class TestRunSingle:
         assert m.diverged
         assert m.t.shape[0] == 1
         assert m.divergence_time == 0.0
+        assert m.divergence_cause == "SingularInnovationError"
 
 
 class TestMonteCarlo:
     def test_single_run_summary_matches_run(self, short_config):
         cfg = replace(short_config, runs=1)
-        summary, all_metrics = run_montecarlo(cfg)
+        summary, _ = run_montecarlo(cfg)
         assert summary.runs == 1
         assert summary.divergence_count == 0
-        m = all_metrics[0]
+        m = run_single(cfg, 0)
         expected = m.window_mean("err_att", cfg.duration - 5.0)
         assert summary.final_means["err_att"][0] == pytest.approx(expected)
 
-    def test_determinism(self, short_config):
-        s1, m1 = run_montecarlo(short_config)
-        s2, m2 = run_montecarlo(short_config)
-        for a, b in zip(m1, m2):
-            np.testing.assert_array_equal(a.va_hat, b.va_hat)
-            np.testing.assert_array_equal(a.err_att, b.err_att)
+    def test_determinism(self, short_config, tmp_path):
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        out1.mkdir()
+        out2.mkdir()
+        s1, r1 = run_montecarlo(short_config, out1)
+        s2, r2 = run_montecarlo(short_config, out2)
+        for k in range(short_config.runs):
+            a = read_trace_csv(harness.trace_path(out1, k))
+            b = read_trace_csv(harness.trace_path(out2, k))
+            np.testing.assert_array_equal(_trace_va_hat(a), _trace_va_hat(b))
+            np.testing.assert_array_equal(a["err_att"], b["err_att"])
+        assert r1 == r2
         for key in harness.METRIC_KEYS:
             np.testing.assert_array_equal(s1.final_means[key],
                                           s2.final_means[key])
+
+    def test_pickled_record_is_small(self):
+        # a record, not the run's series, is what a worker sends back
+        cfg = parse_config_text("duration = 31\nruns = 1\n")
+        _, records = run_montecarlo(cfg)
+        assert len(pickle.dumps(records[0])) < 1024
+
+    @pytest.mark.parametrize("workers", [
+        1, pytest.param(2, marks=needs_fork)])
+    def test_records_match_run_single(self, workers, monkeypatch):
+        _pin_workers(monkeypatch, workers)
+        cfg = parse_config_text("duration = 31\nruns = 2\n")
+        _, records = run_montecarlo(cfg)
+        assert [r.run_index for r in records] == [0, 1]
+        for record in records:
+            m = run_single(cfg, record.run_index)
+            assert record.status == harness.OK
+            assert record.cause == ""
+            assert not record.diverged
+            assert record.divergence_time is None
+            for key in harness.METRIC_KEYS:
+                assert record.final_means[key] == m.window_mean(key, 26.0)
+                assert record.at_times[key] == tuple(
+                    m.at_time(key, t) for t in (5.0, 15.0, 30.0))
+
+    @pytest.mark.parametrize("error", [DivergenceError,
+                                       SingularInnovationError])
+    def test_forced_failure_names_its_class(self, short_config, monkeypatch,
+                                            error):
+        _pin_workers(monkeypatch, 1)
+
+        def failing_step(self, *args):
+            raise error("forced for test")
+
+        monkeypatch.setattr(AirDataObserver, "_step", failing_step)
+        summary, records = run_montecarlo(short_config)
+        assert summary.divergence_count == 2
+        assert summary.unconverged_count == 0
+        for record in records:
+            assert record.status == harness.DIVERGED
+            assert record.diverged
+            assert record.divergence_time == 0.0
+            assert record.cause == f"{error.__name__} at t=0 s"
+
+    def test_basin_run_is_unconverged(self):
+        # run 0 of base_seed 21 settles with the attitude off about m_I
+        cfg = replace(default_config(), base_seed=21, runs=1)
+        summary, (record,) = run_montecarlo(cfg)
+        assert summary.divergence_count == 0
+        assert summary.unconverged_count == 1
+        assert record.status == harness.UNCONVERGED
+        assert record.final_means["err_att"] > harness.CONVERGED_ERR_ATT
+        assert record.final_means["err_v_body"] > harness.CONVERGED_ERR_V_BODY
+        assert record.cause.startswith("final-5s err_att=")
+        assert "err_v_body=" in record.cause
 
     def test_sample_times_clipped_to_duration(self, short_config):
         summary, _ = run_montecarlo(short_config)
@@ -292,15 +367,15 @@ class TestMonteCarlo:
             return orig(self, *args)
 
         monkeypatch.setattr(AirDataObserver, "_step", sometimes_failing)
-        summary, all_metrics = run_montecarlo(short_config)
+        summary, records = run_montecarlo(short_config)
         assert summary.divergence_count == 1
-        assert all_metrics[0].diverged
-        assert not all_metrics[1].diverged
+        assert records[0].diverged
+        assert not records[1].diverged
         assert np.isnan(summary.final_means["err_att"][0])
         assert np.isfinite(summary.final_means["err_att"][1])
 
     def test_singular_innovation_in_one_run_spares_the_batch(
-            self, short_config, monkeypatch):
+            self, short_config, monkeypatch, tmp_path):
         # the tick counter spans runs, so the runs must share one process
         _pin_workers(monkeypatch, 1)
         intact = run_single(short_config, 1)
@@ -314,18 +389,17 @@ class TestMonteCarlo:
             return orig(self, *args)
 
         monkeypatch.setattr(AirDataObserver, "_step", failing_in_run_0)
-        summary, all_metrics = run_montecarlo(short_config)
+        summary, records = run_montecarlo(short_config, tmp_path)
         assert summary.divergence_count == 1
-        assert all_metrics[0].diverged
-        assert all_metrics[0].t.shape[0] == 50
-        run_1 = all_metrics[1]
-        assert not run_1.diverged
-        np.testing.assert_array_equal(run_1.va_hat, intact.va_hat)
-        np.testing.assert_array_equal(run_1.err_att, intact.err_att)
+        assert records[0].diverged
+        assert read_trace_csv(harness.trace_path(tmp_path, 0))["t"].shape[0] \
+            == 50
+        assert not records[1].diverged
+        _assert_trace_matches(tmp_path, 1, intact)
 
     @needs_fork
     def test_singular_innovation_in_one_pooled_run_spares_the_batch(
-            self, short_config, monkeypatch):
+            self, short_config, monkeypatch, tmp_path):
         # forked workers inherit the patched run_single; the fault is keyed
         # on the run index because each worker counts its own ticks
         _pin_workers(monkeypatch, 2)
@@ -351,14 +425,14 @@ class TestMonteCarlo:
                 return orig(config, run_index, initial_state)
 
         monkeypatch.setattr(harness, "run_single", run_single_failing_in_run_0)
-        summary, all_metrics = run_montecarlo(cfg)
+        summary, records = run_montecarlo(cfg, tmp_path)
         assert summary.divergence_count == 1
-        assert all_metrics[0].diverged
-        assert all_metrics[0].t.shape[0] == 50
-        for run, ref in zip(all_metrics[1:], intact):
+        assert records[0].diverged
+        assert read_trace_csv(harness.trace_path(tmp_path, 0))["t"].shape[0] \
+            == 50
+        for run, ref in zip(records[1:], intact):
             assert not run.diverged
-            np.testing.assert_array_equal(run.va_hat, ref.va_hat)
-            np.testing.assert_array_equal(run.err_att, ref.err_att)
+            _assert_trace_matches(tmp_path, run.run_index, ref)
 
     @needs_fork
     def test_pooled_outputs_match_in_process(self, short_config, tmp_path,
@@ -379,19 +453,21 @@ class TestMonteCarlo:
 
     @needs_fork
     def test_pool_runs_elsewhere_and_leaves_no_process(self, short_config,
-                                                       monkeypatch):
+                                                       monkeypatch, tmp_path):
         _pin_workers(monkeypatch, 2)
         orig = harness.run_single
 
         def run_single_noting_pid(config, run_index=0, initial_state=None):
-            metrics = orig(config, run_index, initial_state)
-            metrics.pid = os.getpid()
-            return metrics
+            pid_path = tmp_path / f"run_{run_index:03d}.pid"
+            pid_path.write_text(str(os.getpid()))
+            return orig(config, run_index, initial_state)
 
         monkeypatch.setattr(harness, "run_single", run_single_noting_pid)
-        _, all_metrics = run_montecarlo(replace(short_config, runs=3))
-        assert [m.run_index for m in all_metrics] == [0, 1, 2]
-        assert os.getpid() not in {m.pid for m in all_metrics}
+        _, records = run_montecarlo(replace(short_config, runs=3), tmp_path)
+        assert [r.run_index for r in records] == [0, 1, 2]
+        pids = {int((tmp_path / f"run_{k:03d}.pid").read_text())
+                for k in range(3)}
+        assert os.getpid() not in pids
         assert multiprocessing.active_children() == []
 
     @needs_fork
@@ -503,11 +579,14 @@ class TestCli:
         assert code == 0
         assert (out / "run_001.csv").exists()
 
-    def test_montecarlo_and_determinism(self, tmp_path):
+    def test_montecarlo_and_determinism(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert cli.main(["montecarlo", "--config", str(cfg), "--out",
                          str(out1)]) == 0
+        # 2 s is too short to converge; that is reported, not an error
+        assert ("\ndivergences: 0/2\nunconverged: 2/2\n"
+                in capsys.readouterr().out)
         assert cli.main(["montecarlo", "--config", str(cfg), "--out",
                          str(out2)]) == 0
         for name in ("run_000.csv", "run_001.csv", "summary.csv"):
@@ -620,7 +699,7 @@ class TestCli:
              str(cfg), "--out", str(tmp_path / "mc")],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 3, proc.stderr
-        assert "divergences: 2/2" in proc.stdout
+        assert "divergences: 2/2\nunconverged: 0/2\n" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr, proc.stderr
         for key in ("err_att", "err_v_body"):
             assert (f"final-5s mean {key}: n/a (every run diverged)"
