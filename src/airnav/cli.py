@@ -7,7 +7,12 @@ Subcommands::
     airnav observability --config FILE [--window SECONDS] [--out DIR]
 
 Exit codes: 0 success, 2 configuration, ``--window``, ``--run-index`` or
-output-directory error, 3 divergence.
+output error, 3 divergence.  An output error is an ``OSError`` from creating
+the output directory or from opening or writing an output file (a closed
+stdout is not one); a run opens its trace before it ticks, so an unwritable
+trace ends the command at once.
+Every exit-2 error prints one line on stderr: ``config error: ...``,
+``window error: ...`` or ``output error: ...``.
 """
 
 from __future__ import annotations
@@ -73,10 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_simulate(args, config) -> int:
     if args.seed is not None:
         config = replace(config, base_seed=args.seed)
-    out = Path(args.out)
-    metrics = harness.run_single(config, run_index=args.run_index)
-    trace_path = harness.trace_path(out, args.run_index)
-    harness.write_trace_csv(trace_path, metrics)
+    trace_path = harness.trace_path(args.out, args.run_index)
+    metrics = harness.run_single(config, run_index=args.run_index,
+                                 trace=trace_path)
     print(f"wrote {trace_path}")
     if metrics.diverged:
         print(f"run diverged at t={metrics.divergence_time:g} s",
@@ -139,11 +143,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        try:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            print(f"output error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        Path(args.out).mkdir(parents=True, exist_ok=True)
         if args.command == "simulate":
             return _cmd_simulate(args, config)
         if args.command == "montecarlo":
@@ -153,6 +153,13 @@ def main(argv=None) -> int:
     # e.g. a tick grid of 2e17 samples.
     except (ConfigParseError, ConfigValidationError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    # A closed stdout is the reader's doing, not an output file's error.
+    except BrokenPipeError:
+        raise
+    # load_config reports its own OSError as a ConfigParseError.
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

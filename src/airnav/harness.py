@@ -32,14 +32,24 @@ the runs one after another, which is what happens in-process on a single
 CPU or where the ``fork`` start method does not exist.  On Python 3.12 and
 later, the fork emits a ``DeprecationWarning`` because numpy's BLAS
 threads exist in the parent process.
-:func:`write_trace_csv` formats each row with one ``%`` format and writes
-blocks of rows.
+
+Given a path, :func:`run_single` writes the run's trace itself, deriving
+and formatting the trace columns a block of :data:`EIG_BLOCK_ROWS` rows
+at a time.  When the process may use two or more CPUs and the run is not
+in a Monte Carlo worker process, a child forked just before the tick loop
+does that work for each block while the loop ticks the next; otherwise
+the same writer runs in process after the loop.  Both write the same blocks
+with the same code, so the trace is byte-identical either way.  On Python
+3.12 and later this fork, too, emits a ``DeprecationWarning``.
+:func:`write_trace_csv` writes the trace of a run already held.
 """
 
 from __future__ import annotations
 
 import csv
+import mmap
 import os
+import pickle
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,14 +90,17 @@ TRACE_COLUMNS = (
 RUN_FAILURES = (DivergenceError, SingularInnovationError,
                 DegenerateMatrixError, np.linalg.LinAlgError)
 
-# Rows formatted per write in write_trace_csv.
-TRACE_BLOCK_ROWS = 256
-
 # Floats recorded per tick in run_single: Rhat, Vahat, hhat, packed P.
 RECORD_WIDTH = 9 + 3 + 1 + 28
 
-# Covariance rows expanded to 7x7 per eigvalsh call in run_single.
+# Rows per block: trace columns are derived (covariance rows expanded to
+# 7x7 per eigvalsh call) and trace lines written a block at a time.  Every
+# block starts at a multiple of it, so a row's derived values do not depend
+# on whether a forked or an in-process writer derived them.
 EIG_BLOCK_ROWS = 1024
+
+_TRACE_HEADER = ",".join(TRACE_COLUMNS) + "\n"
+_TRACE_ROW = ",".join([FLOAT_FORMAT] * len(TRACE_COLUMNS)) + "\n"
 
 METRIC_KEYS = ("err_att", "err_v_body", "err_v_inertial", "err_h")
 
@@ -233,7 +246,8 @@ def init_estimates(config: SimConfig, run_index: int) -> ObserverState:
 
 
 def run_single(config: SimConfig, run_index: int = 0,
-               initial_state: ObserverState | None = None) -> RunMetrics:
+               initial_state: ObserverState | None = None,
+               trace=None) -> RunMetrics:
     """Drive the observer over the full sensor schedule of one run.
 
     Truth is evaluated from the closed form on the whole tick grid up
@@ -245,10 +259,24 @@ def run_single(config: SimConfig, run_index: int = 0,
     :class:`~airnav.observer.ObserverState`.  The estimate is recorded, as
     floats with ``P`` packed, at every IMU tick before that tick's
     measurements are processed, so row 0 reflects the initial estimate, and
-    the derived metrics are computed vectorized after the loop.  If a tick
-    fails numerically (divergence floor, singular innovation, degenerate
-    attitude), the series is truncated at the last valid tick and flagged
-    with the failure's class name, and the caller's batch goes on.
+    the derived metrics are computed vectorized, :data:`EIG_BLOCK_ROWS`
+    rows at a time.  If a tick fails numerically (divergence floor,
+    singular innovation, degenerate attitude), the series is truncated at
+    the last valid tick and flagged with the failure's class name, and the
+    caller's batch goes on.
+
+    Given a path ``trace``, the run writes its trace there, with the
+    layout of :func:`write_trace_csv`; the file is opened before the tick
+    loop, so an unwritable path fails the run before it ticks.  When this
+    process may use two or more CPUs and is not a Monte Carlo worker (see
+    :func:`run_montecarlo`), a child forked before the loop derives and
+    writes each block of rows while the loop ticks the next, and the call
+    returns once the child is done; otherwise the same writer runs after
+    the loop.  The bytes are the same either way, and an error of the
+    writer reaches the caller either way.  A run cut short by a
+    :data:`RUN_FAILURES` error keeps the rows it recorded; a run ended by
+    any other exception, or by an error of the writer, leaves no file at
+    ``trace``.
     """
     spec = config.trajectory
     rates = config.rates
@@ -292,75 +320,102 @@ def run_single(config: SimConfig, run_index: int = 0,
         dt=config.imu_period, gravity=config.gravity,
         q_convention=config.q_convention, integrator=config.integrator,
     )
-    # One record per tick: Rhat row by row, Vahat, hhat and the packed P.
+    # One record per tick: Rhat row by row, Vahat, hhat and the packed P,
+    # in memory that a forked writer shares.
     record = struct.Struct(f"{RECORD_WIDTH}d")
-    hist = bytearray(record.size * n)
+    hist = _shared_buffer(record.size * n)
+    writer = _TraceWriter(trace, (ts, r_truth, va_truth, h_truth),
+                          np.frombuffer(hist).reshape(n, RECORD_WIDTH))
     diverged = False
     divergence_time = None
     divergence_cause = None
     recorded = 0
     step = observer._step
-    for i in range(n):
-        record.pack_into(hist, record.size * i, *observer._r, *observer._v,
-                         observer._h, *observer._p)
-        recorded = i + 1
-        if i == steps:
-            break
-        try:
-            step(omega_meas[i].tolist(), a_meas[i].tolist(),
-                 pitot_meas[i // dec_p].tolist() if i % dec_p == 0 else None,
-                 mag_meas[i // dec_m].tolist() if i % dec_m == 0 else None,
-                 float(baro_meas[i // dec_b]) if i % dec_b == 0 else None)
-        except RUN_FAILURES as exc:
-            diverged = True
-            divergence_time = float(ts[i])
-            divergence_cause = type(exc).__name__
-            break
+    try:
+        if trace is not None and _spare_cpu():
+            writer.fork()
+        for i in range(n):
+            if i % EIG_BLOCK_ROWS == 0:
+                writer.ready(i)
+            record.pack_into(hist, record.size * i, *observer._r,
+                             *observer._v, observer._h, *observer._p)
+            recorded = i + 1
+            if i == steps:
+                break
+            try:
+                step(omega_meas[i].tolist(), a_meas[i].tolist(),
+                     pitot_meas[i // dec_p].tolist()
+                     if i % dec_p == 0 else None,
+                     mag_meas[i // dec_m].tolist()
+                     if i % dec_m == 0 else None,
+                     float(baro_meas[i // dec_b]) if i % dec_b == 0 else None)
+            except RUN_FAILURES as exc:
+                diverged = True
+                divergence_time = float(ts[i])
+                divergence_cause = type(exc).__name__
+                break
+        writer.finish(recorded)
+    except BaseException:
+        writer.abandon()
+        raise
 
-    sl = slice(0, recorded)
-    rows = np.frombuffer(hist).reshape(n, RECORD_WIDTH)[sl]
-    r_t, r_h = r_truth[sl], rows[:, 0:9].reshape(-1, 3, 3)
-    va_t, va_h = va_truth[sl], rows[:, 9:12].copy()
-    h_h = rows[:, 12].copy()
-    v_inertial_t = np.einsum("nij,nj->ni", r_t, va_t)
-    v_inertial_h = np.einsum("nij,nj->ni", r_h, va_h)
-    lam_min, lam_max = _p_extreme_eigenvalues(rows[:, 13:])
+    cols = writer.table[:recorded]
     return RunMetrics(
         run_index=run_index,
-        t=ts[sl],
-        euler=_euler_columns(r_t),
-        euler_hat=_euler_columns(r_h),
-        va=va_t,
-        va_hat=va_h,
-        h=h_truth[sl],
-        h_hat=h_h,
-        err_v_body=np.linalg.norm(va_t - va_h, axis=1),
-        err_v_inertial=np.linalg.norm(v_inertial_t - v_inertial_h, axis=1),
-        err_att=3.0 - np.einsum("nij,nij->n", r_t, r_h),
-        err_h=np.abs(h_truth[sl] - h_h),
-        lam_min_p=lam_min,
-        lam_max_p=lam_max,
+        t=cols[:, 0],
+        euler=cols[:, 1:4],
+        euler_hat=cols[:, 4:7],
+        va=cols[:, 7:10],
+        va_hat=cols[:, 10:13],
+        h=cols[:, 13],
+        h_hat=cols[:, 14],
+        err_v_body=cols[:, 15],
+        err_v_inertial=cols[:, 16],
+        err_att=cols[:, 17],
+        err_h=cols[:, 18],
+        lam_min_p=cols[:, 19],
+        lam_max_p=cols[:, 20],
         diverged=diverged,
         divergence_time=divergence_time,
         divergence_cause=divergence_cause,
     )
 
 
-def _p_extreme_eigenvalues(packed: np.ndarray,
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """Smallest and largest eigenvalue of each packed ``P`` row.
+def _shared_buffer(size: int) -> mmap.mmap:
+    """``size`` zero bytes of anonymous memory that a forked child shares."""
+    try:
+        return mmap.mmap(-1, size)
+    except OSError as exc:  # out of memory, reported as any allocation is
+        raise MemoryError(f"cannot map {size} bytes: {exc}") from exc
 
-    The full matrices are built ``EIG_BLOCK_ROWS`` at a time, so no
-    ``(n, 7, 7)`` history is held.
-    """
-    lam_min = np.empty(packed.shape[0])
-    lam_max = np.empty(packed.shape[0])
-    for start in range(0, packed.shape[0], EIG_BLOCK_ROWS):
-        block = slice(start, start + EIG_BLOCK_ROWS)
-        eigs = np.linalg.eigvalsh(packed[block][:, PACKED_INDEX])
-        lam_min[block] = eigs[:, 0]
-        lam_max[block] = eigs[:, -1]
-    return lam_min, lam_max
+
+def _derive_rows(table: np.ndarray, rows: np.ndarray, truth,
+                 start: int, stop: int) -> None:
+    """Fill ``table[start:stop]``, in :data:`TRACE_COLUMNS` order, from the
+    recorded ``rows`` and the ``(t, R, Va, h)`` truth series."""
+    ts, r_truth, va_truth, h_truth = truth
+    sl = slice(start, stop)
+    rec = rows[sl]
+    r_t, r_h = r_truth[sl], rec[:, 0:9].reshape(-1, 3, 3)
+    va_t, va_h = va_truth[sl], rec[:, 9:12].copy()
+    h_t, h_h = h_truth[sl], rec[:, 12].copy()
+    v_inertial_t = np.einsum("nij,nj->ni", r_t, va_t)
+    v_inertial_h = np.einsum("nij,nj->ni", r_h, va_h)
+    eigs = np.linalg.eigvalsh(rec[:, 13:][:, PACKED_INDEX])
+    out = table[sl]
+    out[:, 0] = ts[sl]
+    out[:, 1:4] = _euler_columns(r_t)
+    out[:, 4:7] = _euler_columns(r_h)
+    out[:, 7:10] = va_t
+    out[:, 10:13] = va_h
+    out[:, 13] = h_t
+    out[:, 14] = h_h
+    out[:, 15] = np.linalg.norm(va_t - va_h, axis=1)
+    out[:, 16] = np.linalg.norm(v_inertial_t - v_inertial_h, axis=1)
+    out[:, 17] = 3.0 - np.einsum("nij,nij->n", r_t, r_h)
+    out[:, 18] = np.abs(h_t - h_h)
+    out[:, 19] = eigs[:, 0]
+    out[:, 20] = eigs[:, -1]
 
 
 def _euler_columns(r: np.ndarray) -> np.ndarray:
@@ -375,6 +430,142 @@ def _euler_columns(r: np.ndarray) -> np.ndarray:
     return euler
 
 
+def _format_rows(table: np.ndarray) -> str:
+    """The trace lines of ``table``'s rows."""
+    return "".join([_TRACE_ROW % tuple(row) for row in table.tolist()])
+
+
+class _TraceWriter:
+    """Derives one run's trace columns and writes its trace, if it has one.
+
+    Rows are taken a block of :data:`EIG_BLOCK_ROWS` at a time.  In process,
+    :meth:`finish` takes them all after the tick loop.  After :meth:`fork`,
+    a child process takes each block that :meth:`ready` reports through a
+    pipe while the loop ticks the next; the recorded ``rows`` and the
+    derived ``table`` are shared memory, so the parent reads the child's
+    table once :meth:`finish` has reaped it.  A failure of the child is
+    pickled back through a second pipe and raised in the parent.
+    :meth:`abandon` removes the trace of a run that did not finish.
+    """
+
+    def __init__(self, path, truth, rows: np.ndarray):
+        self.path = path
+        self.truth = truth
+        self.rows = rows
+        n = rows.shape[0]
+        self.table = np.frombuffer(
+            _shared_buffer(8 * n * len(TRACE_COLUMNS))).reshape(n, -1)
+        self.done = 0
+        self.pid = None
+        self.fh = None
+        if path is not None:
+            self.fh = open(path, "w", newline="")
+            self.fh.write(_TRACE_HEADER)
+
+    def _write_to(self, recorded: int) -> None:
+        """Derive, and write when there is a trace, rows up to ``recorded``."""
+        for start in range(self.done, recorded, EIG_BLOCK_ROWS):
+            stop = min(start + EIG_BLOCK_ROWS, recorded)
+            _derive_rows(self.table, self.rows, self.truth, start, stop)
+            if self.fh is not None:
+                self.fh.write(_format_rows(self.table[start:stop]))
+        self.done = recorded
+
+    def fork(self) -> None:
+        """Hand the rest of the work to a child process.
+
+        A failed fork (no process left to start) leaves the work in
+        process.
+        """
+        self.fh.flush()  # the child must not inherit buffered text
+        counts_r, counts_w = os.pipe()
+        errors_r, errors_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (counts_r, counts_w, errors_r, errors_w):
+                os.close(fd)
+            return
+        if pid == 0:
+            # The child never returns into the caller's frames.
+            status = 1
+            try:
+                os.close(counts_w)
+                os.close(errors_r)
+                while data := os.read(counts_r, 8):
+                    self._write_to(int.from_bytes(data, "little"))
+                self.fh.close()
+                status = 0
+            except BaseException as exc:
+                try:
+                    report = pickle.dumps(exc)
+                except Exception:  # an exception that does not pickle
+                    report = pickle.dumps(RuntimeError(repr(exc)))
+                os.write(errors_w, report)
+            finally:
+                os._exit(status)
+        os.close(counts_r)
+        os.close(errors_w)
+        self.fh.close()  # the child writes through its own copy
+        self.fh = None
+        self.pid, self._counts, self._errors = pid, counts_w, errors_r
+
+    def ready(self, recorded: int) -> None:
+        """Tell a forked child that rows up to ``recorded`` are recorded:
+        the loop calls this at each block start, :meth:`finish` at the end."""
+        if self.pid is None:
+            return
+        try:
+            os.write(self._counts, recorded.to_bytes(8, "little"))
+        except BrokenPipeError:  # the child stopped early: say why
+            error = self._reap()
+            if error is None:
+                raise
+            raise error from None
+
+    def finish(self, recorded: int) -> None:
+        """Complete the table, and the trace if any, with ``recorded`` rows."""
+        if self.pid is None:
+            self._write_to(recorded)
+            if self.fh is not None:
+                self.fh.close()
+            return
+        self.ready(recorded)
+        error = self._reap()
+        if error is not None:
+            raise error
+
+    def abandon(self) -> None:
+        """Stop after the tick loop or the writer failed, and remove the
+        trace, which would otherwise look like a complete one.  The first
+        error is the one to report, so later failures here are dropped."""
+        if self.pid is not None:
+            self._reap()
+        if self.fh is not None:
+            try:
+                self.fh.close()
+            except OSError:
+                pass
+        if self.path is not None:
+            Path(self.path).unlink(missing_ok=True)
+
+    def _reap(self) -> BaseException | None:
+        """Close the count pipe, wait for the child and return its error."""
+        pid, self.pid = self.pid, None
+        os.close(self._counts)
+        with open(self._errors, "rb") as errors:
+            report = errors.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if report:
+            return pickle.loads(report)
+        # Not an OSError: the trace was writable, its writer was lost.
+        if status < 0:
+            return RuntimeError(f"trace writer killed by signal {-status}")
+        if status:
+            return RuntimeError(f"trace writer exited with {status}")
+        return None
+
+
 def trace_path(out, run_index: int) -> Path:
     """Path of run ``run_index``'s trace CSV in directory ``out``."""
     return Path(out) / f"run_{run_index:03d}.csv"
@@ -383,19 +574,40 @@ def trace_path(out, run_index: int) -> Path:
 def _run_and_write(config: SimConfig, run_index: int, out) -> RunRecord:
     """One Monte Carlo task: run ``run_index``, write its trace given ``out``,
     and return its :class:`RunRecord`; the series go no further."""
-    metrics = run_single(config, run_index)
-    if out is not None:
-        write_trace_csv(trace_path(out, run_index), metrics)
-    return _run_record(config, metrics)
+    trace = trace_path(out, run_index) if out is not None else None
+    return _run_record(config, run_single(config, run_index, trace=trace))
+
+
+def _cpu_count() -> int:
+    """CPUs this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _worker_count(runs: int) -> int:
     """Worker processes for ``runs`` runs: one per CPU this process may use."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(runs, cpus)
+    return min(runs, _cpu_count())
+
+
+# Set in Monte Carlo worker processes by the pool's initializer.
+_pool_worker = False
+
+
+def _become_pool_worker() -> None:
+    """Initializer of a Monte Carlo worker process."""
+    global _pool_worker
+    _pool_worker = True
+
+
+def _spare_cpu() -> bool:
+    """Whether a run here may fork its trace writer: it is the only run in
+    this process and a second CPU is there for the writer.  Runs in Monte
+    Carlo workers keep their writers in process, as forking them measured
+    slower on two workers sharing two CPUs."""
+    return (hasattr(os, "fork") and not _pool_worker
+            and _cpu_count() >= 2)
 
 
 def _run_pooled(config: SimConfig, out, workers: int) -> list[RunRecord]:
@@ -410,7 +622,8 @@ def _run_pooled(config: SimConfig, out, workers: int) -> list[RunRecord]:
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_become_pool_worker) as pool:
         futures = [pool.submit(_run_and_write, config, k, out)
                    for k in range(config.runs)]
         try:
@@ -435,9 +648,14 @@ def run_montecarlo(config: SimConfig, out=None,
     the runs one after another, as is done in-process when only one CPU is
     available or the ``fork`` start method does not exist.  On Python 3.12
     and later the fork emits a ``DeprecationWarning`` because numpy's BLAS
-    threads exist.  A numerical failure (:data:`RUN_FAILURES`) stays inside
-    its run, whose trace keeps the partial series; any other exception
-    cancels the runs not yet started and reaches the caller.
+    threads exist.  Each run writes its own trace (see :func:`run_single`);
+    a run in a worker process formats it after its loop, and a lone run
+    in this process may fork a writer that formats it while the run
+    ticks; the bytes are the same.  A numerical failure
+    (:data:`RUN_FAILURES`) stays inside its run, whose trace keeps the
+    partial series; any other exception, such as an ``OSError`` from a
+    trace that cannot be written, cancels the runs not yet started and
+    reaches the caller.
     """
     workers = _worker_count(config.runs)
     if workers >= 2 and hasattr(os, "fork"):
@@ -490,13 +708,11 @@ def write_trace_csv(path, metrics: RunMetrics) -> None:
         metrics.err_v_inertial, metrics.err_att, metrics.err_h,
         metrics.lam_min_p, metrics.lam_max_p,
     ))
-    row_format = ",".join([FLOAT_FORMAT] * len(TRACE_COLUMNS)) + "\n"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        fh.write(_TRACE_HEADER)
         # Blocks of rows bound the memory of the formatted text.
-        for start in range(0, table.shape[0], TRACE_BLOCK_ROWS):
-            block = table[start:start + TRACE_BLOCK_ROWS].tolist()
-            fh.write("".join([row_format % tuple(row) for row in block]))
+        for start in range(0, table.shape[0], EIG_BLOCK_ROWS):
+            fh.write(_format_rows(table[start:start + EIG_BLOCK_ROWS]))
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:

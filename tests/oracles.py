@@ -184,11 +184,25 @@ def truth_state(spec: TrajectorySpec, t: float) -> NavState:
 
 
 def truth_inputs(spec: TrajectorySpec, t: float) -> BodyInputs:
-    """Exact IMU inputs (angular rate, specific acceleration) at time t."""
+    """Exact IMU inputs (angular rate, specific acceleration) at time t.
+
+    The closed forms of :mod:`airnav.dynamics` (yaw rate and angle,
+    ``dv/dt - g e3`` rotated into the body frame by ``Rz(psi)^T``),
+    evaluated on Python floats: this is the inner call of
+    :func:`propagate_truth`.
+    """
     _check_time(spec, t)
-    r = attitude(spec, t)
-    omega = np.array([0.0, 0.0, float(dynamics.yaw_rate(spec, t))])
-    a = r.T @ dynamics.inertial_specific_force(spec, t)
+    t = float(t)
+    amp, freq = spec.vel_amp.tolist(), spec.vel_freq.tolist()
+    phase = spec.vel_phase.tolist()
+    w = [-amp[i] * freq[i] * math.sin(freq[i] * t + phase[i])
+         for i in range(3)]
+    psi = (0.0 if spec.yaw_freq == 0.0 else (spec.yaw_amp / spec.yaw_freq)
+           * (1.0 - math.cos(spec.yaw_freq * t)))
+    c, s = math.cos(psi), math.sin(psi)
+    omega = np.array([0.0, 0.0, spec.yaw_amp * math.sin(spec.yaw_freq * t)])
+    a = np.array([c * w[0] + s * w[1], c * w[1] - s * w[0],
+                  w[2] - spec.gravity])
     return BodyInputs(omega=omega, a=a)
 
 

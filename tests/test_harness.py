@@ -2,6 +2,7 @@ import csv
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -48,6 +49,34 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
 
 def _pin_workers(monkeypatch, workers):
     monkeypatch.setattr(harness, "_worker_count", lambda runs: workers)
+
+
+def _pin_cpus(monkeypatch, cpus):
+    """Let the harness see ``cpus`` CPUs: with 1, every trace writer runs in
+    process; with 2, a lone run forks its writer."""
+    monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
+
+
+def _note_pids(monkeypatch, owner, name, path):
+    """Make ``owner.name`` append its process id to ``path`` on each call."""
+    orig = getattr(owner, name)
+
+    def noting(*args, **kwargs):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, noting)
+
+
+def _pids(path) -> set[int]:
+    return {int(pid) for pid in Path(path).read_text().split()}
+
+
+def _assert_reaped(pid):
+    # waitpid on a pid that is no longer a child of this process fails
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
 
 
 @pytest.fixture
@@ -408,9 +437,9 @@ class TestMonteCarlo:
         orig = harness.run_single
 
         def run_single_failing_in_run_0(config, run_index=0,
-                                        initial_state=None):
+                                        initial_state=None, trace=None):
             if run_index != 0:
-                return orig(config, run_index, initial_state)
+                return orig(config, run_index, initial_state, trace)
             calls = {"n": 0}
             step = AirDataObserver._step
 
@@ -422,7 +451,7 @@ class TestMonteCarlo:
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(AirDataObserver, "_step", failing_step)
-                return orig(config, run_index, initial_state)
+                return orig(config, run_index, initial_state, trace)
 
         monkeypatch.setattr(harness, "run_single", run_single_failing_in_run_0)
         summary, records = run_montecarlo(cfg, tmp_path)
@@ -457,10 +486,11 @@ class TestMonteCarlo:
         _pin_workers(monkeypatch, 2)
         orig = harness.run_single
 
-        def run_single_noting_pid(config, run_index=0, initial_state=None):
+        def run_single_noting_pid(config, run_index=0, initial_state=None,
+                                  trace=None):
             pid_path = tmp_path / f"run_{run_index:03d}.pid"
             pid_path.write_text(str(os.getpid()))
-            return orig(config, run_index, initial_state)
+            return orig(config, run_index, initial_state, trace)
 
         monkeypatch.setattr(harness, "run_single", run_single_noting_pid)
         _, records = run_montecarlo(replace(short_config, runs=3), tmp_path)
@@ -477,10 +507,10 @@ class TestMonteCarlo:
         orig = harness.run_single
 
         def run_single_failing_in_run_1(config, run_index=0,
-                                        initial_state=None):
+                                        initial_state=None, trace=None):
             if run_index == 1:
                 raise OutOfRangeError("forced for test")
-            return orig(config, run_index, initial_state)
+            return orig(config, run_index, initial_state, trace)
 
         monkeypatch.setattr(harness, "run_single", run_single_failing_in_run_1)
         with pytest.raises(OutOfRangeError, match="forced for test"):
@@ -563,6 +593,166 @@ class TestCsvPersistence:
         assert lines[0] == ("t_window_start,lam_min_W,lam_max_W,mu_pi,"
                             "mu_api,verdict")
         assert lines[1].endswith("true")
+
+
+@needs_fork
+class TestTraceWriter:
+    @pytest.fixture
+    def config(self):
+        # 8 s at 200 Hz: 1601 rows, more than one block of EIG_BLOCK_ROWS
+        cfg = parse_config_text("duration = 8\nruns = 2\n")
+        assert harness.EIG_BLOCK_ROWS < 1601 < 2 * harness.EIG_BLOCK_ROWS
+        return cfg
+
+    @pytest.mark.parametrize("cpus, runs, forks", [
+        (1, 1, False), (2, 1, True), (2, 2, False), (4, 2, False)])
+    def test_writer_forks_only_with_a_spare_cpu(self, short_config, tmp_path,
+                                                monkeypatch, cpus, runs,
+                                                forks):
+        # a lone run forks given two CPUs; runs in pool workers never do
+        _pin_cpus(monkeypatch, cpus)
+        _note_pids(monkeypatch, harness, "run_single", tmp_path / "runs")
+        _note_pids(monkeypatch, harness, "_format_rows", tmp_path / "writers")
+        out = tmp_path / "out"
+        out.mkdir()
+        run_montecarlo(replace(short_config, runs=runs), out)
+        run_pids, writer_pids = _pids(tmp_path / "runs"), _pids(
+            tmp_path / "writers")
+        assert len(writer_pids) == runs
+        assert writer_pids.isdisjoint(run_pids) == forks
+        assert (os.getpid() in run_pids) == (runs == 1)
+
+    def test_streamed_trace_matches_in_process(self, config, tmp_path,
+                                               monkeypatch):
+        traces, metrics = {}, {}
+        for cpus in (1, 2):
+            _pin_cpus(monkeypatch, cpus)
+            pids = tmp_path / f"writers_{cpus}"
+            _note_pids(monkeypatch, harness, "_format_rows", pids)
+            path = tmp_path / f"cpus_{cpus}.csv"
+            metrics[cpus] = run_single(config, 0, trace=path)
+            traces[cpus] = path.read_bytes()
+            assert (_pids(pids) == {os.getpid()}) == (cpus == 1)
+            monkeypatch.undo()
+        write_trace_csv(tmp_path / "held.csv", metrics[2])
+        assert traces[2] == traces[1] == (tmp_path / "held.csv").read_bytes()
+        assert len(read_trace_csv(tmp_path / "cpus_2.csv")["t"]) == 1601
+        for field in ("t", "euler", "euler_hat", "va", "va_hat", "h",
+                      "h_hat", "err_v_body", "err_v_inertial", "err_att",
+                      "err_h", "lam_min_p", "lam_max_p"):
+            np.testing.assert_array_equal(getattr(metrics[2], field),
+                                          getattr(metrics[1], field))
+
+    @pytest.mark.parametrize("fail_at", [50, 1100])
+    def test_singular_innovation_truncates_both_traces_alike(
+            self, config, tmp_path, monkeypatch, fail_at):
+        traces = {}
+        for cpus in (1, 2):
+            _pin_cpus(monkeypatch, cpus)
+            calls = {"n": 0}
+            orig = AirDataObserver._step
+
+            def failing_step(self, *args):
+                calls["n"] += 1
+                if calls["n"] == fail_at:
+                    raise SingularInnovationError("forced for test")
+                return orig(self, *args)
+
+            monkeypatch.setattr(AirDataObserver, "_step", failing_step)
+            path = tmp_path / f"cpus_{cpus}.csv"
+            m = run_single(config, 0, trace=path)
+            assert m.divergence_cause == "SingularInnovationError"
+            assert m.t.shape[0] == fail_at
+            traces[cpus] = path.read_bytes()
+            monkeypatch.undo()
+        assert traces[2] == traces[1]
+        assert len(read_trace_csv(tmp_path / "cpus_2.csv")["t"]) == fail_at
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_unwritable_trace_fails_before_ticking(self, short_config,
+                                                   tmp_path, monkeypatch,
+                                                   cpus):
+        _pin_cpus(monkeypatch, cpus)
+
+        def no_step(self, *args):
+            raise AssertionError("ticked with an unwritable trace")
+
+        monkeypatch.setattr(AirDataObserver, "_step", no_step)
+        with pytest.raises(IsADirectoryError):
+            run_single(short_config, 0, trace=tmp_path)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_writer_error_reaches_caller(self, config, tmp_path,
+                                         monkeypatch, cpus):
+        _pin_cpus(monkeypatch, cpus)
+        pids = tmp_path / "writers"
+
+        def failing_format(table):
+            pids.write_text(str(os.getpid()))
+            raise ValueError("forced for test")
+
+        monkeypatch.setattr(harness, "_format_rows", failing_format)
+        with pytest.raises(ValueError, match="forced for test"):
+            run_single(config, 0, trace=tmp_path / "trace.csv")
+        assert not (tmp_path / "trace.csv").exists()
+        (pid,) = _pids(pids)
+        if cpus == 1:
+            assert pid == os.getpid()
+        else:
+            _assert_reaped(pid)
+
+    def test_killed_writer_reaches_caller(self, config, tmp_path,
+                                          monkeypatch):
+        _pin_cpus(monkeypatch, 2)
+
+        def killed_format(table):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(harness, "_format_rows", killed_format)
+        with pytest.raises(RuntimeError,
+                           match=f"killed by signal {int(signal.SIGKILL)}$"):
+            run_single(config, 0, trace=tmp_path / "trace.csv")
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_other_error_in_loop_reaches_caller_and_leaves_no_process(
+            self, config, tmp_path, monkeypatch, cpus):
+        _pin_cpus(monkeypatch, cpus)
+        pids = tmp_path / "writers"
+        _note_pids(monkeypatch, harness, "_format_rows", pids)
+        calls = {"n": 0}
+        orig = AirDataObserver._step
+
+        def failing_step(self, *args):
+            # after the first block went to the writer
+            calls["n"] += 1
+            if calls["n"] == 1100:
+                raise OutOfRangeError("forced for test")
+            return orig(self, *args)
+
+        monkeypatch.setattr(AirDataObserver, "_step", failing_step)
+        with pytest.raises(OutOfRangeError, match="forced for test"):
+            run_single(config, 0, trace=tmp_path / "trace.csv")
+        assert not (tmp_path / "trace.csv").exists()
+        if cpus == 1:  # the writer would have run after the loop
+            assert not pids.exists()
+        else:
+            (pid,) = _pids(pids)
+            assert pid != os.getpid()
+            _assert_reaped(pid)
+
+    def test_failed_fork_keeps_the_writer_in_process(self, short_config,
+                                                     tmp_path, monkeypatch):
+        _pin_cpus(monkeypatch, 2)
+        run_single(short_config, 0, trace=tmp_path / "forked.csv")
+
+        def no_fork():
+            raise BlockingIOError("forced for test")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        run_single(short_config, 0, trace=tmp_path / "in_process.csv")
+        assert ((tmp_path / "in_process.csv").read_bytes()
+                == (tmp_path / "forked.csv").read_bytes())
 
 
 class TestCli:
@@ -675,6 +865,40 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("output error: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "montecarlo"])
+    def test_unwritable_trace_exits_2_before_ticking(self, tmp_path, capsys,
+                                                     monkeypatch, command):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        for k in range(2):
+            harness.trace_path(out, k).mkdir(parents=True)
+
+        def no_step(self, *args):
+            raise AssertionError("ticked with an unwritable trace")
+
+        monkeypatch.setattr(AirDataObserver, "_step", no_step)
+        assert cli.main([command, "--config", str(cfg), "--out",
+                         str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("output error: ")
+        assert "run_000.csv" in captured.err
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_closed_stdout_is_not_an_output_error(self, tmp_path,
+                                                  monkeypatch):
+        cfg = self._write_config(tmp_path)
+
+        def closed_stdout(*args, file=None, **kwargs):
+            if file is None:
+                raise BrokenPipeError("forced for test")
+            print(*args, file=file, **kwargs)
+
+        monkeypatch.setattr(cli, "print", closed_stdout, raising=False)
+        with pytest.raises(BrokenPipeError):
+            cli.main(["simulate", "--config", str(cfg), "--out",
+                      str(tmp_path / "out")])
 
     def test_divergence_exits_3(self, tmp_path, monkeypatch):
         cfg = self._write_config(tmp_path)
