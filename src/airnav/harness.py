@@ -34,13 +34,15 @@ later, the fork emits a ``DeprecationWarning`` because numpy's BLAS
 threads exist in the parent process.
 
 Given a path, :func:`run_single` writes the run's trace itself, deriving
-and formatting the trace columns a block of :data:`EIG_BLOCK_ROWS` rows
-at a time.  When the process may use two or more CPUs and the run is not
-in a Monte Carlo worker process, a child forked just before the tick loop
-does that work for each block while the loop ticks the next; otherwise
-the same writer runs in process after the loop.  Both write the same blocks
-with the same code, so the trace is byte-identical either way.  On Python
-3.12 and later this fork, too, emits a ``DeprecationWarning``.
+the trace columns and formatting them a block of :data:`EIG_BLOCK_ROWS`
+rows at a time.  When the process may use two or more CPUs and the run is
+not in a Monte Carlo worker process, a child forked just before the tick
+loop does that work for each block while the loop ticks the next;
+otherwise the same writer runs in process after the loop and derives
+every row in one call.  A row's derived values do not depend on how the
+rows are split into calls, and both format the same blocks with the same
+code, so the trace is byte-identical either way.  On Python 3.12 and later
+this fork, too, emits a ``DeprecationWarning``.
 :func:`write_trace_csv` writes the trace of a run already held.
 """
 
@@ -93,10 +95,12 @@ RUN_FAILURES = (DivergenceError, SingularInnovationError,
 # Floats recorded per tick in run_single: Rhat, Vahat, hhat, packed P.
 RECORD_WIDTH = 9 + 3 + 1 + 28
 
-# Rows per block: trace columns are derived (covariance rows expanded to
-# 7x7 per eigvalsh call) and trace lines written a block at a time.  Every
-# block starts at a multiple of it, so a row's derived values do not depend
-# on whether a forked or an in-process writer derived them.
+# Rows per block: the tick loop converts measurements to floats, a forked
+# trace writer derives the trace columns (covariance rows expanded to 7x7
+# per eigvalsh call), and trace lines are written, a block at a time.  The
+# in-process writer derives every row in one call; a row's derived values
+# do not depend on the split (the tests check partitions of 1, 7 and 1024
+# rows against one call), so the two writers fill the same bytes.
 EIG_BLOCK_ROWS = 1024
 
 _TRACE_HEADER = ",".join(TRACE_COLUMNS) + "\n"
@@ -254,16 +258,18 @@ def run_single(config: SimConfig, run_index: int = 0,
     front.  Each sensor's measurements for the whole run are then drawn in
     one call, on the ticks where it samples (``k % decimation == 0``); the
     draws equal those of one call per tick on the same substream.  The loop
-    converts each tick's rows of those arrays to floats and runs the step
-    behind :meth:`AirDataObserver.tick` once per tick, without building an
-    :class:`~airnav.observer.ObserverState`.  The estimate is recorded, as
-    floats with ``P`` packed, at every IMU tick before that tick's
-    measurements are processed, so row 0 reflects the initial estimate, and
-    the derived metrics are computed vectorized, :data:`EIG_BLOCK_ROWS`
-    rows at a time.  If a tick fails numerically (divergence floor,
-    singular innovation, degenerate attitude), the series is truncated at
-    the last valid tick and flagged with the failure's class name, and the
-    caller's batch goes on.
+    converts those arrays to Python floats :data:`EIG_BLOCK_ROWS` ticks at
+    a time (a sensor that samples every ``d`` ticks contributes the rows of
+    its samples in the block, ``ceil(start / d)`` to ``ceil(stop / d)``)
+    and runs the step behind :meth:`AirDataObserver.tick` once per tick,
+    without building an :class:`~airnav.observer.ObserverState`.  The
+    estimate is recorded, as floats with ``P`` packed, at every IMU tick
+    before that tick's measurements are processed, so row 0 reflects the
+    initial estimate, and the derived metrics are computed vectorized.  If
+    a tick fails numerically (divergence floor, singular innovation,
+    degenerate attitude), the series is truncated at the last valid tick
+    and flagged with the failure's class name, and the caller's batch goes
+    on.
 
     Given a path ``trace``, the run writes its trace there, with the
     layout of :func:`write_trace_csv`; the file is opened before the tick
@@ -329,31 +335,37 @@ def run_single(config: SimConfig, run_index: int = 0,
     diverged = False
     divergence_time = None
     divergence_cause = None
-    recorded = 0
+    recorded = n
     step = observer._step
+    pack_into, size = record.pack_into, record.size
     try:
         if trace is not None and _spare_cpu():
             writer.fork()
-        for i in range(n):
-            if i % EIG_BLOCK_ROWS == 0:
-                writer.ready(i)
-            record.pack_into(hist, record.size * i, *observer._r,
-                             *observer._v, observer._h, *observer._p)
-            recorded = i + 1
-            if i == steps:
+        for start in range(0, n, EIG_BLOCK_ROWS):
+            writer.ready(start)
+            # The block's measurements as floats, None where none sampled.
+            stop = min(start + EIG_BLOCK_ROWS, steps)
+            for i, omega, a, pitot, mag, baro in zip(
+                    range(start, stop), omega_meas[start:stop].tolist(),
+                    a_meas[start:stop].tolist(),
+                    _samples(pitot_meas, dec_p, start, stop),
+                    _samples(mag_meas, dec_m, start, stop),
+                    _samples(baro_meas, dec_b, start, stop)):
+                pack_into(hist, size * i, *observer._r, *observer._v,
+                          observer._h, *observer._p)
+                try:
+                    step(omega, a, pitot, mag, baro)
+                except RUN_FAILURES as exc:
+                    diverged = True
+                    divergence_time = float(ts[i])
+                    divergence_cause = type(exc).__name__
+                    recorded = i + 1
+                    break
+            if diverged:
                 break
-            try:
-                step(omega_meas[i].tolist(), a_meas[i].tolist(),
-                     pitot_meas[i // dec_p].tolist()
-                     if i % dec_p == 0 else None,
-                     mag_meas[i // dec_m].tolist()
-                     if i % dec_m == 0 else None,
-                     float(baro_meas[i // dec_b]) if i % dec_b == 0 else None)
-            except RUN_FAILURES as exc:
-                diverged = True
-                divergence_time = float(ts[i])
-                divergence_cause = type(exc).__name__
-                break
+        else:  # the last tick is recorded but not processed
+            pack_into(hist, size * steps, *observer._r, *observer._v,
+                      observer._h, *observer._p)
         writer.finish(recorded)
     except BaseException:
         writer.abandon()
@@ -379,6 +391,16 @@ def run_single(config: SimConfig, run_index: int = 0,
         divergence_time=divergence_time,
         divergence_cause=divergence_cause,
     )
+
+
+def _samples(meas: np.ndarray, dec: int, start: int, stop: int) -> list:
+    """Ticks ``start`` to ``stop - 1`` of a sensor whose row ``k`` of
+    ``meas`` was sampled on tick ``k * dec``: its rows as Python floats on
+    those ticks, None on the others."""
+    ticks = [None] * (stop - start)
+    first = -(-start // dec)
+    ticks[first * dec - start::dec] = meas[first:-(-stop // dec)].tolist()
+    return ticks
 
 
 def _shared_buffer(size: int) -> mmap.mmap:
@@ -438,12 +460,13 @@ def _format_rows(table: np.ndarray) -> str:
 class _TraceWriter:
     """Derives one run's trace columns and writes its trace, if it has one.
 
-    Rows are taken a block of :data:`EIG_BLOCK_ROWS` at a time.  In process,
-    :meth:`finish` takes them all after the tick loop.  After :meth:`fork`,
-    a child process takes each block that :meth:`ready` reports through a
-    pipe while the loop ticks the next; the recorded ``rows`` and the
-    derived ``table`` are shared memory, so the parent reads the child's
-    table once :meth:`finish` has reaped it.  A failure of the child is
+    In process, :meth:`finish` derives every row in one call after the tick
+    loop and writes them a block of :data:`EIG_BLOCK_ROWS` at a time.  After
+    :meth:`fork`, a child process takes each block that :meth:`ready`
+    reports through a pipe while the loop ticks the next; the recorded
+    ``rows`` and the derived ``table`` are shared memory, so the parent
+    reads the child's table once :meth:`finish` has reaped it.  A failure
+    of the child is
     pickled back through a second pipe and raised in the parent.
     :meth:`abandon` removes the trace of a run that did not finish.
     """
@@ -463,11 +486,15 @@ class _TraceWriter:
             self.fh.write(_TRACE_HEADER)
 
     def _write_to(self, recorded: int) -> None:
-        """Derive, and write when there is a trace, rows up to ``recorded``."""
-        for start in range(self.done, recorded, EIG_BLOCK_ROWS):
-            stop = min(start + EIG_BLOCK_ROWS, recorded)
-            _derive_rows(self.table, self.rows, self.truth, start, stop)
-            if self.fh is not None:
+        """Derive, and write when there is a trace, rows up to ``recorded``:
+        one block in a forked child, every row in process."""
+        if recorded > self.done:
+            _derive_rows(self.table, self.rows, self.truth, self.done,
+                         recorded)
+        if self.fh is not None:
+            # Blocks of rows bound the memory of the formatted text.
+            for start in range(self.done, recorded, EIG_BLOCK_ROWS):
+                stop = min(start + EIG_BLOCK_ROWS, recorded)
                 self.fh.write(_format_rows(self.table[start:stop]))
         self.done = recorded
 
@@ -716,16 +743,28 @@ def write_trace_csv(path, metrics: RunMetrics) -> None:
 
 
 def read_trace_csv(path) -> dict[str, np.ndarray]:
-    """Read a trace written by :func:`write_trace_csv` (column -> array)."""
+    """Read a trace written by :func:`write_trace_csv` (column -> array).
+
+    Raises ``ValueError`` for a file without the trace header or with a
+    line whose field count is not that of the header.
+    """
+    width = len(TRACE_COLUMNS)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("not a trace file: empty")
         if tuple(header) != TRACE_COLUMNS:
             raise ValueError("not a trace file: unexpected header")
-        rows = np.array([[float(x) for x in row] for row in reader])
-    if rows.size == 0:
-        rows = rows.reshape(0, len(TRACE_COLUMNS))
-    return {name: rows[:, i] for i, name in enumerate(TRACE_COLUMNS)}
+        rows = []
+        for row in reader:
+            if len(row) != width:
+                raise ValueError(
+                    f"not a trace file: line {reader.line_num} has "
+                    f"{len(row)} fields, not {width}")
+            rows.append([float(x) for x in row])
+    table = np.array(rows).reshape(-1, width)
+    return {name: table[:, i] for i, name in enumerate(TRACE_COLUMNS)}
 
 
 def write_summary_csv(path, summary: MonteCarloSummary) -> None:

@@ -14,18 +14,24 @@ Python floats.  Between ticks the estimate is ``Rhat`` (row by row),
    product is written out on the upper triangle; the result is exactly
    symmetric by construction and ``S T`` is packed once;
 2. measurement update for the aiding sensors that sampled on the tick,
-   every row through one scalar kernel (:func:`_update_row`): ``g = P c``,
-   ``s = c^T g + q``, ``P - g g^T / s``, with ``s > 0`` checked.  Each
-   sensor's constant additive block is factored once (:func:`_whitener`)
-   and its rows and residuals whitened by that factor, so a non-diagonal
-   block or ``q_convention = "precision"`` takes the same path.  The rows
-   are folded in the order barometer, magnetometer, Pitot, each with the
-   sequential innovation ``y_j - c_j . delta`` of the correction ``delta``
-   so far, which is the block update's algebra (Bierman 1977).  When
-   Pitot, magnetometer and barometer coincide, ``delta`` runs on over every
-   row, which is the stacked update; otherwise each sensor's correction
-   starts from zero, from its raw residual, and the corrections are added.
-   The magnetometer and barometer rows are constant and built once;
+   one scalar row at a time: ``g = P c``, ``s = c^T g + q``,
+   ``P - g g^T / s``, with ``s > 0`` checked.  Each sensor's constant
+   additive block is factored once (:func:`_whitener`) and its rows and
+   residuals whitened by that factor, so a non-diagonal block or
+   ``q_convention = "precision"`` takes the same path.  The rows are folded
+   in the order barometer, magnetometer, Pitot, each with the sequential
+   innovation ``y_j - c_j . delta`` of the correction ``delta`` so far,
+   which is the block update's algebra (Bierman 1977).  When Pitot,
+   magnetometer and barometer coincide, ``delta`` runs on over every row,
+   which is the stacked update; otherwise each sensor's correction starts
+   from zero, from its raw residual, and the corrections are added.  The
+   magnetometer rows are constant and built once.  Each sensor's rows go
+   through the kernel of their shape, which skips the row's known zeros:
+   :func:`_update_row3` for the magnetometer rows (zero in columns 3-6),
+   :func:`_update_e6` for the barometer row ``e6`` and :func:`_update_row6`
+   for the Pitot rows (zero in column 6).  Each does the dense kernel
+   :func:`_update_row`'s arithmetic less the products with those zeros,
+   and returns the same floats;
 3. state integration: exponential step on SO(3), explicit step for the
    vector part.  The rates, their blend, the innovation injection and the
    Rodrigues product ``Rhat exp(theta^x)`` with its orthonormality defect
@@ -39,13 +45,14 @@ Python floats.  Between ticks the estimate is ``Rhat`` (row by row),
    ``ORTHONORMALITY_TOL``.
 
 The tick is the only way to advance an estimate.  :func:`riccati_update`
-runs the tick's scalar kernel row by row on a dense ``P``, so the test
-suite can check that kernel against the block formula.  The dense forms of
-the recursion (``A_d``, the predict, the output rows and additive weights)
-and the reference code they are checked against (the stacked residuals,
-the continuous-time ``A(Rhat)`` and an RK4 integrator of the continuous
-Riccati equation) live with the tests, in ``tests/oracles.py``, and are not
-part of the package.
+runs the dense scalar kernel row by row on a dense ``P``, so the test
+suite can check that kernel against the block formula, and the tick's
+kernels against it.  The dense forms of the recursion (``A_d``, the
+predict, the output rows and additive weights) and the reference code they
+are checked against (the stacked residuals, the continuous-time
+``A(Rhat)`` and an RK4 integrator of the continuous Riccati equation) live
+with the tests, in ``tests/oracles.py``, and are not part of the
+package.
 
 Weight conventions
 ------------------
@@ -151,8 +158,9 @@ def riccati_update(P: np.ndarray, C: np.ndarray, Q: np.ndarray,
     ``P`` is symmetric (only its upper triangle is read) and ``Q`` is the
     additive innovation term, positive definite unless diagonal.  The rows
     are whitened by :func:`_whitener` and folded into ``P`` one at a time
-    by :func:`_update_row`, the kernel the tick runs; the gain is collected
-    from the sequential innovations ``y_j - c_j . delta``.
+    by :func:`_update_row`, the dense form of the tick's row kernels, so
+    ``C`` may hold any rows; the gain is collected from the sequential
+    innovations ``y_j - c_j . delta``.
 
     Returns
     -------
@@ -289,7 +297,9 @@ def _update_row(p: tuple[float, ...], c, q: float, y: float,
     after another make the block update ``d + K (y - C d)`` when their
     additive terms are uncorrelated.  ``y = 1`` and ``d = 0`` give the gain
     ``g / s`` itself.  ``s`` must be positive; a single 1e-12 retry guards
-    against marginal conditioning before giving up.
+    against marginal conditioning before giving up.  :func:`riccati_update`
+    runs it on any row; the tick runs the kernels below, its arithmetic for
+    the rows with known zeros.
     """
     (p00, p01, p02, p03, p04, p05, p06,
      p11, p12, p13, p14, p15, p16,
@@ -326,6 +336,141 @@ def _update_row(p: tuple[float, ...], c, q: float, y: float,
     d0, d1, d2, d3, d4, d5, d6 = d
     e = y - (c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3 + c4 * d4 + c5 * d5
              + c6 * d6)
+    return (
+        p00 - k0 * g0, p01 - k0 * g1, p02 - k0 * g2, p03 - k0 * g3,
+        p04 - k0 * g4, p05 - k0 * g5, p06 - k0 * g6,
+        p11 - k1 * g1, p12 - k1 * g2, p13 - k1 * g3, p14 - k1 * g4,
+        p15 - k1 * g5, p16 - k1 * g6,
+        p22 - k2 * g2, p23 - k2 * g3, p24 - k2 * g4, p25 - k2 * g5,
+        p26 - k2 * g6,
+        p33 - k3 * g3, p34 - k3 * g4, p35 - k3 * g5, p36 - k3 * g6,
+        p44 - k4 * g4, p45 - k4 * g5, p46 - k4 * g6,
+        p55 - k5 * g5, p56 - k5 * g6,
+        p66 - k6 * g6), (
+        d0 + k0 * e, d1 + k1 * e, d2 + k2 * e, d3 + k3 * e, d4 + k4 * e,
+        d5 + k5 * e, d6 + k6 * e)
+
+
+# The tick's rows have known zeros: a whitened magnetometer row is zero in
+# columns 3-6, the barometer row is e6 and a Pitot row is zero in column 6.
+# The kernels below are _update_row for one such shape, with the row given
+# on its support only: the same operations in the same order, less the
+# products with the zero entries.  For finite values such a product is a
+# signed zero, and adding one changes no sum but for the sign of a zero sum,
+# so the kernels return the floats that _update_row does.
+
+def _update_row3(p: tuple[float, ...], c, q: float, y: float,
+                 d: tuple[float, ...],
+                 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """:func:`_update_row` for a row zero in columns 3-6; ``c`` holds
+    columns 0-2."""
+    (p00, p01, p02, p03, p04, p05, p06,
+     p11, p12, p13, p14, p15, p16,
+     p22, p23, p24, p25, p26,
+     p33, p34, p35, p36,
+     p44, p45, p46,
+     p55, p56,
+     p66) = p
+    c0, c1, c2 = c
+    g0 = p00 * c0 + p01 * c1 + p02 * c2
+    g1 = p01 * c0 + p11 * c1 + p12 * c2
+    g2 = p02 * c0 + p12 * c1 + p22 * c2
+    g3 = p03 * c0 + p13 * c1 + p23 * c2
+    g4 = p04 * c0 + p14 * c1 + p24 * c2
+    g5 = p05 * c0 + p15 * c1 + p25 * c2
+    g6 = p06 * c0 + p16 * c1 + p26 * c2
+    s = c0 * g0 + c1 * g1 + c2 * g2 + q
+    if not s > 0.0:
+        s += 1e-12
+        if not s > 0.0:
+            raise SingularInnovationError(
+                "innovation covariance is not positive definite")
+    k0, k1, k2, k3, k4, k5, k6 = (g0 / s, g1 / s, g2 / s, g3 / s, g4 / s,
+                                  g5 / s, g6 / s)
+    d0, d1, d2, d3, d4, d5, d6 = d
+    e = y - (c0 * d0 + c1 * d1 + c2 * d2)
+    return (
+        p00 - k0 * g0, p01 - k0 * g1, p02 - k0 * g2, p03 - k0 * g3,
+        p04 - k0 * g4, p05 - k0 * g5, p06 - k0 * g6,
+        p11 - k1 * g1, p12 - k1 * g2, p13 - k1 * g3, p14 - k1 * g4,
+        p15 - k1 * g5, p16 - k1 * g6,
+        p22 - k2 * g2, p23 - k2 * g3, p24 - k2 * g4, p25 - k2 * g5,
+        p26 - k2 * g6,
+        p33 - k3 * g3, p34 - k3 * g4, p35 - k3 * g5, p36 - k3 * g6,
+        p44 - k4 * g4, p45 - k4 * g5, p46 - k4 * g6,
+        p55 - k5 * g5, p56 - k5 * g6,
+        p66 - k6 * g6), (
+        d0 + k0 * e, d1 + k1 * e, d2 + k2 * e, d3 + k3 * e, d4 + k4 * e,
+        d5 + k5 * e, d6 + k6 * e)
+
+
+def _update_e6(p: tuple[float, ...], c, q: float, y: float,
+               d: tuple[float, ...],
+               ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """:func:`_update_row` for the row ``e6``: ``g`` is column 6 of ``P``,
+    ``s = p66 + q`` and ``e = y - d6``; ``c`` is not read."""
+    (p00, p01, p02, p03, p04, p05, g0,
+     p11, p12, p13, p14, p15, g1,
+     p22, p23, p24, p25, g2,
+     p33, p34, p35, g3,
+     p44, p45, g4,
+     p55, g5,
+     g6) = p
+    s = g6 + q
+    if not s > 0.0:
+        s += 1e-12
+        if not s > 0.0:
+            raise SingularInnovationError(
+                "innovation covariance is not positive definite")
+    k0, k1, k2, k3, k4, k5, k6 = (g0 / s, g1 / s, g2 / s, g3 / s, g4 / s,
+                                  g5 / s, g6 / s)
+    d0, d1, d2, d3, d4, d5, d6 = d
+    e = y - d6
+    return (
+        p00 - k0 * g0, p01 - k0 * g1, p02 - k0 * g2, p03 - k0 * g3,
+        p04 - k0 * g4, p05 - k0 * g5, g0 - k0 * g6,
+        p11 - k1 * g1, p12 - k1 * g2, p13 - k1 * g3, p14 - k1 * g4,
+        p15 - k1 * g5, g1 - k1 * g6,
+        p22 - k2 * g2, p23 - k2 * g3, p24 - k2 * g4, p25 - k2 * g5,
+        g2 - k2 * g6,
+        p33 - k3 * g3, p34 - k3 * g4, p35 - k3 * g5, g3 - k3 * g6,
+        p44 - k4 * g4, p45 - k4 * g5, g4 - k4 * g6,
+        p55 - k5 * g5, g5 - k5 * g6,
+        g6 - k6 * g6), (
+        d0 + k0 * e, d1 + k1 * e, d2 + k2 * e, d3 + k3 * e, d4 + k4 * e,
+        d5 + k5 * e, d6 + k6 * e)
+
+
+def _update_row6(p: tuple[float, ...], c, q: float, y: float,
+                 d: tuple[float, ...],
+                 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """:func:`_update_row` for a row zero in column 6; ``c`` holds
+    columns 0-5."""
+    (p00, p01, p02, p03, p04, p05, p06,
+     p11, p12, p13, p14, p15, p16,
+     p22, p23, p24, p25, p26,
+     p33, p34, p35, p36,
+     p44, p45, p46,
+     p55, p56,
+     p66) = p
+    c0, c1, c2, c3, c4, c5 = c
+    g0 = p00 * c0 + p01 * c1 + p02 * c2 + p03 * c3 + p04 * c4 + p05 * c5
+    g1 = p01 * c0 + p11 * c1 + p12 * c2 + p13 * c3 + p14 * c4 + p15 * c5
+    g2 = p02 * c0 + p12 * c1 + p22 * c2 + p23 * c3 + p24 * c4 + p25 * c5
+    g3 = p03 * c0 + p13 * c1 + p23 * c2 + p33 * c3 + p34 * c4 + p35 * c5
+    g4 = p04 * c0 + p14 * c1 + p24 * c2 + p34 * c3 + p44 * c4 + p45 * c5
+    g5 = p05 * c0 + p15 * c1 + p25 * c2 + p35 * c3 + p45 * c4 + p55 * c5
+    g6 = p06 * c0 + p16 * c1 + p26 * c2 + p36 * c3 + p46 * c4 + p56 * c5
+    s = c0 * g0 + c1 * g1 + c2 * g2 + c3 * g3 + c4 * g4 + c5 * g5 + q
+    if not s > 0.0:
+        s += 1e-12
+        if not s > 0.0:
+            raise SingularInnovationError(
+                "innovation covariance is not positive definite")
+    k0, k1, k2, k3, k4, k5, k6 = (g0 / s, g1 / s, g2 / s, g3 / s, g4 / s,
+                                  g5 / s, g6 / s)
+    d0, d1, d2, d3, d4, d5, d6 = d
+    e = y - (c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3 + c4 * d4 + c5 * d5)
     return (
         p00 - k0 * g0, p01 - k0 * g1, p02 - k0 * g2, p03 - k0 * g3,
         p04 - k0 * g4, p05 - k0 * g5, p06 - k0 * g6,
@@ -446,7 +591,7 @@ class AirDataObserver:
             blocks = [np.linalg.inv(block) for block in blocks]
         ((self._w_pitot, self._q_pitot), (self._w_mag, self._q_mag),
          (_, self._q_baro)) = map(_whitener, blocks)
-        # Mag rows [-(m_I)^x | 0 | 0], baro row [0 | 0 | 1].
+        # Mag rows [-(m_I)^x | 0 | 0].
         mag_rows = np.zeros((3, 7))
         mag_rows[:, 0:3] = -skew(mag_ref.m_I)
         axes = probes.B.T
@@ -455,8 +600,8 @@ class AirDataObserver:
         if self._w_mag is not None:
             mag_rows = np.array(self._w_mag) @ mag_rows
         self._probe_axes = axes.tolist()
-        self._mag_rows = mag_rows.tolist()
-        self._baro_rows = [[0.0] * 6 + [1.0]]
+        # Columns 0-2, the mag rows' support, for their kernel.
+        self._mag_rows = [row[0:3] for row in mag_rows.tolist()]
         self._m_i = mag_ref.m_I.tolist()
 
     @property
@@ -519,12 +664,13 @@ class AirDataObserver:
                             -T * (r20 * a0 + r21 * a1 + r22 * a2),
                             T, self._st)
 
-        # Whitened rows, residuals and variances of the sensors that
-        # sampled, in the sequential update order: barometer, magnetometer,
-        # Pitot.
+        # The row kernel, whitened rows, residuals and variances of the
+        # sensors that sampled, in the sequential update order: barometer,
+        # magnetometer, Pitot.
         blocks = []
         if baro is not None:
-            blocks.append((self._baro_rows, (baro - h,), self._q_baro))
+            # The row e6 is implicit in its kernel.
+            blocks.append((_update_e6, (None,), (baro - h,), self._q_baro))
         if mag is not None:
             m0, m1, m2 = mag
             mi0, mi1, mi2 = self._m_i
@@ -533,28 +679,29 @@ class AirDataObserver:
                  mi2 - (r20 * m0 + r21 * m1 + r22 * m2)]
             if self._w_mag is not None:
                 y = _lower_times(self._w_mag, y)
-            blocks.append((self._mag_rows, y, self._q_mag))
+            blocks.append((_update_row3, self._mag_rows, y, self._q_mag))
         if pitot is not None:
             if self._w_pitot is not None:
                 pitot = _lower_times(self._w_pitot, pitot)
-            # Probe j's row is [x_j x (Rhat Vahat) | x_j | 0], x_j = Rhat b_j.
+            # Probe j's row is [x_j x (Rhat Vahat) | x_j | 0], x_j = Rhat b_j;
+            # its kernel takes columns 0-5.
             rows, y = [], []
             for (b0, b1, b2), meas in zip(self._probe_axes, pitot):
                 x0 = r00 * b0 + r01 * b1 + r02 * b2
                 x1 = r10 * b0 + r11 * b1 + r12 * b2
                 x2 = r20 * b0 + r21 * b1 + r22 * b2
                 rows.append((x1 * rv2 - x2 * rv1, x2 * rv0 - x0 * rv2,
-                             x0 * rv1 - x1 * rv0, x0, x1, x2, 0.0))
+                             x0 * rv1 - x1 * rv0, x0, x1, x2))
                 y.append(meas - (b0 * v0 + b1 * v1 + b2 * v2))
-            blocks.append((rows, y, self._q_pitot))
+            blocks.append((_update_row6, rows, y, self._q_pitot))
         # On a stacked tick every row takes the sequential innovation;
         # otherwise each sensor's correction comes from its own raw residual.
         stacked = len(blocks) == 3
         u = _ZERO7
-        for rows, ys, qs in blocks:
+        for kernel, rows, ys, qs in blocks:
             d = u if stacked else _ZERO7
             for c, y, q in zip(rows, ys, qs):
-                p, d = _update_row(p, c, q, y, d)
+                p, d = kernel(p, c, q, y, d)
             u = d if stacked else tuple(map(operator.add, u, d))
 
         # Input-driven rates [omega, dVahat/dt, dhhat/dt], blended with the

@@ -274,6 +274,22 @@ class TestRunSingle:
         assert np.any(cfg.weights.Qm != np.diag(np.diag(cfg.weights.Qm)))
         _assert_run_matches_tick_loop(cfg)
 
+    @pytest.mark.parametrize("steps", [2 * harness.EIG_BLOCK_ROWS,
+                                       2 * harness.EIG_BLOCK_ROWS + 500])
+    @pytest.mark.parametrize("dec", [1, 3, 40, 1500])
+    @pytest.mark.parametrize("width", [None, 3])
+    def test_block_samples_match_per_tick_rows(self, steps, dec, width):
+        # run_single's blockwise float lists against one row per tick
+        rows = -(-steps // dec)
+        meas = np.arange(float(rows * (width or 1))).reshape(
+            (rows, width) if width else (rows,))
+        got = []
+        for start in range(0, steps + 1, harness.EIG_BLOCK_ROWS):
+            stop = min(start + harness.EIG_BLOCK_ROWS, steps)
+            got += harness._samples(meas, dec, start, stop)
+        assert got == [meas[i // dec].tolist() if i % dec == 0 else None
+                       for i in range(steps)]
+
     def test_tick_returns_the_state(self, short_config):
         cfg = short_config
         obs = AirDataObserver(init_estimates(cfg, 0), cfg.weights,
@@ -575,6 +591,30 @@ class TestCsvPersistence:
                           "err_v_body,err_v_inertial,err_att,err_h,"
                           "lam_min_P,lam_max_P")
 
+    def test_header_only_trace_has_no_rows(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text(",".join(TRACE_COLUMNS) + "\n")
+        back = read_trace_csv(path)
+        assert tuple(back.keys()) == TRACE_COLUMNS
+        assert all(col.shape == (0,) for col in back.values())
+
+    @pytest.mark.parametrize("body, match", [
+        ("", "not a trace file: empty"),
+        (",".join(TRACE_COLUMNS) + "\n" + ",".join(["1"] * 21) + "\n"
+         + ",".join(["1"] * 20) + "\n",
+         "not a trace file: line 3 has 20 fields, not 21"),
+        (",".join(TRACE_COLUMNS) + "\n" + ",".join(["1"] * 22) + "\n",
+         "not a trace file: line 2 has 22 fields, not 21"),
+        (",".join(TRACE_COLUMNS) + "\n" + ",".join(["1"] * 5) + "\n"
+         + ",".join(["1"] * 5) + "\n",
+         "not a trace file: line 2 has 5 fields, not 21"),
+    ], ids=["empty", "short_row", "long_row", "uniform_short_rows"])
+    def test_malformed_trace_is_a_value_error(self, tmp_path, body, match):
+        path = tmp_path / "trace.csv"
+        path.write_text(body)
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            read_trace_csv(path)
+
     def test_summary_csv(self, short_config, tmp_path):
         summary, _ = run_montecarlo(short_config)
         path = tmp_path / "summary.csv"
@@ -593,6 +633,41 @@ class TestCsvPersistence:
         assert lines[0] == ("t_window_start,lam_min_W,lam_max_W,mu_pi,"
                             "mu_api,verdict")
         assert lines[1].endswith("true")
+
+
+# Rates of the two perfbench filter configs, shortened to 8 s (1601 rows):
+# sequential updates (mc_reference) and stacked ones (single_dense).
+_SEQUENTIAL_8S = ("duration = 8\nruns = 1\nf_pitot = 50\nf_mag = 50\n"
+                  "f_baro = 5\nintegrator = ab2\n")
+_STACKED_8S = ("duration = 8\nruns = 1\nf_pitot = 200\nf_mag = 200\n"
+               "f_baro = 200\nprobes = [[1, 0, 0], [0.6, 0.8, 0], "
+               "[0.6, 0, 0.8]]\nsigma_pitot = [0.5, 0.5, 0.5]\n"
+               "integrator = euler\n")
+
+
+class TestDeriveRows:
+    @pytest.mark.parametrize("text", [_SEQUENTIAL_8S, _STACKED_8S],
+                             ids=["sequential", "stacked"])
+    def test_partition_leaves_every_byte(self, text, monkeypatch):
+        # a forked writer derives a block at a time and an in-process one
+        # every row at once: both must fill the same bytes
+        calls = []
+        orig = harness._derive_rows
+
+        def noting(table, rows, truth, start, stop):
+            calls.append((table, rows, truth, start, stop))
+            orig(table, rows, truth, start, stop)
+
+        monkeypatch.setattr(harness, "_derive_rows", noting)
+        run_single(parse_config_text(text), 0)
+        ((table, rows, truth, start, stop),) = calls
+        n = rows.shape[0]
+        assert (start, stop) == (0, n) and n == 1601
+        for size in (1, 7, harness.EIG_BLOCK_ROWS, n):
+            part = np.full_like(table, -1.0)
+            for first in range(0, n, size):
+                orig(part, rows, truth, first, min(first + size, n))
+            assert part.tobytes() == table.tobytes(), size
 
 
 @needs_fork
@@ -740,6 +815,25 @@ class TestTraceWriter:
             (pid,) = _pids(pids)
             assert pid != os.getpid()
             _assert_reaped(pid)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="no /proc/self/fd to count descriptors")
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_runs_leave_no_descriptor_open(self, config, tmp_path,
+                                           monkeypatch, cpus):
+        # the pipes to a forked writer are raw descriptors, which no
+        # ResourceWarning reports when leaked
+        _pin_cpus(monkeypatch, cpus)
+        before = sorted(os.listdir("/proc/self/fd"))
+        run_single(config, 0, trace=tmp_path / "ok.csv")
+
+        def failing_format(table):
+            raise ValueError("forced for test")
+
+        monkeypatch.setattr(harness, "_format_rows", failing_format)
+        with pytest.raises(ValueError, match="forced for test"):
+            run_single(config, 0, trace=tmp_path / "failed.csv")
+        assert sorted(os.listdir("/proc/self/fd")) == before
 
     def test_failed_fork_keeps_the_writer_in_process(self, short_config,
                                                      tmp_path, monkeypatch):

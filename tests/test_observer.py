@@ -10,6 +10,7 @@ from airnav import geometry, observer
 from airnav.config import default_config
 from airnav.dynamics import TrajectorySpec
 from airnav.exceptions import MissingPayloadError, SingularInnovationError
+from airnav.harness import RUN_FAILURES
 from airnav.observer import (
     AirDataObserver,
     ObserverState,
@@ -711,6 +712,55 @@ class TestPackedKernels:
         with pytest.raises(SingularInnovationError):
             obs.tick({SensorKind.IMU: (np.zeros(3), np.zeros(3)),
                       SensorKind.BARO: 1.0})
+        assert obs.state is before
+
+
+# Each known-zero-column kernel with the columns of P its row is supported
+# on; the row e6 is not read from its argument.
+_ROW_KERNELS = {
+    "mag": (observer._update_row3, [0, 1, 2]),
+    "baro": (observer._update_e6, [6]),
+    "pitot": (observer._update_row6, [0, 1, 2, 3, 4, 5]),
+}
+
+
+class TestRowKernels:
+    """The tick's known-zero-column kernels against the dense kernel."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(_ROW_KERNELS)), st.integers(0, 2**32 - 1),
+           st.floats(-6.0, 6.0), st.floats(1e-9, 1e6),
+           st.floats(-1e3, 1e3))
+    def test_matches_update_row(self, shape, seed, log_scale, q, y):
+        kernel, support = _ROW_KERNELS[shape]
+        rng = np.random.default_rng(seed)
+        p = observer._pack(10.0**log_scale * _random_spd(rng))
+        d = tuple(rng.standard_normal(7).tolist())
+        c = [0.0] * 7
+        for j, value in zip(support, rng.standard_normal(len(support))):
+            c[j] = 1.0 if shape == "baro" else float(value)
+        row = None if shape == "baro" else [c[j] for j in support]
+        assert kernel(p, row, q, y, d) == observer._update_row(p, c, q, y, d)
+
+    @pytest.mark.parametrize("kind, entry", [
+        (SensorKind.MAG, (3, 3)),
+        (SensorKind.BARO, (0, 0)),
+    ], ids=["mag", "baro"])
+    def test_nan_off_the_support_fails_the_tick(self, kind, entry, probes,
+                                                mag_ref, weights):
+        # the kernel never reads the NaN, so s stays finite; the NaN lands
+        # in the updated P and the divergence floor catches it
+        spec = TrajectorySpec.paper()
+        p = weights.P0.copy()
+        p[entry] = np.nan
+        obs = AirDataObserver(truth_observer_state(spec, 0.0, p=p), weights,
+                              probes, mag_ref, dt=0.005)
+        before = obs.state
+        inp = truth_inputs(spec, 0.0)
+        s = truth_state(spec, 0.0)
+        payload = s.R.T @ M_I if kind == SensorKind.MAG else s.h
+        with pytest.raises(RUN_FAILURES):
+            obs.tick({SensorKind.IMU: (inp.omega, inp.a), kind: payload})
         assert obs.state is before
 
 
