@@ -9,10 +9,10 @@ functions of (config, base_seed).
 
 One run (:func:`run_single`) has three phases: truth on the whole tick
 grid and every sensor's measurements for the whole run, drawn in one call
-per sensor; the tick loop, which hands each tick's measurements, as
-Python floats, to the observer's float step (what
-:meth:`~airnav.observer.AirDataObserver.tick` runs) and records the float
-estimate; and the vectorized metrics, whose Euler-angle columns come from
+per sensor; the tick loop, which hands the measurements to
+:meth:`~airnav.observer.AirDataObserver.advance` a block of ticks at a time,
+as Python floats, and has it record the float estimate; and the
+vectorized metrics, whose Euler-angle columns come from
 :func:`~airnav.geometry.rot_to_euler_zyx` on the whole series (NaN on rows
 at gimbal lock).  A numerical failure inside the loop ends that run only:
 its series is truncated and flagged with the failure's class, and
@@ -52,7 +52,6 @@ import csv
 import mmap
 import os
 import pickle
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,12 +59,12 @@ import numpy as np
 
 from . import dynamics, geometry
 from .config import SimConfig
-from .exceptions import (
-    DegenerateMatrixError,
-    DivergenceError,
-    SingularInnovationError,
+from .observer import (
+    PACKED_INDEX,
+    RECORD_WIDTH,
+    AirDataObserver,
+    ObserverState,
 )
-from .observer import PACKED_INDEX, AirDataObserver, ObserverState
 from .sensors import (
     INIT_STREAM_ID,
     STACK_ORDER,
@@ -87,13 +86,6 @@ TRACE_COLUMNS = (
     "err_v_body", "err_v_inertial", "err_att", "err_h",
     "lam_min_P", "lam_max_P",
 )
-
-# Numerical failures of one tick: they end that run, flagged, not the batch.
-RUN_FAILURES = (DivergenceError, SingularInnovationError,
-                DegenerateMatrixError, np.linalg.LinAlgError)
-
-# Floats recorded per tick in run_single: Rhat, Vahat, hhat, packed P.
-RECORD_WIDTH = 9 + 3 + 1 + 28
 
 # Rows per block: the tick loop converts measurements to floats, a forked
 # trace writer derives the trace columns (covariance rows expanded to 7x7
@@ -141,7 +133,7 @@ class RunMetrics:
     lam_max_p: np.ndarray
     diverged: bool = False
     divergence_time: float | None = None
-    # Class name of the RUN_FAILURES exception that ended the run.
+    # Class name of the observer.RUN_FAILURES exception that ended the run.
     divergence_cause: str | None = None
 
     def at_time(self, key: str, t: float) -> float:
@@ -261,15 +253,13 @@ def run_single(config: SimConfig, run_index: int = 0,
     converts those arrays to Python floats :data:`EIG_BLOCK_ROWS` ticks at
     a time (a sensor that samples every ``d`` ticks contributes the rows of
     its samples in the block, ``ceil(start / d)`` to ``ceil(stop / d)``)
-    and runs the step behind :meth:`AirDataObserver.tick` once per tick,
-    without building an :class:`~airnav.observer.ObserverState`.  The
-    estimate is recorded, as floats with ``P`` packed, at every IMU tick
-    before that tick's measurements are processed, so row 0 reflects the
-    initial estimate, and the derived metrics are computed vectorized.  If
-    a tick fails numerically (divergence floor, singular innovation,
-    degenerate attitude), the series is truncated at the last valid tick
-    and flagged with the failure's class name, and the caller's batch goes
-    on.
+    and hands each block to :meth:`AirDataObserver.advance`, which records
+    the estimate, as floats with ``P`` packed, at every IMU tick before
+    that tick's measurements are processed, so row 0 reflects the initial
+    estimate; the derived metrics are computed vectorized.  If a tick fails
+    numerically (:data:`~airnav.observer.RUN_FAILURES`), the series is
+    truncated at the last valid tick and flagged with the failure's class
+    name, and the caller's batch goes on.
 
     Given a path ``trace``, the run writes its trace there, with the
     layout of :func:`write_trace_csv`; the file is opened before the tick
@@ -279,10 +269,9 @@ def run_single(config: SimConfig, run_index: int = 0,
     writes each block of rows while the loop ticks the next, and the call
     returns once the child is done; otherwise the same writer runs after
     the loop.  The bytes are the same either way, and an error of the
-    writer reaches the caller either way.  A run cut short by a
-    :data:`RUN_FAILURES` error keeps the rows it recorded; a run ended by
-    any other exception, or by an error of the writer, leaves no file at
-    ``trace``.
+    writer reaches the caller either way.  A run cut short by a numerical
+    failure keeps the rows it recorded; a run ended by any other
+    exception, or by an error of the writer, leaves no file at ``trace``.
     """
     spec = config.trajectory
     rates = config.rates
@@ -326,46 +315,31 @@ def run_single(config: SimConfig, run_index: int = 0,
         dt=config.imu_period, gravity=config.gravity,
         q_convention=config.q_convention, integrator=config.integrator,
     )
-    # One record per tick: Rhat row by row, Vahat, hhat and the packed P,
-    # in memory that a forked writer shares.
-    record = struct.Struct(f"{RECORD_WIDTH}d")
-    hist = _shared_buffer(record.size * n)
+    # One record per tick, in memory that a forked writer shares.
+    hist = _shared_buffer(8 * RECORD_WIDTH * n)
     writer = _TraceWriter(trace, (ts, r_truth, va_truth, h_truth),
                           np.frombuffer(hist).reshape(n, RECORD_WIDTH))
-    diverged = False
-    divergence_time = None
-    divergence_cause = None
+    divergence_time = divergence_cause = None
     recorded = n
-    step = observer._step
-    pack_into, size = record.pack_into, record.size
     try:
         if trace is not None and _spare_cpu():
             writer.fork()
         for start in range(0, n, EIG_BLOCK_ROWS):
             writer.ready(start)
             # The block's measurements as floats, None where none sampled.
+            # The estimate after a block is recorded in the row after it,
+            # so the last tick is recorded but not processed.
             stop = min(start + EIG_BLOCK_ROWS, steps)
-            for i, omega, a, pitot, mag, baro in zip(
-                    range(start, stop), omega_meas[start:stop].tolist(),
-                    a_meas[start:stop].tolist(),
-                    _samples(pitot_meas, dec_p, start, stop),
-                    _samples(mag_meas, dec_m, start, stop),
-                    _samples(baro_meas, dec_b, start, stop)):
-                pack_into(hist, size * i, *observer._r, *observer._v,
-                          observer._h, *observer._p)
-                try:
-                    step(omega, a, pitot, mag, baro)
-                except RUN_FAILURES as exc:
-                    diverged = True
-                    divergence_time = float(ts[i])
-                    divergence_cause = type(exc).__name__
-                    recorded = i + 1
-                    break
-            if diverged:
+            ticks, error = observer.advance(
+                omega_meas[start:stop].tolist(), a_meas[start:stop].tolist(),
+                _samples(pitot_meas, dec_p, start, stop),
+                _samples(mag_meas, dec_m, start, stop),
+                _samples(baro_meas, dec_b, start, stop), hist, start)
+            if error is not None:
+                divergence_time = float(ts[start + ticks])
+                divergence_cause = type(error).__name__
+                recorded = start + ticks + 1
                 break
-        else:  # the last tick is recorded but not processed
-            pack_into(hist, size * steps, *observer._r, *observer._v,
-                      observer._h, *observer._p)
         writer.finish(recorded)
     except BaseException:
         writer.abandon()
@@ -387,7 +361,7 @@ def run_single(config: SimConfig, run_index: int = 0,
         err_h=cols[:, 18],
         lam_min_p=cols[:, 19],
         lam_max_p=cols[:, 20],
-        diverged=diverged,
+        diverged=divergence_cause is not None,
         divergence_time=divergence_time,
         divergence_cause=divergence_cause,
     )
@@ -679,10 +653,10 @@ def run_montecarlo(config: SimConfig, out=None,
     a run in a worker process formats it after its loop, and a lone run
     in this process may fork a writer that formats it while the run
     ticks; the bytes are the same.  A numerical failure
-    (:data:`RUN_FAILURES`) stays inside its run, whose trace keeps the
-    partial series; any other exception, such as an ``OSError`` from a
-    trace that cannot be written, cancels the runs not yet started and
-    reaches the caller.
+    (:data:`~airnav.observer.RUN_FAILURES`) stays inside its run, whose
+    trace keeps the partial series; any other exception, such as an
+    ``OSError`` from a trace that cannot be written, cancels the runs not
+    yet started and reaches the caller.
     """
     workers = _worker_count(config.runs)
     if workers >= 2 and hasattr(os, "fork"):

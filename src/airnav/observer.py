@@ -4,17 +4,19 @@ The estimator runs a copy of the vehicle kinematics driven by IMU inputs and
 injects innovation terms computed from a 7-state Riccati recursion
 (attitude error, inertial air-velocity error, altitude error).
 
-One tick, :meth:`AirDataObserver.tick`, does the whole discrete cycle on
-Python floats.  Between ticks the estimate is ``Rhat`` (row by row),
-``Vahat``, ``hhat`` and ``P`` packed as the 28 floats of its upper triangle;
-:attr:`AirDataObserver.state` builds the arrays only when asked.
+:meth:`AirDataObserver.advance` runs a block of ticks, each the whole
+discrete cycle on Python floats.  Between ticks it keeps ``Rhat`` (row by
+row), ``Vahat``, ``hhat``, ``P`` packed as the 28 floats of its upper
+triangle and the previous tick's rates in local variables, and stores them
+on the observer once per block; :attr:`AirDataObserver.state` builds the
+arrays only when asked.
 
 1. covariance prediction ``A_d P A_d^T + S T`` with ``A_d = I + T A(Rhat)``
    (:func:`_predict_packed`).  ``A_d - I`` has two small blocks, so the
    product is written out on the upper triangle; the result is exactly
    symmetric by construction and ``S T`` is packed once;
 2. measurement update for the aiding sensors that sampled on the tick,
-   one scalar row at a time: ``g = P c``, ``s = c^T g + q``,
+   one scalar row at a time (:func:`_fold`): ``g = P c``, ``s = c^T g + q``,
    ``P - g g^T / s``, with ``s > 0`` checked.  Each sensor's constant
    additive block is factored once (:func:`_whitener`) and its rows and
    residuals whitened by that factor, so a non-diagonal block or
@@ -24,14 +26,12 @@ Python floats.  Between ticks the estimate is ``Rhat`` (row by row),
    which is the block update's algebra (Bierman 1977).  When Pitot,
    magnetometer and barometer coincide, ``delta`` runs on over every row,
    which is the stacked update; otherwise each sensor's correction starts
-   from zero, from its raw residual, and the corrections are added.  The
-   magnetometer rows are constant and built once.  Each sensor's rows go
-   through the kernel of their shape, which skips the row's known zeros:
-   :func:`_update_row3` for the magnetometer rows (zero in columns 3-6),
-   :func:`_update_e6` for the barometer row ``e6`` and :func:`_update_row6`
-   for the Pitot rows (zero in column 6).  Each does the dense kernel
-   :func:`_update_row`'s arithmetic less the products with those zeros,
-   and returns the same floats;
+   from zero, from its raw residual, and the corrections are added.  ``P``
+   is unpacked once per tick.  Each row takes the dense kernel
+   :func:`_update_row`'s arithmetic less the products with its known zeros,
+   and the same floats come out: the magnetometer rows (constant, built
+   once) are zero in columns 3-6, the barometer row is ``e6`` and a Pitot
+   row (built as it is folded) is zero in column 6;
 3. state integration: exponential step on SO(3), explicit step for the
    vector part.  The rates, their blend, the innovation injection and the
    Rodrigues product ``Rhat exp(theta^x)`` with its orthonormality defect
@@ -42,12 +42,14 @@ Python floats.  Between ticks the estimate is ``Rhat`` (row by row),
 4. the divergence-floor check on ``Vahat``, ``hhat``, the trace of ``P``
    and the attitude (a non-finite ``Rhat`` trips it), then the
    re-projection of ``Rhat`` onto SO(3) if its defect exceeds
-   ``ORTHONORMALITY_TOL``.
+   ``ORTHONORMALITY_TOL``.  A tick that fails leaves the estimate and the
+   previous tick's rates as they were.
 
-The tick is the only way to advance an estimate.  :func:`riccati_update`
-runs the dense scalar kernel row by row on a dense ``P``, so the test
-suite can check that kernel against the block formula, and the tick's
-kernels against it.  The dense forms of the recursion (``A_d``, the
+:meth:`AirDataObserver.advance` is the only way to advance an estimate;
+:meth:`AirDataObserver.tick` is a one-tick call of it.
+:func:`riccati_update` runs the dense scalar kernel row by row on a dense
+``P``, so the test suite can check that kernel against the block formula,
+and the fold against it.  The dense forms of the recursion (``A_d``, the
 predict, the output rows and additive weights) and the reference code they
 are checked against (the stacked residuals, the continuous-time
 ``A(Rhat)`` and an RK4 integrator of the continuous Riccati equation) live
@@ -68,13 +70,14 @@ How they enter the gain is controlled by ``q_convention``:
 from __future__ import annotations
 
 import math
-import operator
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import geometry
 from .exceptions import (
+    DegenerateMatrixError,
     DivergenceError,
     MissingPayloadError,
     SingularInnovationError,
@@ -84,6 +87,15 @@ from .sensors import MagReference, ProbeSet, SensorKind
 
 STATE_FLOOR = 1e9
 P_TRACE_FLOOR = 1e12
+
+# Numerical failures of one tick: AirDataObserver.advance reports them.
+RUN_FAILURES = (DivergenceError, SingularInnovationError,
+                DegenerateMatrixError, np.linalg.LinAlgError)
+
+# Floats of one record of the estimate: Rhat row by row, Vahat, hhat and the
+# packed P.
+RECORD_WIDTH = 9 + 3 + 1 + 28
+_RECORD = struct.Struct(f"{RECORD_WIDTH}d")
 
 Q_CONVENTIONS = ("covariance", "precision")
 
@@ -158,7 +170,7 @@ def riccati_update(P: np.ndarray, C: np.ndarray, Q: np.ndarray,
     ``P`` is symmetric (only its upper triangle is read) and ``Q`` is the
     additive innovation term, positive definite unless diagonal.  The rows
     are whitened by :func:`_whitener` and folded into ``P`` one at a time
-    by :func:`_update_row`, the dense form of the tick's row kernels, so
+    by :func:`_update_row`, the dense form of the tick's fold, so
     ``C`` may hold any rows; the gain is collected from the sequential
     innovations ``y_j - c_j . delta``.
 
@@ -180,7 +192,7 @@ def riccati_update(P: np.ndarray, C: np.ndarray, Q: np.ndarray,
     # Gain on the whitened residual: delta_j = delta + k_j (y_j - c_j delta).
     gain = np.zeros((7, C.shape[0]))
     for j, (c, q) in enumerate(zip(cw.tolist(), d)):
-        p, k = _update_row(p, c, q, 1.0, _ZERO7)
+        p, k = _update_row(p, c, q, 1.0, (0.0,) * 7)
         k = np.array(k)
         gain -= np.outer(k, cw[j] @ gain)
         gain[:, j] += k
@@ -296,10 +308,9 @@ def _update_row(p: tuple[float, ...], c, q: float, y: float,
     sequential innovation of the correction so far, so rows folded one
     after another make the block update ``d + K (y - C d)`` when their
     additive terms are uncorrelated.  ``y = 1`` and ``d = 0`` give the gain
-    ``g / s`` itself.  ``s`` must be positive; a single 1e-12 retry guards
-    against marginal conditioning before giving up.  :func:`riccati_update`
-    runs it on any row; the tick runs the kernels below, its arithmetic for
-    the rows with known zeros.
+    ``g / s`` itself.  ``s`` must be positive (see :func:`_marginal`).
+    :func:`riccati_update` runs it on any row; the tick runs :func:`_fold`,
+    its arithmetic for the rows with known zeros.
     """
     (p00, p01, p02, p03, p04, p05, p06,
      p11, p12, p13, p14, p15, p16,
@@ -325,12 +336,8 @@ def _update_row(p: tuple[float, ...], c, q: float, y: float,
           + p66 * c6)
     s = (c0 * g0 + c1 * g1 + c2 * g2 + c3 * g3 + c4 * g4 + c5 * g5 + c6 * g6
          + q)
-    # NaN fails the comparison too, so a non-finite P cannot slip through.
     if not s > 0.0:
-        s += 1e-12
-        if not s > 0.0:
-            raise SingularInnovationError(
-                "innovation covariance is not positive definite")
+        s = _marginal(s)
     k0, k1, k2, k3, k4, k5, k6 = (g0 / s, g1 / s, g2 / s, g3 / s, g4 / s,
                                   g5 / s, g6 / s)
     d0, d1, d2, d3, d4, d5, d6 = d
@@ -351,139 +358,154 @@ def _update_row(p: tuple[float, ...], c, q: float, y: float,
         d5 + k5 * e, d6 + k6 * e)
 
 
-# The tick's rows have known zeros: a whitened magnetometer row is zero in
-# columns 3-6, the barometer row is e6 and a Pitot row is zero in column 6.
-# The kernels below are _update_row for one such shape, with the row given
-# on its support only: the same operations in the same order, less the
-# products with the zero entries.  For finite values such a product is a
-# signed zero, and adding one changes no sum but for the sign of a zero sum,
-# so the kernels return the floats that _update_row does.
-
-def _update_row3(p: tuple[float, ...], c, q: float, y: float,
-                 d: tuple[float, ...],
-                 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """:func:`_update_row` for a row zero in columns 3-6; ``c`` holds
-    columns 0-2."""
-    (p00, p01, p02, p03, p04, p05, p06,
-     p11, p12, p13, p14, p15, p16,
-     p22, p23, p24, p25, p26,
-     p33, p34, p35, p36,
-     p44, p45, p46,
-     p55, p56,
-     p66) = p
-    c0, c1, c2 = c
-    g0 = p00 * c0 + p01 * c1 + p02 * c2
-    g1 = p01 * c0 + p11 * c1 + p12 * c2
-    g2 = p02 * c0 + p12 * c1 + p22 * c2
-    g3 = p03 * c0 + p13 * c1 + p23 * c2
-    g4 = p04 * c0 + p14 * c1 + p24 * c2
-    g5 = p05 * c0 + p15 * c1 + p25 * c2
-    g6 = p06 * c0 + p16 * c1 + p26 * c2
-    s = c0 * g0 + c1 * g1 + c2 * g2 + q
+def _marginal(s: float) -> float:
+    """An innovation variance that failed ``s > 0``, retried once with
+    1e-12 added against marginal conditioning.  NaN fails the comparison
+    too, so a non-finite ``P`` cannot slip through."""
+    s += 1e-12
     if not s > 0.0:
-        s += 1e-12
+        raise SingularInnovationError(
+            "innovation covariance is not positive definite")
+    return s
+
+
+def _fold(p: tuple[float, ...], baro: float | None, mag: list[float] | None,
+          pitot: list[float] | None, r: list[float], v: tuple[float, ...],
+          rv: tuple[float, ...], rows: tuple,
+          ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Fold one tick's aiding rows into the packed ``P``; returns it and
+    the correction ``u``.
+
+    ``baro`` is the barometer residual, ``mag`` the whitened magnetometer
+    residuals and ``pitot`` the whitened Pitot readings, None where the
+    sensor did not sample; ``r``, ``v`` and ``rv`` are ``Rhat`` row by row,
+    ``Vahat`` and ``Rhat Vahat``, and ``rows`` the observer's constants.
+    Each row takes :func:`_update_row`'s operations in its order, less the
+    products with the row's known zeros.  For finite values such a product
+    is a signed zero, and adding one changes no sum but for the sign of a
+    zero sum, so the floats are :func:`_update_row`'s on the full rows.
+    """
+    (p00, p01, p02, p03, p04, p05, p06, p11, p12, p13, p14, p15, p16,
+     p22, p23, p24, p25, p26, p33, p34, p35, p36, p44, p45, p46,
+     p55, p56, p66) = p
+    q_baro, mag_rows, q_mag, axes, q_pitot = rows
+    # On a stacked tick every row takes the sequential innovation of d;
+    # otherwise d starts from zero for each sensor and u adds them up.
+    stacked = baro is not None and mag is not None and pitot is not None
+    d0 = d1 = d2 = d3 = d4 = d5 = d6 = u0 = u1 = u2 = u3 = u4 = u5 = u6 = 0.0
+    if baro is not None:
+        # The row e6: g is column 6 of P.
+        g0, g1, g2, g3, g4, g5, g6 = p06, p16, p26, p36, p46, p56, p66
+        s = g6 + q_baro
         if not s > 0.0:
-            raise SingularInnovationError(
-                "innovation covariance is not positive definite")
-    k0, k1, k2, k3, k4, k5, k6 = (g0 / s, g1 / s, g2 / s, g3 / s, g4 / s,
-                                  g5 / s, g6 / s)
-    d0, d1, d2, d3, d4, d5, d6 = d
-    e = y - (c0 * d0 + c1 * d1 + c2 * d2)
-    return (
-        p00 - k0 * g0, p01 - k0 * g1, p02 - k0 * g2, p03 - k0 * g3,
-        p04 - k0 * g4, p05 - k0 * g5, p06 - k0 * g6,
-        p11 - k1 * g1, p12 - k1 * g2, p13 - k1 * g3, p14 - k1 * g4,
-        p15 - k1 * g5, p16 - k1 * g6,
-        p22 - k2 * g2, p23 - k2 * g3, p24 - k2 * g4, p25 - k2 * g5,
-        p26 - k2 * g6,
-        p33 - k3 * g3, p34 - k3 * g4, p35 - k3 * g5, p36 - k3 * g6,
-        p44 - k4 * g4, p45 - k4 * g5, p46 - k4 * g6,
-        p55 - k5 * g5, p56 - k5 * g6,
-        p66 - k6 * g6), (
-        d0 + k0 * e, d1 + k1 * e, d2 + k2 * e, d3 + k3 * e, d4 + k4 * e,
-        d5 + k5 * e, d6 + k6 * e)
-
-
-def _update_e6(p: tuple[float, ...], c, q: float, y: float,
-               d: tuple[float, ...],
-               ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """:func:`_update_row` for the row ``e6``: ``g`` is column 6 of ``P``,
-    ``s = p66 + q`` and ``e = y - d6``; ``c`` is not read."""
-    (p00, p01, p02, p03, p04, p05, g0,
-     p11, p12, p13, p14, p15, g1,
-     p22, p23, p24, p25, g2,
-     p33, p34, p35, g3,
-     p44, p45, g4,
-     p55, g5,
-     g6) = p
-    s = g6 + q
-    if not s > 0.0:
-        s += 1e-12
-        if not s > 0.0:
-            raise SingularInnovationError(
-                "innovation covariance is not positive definite")
-    k0, k1, k2, k3, k4, k5, k6 = (g0 / s, g1 / s, g2 / s, g3 / s, g4 / s,
-                                  g5 / s, g6 / s)
-    d0, d1, d2, d3, d4, d5, d6 = d
-    e = y - d6
-    return (
-        p00 - k0 * g0, p01 - k0 * g1, p02 - k0 * g2, p03 - k0 * g3,
-        p04 - k0 * g4, p05 - k0 * g5, g0 - k0 * g6,
-        p11 - k1 * g1, p12 - k1 * g2, p13 - k1 * g3, p14 - k1 * g4,
-        p15 - k1 * g5, g1 - k1 * g6,
-        p22 - k2 * g2, p23 - k2 * g3, p24 - k2 * g4, p25 - k2 * g5,
-        g2 - k2 * g6,
-        p33 - k3 * g3, p34 - k3 * g4, p35 - k3 * g5, g3 - k3 * g6,
-        p44 - k4 * g4, p45 - k4 * g5, g4 - k4 * g6,
-        p55 - k5 * g5, g5 - k5 * g6,
-        g6 - k6 * g6), (
-        d0 + k0 * e, d1 + k1 * e, d2 + k2 * e, d3 + k3 * e, d4 + k4 * e,
-        d5 + k5 * e, d6 + k6 * e)
-
-
-def _update_row6(p: tuple[float, ...], c, q: float, y: float,
-                 d: tuple[float, ...],
-                 ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """:func:`_update_row` for a row zero in column 6; ``c`` holds
-    columns 0-5."""
-    (p00, p01, p02, p03, p04, p05, p06,
-     p11, p12, p13, p14, p15, p16,
-     p22, p23, p24, p25, p26,
-     p33, p34, p35, p36,
-     p44, p45, p46,
-     p55, p56,
-     p66) = p
-    c0, c1, c2, c3, c4, c5 = c
-    g0 = p00 * c0 + p01 * c1 + p02 * c2 + p03 * c3 + p04 * c4 + p05 * c5
-    g1 = p01 * c0 + p11 * c1 + p12 * c2 + p13 * c3 + p14 * c4 + p15 * c5
-    g2 = p02 * c0 + p12 * c1 + p22 * c2 + p23 * c3 + p24 * c4 + p25 * c5
-    g3 = p03 * c0 + p13 * c1 + p23 * c2 + p33 * c3 + p34 * c4 + p35 * c5
-    g4 = p04 * c0 + p14 * c1 + p24 * c2 + p34 * c3 + p44 * c4 + p45 * c5
-    g5 = p05 * c0 + p15 * c1 + p25 * c2 + p35 * c3 + p45 * c4 + p55 * c5
-    g6 = p06 * c0 + p16 * c1 + p26 * c2 + p36 * c3 + p46 * c4 + p56 * c5
-    s = c0 * g0 + c1 * g1 + c2 * g2 + c3 * g3 + c4 * g4 + c5 * g5 + q
-    if not s > 0.0:
-        s += 1e-12
-        if not s > 0.0:
-            raise SingularInnovationError(
-                "innovation covariance is not positive definite")
-    k0, k1, k2, k3, k4, k5, k6 = (g0 / s, g1 / s, g2 / s, g3 / s, g4 / s,
-                                  g5 / s, g6 / s)
-    d0, d1, d2, d3, d4, d5, d6 = d
-    e = y - (c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3 + c4 * d4 + c5 * d5)
-    return (
-        p00 - k0 * g0, p01 - k0 * g1, p02 - k0 * g2, p03 - k0 * g3,
-        p04 - k0 * g4, p05 - k0 * g5, p06 - k0 * g6,
-        p11 - k1 * g1, p12 - k1 * g2, p13 - k1 * g3, p14 - k1 * g4,
-        p15 - k1 * g5, p16 - k1 * g6,
-        p22 - k2 * g2, p23 - k2 * g3, p24 - k2 * g4, p25 - k2 * g5,
-        p26 - k2 * g6,
-        p33 - k3 * g3, p34 - k3 * g4, p35 - k3 * g5, p36 - k3 * g6,
-        p44 - k4 * g4, p45 - k4 * g5, p46 - k4 * g6,
-        p55 - k5 * g5, p56 - k5 * g6,
-        p66 - k6 * g6), (
-        d0 + k0 * e, d1 + k1 * e, d2 + k2 * e, d3 + k3 * e, d4 + k4 * e,
-        d5 + k5 * e, d6 + k6 * e)
+            s = _marginal(s)
+        k0, k1, k2, k3, k4, k5, k6 = (g0 / s, g1 / s, g2 / s, g3 / s, g4 / s,
+                                      g5 / s, g6 / s)
+        e = baro - d6
+        (p00, p01, p02, p03, p04, p05, p06, p11, p12, p13, p14, p15, p16,
+         p22, p23, p24, p25, p26, p33, p34, p35, p36, p44, p45, p46,
+         p55, p56, p66) = (
+            p00 - k0 * g0, p01 - k0 * g1, p02 - k0 * g2, p03 - k0 * g3,
+            p04 - k0 * g4, p05 - k0 * g5, p06 - k0 * g6, p11 - k1 * g1,
+            p12 - k1 * g2, p13 - k1 * g3, p14 - k1 * g4, p15 - k1 * g5,
+            p16 - k1 * g6, p22 - k2 * g2, p23 - k2 * g3, p24 - k2 * g4,
+            p25 - k2 * g5, p26 - k2 * g6, p33 - k3 * g3, p34 - k3 * g4,
+            p35 - k3 * g5, p36 - k3 * g6, p44 - k4 * g4, p45 - k4 * g5,
+            p46 - k4 * g6, p55 - k5 * g5, p56 - k5 * g6, p66 - k6 * g6)
+        d0, d1, d2, d3, d4, d5, d6 = (d0 + k0 * e, d1 + k1 * e, d2 + k2 * e,
+                                      d3 + k3 * e, d4 + k4 * e, d5 + k5 * e,
+                                      d6 + k6 * e)
+        if not stacked:
+            u0, u1, u2, u3, u4, u5, u6 = (u0 + d0, u1 + d1, u2 + d2, u3 + d3,
+                                          u4 + d4, u5 + d5, u6 + d6)
+            d0 = d1 = d2 = d3 = d4 = d5 = d6 = 0.0
+    if mag is not None:
+        for (c0, c1, c2), y, q in zip(mag_rows, mag, q_mag):
+            g0 = p00 * c0 + p01 * c1 + p02 * c2
+            g1 = p01 * c0 + p11 * c1 + p12 * c2
+            g2 = p02 * c0 + p12 * c1 + p22 * c2
+            g3 = p03 * c0 + p13 * c1 + p23 * c2
+            g4 = p04 * c0 + p14 * c1 + p24 * c2
+            g5 = p05 * c0 + p15 * c1 + p25 * c2
+            g6 = p06 * c0 + p16 * c1 + p26 * c2
+            s = c0 * g0 + c1 * g1 + c2 * g2 + q
+            if not s > 0.0:
+                s = _marginal(s)
+            k0, k1, k2, k3, k4, k5, k6 = (g0 / s, g1 / s, g2 / s, g3 / s,
+                                          g4 / s, g5 / s, g6 / s)
+            e = y - (c0 * d0 + c1 * d1 + c2 * d2)
+            (p00, p01, p02, p03, p04, p05, p06, p11, p12, p13, p14, p15, p16,
+             p22, p23, p24, p25, p26, p33, p34, p35, p36, p44, p45, p46,
+             p55, p56, p66) = (
+                p00 - k0 * g0, p01 - k0 * g1, p02 - k0 * g2, p03 - k0 * g3,
+                p04 - k0 * g4, p05 - k0 * g5, p06 - k0 * g6, p11 - k1 * g1,
+                p12 - k1 * g2, p13 - k1 * g3, p14 - k1 * g4, p15 - k1 * g5,
+                p16 - k1 * g6, p22 - k2 * g2, p23 - k2 * g3, p24 - k2 * g4,
+                p25 - k2 * g5, p26 - k2 * g6, p33 - k3 * g3, p34 - k3 * g4,
+                p35 - k3 * g5, p36 - k3 * g6, p44 - k4 * g4, p45 - k4 * g5,
+                p46 - k4 * g6, p55 - k5 * g5, p56 - k5 * g6, p66 - k6 * g6)
+            d0, d1, d2, d3, d4, d5, d6 = (
+                d0 + k0 * e, d1 + k1 * e, d2 + k2 * e, d3 + k3 * e,
+                d4 + k4 * e, d5 + k5 * e, d6 + k6 * e)
+        if not stacked:
+            u0, u1, u2, u3, u4, u5, u6 = (u0 + d0, u1 + d1, u2 + d2, u3 + d3,
+                                          u4 + d4, u5 + d5, u6 + d6)
+            d0 = d1 = d2 = d3 = d4 = d5 = d6 = 0.0
+    if pitot is not None:
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+        v0, v1, v2 = v
+        rv0, rv1, rv2 = rv
+        for (b0, b1, b2), meas, q in zip(axes, pitot, q_pitot):
+            # Probe j's row is [x_j x (Rhat Vahat) | x_j | 0], x_j = Rhat b_j.
+            c3 = r00 * b0 + r01 * b1 + r02 * b2
+            c4 = r10 * b0 + r11 * b1 + r12 * b2
+            c5 = r20 * b0 + r21 * b1 + r22 * b2
+            c0 = c4 * rv2 - c5 * rv1
+            c1 = c5 * rv0 - c3 * rv2
+            c2 = c3 * rv1 - c4 * rv0
+            g0 = (p00 * c0 + p01 * c1 + p02 * c2 + p03 * c3 + p04 * c4
+                  + p05 * c5)
+            g1 = (p01 * c0 + p11 * c1 + p12 * c2 + p13 * c3 + p14 * c4
+                  + p15 * c5)
+            g2 = (p02 * c0 + p12 * c1 + p22 * c2 + p23 * c3 + p24 * c4
+                  + p25 * c5)
+            g3 = (p03 * c0 + p13 * c1 + p23 * c2 + p33 * c3 + p34 * c4
+                  + p35 * c5)
+            g4 = (p04 * c0 + p14 * c1 + p24 * c2 + p34 * c3 + p44 * c4
+                  + p45 * c5)
+            g5 = (p05 * c0 + p15 * c1 + p25 * c2 + p35 * c3 + p45 * c4
+                  + p55 * c5)
+            g6 = (p06 * c0 + p16 * c1 + p26 * c2 + p36 * c3 + p46 * c4
+                  + p56 * c5)
+            s = c0 * g0 + c1 * g1 + c2 * g2 + c3 * g3 + c4 * g4 + c5 * g5 + q
+            if not s > 0.0:
+                s = _marginal(s)
+            k0, k1, k2, k3, k4, k5, k6 = (g0 / s, g1 / s, g2 / s, g3 / s,
+                                          g4 / s, g5 / s, g6 / s)
+            y = meas - (b0 * v0 + b1 * v1 + b2 * v2)
+            e = y - (c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3 + c4 * d4 + c5 * d5)
+            (p00, p01, p02, p03, p04, p05, p06, p11, p12, p13, p14, p15, p16,
+             p22, p23, p24, p25, p26, p33, p34, p35, p36, p44, p45, p46,
+             p55, p56, p66) = (
+                p00 - k0 * g0, p01 - k0 * g1, p02 - k0 * g2, p03 - k0 * g3,
+                p04 - k0 * g4, p05 - k0 * g5, p06 - k0 * g6, p11 - k1 * g1,
+                p12 - k1 * g2, p13 - k1 * g3, p14 - k1 * g4, p15 - k1 * g5,
+                p16 - k1 * g6, p22 - k2 * g2, p23 - k2 * g3, p24 - k2 * g4,
+                p25 - k2 * g5, p26 - k2 * g6, p33 - k3 * g3, p34 - k3 * g4,
+                p35 - k3 * g5, p36 - k3 * g6, p44 - k4 * g4, p45 - k4 * g5,
+                p46 - k4 * g6, p55 - k5 * g5, p56 - k5 * g6, p66 - k6 * g6)
+            d0, d1, d2, d3, d4, d5, d6 = (
+                d0 + k0 * e, d1 + k1 * e, d2 + k2 * e, d3 + k3 * e,
+                d4 + k4 * e, d5 + k5 * e, d6 + k6 * e)
+        if not stacked:
+            u0, u1, u2, u3, u4, u5, u6 = (u0 + d0, u1 + d1, u2 + d2, u3 + d3,
+                                          u4 + d4, u5 + d5, u6 + d6)
+    p = (p00, p01, p02, p03, p04, p05, p06, p11, p12, p13, p14, p15, p16,
+         p22, p23, p24, p25, p26, p33, p34, p35, p36, p44, p45, p46,
+         p55, p56, p66)
+    if stacked:
+        return p, (d0, d1, d2, d3, d4, d5, d6)
+    return p, (u0, u1, u2, u3, u4, u5, u6)
 
 
 def _rotate(r: list[float], t0: float, t1: float, t2: float,
@@ -589,8 +611,8 @@ class AirDataObserver:
         blocks = (weights.Qp, weights.Qm, np.array([[weights.Qb]]))
         if q_convention == "precision":
             blocks = [np.linalg.inv(block) for block in blocks]
-        ((self._w_pitot, self._q_pitot), (self._w_mag, self._q_mag),
-         (_, self._q_baro)) = map(_whitener, blocks)
+        ((self._w_pitot, q_pitot), (self._w_mag, q_mag),
+         (_, (q_baro,))) = map(_whitener, blocks)
         # Mag rows [-(m_I)^x | 0 | 0].
         mag_rows = np.zeros((3, 7))
         mag_rows[:, 0:3] = -skew(mag_ref.m_I)
@@ -599,14 +621,15 @@ class AirDataObserver:
             axes = np.array(self._w_pitot) @ axes
         if self._w_mag is not None:
             mag_rows = np.array(self._w_mag) @ mag_rows
-        self._probe_axes = axes.tolist()
-        # Columns 0-2, the mag rows' support, for their kernel.
-        self._mag_rows = [row[0:3] for row in mag_rows.tolist()]
+        # The constants of _fold: the baro variance, the mag rows on their
+        # support, columns 0-2, and variances, the probe axes and variances.
+        self._rows = (q_baro, [row[0:3] for row in mag_rows.tolist()], q_mag,
+                      axes.tolist(), q_pitot)
         self._m_i = mag_ref.m_I.tolist()
 
     @property
     def state(self) -> ObserverState:
-        """The current estimate, built on first access after each tick."""
+        """The current estimate, built on first access after it changed."""
         if self._state is None:
             self._state = ObserverState(
                 Rhat=np.array(self._r).reshape(3, 3),
@@ -617,8 +640,9 @@ class AirDataObserver:
         """Advance one IMU tick given ``{SensorKind: payload}``; returns state.
 
         Payloads are arrays (the IMU payload a pair of 3-vectors
-        ``(omega, a)``) except the barometer's, a float.  If the tick fails,
-        :attr:`state` stays at the last valid estimate.
+        ``(omega, a)``) except the barometer's, a float.  The tick is a
+        one-tick call of :meth:`advance`, so if it fails, :attr:`state`
+        stays at the last valid estimate.
 
         Raises
         ------
@@ -634,135 +658,137 @@ class AirDataObserver:
         if imu is None:
             raise MissingPayloadError("observer tick requires an IMU payload")
         omega, a = imu
-        pitot = payloads.get(SensorKind.PITOT)
-        mag = payloads.get(SensorKind.MAG)
-        baro = payloads.get(SensorKind.BARO)
-        self._step(_floats(omega), _floats(a),
-                   None if pitot is None else _floats(pitot),
-                   None if mag is None else _floats(mag),
-                   None if baro is None else float(baro))
+        pitot, mag, baro = map(payloads.get, (SensorKind.PITOT, SensorKind.MAG,
+                                              SensorKind.BARO))
+        _, error = self.advance(
+            [_floats(omega)], [_floats(a)],
+            [None if pitot is None else _floats(pitot)],
+            [None if mag is None else _floats(mag)],
+            [None if baro is None else float(baro)])
+        if error is not None:
+            raise error
         return self.state
 
-    def _step(self, omega: list[float], a: list[float],
-              pitot: list[float] | None, mag: list[float] | None,
-              baro: float | None) -> None:
-        """The tick on Python floats; a sensor that did not sample is None."""
-        T = self.dt
-        r = self._r
-        r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
-        v0, v1, v2 = self._v
-        h = self._h
-        rv0 = r00 * v0 + r01 * v1 + r02 * v2
-        rv1 = r10 * v0 + r11 * v1 + r12 * v2
-        rv2 = r20 * v0 + r21 * v1 + r22 * v2
+    def advance(self, omegas: list, accs: list, pitots: list, mags: list,
+                baros: list, record=None, offset: int = 0,
+                ) -> tuple[int, Exception | None]:
+        """Run a block of ticks on Python floats.
 
-        # A_d = I + T A(Rhat): its only varying block is (k)^x, k = -T Rhat a.
-        a0, a1, a2 = a
-        p = _predict_packed(self._p,
-                            -T * (r00 * a0 + r01 * a1 + r02 * a2),
-                            -T * (r10 * a0 + r11 * a1 + r12 * a2),
-                            -T * (r20 * a0 + r21 * a1 + r22 * a2),
-                            T, self._st)
+        Tick ``i`` takes ``omegas[i]`` and ``accs[i]`` (three floats each)
+        and the readings ``pitots[i]`` (a float per probe), ``mags[i]``
+        (three floats) and ``baros[i]`` (a float), None where that sensor
+        did not sample.  Given a writable buffer ``record``, the estimate
+        before tick ``i`` is packed into row ``offset + i`` of
+        :data:`RECORD_WIDTH` doubles, and the estimate after a block that
+        did not fail into the row after it.
 
-        # The row kernel, whitened rows, residuals and variances of the
-        # sensors that sampled, in the sequential update order: barometer,
-        # magnetometer, Pitot.
-        blocks = []
-        if baro is not None:
-            # The row e6 is implicit in its kernel.
-            blocks.append((_update_e6, (None,), (baro - h,), self._q_baro))
-        if mag is not None:
-            m0, m1, m2 = mag
-            mi0, mi1, mi2 = self._m_i
-            y = [mi0 - (r00 * m0 + r01 * m1 + r02 * m2),
-                 mi1 - (r10 * m0 + r11 * m1 + r12 * m2),
-                 mi2 - (r20 * m0 + r21 * m1 + r22 * m2)]
-            if self._w_mag is not None:
-                y = _lower_times(self._w_mag, y)
-            blocks.append((_update_row3, self._mag_rows, y, self._q_mag))
-        if pitot is not None:
-            if self._w_pitot is not None:
-                pitot = _lower_times(self._w_pitot, pitot)
-            # Probe j's row is [x_j x (Rhat Vahat) | x_j | 0], x_j = Rhat b_j;
-            # its kernel takes columns 0-5.
-            rows, y = [], []
-            for (b0, b1, b2), meas in zip(self._probe_axes, pitot):
-                x0 = r00 * b0 + r01 * b1 + r02 * b2
-                x1 = r10 * b0 + r11 * b1 + r12 * b2
-                x2 = r20 * b0 + r21 * b1 + r22 * b2
-                rows.append((x1 * rv2 - x2 * rv1, x2 * rv0 - x0 * rv2,
-                             x0 * rv1 - x1 * rv0, x0, x1, x2))
-                y.append(meas - (b0 * v0 + b1 * v1 + b2 * v2))
-            blocks.append((_update_row6, rows, y, self._q_pitot))
-        # On a stacked tick every row takes the sequential innovation;
-        # otherwise each sensor's correction comes from its own raw residual.
-        stacked = len(blocks) == 3
-        u = _ZERO7
-        for kernel, rows, ys, qs in blocks:
-            d = u if stacked else _ZERO7
-            for c, y, q in zip(rows, ys, qs):
-                p, d = kernel(p, c, q, y, d)
-            u = d if stacked else tuple(map(operator.add, u, d))
-
-        # Input-driven rates [omega, dVahat/dt, dhhat/dt], blended with the
-        # previous tick's; Rhat^T e3 is the last row of Rhat.
-        w0, w1, w2 = omega
-        g = self.gravity
-        rates = (w0, w1, w2,
-                 -(w1 * v2 - w2 * v1) + g * r20 + a0,
-                 -(w2 * v0 - w0 * v2) + g * r21 + a1,
-                 -(w0 * v1 - w1 * v0) + g * r22 + a2,
-                 rv2)
-        f0, f1, f2, f3, f4, f5, f6 = rates
-        prev, self._prev_rates = self._prev_rates, rates
-        if prev is not None:
-            c_now, c_prev = self._c_now, self._c_prev
-            q0, q1, q2, q3, q4, q5, q6 = prev
-            f0 = c_now * f0 + c_prev * q0
-            f1 = c_now * f1 + c_prev * q1
-            f2 = c_now * f2 + c_prev * q2
-            f3 = c_now * f3 + c_prev * q3
-            f4 = c_now * f4 + c_prev * q4
-            f5 = c_now * f5 + c_prev * q5
-            f6 = c_now * f6 + c_prev * q6
-        t0, t1, t2, dv0, dv1, dv2, dh = (T * f0, T * f1, T * f2, T * f3,
-                                         T * f4, T * f5, T * f6)
-        if blocks:
-            # The correction u = K y = [dR, dv, dh] enters at full strength,
-            # consistent with the (I - K C) P reduction.
-            d0, d1, d2, e0, e1, e2, e6 = u
-            t0 += r00 * d0 + r10 * d1 + r20 * d2
-            t1 += r01 * d0 + r11 * d1 + r21 * d2
-            t2 += r02 * d0 + r12 * d1 + r22 * d2
-            z0 = e0 - (d1 * rv2 - d2 * rv1)
-            z1 = e1 - (d2 * rv0 - d0 * rv2)
-            z2 = e2 - (d0 * rv1 - d1 * rv0)
-            dv0 += r00 * z0 + r10 * z1 + r20 * z2
-            dv1 += r01 * z0 + r11 * z1 + r21 * z2
-            dv2 += r02 * z0 + r12 * z1 + r22 * z2
-            dh += e6
-        r, defect = _rotate(r, t0, t1, t2)
-        v0 += dv0
-        v1 += dv1
-        v2 += dv2
-        h += dh
-        # NaN fails every comparison, so non-finite states trip the floor.
-        floor = STATE_FLOOR
-        if not (-floor < v0 < floor and -floor < v1 < floor
-                and -floor < v2 < floor and -floor < h < floor
-                and (p[0] + p[7] + p[13] + p[18] + p[22] + p[25] + p[27]
-                     < P_TRACE_FLOOR)
-                and defect < math.inf):
-            raise DivergenceError(
-                "observer state exceeded the numerical floor")
-        if defect > ORTHONORMALITY_TOL:
-            r = geometry.project_to_so3(
-                np.array(r).reshape(3, 3)).ravel().tolist()
-        self._r, self._v, self._h, self._p = r, [v0, v1, v2], h, p
-        self._state = None
-
-
-_ZERO7 = (0.0,) * 7
+        Returns ``(ticks, None)``, or ``(i, error)`` when tick ``i`` failed
+        with one of :data:`RUN_FAILURES`; a failed tick changes nothing.
+        """
+        T, g, c_now, c_prev = self.dt, self.gravity, self._c_now, self._c_prev
+        st, rows, w_mag, w_pitot = (self._st, self._rows, self._w_mag,
+                                    self._w_pitot)
+        mi0, mi1, mi2 = self._m_i
+        pack_into, size = _RECORD.pack_into, _RECORD.size
+        r, (v0, v1, v2), h, p = self._r, self._v, self._h, self._p
+        prev = self._prev_rates
+        i, error = 0, None
+        try:
+            for omega, a, pitot, mag, baro in zip(omegas, accs, pitots, mags,
+                                                  baros):
+                if record is not None:
+                    pack_into(record, size * (offset + i), *r, v0, v1, v2, h,
+                              *p)
+                r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+                rv0 = r00 * v0 + r01 * v1 + r02 * v2
+                rv1 = r10 * v0 + r11 * v1 + r12 * v2
+                rv2 = r20 * v0 + r21 * v1 + r22 * v2
+                # Varying block of A_d = I + T A(Rhat): (k)^x, k = -T Rhat a.
+                a0, a1, a2 = a
+                p_new = _predict_packed(p,
+                                        -T * (r00 * a0 + r01 * a1 + r02 * a2),
+                                        -T * (r10 * a0 + r11 * a1 + r12 * a2),
+                                        -T * (r20 * a0 + r21 * a1 + r22 * a2),
+                                        T, st)
+                aided = not (baro is None and mag is None and pitot is None)
+                if aided:
+                    # Baro and whitened mag residuals, whitened Pitot readings.
+                    if baro is not None:
+                        baro -= h
+                    if mag is not None:
+                        m0, m1, m2 = mag
+                        mag = [mi0 - (r00 * m0 + r01 * m1 + r02 * m2),
+                               mi1 - (r10 * m0 + r11 * m1 + r12 * m2),
+                               mi2 - (r20 * m0 + r21 * m1 + r22 * m2)]
+                        if w_mag is not None:
+                            mag = _lower_times(w_mag, mag)
+                    if pitot is not None and w_pitot is not None:
+                        pitot = _lower_times(w_pitot, pitot)
+                    p_new, u = _fold(p_new, baro, mag, pitot, r, (v0, v1, v2),
+                                     (rv0, rv1, rv2), rows)
+                # Input-driven rates [omega, dVahat/dt, dhhat/dt], blended
+                # with the previous tick's; Rhat^T e3 is the last row of Rhat.
+                w0, w1, w2 = omega
+                rates = (w0, w1, w2,
+                         -(w1 * v2 - w2 * v1) + g * r20 + a0,
+                         -(w2 * v0 - w0 * v2) + g * r21 + a1,
+                         -(w0 * v1 - w1 * v0) + g * r22 + a2,
+                         rv2)
+                f0, f1, f2, f3, f4, f5, f6 = rates
+                if prev is not None:
+                    q0, q1, q2, q3, q4, q5, q6 = prev
+                    f0 = c_now * f0 + c_prev * q0
+                    f1 = c_now * f1 + c_prev * q1
+                    f2 = c_now * f2 + c_prev * q2
+                    f3 = c_now * f3 + c_prev * q3
+                    f4 = c_now * f4 + c_prev * q4
+                    f5 = c_now * f5 + c_prev * q5
+                    f6 = c_now * f6 + c_prev * q6
+                t0, t1, t2, dv0, dv1, dv2, dh = (T * f0, T * f1, T * f2,
+                                                 T * f3, T * f4, T * f5,
+                                                 T * f6)
+                if aided:
+                    # The correction u = K y = [dR, dv, dh] enters at full
+                    # strength, consistent with the (I - K C) P reduction.
+                    d0, d1, d2, e0, e1, e2, e6 = u
+                    t0 += r00 * d0 + r10 * d1 + r20 * d2
+                    t1 += r01 * d0 + r11 * d1 + r21 * d2
+                    t2 += r02 * d0 + r12 * d1 + r22 * d2
+                    z0 = e0 - (d1 * rv2 - d2 * rv1)
+                    z1 = e1 - (d2 * rv0 - d0 * rv2)
+                    z2 = e2 - (d0 * rv1 - d1 * rv0)
+                    dv0 += r00 * z0 + r10 * z1 + r20 * z2
+                    dv1 += r01 * z0 + r11 * z1 + r21 * z2
+                    dv2 += r02 * z0 + r12 * z1 + r22 * z2
+                    dh += e6
+                r_new, defect = _rotate(r, t0, t1, t2)
+                vn0, vn1, vn2, h_new = v0 + dv0, v1 + dv1, v2 + dv2, h + dh
+                # NaN fails every comparison: non-finite states trip it.
+                floor = STATE_FLOOR
+                if not (-floor < vn0 < floor and -floor < vn1 < floor
+                        and -floor < vn2 < floor and -floor < h_new < floor
+                        and (p_new[0] + p_new[7] + p_new[13] + p_new[18]
+                             + p_new[22] + p_new[25] + p_new[27]
+                             < P_TRACE_FLOOR)
+                        and defect < math.inf):
+                    raise DivergenceError(
+                        "observer state exceeded the numerical floor")
+                if defect > ORTHONORMALITY_TOL:
+                    r_new = geometry.project_to_so3(
+                        np.array(r_new).reshape(3, 3)).ravel().tolist()
+                # The tick passed: commit it, rates included.
+                r, v0, v1, v2, h, p, prev = (r_new, vn0, vn1, vn2, h_new,
+                                             p_new, rates)
+                i += 1
+        except RUN_FAILURES as exc:
+            error = exc
+        finally:
+            if i:
+                self._r, self._v, self._h, self._p = r, [v0, v1, v2], h, p
+                self._prev_rates, self._state = prev, None
+        if record is not None and error is None:
+            pack_into(record, size * (offset + i), *r, v0, v1, v2, h, *p)
+        return i, error
 
 
 def _floats(x) -> list[float]:

@@ -141,11 +141,28 @@ class TestInitEstimates:
                                    atol=0.1)
 
 
-def _assert_run_matches_tick_loop(cfg):
+def _fail_tick(monkeypatch, at):
+    """Make the ``at``-th tick from now raise SingularInnovationError; the
+    state step's Rodrigues product runs once per tick."""
+    calls = {"n": 0}
+    orig = observer._rotate
+
+    def failing_rotate(*args):
+        calls["n"] += 1
+        if calls["n"] == at:
+            raise SingularInnovationError("forced for test")
+        return orig(*args)
+
+    monkeypatch.setattr(observer, "_rotate", failing_rotate)
+
+
+def _assert_run_matches_tick_loop(cfg, monkeypatch=None, fail_at=None):
     """run_single equals one AirDataObserver.tick per schedule slot.
 
     The reference draws with one sample_* call per sensor and tick and
-    takes truth from the scalar closed form.
+    takes truth from the scalar closed form.  With ``fail_at``, tick
+    ``fail_at`` (counted from 1) of each fails, and the run must stop where
+    the loop does.
     """
     spec = cfg.trajectory
     rngs = {kind: substream(cfg.base_seed, 0, sid)
@@ -155,7 +172,10 @@ def _assert_run_matches_tick_loop(cfg):
                           gravity=cfg.gravity,
                           q_convention=cfg.q_convention,
                           integrator=cfg.integrator)
+    if fail_at is not None:
+        _fail_tick(monkeypatch, fail_at)
     states = [obs.state]
+    failure = (None, None)
     for slot in make_schedule(cfg.rates, cfg.duration)[:-1]:
         truth = truth_state(spec, slot.t)
         inputs = truth_inputs(spec, slot.t)
@@ -170,10 +190,17 @@ def _assert_run_matches_tick_loop(cfg):
         if SensorKind.BARO in slot.kinds:
             payloads[SensorKind.BARO] = sample_baro(
                 truth, cfg.noise, rngs[SensorKind.BARO])
-        states.append(obs.tick(payloads))
+        try:
+            states.append(obs.tick(payloads))
+        except SingularInnovationError as exc:
+            failure = (slot.t, type(exc).__name__)
+            break
 
+    if fail_at is not None:
+        _fail_tick(monkeypatch, fail_at)
     m = run_single(cfg, 0)
-    assert not m.diverged
+    assert m.diverged == (fail_at is not None)
+    assert (m.divergence_time, m.divergence_cause) == failure
     assert m.t.shape[0] == len(states)
     np.testing.assert_allclose(m.va_hat, [s.Vahat for s in states],
                                rtol=1e-9, atol=1e-12)
@@ -237,15 +264,15 @@ class TestRunSingle:
 
     def test_divergence_truncates_series(self, short_config, monkeypatch):
         ticks = {"n": 0}
-        orig = AirDataObserver._step
+        orig = observer._rotate
 
-        def failing_step(self, *args):
+        def failing_rotate(*args):
             ticks["n"] += 1
             if ticks["n"] >= 10:
                 raise DivergenceError("forced for test")
-            return orig(self, *args)
+            return orig(*args)
 
-        monkeypatch.setattr(AirDataObserver, "_step", failing_step)
+        monkeypatch.setattr(observer, "_rotate", failing_rotate)
         m = run_single(short_config, 0)
         assert m.diverged
         assert m.t.shape[0] == 10
@@ -273,6 +300,16 @@ class TestRunSingle:
             "[0, -0.003, 0.015]]\n" + extra)
         assert np.any(cfg.weights.Qm != np.diag(np.diag(cfg.weights.Qm)))
         _assert_run_matches_tick_loop(cfg)
+
+    @pytest.mark.parametrize("fail_at", [None, 1100])
+    def test_long_run_matches_per_tick_loop(self, monkeypatch, fail_at):
+        # more than one block of ticks, a barometer decimation (40) that
+        # does not divide the block, and a failure in the second block
+        cfg = parse_config_text("duration = 6\nruns = 1\nf_baro = 5\n")
+        assert cfg.duration * cfg.rates.f_imu > harness.EIG_BLOCK_ROWS
+        assert harness.EIG_BLOCK_ROWS % cfg.rates.decimation(
+            SensorKind.BARO) != 0
+        _assert_run_matches_tick_loop(cfg, monkeypatch, fail_at)
 
     @pytest.mark.parametrize("steps", [2 * harness.EIG_BLOCK_ROWS,
                                        2 * harness.EIG_BLOCK_ROWS + 500])
@@ -302,10 +339,10 @@ class TestRunSingle:
 
     def test_singular_innovation_truncates_series(self, short_config,
                                                   monkeypatch):
-        def failing_step(self, *args):
+        def failing_rotate(*args):
             raise SingularInnovationError("forced for test")
 
-        monkeypatch.setattr(AirDataObserver, "_step", failing_step)
+        monkeypatch.setattr(observer, "_rotate", failing_rotate)
         m = run_single(short_config, 0)
         assert m.diverged
         assert m.t.shape[0] == 1
@@ -369,10 +406,10 @@ class TestMonteCarlo:
                                             error):
         _pin_workers(monkeypatch, 1)
 
-        def failing_step(self, *args):
+        def failing_rotate(*args):
             raise error("forced for test")
 
-        monkeypatch.setattr(AirDataObserver, "_step", failing_step)
+        monkeypatch.setattr(observer, "_rotate", failing_rotate)
         summary, records = run_montecarlo(short_config)
         assert summary.divergence_count == 2
         assert summary.unconverged_count == 0
@@ -403,15 +440,15 @@ class TestMonteCarlo:
         # the tick counter spans runs, so the runs must share one process
         _pin_workers(monkeypatch, 1)
         calls = {"n": 0}
-        orig = AirDataObserver._step
+        orig = observer._rotate
 
-        def sometimes_failing(self, *args):
+        def sometimes_failing(*args):
             calls["n"] += 1
             if calls["n"] == 50:
                 raise DivergenceError("forced for test")
-            return orig(self, *args)
+            return orig(*args)
 
-        monkeypatch.setattr(AirDataObserver, "_step", sometimes_failing)
+        monkeypatch.setattr(observer, "_rotate", sometimes_failing)
         summary, records = run_montecarlo(short_config)
         assert summary.divergence_count == 1
         assert records[0].diverged
@@ -425,15 +462,15 @@ class TestMonteCarlo:
         _pin_workers(monkeypatch, 1)
         intact = run_single(short_config, 1)
         calls = {"n": 0}
-        orig = AirDataObserver._step
+        orig = observer._rotate
 
-        def failing_in_run_0(self, *args):
+        def failing_in_run_0(*args):
             calls["n"] += 1
             if calls["n"] == 50:
                 raise SingularInnovationError("forced for test")
-            return orig(self, *args)
+            return orig(*args)
 
-        monkeypatch.setattr(AirDataObserver, "_step", failing_in_run_0)
+        monkeypatch.setattr(observer, "_rotate", failing_in_run_0)
         summary, records = run_montecarlo(short_config, tmp_path)
         assert summary.divergence_count == 1
         assert records[0].diverged
@@ -457,16 +494,16 @@ class TestMonteCarlo:
             if run_index != 0:
                 return orig(config, run_index, initial_state, trace)
             calls = {"n": 0}
-            step = AirDataObserver._step
+            rotate = observer._rotate
 
-            def failing_step(self, *args):
+            def failing_rotate(*args):
                 calls["n"] += 1
                 if calls["n"] == 50:
                     raise SingularInnovationError("forced for test")
-                return step(self, *args)
+                return rotate(*args)
 
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(AirDataObserver, "_step", failing_step)
+                mp.setattr(observer, "_rotate", failing_rotate)
                 return orig(config, run_index, initial_state, trace)
 
         monkeypatch.setattr(harness, "run_single", run_single_failing_in_run_0)
@@ -570,10 +607,10 @@ class TestCsvPersistence:
                 == (tmp_path / "oracle.csv").read_bytes())
 
     def test_trace_of_one_row(self, short_config, tmp_path, monkeypatch):
-        def failing_step(self, *args):
+        def failing_rotate(*args):
             raise DivergenceError("forced for test")
 
-        monkeypatch.setattr(AirDataObserver, "_step", failing_step)
+        monkeypatch.setattr(observer, "_rotate", failing_rotate)
         m = run_single(short_config, 0)
         write_trace_csv(tmp_path / "fast.csv", m)
         _trace_oracle(tmp_path / "oracle.csv", m)
@@ -725,15 +762,15 @@ class TestTraceWriter:
         for cpus in (1, 2):
             _pin_cpus(monkeypatch, cpus)
             calls = {"n": 0}
-            orig = AirDataObserver._step
+            orig = observer._rotate
 
-            def failing_step(self, *args):
+            def failing_rotate(*args):
                 calls["n"] += 1
                 if calls["n"] == fail_at:
                     raise SingularInnovationError("forced for test")
-                return orig(self, *args)
+                return orig(*args)
 
-            monkeypatch.setattr(AirDataObserver, "_step", failing_step)
+            monkeypatch.setattr(observer, "_rotate", failing_rotate)
             path = tmp_path / f"cpus_{cpus}.csv"
             m = run_single(config, 0, trace=path)
             assert m.divergence_cause == "SingularInnovationError"
@@ -749,10 +786,10 @@ class TestTraceWriter:
                                                    cpus):
         _pin_cpus(monkeypatch, cpus)
 
-        def no_step(self, *args):
+        def no_rotate(*args):
             raise AssertionError("ticked with an unwritable trace")
 
-        monkeypatch.setattr(AirDataObserver, "_step", no_step)
+        monkeypatch.setattr(observer, "_rotate", no_rotate)
         with pytest.raises(IsADirectoryError):
             run_single(short_config, 0, trace=tmp_path)
 
@@ -796,16 +833,16 @@ class TestTraceWriter:
         pids = tmp_path / "writers"
         _note_pids(monkeypatch, harness, "_format_rows", pids)
         calls = {"n": 0}
-        orig = AirDataObserver._step
+        orig = observer._rotate
 
-        def failing_step(self, *args):
+        def failing_rotate(*args):
             # after the first block went to the writer
             calls["n"] += 1
             if calls["n"] == 1100:
                 raise OutOfRangeError("forced for test")
-            return orig(self, *args)
+            return orig(*args)
 
-        monkeypatch.setattr(AirDataObserver, "_step", failing_step)
+        monkeypatch.setattr(observer, "_rotate", failing_rotate)
         with pytest.raises(OutOfRangeError, match="forced for test"):
             run_single(config, 0, trace=tmp_path / "trace.csv")
         assert not (tmp_path / "trace.csv").exists()
@@ -968,10 +1005,10 @@ class TestCli:
         for k in range(2):
             harness.trace_path(out, k).mkdir(parents=True)
 
-        def no_step(self, *args):
+        def no_rotate(*args):
             raise AssertionError("ticked with an unwritable trace")
 
-        monkeypatch.setattr(AirDataObserver, "_step", no_step)
+        monkeypatch.setattr(observer, "_rotate", no_rotate)
         assert cli.main([command, "--config", str(cfg), "--out",
                          str(out)]) == 2
         captured = capsys.readouterr()
@@ -997,10 +1034,10 @@ class TestCli:
     def test_divergence_exits_3(self, tmp_path, monkeypatch):
         cfg = self._write_config(tmp_path)
 
-        def fail_step(self, *args):
+        def fail_rotate(*args):
             raise DivergenceError("forced for test")
 
-        monkeypatch.setattr(AirDataObserver, "_step", fail_step)
+        monkeypatch.setattr(observer, "_rotate", fail_rotate)
         out = tmp_path / "out"
         assert cli.main(["simulate", "--config", str(cfg), "--out",
                          str(out)]) == 3

@@ -9,9 +9,13 @@ from scipy.linalg import block_diag
 from airnav import geometry, observer
 from airnav.config import default_config
 from airnav.dynamics import TrajectorySpec
-from airnav.exceptions import MissingPayloadError, SingularInnovationError
-from airnav.harness import RUN_FAILURES
+from airnav.exceptions import (
+    DivergenceError,
+    MissingPayloadError,
+    SingularInnovationError,
+)
 from airnav.observer import (
+    RUN_FAILURES,
     AirDataObserver,
     ObserverState,
     Q_CONVENTIONS,
@@ -446,6 +450,30 @@ class TestObserverTick:
         np.testing.assert_allclose(out.Vahat, prediction.Vahat, atol=1e-9)
         assert abs(out.hhat - prediction.hhat) < 1e-9
 
+    def test_failed_tick_leaves_the_rate_history(self, probes, mag_ref,
+                                                 weights):
+        # a tick that fails the divergence floor keeps the estimate, so its
+        # rates must not enter the next tick's two-step blend either
+        spec = TrajectorySpec.paper()
+        est = truth_observer_state(spec, 0.0, p=weights.P0.copy())
+        inp = truth_inputs(spec, 0.0)
+        good = {SensorKind.IMU: (inp.omega, inp.a)}
+        bad = {SensorKind.IMU: (inp.omega + 1.0, inp.a + 1.0),
+               SensorKind.BARO: 1e300}
+
+        def observer_ab2():
+            return AirDataObserver(est, weights, probes, mag_ref, dt=0.005,
+                                   gravity=G, integrator="ab2")
+
+        obs = observer_ab2()
+        with pytest.raises(DivergenceError):
+            obs.tick(bad)
+        after = obs.tick(good)
+        alone = observer_ab2().tick(good)
+        for field in ("Rhat", "Vahat", "hhat", "P"):
+            np.testing.assert_array_equal(getattr(after, field),
+                                          getattr(alone, field))
+
     def test_symmetry_and_pd_over_short_run(self, probes, mag_ref, weights):
         spec = TrajectorySpec.paper()
         est = truth_observer_state(spec, 0.0, p=weights.P0.copy())
@@ -715,32 +743,70 @@ class TestPackedKernels:
         assert obs.state is before
 
 
-# Each known-zero-column kernel with the columns of P its row is supported
-# on; the row e6 is not read from its argument.
-_ROW_KERNELS = {
-    "mag": (observer._update_row3, [0, 1, 2]),
-    "baro": (observer._update_e6, [6]),
-    "pitot": (observer._update_row6, [0, 1, 2, 3, 4, 5]),
-}
+# Every non-empty subset of the aiding sensors, in the fold's order.
+_FOLD_SUBSETS = [subset for n in (1, 2, 3) for subset in
+                 itertools.combinations(("baro", "mag", "pitot"), n)]
+
+
+def _fold_by_rows(p, baro, mag, pitot, r, v, rv, rows):
+    """What the fold computes, from _update_row on the full rows: sensor by
+    sensor (barometer, magnetometer, Pitot), with the stacked correction
+    running on over every row and the sequential ones summed."""
+    q_baro, mag_rows, q_mag, axes, q_pitot = rows
+    blocks = []
+    if baro is not None:
+        blocks.append(([[0.0] * 6 + [1.0]], [baro], [q_baro]))
+    if mag is not None:
+        blocks.append(([c + [0.0] * 4 for c in mag_rows], mag, q_mag))
+    if pitot is not None:
+        r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+        v0, v1, v2 = v
+        rv0, rv1, rv2 = rv
+        pitot_rows, ys = [], []
+        for (b0, b1, b2), meas in zip(axes, pitot):
+            x0 = r00 * b0 + r01 * b1 + r02 * b2
+            x1 = r10 * b0 + r11 * b1 + r12 * b2
+            x2 = r20 * b0 + r21 * b1 + r22 * b2
+            pitot_rows.append([x1 * rv2 - x2 * rv1, x2 * rv0 - x0 * rv2,
+                               x0 * rv1 - x1 * rv0, x0, x1, x2, 0.0])
+            ys.append(meas - (b0 * v0 + b1 * v1 + b2 * v2))
+        blocks.append((pitot_rows, ys, q_pitot))
+    stacked = len(blocks) == 3
+    zero = (0.0,) * 7
+    u = zero
+    for cs, ys, qs in blocks:
+        d = u if stacked else zero
+        for c, y, q in zip(cs, ys, qs):
+            p, d = observer._update_row(p, c, q, y, d)
+        u = d if stacked else tuple(a + b for a, b in zip(u, d))
+    return p, u
 
 
 class TestRowKernels:
-    """The tick's known-zero-column kernels against the dense kernel."""
+    """The tick's fold of the rows with known zeros against the dense
+    kernel."""
 
     @settings(max_examples=300, deadline=None)
-    @given(st.sampled_from(sorted(_ROW_KERNELS)), st.integers(0, 2**32 - 1),
-           st.floats(-6.0, 6.0), st.floats(1e-9, 1e6),
-           st.floats(-1e3, 1e3))
-    def test_matches_update_row(self, shape, seed, log_scale, q, y):
-        kernel, support = _ROW_KERNELS[shape]
+    @given(st.sampled_from(_FOLD_SUBSETS), st.integers(1, 3),
+           st.integers(0, 2**32 - 1), st.floats(-6.0, 6.0),
+           st.lists(st.floats(1e-9, 1e6), min_size=7, max_size=7),
+           st.lists(st.floats(-1e3, 1e3), min_size=7, max_size=7))
+    def test_matches_update_row(self, subset, n_probes, seed, log_scale,
+                                qs, ys):
         rng = np.random.default_rng(seed)
         p = observer._pack(10.0**log_scale * _random_spd(rng))
-        d = tuple(rng.standard_normal(7).tolist())
-        c = [0.0] * 7
-        for j, value in zip(support, rng.standard_normal(len(support))):
-            c[j] = 1.0 if shape == "baro" else float(value)
-        row = None if shape == "baro" else [c[j] for j in support]
-        assert kernel(p, row, q, y, d) == observer._update_row(p, c, q, y, d)
+        rhat = geometry.exp_so3(rng.standard_normal(3))
+        vahat = 5.0 * rng.standard_normal(3)
+        r, v, rv = (rhat.ravel().tolist(), tuple(vahat.tolist()),
+                    tuple((rhat @ vahat).tolist()))
+        rows = (qs[0], rng.standard_normal((3, 3)).tolist(), qs[1:4],
+                rng.standard_normal((n_probes, 3)).tolist(),
+                qs[4:4 + n_probes])
+        baro = ys[0] if "baro" in subset else None
+        mag = ys[1:4] if "mag" in subset else None
+        pitot = ys[4:4 + n_probes] if "pitot" in subset else None
+        assert (observer._fold(p, baro, mag, pitot, r, v, rv, rows)
+                == _fold_by_rows(p, baro, mag, pitot, r, v, rv, rows))
 
     @pytest.mark.parametrize("kind, entry", [
         (SensorKind.MAG, (3, 3)),
@@ -748,7 +814,7 @@ class TestRowKernels:
     ], ids=["mag", "baro"])
     def test_nan_off_the_support_fails_the_tick(self, kind, entry, probes,
                                                 mag_ref, weights):
-        # the kernel never reads the NaN, so s stays finite; the NaN lands
+        # the fold never reads the NaN, so s stays finite; the NaN lands
         # in the updated P and the divergence floor catches it
         spec = TrajectorySpec.paper()
         p = weights.P0.copy()
