@@ -17,10 +17,6 @@ class RateMismatchError(AirnavError):
     """Sensor rates do not divide the IMU rate evenly."""
 
 
-class MissingPayloadError(AirnavError):
-    """A measurement payload required by the requested update is absent."""
-
-
 class SingularInnovationError(AirnavError):
     """Innovation covariance could not be factorized even after jitter."""
 

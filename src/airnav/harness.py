@@ -42,8 +42,9 @@ otherwise the same writer runs in process after the loop and derives
 every row in one call.  A row's derived values do not depend on how the
 rows are split into calls, and both format the same blocks with the same
 code, so the trace is byte-identical either way.  On Python 3.12 and later
-this fork, too, emits a ``DeprecationWarning``.
-:func:`write_trace_csv` writes the trace of a run already held.
+this fork, too, emits a ``DeprecationWarning``.  That writer is the only
+one: a trace is written by the run that makes it, and
+:func:`read_trace_csv` reads it back.
 """
 
 from __future__ import annotations
@@ -261,10 +262,11 @@ def run_single(config: SimConfig, run_index: int = 0,
     truncated at the last valid tick and flagged with the failure's class
     name, and the caller's batch goes on.
 
-    Given a path ``trace``, the run writes its trace there, with the
-    layout of :func:`write_trace_csv`; the file is opened before the tick
-    loop, so an unwritable path fails the run before it ticks.  When this
-    process may use two or more CPUs and is not a Monte Carlo worker (see
+    Given a path ``trace``, the run writes its trace there: a header of
+    :data:`TRACE_COLUMNS` and one line per recorded tick, each value in
+    :data:`FLOAT_FORMAT`.  The file is opened before the tick loop, so an
+    unwritable path fails the run before it ticks.  When this process may
+    use two or more CPUs and is not a Monte Carlo worker (see
     :func:`run_montecarlo`), a child forked before the loop derives and
     writes each block of rows while the loop ticks the next, and the call
     returns once the child is done; otherwise the same writer runs after
@@ -701,23 +703,8 @@ def summarize(config: SimConfig,
     )
 
 
-def write_trace_csv(path, metrics: RunMetrics) -> None:
-    """Write the per-tick trace with the fixed column layout."""
-    table = np.column_stack((
-        metrics.t, metrics.euler, metrics.euler_hat, metrics.va,
-        metrics.va_hat, metrics.h, metrics.h_hat, metrics.err_v_body,
-        metrics.err_v_inertial, metrics.err_att, metrics.err_h,
-        metrics.lam_min_p, metrics.lam_max_p,
-    ))
-    with open(path, "w", newline="") as fh:
-        fh.write(_TRACE_HEADER)
-        # Blocks of rows bound the memory of the formatted text.
-        for start in range(0, table.shape[0], EIG_BLOCK_ROWS):
-            fh.write(_format_rows(table[start:start + EIG_BLOCK_ROWS]))
-
-
 def read_trace_csv(path) -> dict[str, np.ndarray]:
-    """Read a trace written by :func:`write_trace_csv` (column -> array).
+    """Read a trace written by :func:`run_single` (column -> array).
 
     Raises ``ValueError`` for a file without the trace header or with a
     line whose field count is not that of the header.

@@ -4,34 +4,36 @@ The estimator runs a copy of the vehicle kinematics driven by IMU inputs and
 injects innovation terms computed from a 7-state Riccati recursion
 (attitude error, inertial air-velocity error, altitude error).
 
-:meth:`AirDataObserver.advance` runs a block of ticks, each the whole
-discrete cycle on Python floats.  Between ticks it keeps ``Rhat`` (row by
-row), ``Vahat``, ``hhat``, ``P`` packed as the 28 floats of its upper
-triangle and the previous tick's rates in local variables, and stores them
-on the observer once per block; :attr:`AirDataObserver.state` builds the
-arrays only when asked.
+:meth:`AirDataObserver.advance` is the observer's only step: it runs a
+block of ticks, each the whole discrete cycle on Python floats.  Between
+ticks it keeps ``Rhat`` (row by row), ``Vahat``, ``hhat``, ``P`` packed as
+the 28 floats of its upper triangle and the previous tick's rates in local
+variables, and stores them on the observer once per block;
+:attr:`AirDataObserver.state` builds the arrays only when asked.
 
 1. covariance prediction ``A_d P A_d^T + S T`` with ``A_d = I + T A(Rhat)``
    (:func:`_predict_packed`).  ``A_d - I`` has two small blocks, so the
    product is written out on the upper triangle; the result is exactly
    symmetric by construction and ``S T`` is packed once;
 2. measurement update for the aiding sensors that sampled on the tick,
-   one scalar row at a time (:func:`_fold`): ``g = P c``, ``s = c^T g + q``,
-   ``P - g g^T / s``, with ``s > 0`` checked.  Each sensor's constant
-   additive block is factored once (:func:`_whitener`) and its rows and
-   residuals whitened by that factor, so a non-diagonal block or
-   ``q_convention = "precision"`` takes the same path.  The rows are folded
-   in the order barometer, magnetometer, Pitot, each with the sequential
-   innovation ``y_j - c_j . delta`` of the correction ``delta`` so far,
-   which is the block update's algebra (Bierman 1977).  When Pitot,
-   magnetometer and barometer coincide, ``delta`` runs on over every row,
-   which is the stacked update; otherwise each sensor's correction starts
-   from zero, from its raw residual, and the corrections are added.  ``P``
-   is unpacked once per tick.  Each row takes the dense kernel
-   :func:`_update_row`'s arithmetic less the products with its known zeros,
-   and the same floats come out: the magnetometer rows (constant, built
-   once) are zero in columns 3-6, the barometer row is ``e6`` and a Pitot
-   row (built as it is folded) is zero in column 6;
+   one scalar row at a time in one loop (:func:`_fold`): ``g = P c``,
+   ``s = c^T g + q``, ``P - g g^T / s``, with ``s > 0`` checked.  Each
+   sensor's constant additive block is factored once (:func:`_whitener`)
+   and its rows and residuals whitened by that factor, so a non-diagonal
+   block or ``q_convention = "precision"`` takes the same path.  The loop
+   takes the rows in the order barometer, magnetometer, Pitot, each with
+   the sequential innovation ``y_j - c_j . delta`` of the correction
+   ``delta`` so far, which is the block update's algebra (Bierman 1977).
+   When Pitot, magnetometer and barometer coincide, ``delta`` runs on over
+   every row, which is the stacked update; otherwise each sensor's
+   correction starts from zero, from its raw residual, and the corrections
+   are added.  ``P`` is unpacked once per tick.  Only ``g``, ``s`` and the
+   innovation differ between sensors, because each row skips the products
+   with its known zeros: the magnetometer rows (constant, built once) are
+   zero in columns 3-6, the barometer row is ``e6`` and a Pitot row (built
+   from ``Rhat b_j`` as it is folded) is zero in column 6.  The gain, the
+   downdate of ``P`` and the correction update are written once, and the
+   floats are those of the dense kernel :func:`_update_row`;
 3. state integration: exponential step on SO(3), explicit step for the
    vector part.  The rates, their blend, the innovation injection and the
    Rodrigues product ``Rhat exp(theta^x)`` with its orthonormality defect
@@ -45,8 +47,6 @@ arrays only when asked.
    ``ORTHONORMALITY_TOL``.  A tick that fails leaves the estimate and the
    previous tick's rates as they were.
 
-:meth:`AirDataObserver.advance` is the only way to advance an estimate;
-:meth:`AirDataObserver.tick` is a one-tick call of it.
 :func:`riccati_update` runs the dense scalar kernel row by row on a dense
 ``P``, so the test suite can check that kernel against the block formula,
 and the fold against it.  The dense forms of the recursion (``A_d``, the
@@ -79,11 +79,10 @@ from . import geometry
 from .exceptions import (
     DegenerateMatrixError,
     DivergenceError,
-    MissingPayloadError,
     SingularInnovationError,
 )
 from .geometry import ORTHONORMALITY_TOL, SMALL_ANGLE_SWITCH, skew
-from .sensors import MagReference, ProbeSet, SensorKind
+from .sensors import MagReference, ProbeSet
 
 STATE_FLOOR = 1e9
 P_TRACE_FLOOR = 1e12
@@ -380,126 +379,102 @@ def _fold(p: tuple[float, ...], baro: float | None, mag: list[float] | None,
     residuals and ``pitot`` the whitened Pitot readings, None where the
     sensor did not sample; ``r``, ``v`` and ``rv`` are ``Rhat`` row by row,
     ``Vahat`` and ``Rhat Vahat``, and ``rows`` the observer's constants.
-    Each row takes :func:`_update_row`'s operations in its order, less the
-    products with the row's known zeros.  For finite values such a product
-    is a signed zero, and adding one changes no sum but for the sign of a
-    zero sum, so the floats are :func:`_update_row`'s on the full rows.
+    One loop takes the rows in the order barometer, magnetometer, Pitot.
+    Each sensor's branch forms ``g = P c`` on the row's support, ``s`` and
+    the innovation ``e``; the gain, the downdate of ``P`` and the update of
+    the correction ``d`` are shared.  These are :func:`_update_row`'s
+    operations in its order, less the products with the row's known zeros.
+    For finite values such a product is a signed zero, and adding one
+    changes no sum but for the sign of a zero sum, so the floats are
+    :func:`_update_row`'s on the full rows.
     """
     (p00, p01, p02, p03, p04, p05, p06, p11, p12, p13, p14, p15, p16,
      p22, p23, p24, p25, p26, p33, p34, p35, p36, p44, p45, p46,
      p55, p56, p66) = p
     q_baro, mag_rows, q_mag, axes, q_pitot = rows
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+    v0, v1, v2 = v
+    rv0, rv1, rv2 = rv
     # On a stacked tick every row takes the sequential innovation of d;
     # otherwise d starts from zero for each sensor and u adds them up.
     stacked = baro is not None and mag is not None and pitot is not None
     d0 = d1 = d2 = d3 = d4 = d5 = d6 = u0 = u1 = u2 = u3 = u4 = u5 = u6 = 0.0
-    if baro is not None:
-        # The row e6: g is column 6 of P.
-        g0, g1, g2, g3, g4, g5, g6 = p06, p16, p26, p36, p46, p56, p66
-        s = g6 + q_baro
-        if not s > 0.0:
-            s = _marginal(s)
-        k0, k1, k2, k3, k4, k5, k6 = (g0 / s, g1 / s, g2 / s, g3 / s, g4 / s,
-                                      g5 / s, g6 / s)
-        e = baro - d6
-        (p00, p01, p02, p03, p04, p05, p06, p11, p12, p13, p14, p15, p16,
-         p22, p23, p24, p25, p26, p33, p34, p35, p36, p44, p45, p46,
-         p55, p56, p66) = (
-            p00 - k0 * g0, p01 - k0 * g1, p02 - k0 * g2, p03 - k0 * g3,
-            p04 - k0 * g4, p05 - k0 * g5, p06 - k0 * g6, p11 - k1 * g1,
-            p12 - k1 * g2, p13 - k1 * g3, p14 - k1 * g4, p15 - k1 * g5,
-            p16 - k1 * g6, p22 - k2 * g2, p23 - k2 * g3, p24 - k2 * g4,
-            p25 - k2 * g5, p26 - k2 * g6, p33 - k3 * g3, p34 - k3 * g4,
-            p35 - k3 * g5, p36 - k3 * g6, p44 - k4 * g4, p45 - k4 * g5,
-            p46 - k4 * g6, p55 - k5 * g5, p56 - k5 * g6, p66 - k6 * g6)
-        d0, d1, d2, d3, d4, d5, d6 = (d0 + k0 * e, d1 + k1 * e, d2 + k2 * e,
-                                      d3 + k3 * e, d4 + k4 * e, d5 + k5 * e,
-                                      d6 + k6 * e)
+    for sensor, cs, ys, qs in (
+            ("baro", (None,), None if baro is None else (baro,), (q_baro,)),
+            ("mag", mag_rows, mag, q_mag), ("pitot", axes, pitot, q_pitot)):
+        if ys is None:
+            continue
+        for c, y, q in zip(cs, ys, qs):
+            if sensor == "baro":
+                # The row e6: g is column 6 of P.
+                g0, g1, g2, g3, g4, g5, g6 = p06, p16, p26, p36, p46, p56, p66
+                s = g6 + q
+                e = y - d6
+            elif sensor == "mag":
+                # The row on its support, columns 0-2.
+                c0, c1, c2 = c
+                g0 = p00 * c0 + p01 * c1 + p02 * c2
+                g1 = p01 * c0 + p11 * c1 + p12 * c2
+                g2 = p02 * c0 + p12 * c1 + p22 * c2
+                g3 = p03 * c0 + p13 * c1 + p23 * c2
+                g4 = p04 * c0 + p14 * c1 + p24 * c2
+                g5 = p05 * c0 + p15 * c1 + p25 * c2
+                g6 = p06 * c0 + p16 * c1 + p26 * c2
+                s = c0 * g0 + c1 * g1 + c2 * g2 + q
+                e = y - (c0 * d0 + c1 * d1 + c2 * d2)
+            else:
+                # Probe j's row is [x_j x (Rhat Vahat) | x_j | 0] with
+                # x_j = Rhat b_j; its residual is y - b_j . Vahat.
+                b0, b1, b2 = c
+                c3 = r00 * b0 + r01 * b1 + r02 * b2
+                c4 = r10 * b0 + r11 * b1 + r12 * b2
+                c5 = r20 * b0 + r21 * b1 + r22 * b2
+                c0 = c4 * rv2 - c5 * rv1
+                c1 = c5 * rv0 - c3 * rv2
+                c2 = c3 * rv1 - c4 * rv0
+                g0 = (p00 * c0 + p01 * c1 + p02 * c2 + p03 * c3 + p04 * c4
+                      + p05 * c5)
+                g1 = (p01 * c0 + p11 * c1 + p12 * c2 + p13 * c3 + p14 * c4
+                      + p15 * c5)
+                g2 = (p02 * c0 + p12 * c1 + p22 * c2 + p23 * c3 + p24 * c4
+                      + p25 * c5)
+                g3 = (p03 * c0 + p13 * c1 + p23 * c2 + p33 * c3 + p34 * c4
+                      + p35 * c5)
+                g4 = (p04 * c0 + p14 * c1 + p24 * c2 + p34 * c3 + p44 * c4
+                      + p45 * c5)
+                g5 = (p05 * c0 + p15 * c1 + p25 * c2 + p35 * c3 + p45 * c4
+                      + p55 * c5)
+                g6 = (p06 * c0 + p16 * c1 + p26 * c2 + p36 * c3 + p46 * c4
+                      + p56 * c5)
+                s = (c0 * g0 + c1 * g1 + c2 * g2 + c3 * g3 + c4 * g4
+                     + c5 * g5 + q)
+                e = (y - (b0 * v0 + b1 * v1 + b2 * v2)
+                     - (c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3 + c4 * d4
+                        + c5 * d5))
+            if not s > 0.0:
+                s = _marginal(s)
+            # At most three names per assignment, so a row builds no tuple;
+            # each new entry reads only its old value, k and g.
+            k0, k1, k2 = g0 / s, g1 / s, g2 / s
+            k3, k4, k5 = g3 / s, g4 / s, g5 / s
+            k6 = g6 / s
+            p00, p01, p02 = p00 - k0 * g0, p01 - k0 * g1, p02 - k0 * g2
+            p03, p04, p05 = p03 - k0 * g3, p04 - k0 * g4, p05 - k0 * g5
+            p06, p11, p12 = p06 - k0 * g6, p11 - k1 * g1, p12 - k1 * g2
+            p13, p14, p15 = p13 - k1 * g3, p14 - k1 * g4, p15 - k1 * g5
+            p16, p22, p23 = p16 - k1 * g6, p22 - k2 * g2, p23 - k2 * g3
+            p24, p25, p26 = p24 - k2 * g4, p25 - k2 * g5, p26 - k2 * g6
+            p33, p34, p35 = p33 - k3 * g3, p34 - k3 * g4, p35 - k3 * g5
+            p36, p44, p45 = p36 - k3 * g6, p44 - k4 * g4, p45 - k4 * g5
+            p46, p55, p56 = p46 - k4 * g6, p55 - k5 * g5, p56 - k5 * g6
+            p66 = p66 - k6 * g6
+            d0, d1, d2 = d0 + k0 * e, d1 + k1 * e, d2 + k2 * e
+            d3, d4, d5 = d3 + k3 * e, d4 + k4 * e, d5 + k5 * e
+            d6 = d6 + k6 * e
         if not stacked:
             u0, u1, u2, u3, u4, u5, u6 = (u0 + d0, u1 + d1, u2 + d2, u3 + d3,
                                           u4 + d4, u5 + d5, u6 + d6)
             d0 = d1 = d2 = d3 = d4 = d5 = d6 = 0.0
-    if mag is not None:
-        for (c0, c1, c2), y, q in zip(mag_rows, mag, q_mag):
-            g0 = p00 * c0 + p01 * c1 + p02 * c2
-            g1 = p01 * c0 + p11 * c1 + p12 * c2
-            g2 = p02 * c0 + p12 * c1 + p22 * c2
-            g3 = p03 * c0 + p13 * c1 + p23 * c2
-            g4 = p04 * c0 + p14 * c1 + p24 * c2
-            g5 = p05 * c0 + p15 * c1 + p25 * c2
-            g6 = p06 * c0 + p16 * c1 + p26 * c2
-            s = c0 * g0 + c1 * g1 + c2 * g2 + q
-            if not s > 0.0:
-                s = _marginal(s)
-            k0, k1, k2, k3, k4, k5, k6 = (g0 / s, g1 / s, g2 / s, g3 / s,
-                                          g4 / s, g5 / s, g6 / s)
-            e = y - (c0 * d0 + c1 * d1 + c2 * d2)
-            (p00, p01, p02, p03, p04, p05, p06, p11, p12, p13, p14, p15, p16,
-             p22, p23, p24, p25, p26, p33, p34, p35, p36, p44, p45, p46,
-             p55, p56, p66) = (
-                p00 - k0 * g0, p01 - k0 * g1, p02 - k0 * g2, p03 - k0 * g3,
-                p04 - k0 * g4, p05 - k0 * g5, p06 - k0 * g6, p11 - k1 * g1,
-                p12 - k1 * g2, p13 - k1 * g3, p14 - k1 * g4, p15 - k1 * g5,
-                p16 - k1 * g6, p22 - k2 * g2, p23 - k2 * g3, p24 - k2 * g4,
-                p25 - k2 * g5, p26 - k2 * g6, p33 - k3 * g3, p34 - k3 * g4,
-                p35 - k3 * g5, p36 - k3 * g6, p44 - k4 * g4, p45 - k4 * g5,
-                p46 - k4 * g6, p55 - k5 * g5, p56 - k5 * g6, p66 - k6 * g6)
-            d0, d1, d2, d3, d4, d5, d6 = (
-                d0 + k0 * e, d1 + k1 * e, d2 + k2 * e, d3 + k3 * e,
-                d4 + k4 * e, d5 + k5 * e, d6 + k6 * e)
-        if not stacked:
-            u0, u1, u2, u3, u4, u5, u6 = (u0 + d0, u1 + d1, u2 + d2, u3 + d3,
-                                          u4 + d4, u5 + d5, u6 + d6)
-            d0 = d1 = d2 = d3 = d4 = d5 = d6 = 0.0
-    if pitot is not None:
-        r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
-        v0, v1, v2 = v
-        rv0, rv1, rv2 = rv
-        for (b0, b1, b2), meas, q in zip(axes, pitot, q_pitot):
-            # Probe j's row is [x_j x (Rhat Vahat) | x_j | 0], x_j = Rhat b_j.
-            c3 = r00 * b0 + r01 * b1 + r02 * b2
-            c4 = r10 * b0 + r11 * b1 + r12 * b2
-            c5 = r20 * b0 + r21 * b1 + r22 * b2
-            c0 = c4 * rv2 - c5 * rv1
-            c1 = c5 * rv0 - c3 * rv2
-            c2 = c3 * rv1 - c4 * rv0
-            g0 = (p00 * c0 + p01 * c1 + p02 * c2 + p03 * c3 + p04 * c4
-                  + p05 * c5)
-            g1 = (p01 * c0 + p11 * c1 + p12 * c2 + p13 * c3 + p14 * c4
-                  + p15 * c5)
-            g2 = (p02 * c0 + p12 * c1 + p22 * c2 + p23 * c3 + p24 * c4
-                  + p25 * c5)
-            g3 = (p03 * c0 + p13 * c1 + p23 * c2 + p33 * c3 + p34 * c4
-                  + p35 * c5)
-            g4 = (p04 * c0 + p14 * c1 + p24 * c2 + p34 * c3 + p44 * c4
-                  + p45 * c5)
-            g5 = (p05 * c0 + p15 * c1 + p25 * c2 + p35 * c3 + p45 * c4
-                  + p55 * c5)
-            g6 = (p06 * c0 + p16 * c1 + p26 * c2 + p36 * c3 + p46 * c4
-                  + p56 * c5)
-            s = c0 * g0 + c1 * g1 + c2 * g2 + c3 * g3 + c4 * g4 + c5 * g5 + q
-            if not s > 0.0:
-                s = _marginal(s)
-            k0, k1, k2, k3, k4, k5, k6 = (g0 / s, g1 / s, g2 / s, g3 / s,
-                                          g4 / s, g5 / s, g6 / s)
-            y = meas - (b0 * v0 + b1 * v1 + b2 * v2)
-            e = y - (c0 * d0 + c1 * d1 + c2 * d2 + c3 * d3 + c4 * d4 + c5 * d5)
-            (p00, p01, p02, p03, p04, p05, p06, p11, p12, p13, p14, p15, p16,
-             p22, p23, p24, p25, p26, p33, p34, p35, p36, p44, p45, p46,
-             p55, p56, p66) = (
-                p00 - k0 * g0, p01 - k0 * g1, p02 - k0 * g2, p03 - k0 * g3,
-                p04 - k0 * g4, p05 - k0 * g5, p06 - k0 * g6, p11 - k1 * g1,
-                p12 - k1 * g2, p13 - k1 * g3, p14 - k1 * g4, p15 - k1 * g5,
-                p16 - k1 * g6, p22 - k2 * g2, p23 - k2 * g3, p24 - k2 * g4,
-                p25 - k2 * g5, p26 - k2 * g6, p33 - k3 * g3, p34 - k3 * g4,
-                p35 - k3 * g5, p36 - k3 * g6, p44 - k4 * g4, p45 - k4 * g5,
-                p46 - k4 * g6, p55 - k5 * g5, p56 - k5 * g6, p66 - k6 * g6)
-            d0, d1, d2, d3, d4, d5, d6 = (
-                d0 + k0 * e, d1 + k1 * e, d2 + k2 * e, d3 + k3 * e,
-                d4 + k4 * e, d5 + k5 * e, d6 + k6 * e)
-        if not stacked:
-            u0, u1, u2, u3, u4, u5, u6 = (u0 + d0, u1 + d1, u2 + d2, u3 + d3,
-                                          u4 + d4, u5 + d5, u6 + d6)
     p = (p00, p01, p02, p03, p04, p05, p06, p11, p12, p13, p14, p15, p16,
          p22, p23, p24, p25, p26, p33, p34, p35, p36, p44, p45, p46,
          p55, p56, p66)
@@ -590,13 +565,8 @@ class AirDataObserver:
             raise ValueError(f"unknown q_convention {q_convention!r}")
         if integrator not in INTEGRATORS:
             raise ValueError(f"unknown integrator {integrator!r}")
-        self.weights = weights
-        self.probes = probes
-        self.mag_ref = mag_ref
         self.dt = float(dt)
         self.gravity = float(gravity)
-        self.q_convention = q_convention
-        self.integrator = integrator
         self._c_now, self._c_prev = INTEGRATORS[integrator]
         self._prev_rates: tuple[float, ...] | None = None
         # The estimate between ticks: Rhat row by row, Vahat, hhat, packed P.
@@ -626,6 +596,7 @@ class AirDataObserver:
         self._rows = (q_baro, [row[0:3] for row in mag_rows.tolist()], q_mag,
                       axes.tolist(), q_pitot)
         self._m_i = mag_ref.m_I.tolist()
+        self._m = probes.m
 
     @property
     def state(self) -> ObserverState:
@@ -636,39 +607,6 @@ class AirDataObserver:
                 Vahat=np.array(self._v), hhat=self._h, P=_unpack(self._p))
         return self._state
 
-    def tick(self, payloads: dict) -> ObserverState:
-        """Advance one IMU tick given ``{SensorKind: payload}``; returns state.
-
-        Payloads are arrays (the IMU payload a pair of 3-vectors
-        ``(omega, a)``) except the barometer's, a float.  The tick is a
-        one-tick call of :meth:`advance`, so if it fails, :attr:`state`
-        stays at the last valid estimate.
-
-        Raises
-        ------
-        MissingPayloadError
-            If no IMU payload is supplied.
-        SingularInnovationError
-            If an innovation variance is not positive.
-        DivergenceError
-            If the updated state exceeds the numerical divergence floor or
-            the attitude estimate is not finite.
-        """
-        imu = payloads.get(SensorKind.IMU)
-        if imu is None:
-            raise MissingPayloadError("observer tick requires an IMU payload")
-        omega, a = imu
-        pitot, mag, baro = map(payloads.get, (SensorKind.PITOT, SensorKind.MAG,
-                                              SensorKind.BARO))
-        _, error = self.advance(
-            [_floats(omega)], [_floats(a)],
-            [None if pitot is None else _floats(pitot)],
-            [None if mag is None else _floats(mag)],
-            [None if baro is None else float(baro)])
-        if error is not None:
-            raise error
-        return self.state
-
     def advance(self, omegas: list, accs: list, pitots: list, mags: list,
                 baros: list, record=None, offset: int = 0,
                 ) -> tuple[int, Exception | None]:
@@ -677,10 +615,12 @@ class AirDataObserver:
         Tick ``i`` takes ``omegas[i]`` and ``accs[i]`` (three floats each)
         and the readings ``pitots[i]`` (a float per probe), ``mags[i]``
         (three floats) and ``baros[i]`` (a float), None where that sensor
-        did not sample.  Given a writable buffer ``record``, the estimate
-        before tick ``i`` is packed into row ``offset + i`` of
-        :data:`RECORD_WIDTH` doubles, and the estimate after a block that
-        did not fail into the row after it.
+        did not sample.  A Pitot list whose length is not the number of
+        probes, or a magnetometer list of other than three floats, raises
+        ``ValueError``; the ticks before it stand.  Given a writable buffer
+        ``record``, the estimate before tick ``i`` is packed into row
+        ``offset + i`` of :data:`RECORD_WIDTH` doubles, and the estimate
+        after a block that did not fail into the row after it.
 
         Returns ``(ticks, None)``, or ``(i, error)`` when tick ``i`` failed
         with one of :data:`RUN_FAILURES`; a failed tick changes nothing.
@@ -689,6 +629,7 @@ class AirDataObserver:
         st, rows, w_mag, w_pitot = (self._st, self._rows, self._w_mag,
                                     self._w_pitot)
         mi0, mi1, mi2 = self._m_i
+        m = self._m
         pack_into, size = _RECORD.pack_into, _RECORD.size
         r, (v0, v1, v2), h, p = self._r, self._v, self._h, self._p
         prev = self._prev_rates
@@ -722,8 +663,12 @@ class AirDataObserver:
                                mi2 - (r20 * m0 + r21 * m1 + r22 * m2)]
                         if w_mag is not None:
                             mag = _lower_times(w_mag, mag)
-                    if pitot is not None and w_pitot is not None:
-                        pitot = _lower_times(w_pitot, pitot)
+                    if pitot is not None:
+                        if len(pitot) != m:
+                            raise ValueError(
+                                f"{len(pitot)} Pitot readings for {m} probes")
+                        if w_pitot is not None:
+                            pitot = _lower_times(w_pitot, pitot)
                     p_new, u = _fold(p_new, baro, mag, pitot, r, (v0, v1, v2),
                                      (rv0, rv1, rv2), rows)
                 # Input-driven rates [omega, dVahat/dt, dhhat/dt], blended
@@ -790,6 +735,3 @@ class AirDataObserver:
             pack_into(record, size * (offset + i), *r, v0, v1, v2, h, *p)
         return i, error
 
-
-def _floats(x) -> list[float]:
-    return np.asarray(x, dtype=float).ravel().tolist()

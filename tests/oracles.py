@@ -14,6 +14,10 @@ carry it.  It holds the pieces that exist only to cross-check the package:
 * the stacked measurement residuals, the continuous-time state matrix
   ``A(Rhat)`` and an RK4 integrator of the continuous Riccati equation (the
   discrete recursion and the output matrix);
+* :func:`tick`, one tick of
+  :meth:`airnav.observer.AirDataObserver.advance` given a
+  ``{SensorKind: payload}`` dict (the tests that step the observer tick by
+  tick);
 * an RK4 integrator of the transition-matrix ODE (the closed-form
   transition of :mod:`airnav.observability`);
 * a per-tick sensor schedule (tick-by-tick runs that mirror
@@ -29,10 +33,10 @@ import numpy as np
 
 from airnav import dynamics, geometry
 from airnav.dynamics import BodyInputs, NavState, TrajectorySpec
-from airnav.exceptions import AirnavError, MissingPayloadError
+from airnav.exceptions import AirnavError
 from airnav.geometry import E3, I3, skew
 from airnav.observability import DEFAULT_QUAD_STEP
-from airnav.observer import ObserverState, RiccatiWeights
+from airnav.observer import AirDataObserver, ObserverState, RiccatiWeights
 from airnav.sensors import (
     STACK_ORDER,
     MagReference,
@@ -51,6 +55,10 @@ class NotSkewSymmetricError(AirnavError):
 
 class OutOfRangeError(AirnavError):
     """Trajectory queried outside its time domain."""
+
+
+class MissingPayloadError(AirnavError):
+    """A measurement payload required by the requested update is absent."""
 
 
 # --- geometry ---------------------------------------------------------------
@@ -420,7 +428,7 @@ def residual(payloads, est: ObserverState, probes: ProbeSet,
     """Stacked measurement residuals in the fixed sensor order.
 
     The magnetometer residual is formed in the inertial frame,
-    ``m_I - Rhat m_B``, as :meth:`airnav.observer.AirDataObserver.tick`
+    ``m_I - Rhat m_B``, as :meth:`airnav.observer.AirDataObserver.advance`
     forms it in place.
 
     Raises
@@ -474,6 +482,42 @@ def integrate_cre(P0: np.ndarray, a_fn, c_fn, Q: np.ndarray, S: np.ndarray,
         p = 0.5 * (p + p.T)
         t += h
     return p
+
+
+def _floats(x) -> list[float]:
+    return np.asarray(x, dtype=float).ravel().tolist()
+
+
+def tick(obs: AirDataObserver, payloads: dict) -> ObserverState:
+    """Advance ``obs`` one IMU tick given ``{SensorKind: payload}``; returns
+    its state.
+
+    Payloads are arrays (the IMU payload a pair of 3-vectors
+    ``(omega, a)``) except the barometer's, a float.  The tick is a
+    one-tick call of :meth:`~airnav.observer.AirDataObserver.advance`, so
+    if it fails, the observer's state stays at the last valid estimate.
+
+    Raises
+    ------
+    MissingPayloadError
+        If no IMU payload is supplied.
+    SingularInnovationError, DivergenceError
+        As :meth:`~airnav.observer.AirDataObserver.advance` reports them.
+    """
+    imu = payloads.get(SensorKind.IMU)
+    if imu is None:
+        raise MissingPayloadError("observer tick requires an IMU payload")
+    omega, a = imu
+    pitot, mag, baro = map(payloads.get, (SensorKind.PITOT, SensorKind.MAG,
+                                          SensorKind.BARO))
+    _, error = obs.advance(
+        [_floats(omega)], [_floats(a)],
+        [None if pitot is None else _floats(pitot)],
+        [None if mag is None else _floats(mag)],
+        [None if baro is None else float(baro)])
+    if error is not None:
+        raise error
+    return obs.state
 
 
 # --- observability ----------------------------------------------------------

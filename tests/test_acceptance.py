@@ -42,6 +42,7 @@ from oracles import (
     rot_to_quat,
     state_matrix_ct,
     state_matrix_dt,
+    tick,
     truth_inputs,
     truth_state,
     unskew,
@@ -302,7 +303,7 @@ def test_criterion_6_riccati_properties():
         if SensorKind.BARO in slot.kinds:
             payloads[SensorKind.BARO] = sample_baro(truth, cfg.noise,
                                                     rngs[SensorKind.BARO])
-        state = obs.tick(payloads)
+        state = tick(obs, payloads)
         worst_asym = max(worst_asym,
                          float(np.linalg.norm(state.P - state.P.T)))
         try:

@@ -26,7 +26,6 @@ from airnav.harness import (
     run_single,
     write_observability_csv,
     write_summary_csv,
-    write_trace_csv,
 )
 from airnav.observability import WindowRow
 from airnav.observer import AirDataObserver, ObserverState
@@ -40,7 +39,13 @@ from airnav.sensors import (
     substream,
 )
 
-from oracles import OutOfRangeError, make_schedule, truth_inputs, truth_state
+from oracles import (
+    OutOfRangeError,
+    make_schedule,
+    tick,
+    truth_inputs,
+    truth_state,
+)
 
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
@@ -191,7 +196,7 @@ def _assert_run_matches_tick_loop(cfg, monkeypatch=None, fail_at=None):
             payloads[SensorKind.BARO] = sample_baro(
                 truth, cfg.noise, rngs[SensorKind.BARO])
         try:
-            states.append(obs.tick(payloads))
+            states.append(tick(obs, payloads))
         except SingularInnovationError as exc:
             failure = (slot.t, type(exc).__name__)
             break
@@ -332,8 +337,8 @@ class TestRunSingle:
         obs = AirDataObserver(init_estimates(cfg, 0), cfg.weights,
                               cfg.probes, cfg.mag_ref, dt=cfg.imu_period)
         inp = truth_inputs(cfg.trajectory, 0.0)
-        state = obs.tick({SensorKind.IMU: (inp.omega, inp.a),
-                          SensorKind.BARO: 10.0})
+        state = tick(obs, {SensorKind.IMU: (inp.omega, inp.a),
+                           SensorKind.BARO: 10.0})
         assert state is obs.state
         np.testing.assert_array_equal(state.P, state.P.T)
 
@@ -586,9 +591,8 @@ def _trace_oracle(path, m: RunMetrics) -> None:
 
 class TestCsvPersistence:
     def test_trace_round_trip_exact(self, short_config, tmp_path):
-        m = run_single(short_config, 0)
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, m)
+        m = run_single(short_config, 0, trace=path)
         back = read_trace_csv(path)
         assert tuple(back.keys()) == TRACE_COLUMNS
         np.testing.assert_array_equal(back["t"], m.t)
@@ -598,12 +602,19 @@ class TestCsvPersistence:
         np.testing.assert_array_equal(back["lam_min_P"], m.lam_min_p)
 
     def test_trace_bytes_match_csv_writer(self, short_config, tmp_path):
-        m = run_single(short_config, 0)
-        # odd values exercise every branch of the float formatting
-        m.err_h[:6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308]
-        write_trace_csv(tmp_path / "fast.csv", m)
+        m = run_single(short_config, 0, trace=tmp_path / "fast.csv")
         _trace_oracle(tmp_path / "oracle.csv", m)
         assert ((tmp_path / "fast.csv").read_bytes()
+                == (tmp_path / "oracle.csv").read_bytes())
+        # odd values exercise every branch of the float formatting
+        m.err_h[:6] = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308]
+        table = np.column_stack((
+            m.t, m.euler, m.euler_hat, m.va, m.va_hat, m.h, m.h_hat,
+            m.err_v_body, m.err_v_inertial, m.err_att, m.err_h, m.lam_min_p,
+            m.lam_max_p))
+        _trace_oracle(tmp_path / "oracle.csv", m)
+        assert ((",".join(TRACE_COLUMNS) + "\n"
+                 + harness._format_rows(table)).encode()
                 == (tmp_path / "oracle.csv").read_bytes())
 
     def test_trace_of_one_row(self, short_config, tmp_path, monkeypatch):
@@ -611,17 +622,15 @@ class TestCsvPersistence:
             raise DivergenceError("forced for test")
 
         monkeypatch.setattr(observer, "_rotate", failing_rotate)
-        m = run_single(short_config, 0)
-        write_trace_csv(tmp_path / "fast.csv", m)
+        m = run_single(short_config, 0, trace=tmp_path / "fast.csv")
         _trace_oracle(tmp_path / "oracle.csv", m)
         assert ((tmp_path / "fast.csv").read_bytes()
                 == (tmp_path / "oracle.csv").read_bytes())
         assert read_trace_csv(tmp_path / "fast.csv")["t"].shape == (1,)
 
     def test_trace_column_order(self, short_config, tmp_path):
-        m = run_single(short_config, 0)
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, m)
+        run_single(short_config, 0, trace=path)
         header = path.read_text().splitlines()[0]
         assert header == ("t,roll,pitch,yaw,roll_hat,pitch_hat,yaw_hat,"
                           "Va1,Va2,Va3,Va1_hat,Va2_hat,Va3_hat,h,h_hat,"
@@ -746,8 +755,8 @@ class TestTraceWriter:
             traces[cpus] = path.read_bytes()
             assert (_pids(pids) == {os.getpid()}) == (cpus == 1)
             monkeypatch.undo()
-        write_trace_csv(tmp_path / "held.csv", metrics[2])
-        assert traces[2] == traces[1] == (tmp_path / "held.csv").read_bytes()
+        _trace_oracle(tmp_path / "oracle.csv", metrics[2])
+        assert traces[2] == traces[1] == (tmp_path / "oracle.csv").read_bytes()
         assert len(read_trace_csv(tmp_path / "cpus_2.csv")["t"]) == 1601
         for field in ("t", "euler", "euler_hat", "va", "va_hat", "h",
                       "h_hat", "err_v_body", "err_v_inertial", "err_att",
@@ -1072,8 +1081,8 @@ class TestDivergenceFloor:
         obs = AirDataObserver(est, cfg.weights, cfg.probes, cfg.mag_ref,
                               dt=cfg.imu_period, gravity=cfg.gravity)
         with pytest.raises(DivergenceError):
-            obs.tick({SensorKind.IMU: (inp.omega, inp.a),
-                      SensorKind.BARO: 1e13})
+            tick(obs, {SensorKind.IMU: (inp.omega, inp.a),
+                       SensorKind.BARO: 1e13})
 
     def test_non_finite_attitude_truncates_series(self, short_config,
                                                   monkeypatch):
@@ -1103,7 +1112,7 @@ class TestDivergenceFloor:
         monkeypatch.setattr(observer, "_rotate",
                             lambda r, t0, t1, t2: ([np.nan] * 9, np.nan))
         with pytest.raises(DivergenceError):
-            obs.tick({SensorKind.IMU: (inp.omega, inp.a)})
+            tick(obs, {SensorKind.IMU: (inp.omega, inp.a)})
         assert obs.state is before
 
     @pytest.mark.parametrize("va, h", [([1.0, np.nan, 0.0], 5.0),
@@ -1116,5 +1125,5 @@ class TestDivergenceFloor:
         obs = AirDataObserver(est, cfg.weights, cfg.probes, cfg.mag_ref,
                               dt=cfg.imu_period, gravity=cfg.gravity)
         with pytest.raises(DivergenceError):
-            obs.tick({SensorKind.IMU: (np.zeros(3),
-                                       np.array([0.0, 0.0, -cfg.gravity]))})
+            tick(obs, {SensorKind.IMU: (np.zeros(3),
+                                        np.array([0.0, 0.0, -cfg.gravity]))})

@@ -9,11 +9,7 @@ from scipy.linalg import block_diag
 from airnav import geometry, observer
 from airnav.config import default_config
 from airnav.dynamics import TrajectorySpec
-from airnav.exceptions import (
-    DivergenceError,
-    MissingPayloadError,
-    SingularInnovationError,
-)
+from airnav.exceptions import DivergenceError, SingularInnovationError
 from airnav.observer import (
     RUN_FAILURES,
     AirDataObserver,
@@ -25,6 +21,7 @@ from airnav.observer import (
 from airnav.sensors import STACK_ORDER, MagReference, ProbeSet, SensorKind
 
 from oracles import (
+    MissingPayloadError,
     additive_weight,
     attitude,
     cre_rhs,
@@ -40,6 +37,7 @@ from oracles import (
     small_angle,
     state_matrix_ct,
     state_matrix_dt,
+    tick,
     truth_inputs,
     truth_state,
 )
@@ -122,7 +120,7 @@ def truth_observer_state(spec, t, p=None):
 def tick_once(est, payloads, weights, probes, mag_ref, T=0.005):
     """State after one tick of a fresh Euler observer started at ``est``."""
     obs = AirDataObserver(est, weights, probes, mag_ref, dt=T, gravity=G)
-    return obs.tick(payloads)
+    return tick(obs, payloads)
 
 
 def euler_step(est, omega, a, u, T):
@@ -450,6 +448,46 @@ class TestObserverTick:
         np.testing.assert_allclose(out.Vahat, prediction.Vahat, atol=1e-9)
         assert abs(out.hhat - prediction.hhat) < 1e-9
 
+    @pytest.mark.parametrize("n_probes, non_diagonal", [
+        (1, False), (3, False), (3, True)])
+    @pytest.mark.parametrize("extra", [-1, 2], ids=["short", "long"])
+    def test_pitot_reading_count_must_match_probes(self, n_probes,
+                                                   non_diagonal, extra,
+                                                   mag_ref, weights):
+        # a wrong-length Pitot list is refused, not cut to the probe count;
+        # the good tick before it in the block stands
+        rng = np.random.default_rng(8)
+        qp = (_random_spd(rng, n_probes) if non_diagonal
+              else np.eye(n_probes))
+        w = RiccatiWeights(Qp=qp, Qm=weights.Qm, Qb=weights.Qb, S=weights.S,
+                           P0=weights.P0)
+        probes = ProbeSet.from_axes(
+            [[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.6, 0.0, 0.8]][:n_probes])
+        spec = TrajectorySpec.paper()
+        inp = truth_inputs(spec, 0.0)
+        omega, a = inp.omega.tolist(), inp.a.tolist()
+        good = (probes.B.T @ truth_state(spec, 0.0).Va).tolist()
+        bad = [1.0] * (n_probes + extra)
+
+        def observer():
+            return AirDataObserver(truth_observer_state(spec, 0.0, p=w.P0), w,
+                                   probes, mag_ref, dt=0.005, gravity=G)
+
+        def advance(obs, pitots):
+            n = len(pitots)
+            return obs.advance([omega] * n, [a] * n, pitots, [None] * n,
+                               [None] * n)
+
+        obs, refused = observer(), observer()
+        assert advance(obs, [good]) == (1, None)
+        with pytest.raises(ValueError,
+                           match=f"^{n_probes + extra} Pitot readings for "
+                                 f"{n_probes} probes$"):
+            advance(refused, [good, bad])
+        for field in ("Rhat", "Vahat", "hhat", "P"):
+            np.testing.assert_array_equal(getattr(refused.state, field),
+                                          getattr(obs.state, field))
+
     def test_failed_tick_leaves_the_rate_history(self, probes, mag_ref,
                                                  weights):
         # a tick that fails the divergence floor keeps the estimate, so its
@@ -467,9 +505,9 @@ class TestObserverTick:
 
         obs = observer_ab2()
         with pytest.raises(DivergenceError):
-            obs.tick(bad)
-        after = obs.tick(good)
-        alone = observer_ab2().tick(good)
+            tick(obs, bad)
+        after = tick(obs, good)
+        alone = tick(observer_ab2(), good)
         for field in ("Rhat", "Vahat", "hhat", "P"):
             np.testing.assert_array_equal(getattr(after, field),
                                           getattr(alone, field))
@@ -491,7 +529,7 @@ class TestObserverTick:
                 payloads[SensorKind.MAG] = s.R.T @ M_I
             if i % 40 == 0:
                 payloads[SensorKind.BARO] = s.h
-            state = obs.tick(payloads)
+            state = tick(obs, payloads)
             assert np.linalg.norm(state.P - state.P.T) <= 1e-12
             np.linalg.cholesky(state.P)
 
@@ -512,7 +550,7 @@ class TestCopyOfDynamics:
         n = int(10.0 / T)
         for i in range(n):
             inp = truth_inputs(spec, i * T)
-            obs.tick({SensorKind.IMU: (inp.omega, inp.a)})
+            tick(obs, {SensorKind.IMU: (inp.omega, inp.a)})
         truth = truth_state(spec, n * T)
         err = error_state(truth, obs.state)
         assert np.linalg.norm(err.v_tilde) <= 30.0 * T
@@ -532,7 +570,7 @@ class TestCopyOfDynamics:
                                   gravity=G, integrator=integ)
             for i in range(int(10.0 / T)):
                 inp = truth_inputs(spec, i * T)
-                obs.tick({SensorKind.IMU: (inp.omega, inp.a)})
+                tick(obs, {SensorKind.IMU: (inp.omega, inp.a)})
             err = error_state(truth_state(spec, 10.0), obs.state)
             errs[integ] = np.linalg.norm(err.v_tilde)
         assert errs["ab2"] < 0.1 * errs["euler"]
@@ -686,7 +724,7 @@ class TestPackedKernels:
         payloads.update((kind, measured[kind]) for kind in subset)
         obs = AirDataObserver(est, w, probes, mag_ref, dt=T, gravity=G,
                               q_convention=q_convention)
-        out = obs.tick(payloads)
+        out = tick(obs, payloads)
 
         p = riccati_predict(est.P, state_matrix_dt(est.Rhat, inp.a, T), w.S,
                             T)
@@ -728,8 +766,8 @@ class TestPackedKernels:
                         SensorKind.PITOT: probes.B.T @ s.Va,
                         SensorKind.MAG: s.R.T @ M_I,
                         SensorKind.BARO: s.h}
-            obs.tick({kind: payloads[kind]
-                      for kind in (SensorKind.IMU, *subset)})
+            tick(obs, {kind: payloads[kind]
+                       for kind in (SensorKind.IMU, *subset)})
 
     def test_nan_covariance_raises_and_keeps_state(self, probes, mag_ref,
                                                    weights):
@@ -738,8 +776,8 @@ class TestPackedKernels:
         obs = AirDataObserver(est, weights, probes, mag_ref, dt=0.005)
         before = obs.state
         with pytest.raises(SingularInnovationError):
-            obs.tick({SensorKind.IMU: (np.zeros(3), np.zeros(3)),
-                      SensorKind.BARO: 1.0})
+            tick(obs, {SensorKind.IMU: (np.zeros(3), np.zeros(3)),
+                       SensorKind.BARO: 1.0})
         assert obs.state is before
 
 
@@ -826,7 +864,7 @@ class TestRowKernels:
         s = truth_state(spec, 0.0)
         payload = s.R.T @ M_I if kind == SensorKind.MAG else s.h
         with pytest.raises(RUN_FAILURES):
-            obs.tick({SensorKind.IMU: (inp.omega, inp.a), kind: payload})
+            tick(obs, {SensorKind.IMU: (inp.omega, inp.a), kind: payload})
         assert obs.state is before
 
 

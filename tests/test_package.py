@@ -14,7 +14,8 @@ def test_every_exported_name_resolves():
 
 # Validation code kept in tests/oracles.py, and names deleted outright.
 ORACLE_NAMES = (
-    "ErrorState", "NotSkewSymmetricError", "OutOfRangeError", "ScheduleSlot",
+    "ErrorState", "MissingPayloadError", "NotSkewSymmetricError",
+    "OutOfRangeError", "ScheduleSlot",
     "_batch_skew", "_check_time", "_subset_in_stack_order", "additive_weight",
     "attitude", "cre_rhs", "error_state", "integrate_cre", "integrate_phi",
     "make_schedule", "output_matrix", "propagate_truth", "quat_to_rot",
@@ -22,7 +23,8 @@ ORACLE_NAMES = (
     "small_angle", "state_matrix_ct", "state_matrix_dt", "truth_inputs",
     "truth_state", "unskew",
 )
-DELETED_NAMES = ("E1", "E2", "TransitionBlocks", "TrajectoryKind")
+DELETED_NAMES = ("E1", "E2", "TransitionBlocks", "TrajectoryKind",
+                 "write_trace_csv")
 
 
 def test_dense_forms_are_not_exported():
@@ -62,6 +64,7 @@ def test_package_carries_no_oracle_code():
         "if hasattr(m, n)), 'oracles' in sys.modules)")
     assert found == "[] False"
     assert not hasattr(airnav.RunMetrics, "metric")
+    assert not hasattr(airnav.AirDataObserver, "tick")
 
 
 def _unused_imports(path: Path) -> list[str]:
