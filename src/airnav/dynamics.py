@@ -84,21 +84,26 @@ class BodyInputs:
     a: np.ndarray
 
 
+def _per_axis(spec: TrajectorySpec, t: np.ndarray):
+    """Velocity amplitude, frequency and phase shaped to broadcast against
+    ``t`` with the axis index first, so each axis runs along ``t``."""
+    shape = (3,) + (1,) * t.ndim
+    return (spec.vel_amp.reshape(shape), spec.vel_freq.reshape(shape),
+            spec.vel_phase.reshape(shape))
+
+
 def velocity(spec: TrajectorySpec, t) -> np.ndarray:
     """Inertial velocity v(t); broadcasts over array-valued t (last axis 3)."""
     t = np.asarray(t, dtype=float)
-    comps = [spec.vel_amp[i] * np.cos(spec.vel_freq[i] * t + spec.vel_phase[i])
-             for i in range(3)]
-    return np.stack(comps, axis=-1)
+    amp, freq, phase = _per_axis(spec, t)
+    return np.moveaxis(amp * np.cos(freq * t + phase), 0, -1)
 
 
 def velocity_dot(spec: TrajectorySpec, t) -> np.ndarray:
     """Inertial acceleration dv/dt."""
     t = np.asarray(t, dtype=float)
-    comps = [-spec.vel_amp[i] * spec.vel_freq[i]
-             * np.sin(spec.vel_freq[i] * t + spec.vel_phase[i])
-             for i in range(3)]
-    return np.stack(comps, axis=-1)
+    amp, freq, phase = _per_axis(spec, t)
+    return np.moveaxis(-amp * freq * np.sin(freq * t + phase), 0, -1)
 
 
 def altitude(spec: TrajectorySpec, t) -> np.ndarray:

@@ -50,15 +50,13 @@ one: a trace is written by the run that makes it, and
 from __future__ import annotations
 
 import csv
-import mmap
 import os
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import dynamics, geometry
+from . import _fork, dynamics, geometry
 from .config import SimConfig
 from .observer import (
     PACKED_INDEX,
@@ -318,7 +316,7 @@ def run_single(config: SimConfig, run_index: int = 0,
         q_convention=config.q_convention, integrator=config.integrator,
     )
     # One record per tick, in memory that a forked writer shares.
-    hist = _shared_buffer(8 * RECORD_WIDTH * n)
+    hist = _fork.shared_buffer(8 * RECORD_WIDTH * n)
     writer = _TraceWriter(trace, (ts, r_truth, va_truth, h_truth),
                           np.frombuffer(hist).reshape(n, RECORD_WIDTH))
     divergence_time = divergence_cause = None
@@ -377,14 +375,6 @@ def _samples(meas: np.ndarray, dec: int, start: int, stop: int) -> list:
     first = -(-start // dec)
     ticks[first * dec - start::dec] = meas[first:-(-stop // dec)].tolist()
     return ticks
-
-
-def _shared_buffer(size: int) -> mmap.mmap:
-    """``size`` zero bytes of anonymous memory that a forked child shares."""
-    try:
-        return mmap.mmap(-1, size)
-    except OSError as exc:  # out of memory, reported as any allocation is
-        raise MemoryError(f"cannot map {size} bytes: {exc}") from exc
 
 
 def _derive_rows(table: np.ndarray, rows: np.ndarray, truth,
@@ -453,7 +443,7 @@ class _TraceWriter:
         self.rows = rows
         n = rows.shape[0]
         self.table = np.frombuffer(
-            _shared_buffer(8 * n * len(TRACE_COLUMNS))).reshape(n, -1)
+            _fork.shared_buffer(8 * n * len(TRACE_COLUMNS))).reshape(n, -1)
         self.done = 0
         self.pid = None
         self.fh = None
@@ -482,36 +472,22 @@ class _TraceWriter:
         """
         self.fh.flush()  # the child must not inherit buffered text
         counts_r, counts_w = os.pipe()
-        errors_r, errors_w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (counts_r, counts_w, errors_r, errors_w):
-                os.close(fd)
-            return
-        if pid == 0:
-            # The child never returns into the caller's frames.
-            status = 1
-            try:
-                os.close(counts_w)
-                os.close(errors_r)
-                while data := os.read(counts_r, 8):
-                    self._write_to(int.from_bytes(data, "little"))
-                self.fh.close()
-                status = 0
-            except BaseException as exc:
-                try:
-                    report = pickle.dumps(exc)
-                except Exception:  # an exception that does not pickle
-                    report = pickle.dumps(RuntimeError(repr(exc)))
-                os.write(errors_w, report)
-            finally:
-                os._exit(status)
+
+        def work():
+            os.close(counts_w)
+            while data := os.read(counts_r, 8):
+                self._write_to(int.from_bytes(data, "little"))
+            self.fh.close()
+
+        child = _fork.start(work)
         os.close(counts_r)
-        os.close(errors_w)
+        if child is None:
+            os.close(counts_w)
+            return
         self.fh.close()  # the child writes through its own copy
         self.fh = None
-        self.pid, self._counts, self._errors = pid, counts_w, errors_r
+        self.pid, self._errors = child
+        self._counts = counts_w
 
     def ready(self, recorded: int) -> None:
         """Tell a forked child that rows up to ``recorded`` are recorded:
@@ -556,17 +532,7 @@ class _TraceWriter:
         """Close the count pipe, wait for the child and return its error."""
         pid, self.pid = self.pid, None
         os.close(self._counts)
-        with open(self._errors, "rb") as errors:
-            report = errors.read()
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if report:
-            return pickle.loads(report)
-        # Not an OSError: the trace was writable, its writer was lost.
-        if status < 0:
-            return RuntimeError(f"trace writer killed by signal {-status}")
-        if status:
-            return RuntimeError(f"trace writer exited with {status}")
-        return None
+        return _fork.reap(pid, self._errors, "trace writer")
 
 
 def trace_path(out, run_index: int) -> Path:
@@ -581,17 +547,9 @@ def _run_and_write(config: SimConfig, run_index: int, out) -> RunRecord:
     return _run_record(config, run_single(config, run_index, trace=trace))
 
 
-def _cpu_count() -> int:
-    """CPUs this process may use."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
 def _worker_count(runs: int) -> int:
     """Worker processes for ``runs`` runs: one per CPU this process may use."""
-    return min(runs, _cpu_count())
+    return min(runs, _fork.cpu_count())
 
 
 # Set in Monte Carlo worker processes by the pool's initializer.
@@ -609,8 +567,7 @@ def _spare_cpu() -> bool:
     this process and a second CPU is there for the writer.  Runs in Monte
     Carlo workers keep their writers in process, as forking them measured
     slower on two workers sharing two CPUs."""
-    return (hasattr(os, "fork") and not _pool_worker
-            and _cpu_count() >= 2)
+    return not _pool_worker and _fork.spare_cpu()
 
 
 def _run_pooled(config: SimConfig, out, workers: int) -> list[RunRecord]:

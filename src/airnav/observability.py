@@ -18,6 +18,19 @@ junction weights 1 + 1 give its 2: in exact arithmetic this is the
 whole-window quadrature.  Half-overlapping windows share a half, so a
 sweep of N windows builds N + 1 halves.
 
+:func:`observability_verdict` runs in three steps.  It plans the sweep's
+unique half-windows as (start, which half) pairs, building no grid.  It
+evaluates them: when the ``fork`` start method exists and the process may
+use two or more CPUs, a forked child evaluates the second part of the list
+into shared memory while this process evaluates the first, and otherwise
+this process evaluates them all.  It then composes the windows in order
+from the evaluated halves with the operations :func:`gramian` and
+:func:`pe_margins` use, so the rows and the report are the same bits
+whichever process evaluated a half.  On Python 3.12 and later the fork
+emits a ``DeprecationWarning`` because numpy's BLAS threads exist.
+:func:`gramian` and :func:`pe_margins` evaluate their one window in
+process.
+
 The transition of a half, ``Phi_a``, comes from :func:`_transition`, the
 one closed form that :func:`phi_blocks` returns too; the test suite checks
 the 7x7 matrix of ``phi_blocks`` against an RK4 integration of the
@@ -31,13 +44,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dynamics
+from . import _fork, dynamics
 from .dynamics import TrajectorySpec
 from .geometry import skew
 from .sensors import STACK_ORDER, MagReference, ProbeSet, SensorKind
 
 DEFAULT_QUAD_STEP = 1e-3
 DEFAULT_WINDOW = 4.0
+
+# One evaluated half-window: its (G, Phi_h, gram_pi, gram_api), 106 floats.
+_HALF = np.dtype([("gram", "f8", (7, 7)), ("phi", "f8", (7, 7)),
+                  ("gram_pi", "f8", (2, 2)), ("gram_api", "f8", (2, 2))])
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,22 +227,39 @@ def _half_window(spec: TrajectorySpec, probes: ProbeSet,
     return gram, phi, gram_pi, gram_api
 
 
-def _window(spec, probes, mag_ref, t, delta, quad_step, sensors, first=None):
-    """(W, mu_pi, mu_api, second half) of [t, t + delta]; reuses ``first``."""
+def _check_window(delta: float, quad_step: float) -> None:
+    """Raise ``ValueError`` unless ``delta`` is finite and positive and
+    ``0 < quad_step <= delta / 100``."""
     if not (np.isfinite(delta) and delta > 0.0):
         raise ValueError(f"window must be finite and positive, got {delta}")
     if not 0.0 < quad_step <= delta / 100.0:
         raise ValueError("quad_step must be positive and at most delta / 100")
+
+
+def _half(spec, probes, mag_ref, t, delta, quad_step, sensors, second):
+    """:func:`_half_window` of the first or ``second`` half of the grid of
+    [t, t + delta]."""
     s = _grid(t, t + delta, quad_step)
     mid = s.shape[0] // 2
-    if first is None:
-        first = _half_window(spec, probes, mag_ref, s[:mid + 1], sensors)
-    second = _half_window(spec, probes, mag_ref, s[mid:], sensors)
+    return _half_window(spec, probes, mag_ref,
+                        s[mid:] if second else s[:mid + 1], sensors)
+
+
+def _compose(first, second, delta):
+    """(W, mu_pi, mu_api) of a window from its two evaluated halves."""
     (g_a, phi_a, pi_a, api_a), (g_b, _, pi_b, api_b) = first, second
     w = (g_a + phi_a.T @ g_b @ phi_a) / delta
     return (0.5 * (w + w.T),
             float(np.linalg.eigvalsh((pi_a + pi_b) / delta)[0]),
-            float(np.linalg.eigvalsh((api_a + api_b) / delta)[0]), second)
+            float(np.linalg.eigvalsh((api_a + api_b) / delta)[0]))
+
+
+def _window(spec, probes, mag_ref, t, delta, quad_step, sensors):
+    """(W, mu_pi, mu_api) of [t, t + delta], evaluated in this process."""
+    _check_window(delta, quad_step)
+    return _compose(*(_half(spec, probes, mag_ref, t, delta, quad_step,
+                            sensors, second) for second in (False, True)),
+                    delta)
 
 
 def gramian(spec: TrajectorySpec, probes: ProbeSet, mag_ref: MagReference,
@@ -254,7 +288,62 @@ def pe_margins(spec: TrajectorySpec, probes: ProbeSet, t: float, delta: float,
         Pitot projection ``B^T R J`` and of the horizontal specific-force
         row ``e3^T (R a)^x J``, composed like :func:`gramian`'s.
     """
-    return _window(spec, probes, None, t, delta, quad_step, ())[1:3]
+    return _window(spec, probes, None, t, delta, quad_step, ())[1:]
+
+
+def _plan(delta: float, duration: float,
+          ) -> tuple[list[tuple[float, bool]], list[tuple[int, int]]]:
+    """The sweep's unique half-windows and each window's pair of them.
+
+    Returns ``(halves, pairs)``: ``halves[k] = (t0, second)`` names the
+    first or second half of the window that starts at ``t0``, and window
+    ``i`` is composed from halves ``pairs[i]``.  An aligned window's first
+    half is the previous window's second, so N aligned windows list N + 1
+    halves; a clamped window off that grid lists its own two.  No grid is
+    built.
+    """
+    count = int(np.floor((duration - delta + 1e-9) / (0.5 * delta))) + 1
+    halves, pairs = [], []
+    for edge in (0.5 * delta * np.arange(count)).tolist():
+        t0 = min(edge, duration - delta)
+        if t0 != edge or not halves:
+            halves.append((t0, False))
+        pairs.append((len(halves) - 1, len(halves)))
+        halves.append((t0, True))
+    return halves, pairs
+
+
+def _evaluate(spec, probes, mag_ref, delta, quad_step, sensors, halves,
+              ) -> np.ndarray:
+    """Evaluate ``halves`` from :func:`_plan` into records of :data:`_HALF`,
+    the second part of them in a forked child when a CPU is free for it.
+
+    Each half's grid is built where it is evaluated, so no process holds
+    more than one.  A failed fork leaves every half to this process.  An
+    exception in either process reaches the caller, and the child has been
+    reaped when this returns or raises.
+    """
+    n = len(halves)
+    table = np.frombuffer(_fork.shared_buffer(_HALF.itemsize * n), _HALF)
+
+    def fill(start, stop):
+        for k in range(start, stop):
+            t0, second = halves[k]
+            table[k] = _half(spec, probes, mag_ref, t0, delta, quad_step,
+                             sensors, second)
+
+    split = (n + 1) // 2
+    child = _fork.start(lambda: fill(split, n)) if _fork.spare_cpu() else None
+    if child is None:
+        fill(0, n)
+        return table
+    try:
+        fill(0, split)
+    finally:
+        error = _fork.reap(*child, "observability worker")
+    if error is not None:
+        raise error
+    return table
 
 
 def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
@@ -269,12 +358,13 @@ def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
 
     Window starts are ``k delta/2`` for ``k = 0, 1, ...`` while the window
     fits in ``[0, duration]``, the last one clamped to ``duration - delta``.
-    An aligned window reuses the previous window's second half as its first,
-    so N aligned windows build N + 1 halves; a clamped window off that grid
-    builds its own two.  The overall verdict is true iff the smallest
-    Gramian eigenvalue over all windows stays at or above ``lam_threshold``;
-    the returned report carries the worst window's Gramian and the smallest
-    PE margins for diagnosis.
+    The sweep plans its unique half-windows (:func:`_plan`), evaluates them
+    (:func:`_evaluate`, in two processes when a second CPU is free) and
+    composes each window from its two halves, as the module docstring
+    describes; the result is the same bits either way.  The overall
+    verdict is true iff the smallest Gramian eigenvalue over all windows
+    stays at or above ``lam_threshold``; the returned report carries the
+    worst window's Gramian and the smallest PE margins for diagnosis.
 
     Raises
     ------
@@ -287,23 +377,19 @@ def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
         raise ValueError("lam_threshold must be finite and positive")
     if duration is None:
         duration = spec.duration
-    if not (np.isfinite(delta) and delta > 0.0):
-        raise ValueError(f"window must be finite and positive, got {delta}")
+    _check_window(delta, quad_step)
     if delta > duration + 1e-9:
         raise ValueError(f"window {delta:g} s is longer than the "
                          f"{duration:g} s duration")
-    count = int(np.floor((duration - delta + 1e-9) / (0.5 * delta))) + 1
+    halves, pairs = _plan(delta, duration)
+    table = _evaluate(spec, probes, mag_ref, delta, quad_step, sensors,
+                      halves)
     rows = []
     worst = None
-    later = None
-    for edge in (0.5 * delta * np.arange(count)).tolist():
-        t0 = min(edge, duration - delta)
-        # an aligned window's first half is the previous window's second
-        w, mu_pi, mu_api, later = _window(
-            spec, probes, mag_ref, t0, delta, quad_step, sensors,
-            later if t0 == edge else None)
+    for i, j in pairs:
+        w, mu_pi, mu_api = _compose(table[i], table[j], delta)
         eig = np.linalg.eigvalsh(w)
-        row = WindowRow(t_start=t0, lam_min=float(eig[0]),
+        row = WindowRow(t_start=halves[j][0], lam_min=float(eig[0]),
                         lam_max=float(eig[-1]), mu_pi=mu_pi, mu_api=mu_api,
                         verdict=bool(eig[0] >= lam_threshold))
         rows.append(row)

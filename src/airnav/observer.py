@@ -657,7 +657,12 @@ class AirDataObserver:
                     if baro is not None:
                         baro -= h
                     if mag is not None:
-                        m0, m1, m2 = mag
+                        try:
+                            m0, m1, m2 = mag
+                        except ValueError:
+                            raise ValueError(
+                                f"{len(mag)} magnetometer readings, "
+                                "not 3") from None
                         mag = [mi0 - (r00 * m0 + r01 * m1 + r02 * m2),
                                mi1 - (r10 * m0 + r11 * m1 + r12 * m2),
                                mi2 - (r20 * m0 + r21 * m1 + r22 * m2)]

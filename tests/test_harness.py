@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airnav import cli, geometry, harness, observer
+from airnav import _fork, cli, geometry, harness, observer
 from airnav.config import default_config, parse_config_text
 from airnav.exceptions import (
     DivergenceError,
@@ -59,7 +59,7 @@ def _pin_workers(monkeypatch, workers):
 def _pin_cpus(monkeypatch, cpus):
     """Let the harness see ``cpus`` CPUs: with 1, every trace writer runs in
     process; with 2, a lone run forks its writer."""
-    monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(_fork, "cpu_count", lambda: cpus)
 
 
 def _note_pids(monkeypatch, owner, name, path):

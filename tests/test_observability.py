@@ -1,15 +1,18 @@
 import itertools
+import os
+import signal
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, simpson
 
-from airnav import dynamics
+from airnav import _fork, dynamics, observability
 from airnav.dynamics import TrajectorySpec
 from airnav.geometry import skew
 from airnav.observability import (
     _cumulative_simpson,
     _grid,
+    _plan,
     _simpson_weights,
     gramian,
     observability_verdict,
@@ -23,6 +26,44 @@ from oracles import _batch_skew, integrate_phi
 G = 9.81
 M_I = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
 J_HORIZONTAL = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
+                                reason="the fork start method is missing")
+
+
+def _pin_cpus(monkeypatch, cpus):
+    """Let the sweep see ``cpus`` CPUs: with 1 it evaluates every half in
+    process; with 2 a forked child evaluates the second part."""
+    monkeypatch.setattr(_fork, "cpu_count", lambda: cpus)
+
+
+def _count_forks(monkeypatch, fork=None):
+    """Count the calls of ``os.fork``, which ``fork`` (the real one by
+    default) then serves; returns the list that grows by one per call."""
+    calls, fork = [], fork or os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _assert_no_child():
+    # waitpid(-1) fails when this process has no child left, zombie or not
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _sweep_bits(report, rows) -> bytes:
+    """Every float of a sweep's report and rows, with the verdicts."""
+    floats = [report.lam_min, report.lam_max, report.delta, report.mu_pi,
+              report.mu_api] + [x for r in rows for x in (
+                  r.t_start, r.lam_min, r.lam_max, r.mu_pi, r.mu_api)]
+    flags = [report.verdict] + [r.verdict for r in rows]
+    return (report.W.tobytes() + np.array(floats).tobytes()
+            + np.array(flags).tobytes())
 
 
 @pytest.fixture
@@ -383,6 +424,11 @@ class TestHalfWindowComposition:
 
     def test_sweep_builds_each_half_window_once(self, monkeypatch, paper,
                                                 single_probe, mag_ref):
+        halves, pairs = _plan(4.0, 20.0)
+        assert len(pairs) == 9
+        assert len(set(halves)) == len(halves) == 10
+        # in process, so every half is counted here
+        _pin_cpus(monkeypatch, 1)
         calls = {"force": 0, "attitude": 0}
 
         def counted(name, fn):
@@ -456,3 +502,105 @@ class TestHalfWindowComposition:
         with pytest.raises(ValueError, match="lam_threshold"):
             observability_verdict(paper, single_probe, mag_ref, delta=4.0,
                                   lam_threshold=threshold, duration=12.0)
+
+
+@needs_fork
+class TestForkedSweep:
+    @pytest.mark.parametrize("duration, delta, windows, halves", [
+        (60.0, 4.0, 29, 30),       # the paper sweep
+        (3.0 - 5e-10, 1.0, 5, 7),  # a clamped last window off the grid
+        (4.0, 4.0, 1, 2),          # a single window
+        (10.0, 4.0, 4, 5),         # aligned windows, an odd number of halves
+    ])
+    def test_forked_sweep_is_bit_identical_to_in_process(
+            self, monkeypatch, paper, single_probe, mag_ref, duration, delta,
+            windows, halves):
+        assert len(_plan(delta, duration)[0]) == halves
+        bits = {}
+        for cpus in (1, 2):
+            _pin_cpus(monkeypatch, cpus)
+            forks = _count_forks(monkeypatch)
+            report, rows = observability_verdict(
+                paper, single_probe, mag_ref, delta=delta, duration=duration)
+            assert len(rows) == windows
+            assert len(forks) == cpus - 1
+            _assert_no_child()
+            bits[cpus] = _sweep_bits(report, rows)
+            monkeypatch.undo()
+        assert bits[2] == bits[1]
+
+    def test_failed_fork_evaluates_in_process(self, monkeypatch, paper,
+                                              single_probe, mag_ref):
+        _pin_cpus(monkeypatch, 1)
+        expected = _sweep_bits(*observability_verdict(
+            paper, single_probe, mag_ref, delta=4.0, duration=12.0))
+
+        def no_fork():
+            raise BlockingIOError("no process left to start")
+
+        _pin_cpus(monkeypatch, 2)
+        forks = _count_forks(monkeypatch, no_fork)
+        assert _sweep_bits(*observability_verdict(
+            paper, single_probe, mag_ref, delta=4.0,
+            duration=12.0)) == expected
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize("share", ["parent", "child"])
+    def test_error_in_either_share_reaches_caller(self, monkeypatch, paper,
+                                                  single_probe, mag_ref,
+                                                  share):
+        _pin_cpus(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        parent, orig = os.getpid(), observability._half_window
+
+        def failing(*args):
+            if (os.getpid() == parent) == (share == "parent"):
+                raise FloatingPointError(f"forced in the {share}")
+            return orig(*args)
+
+        monkeypatch.setattr(observability, "_half_window", failing)
+        with pytest.raises(FloatingPointError,
+                           match=f"^forced in the {share}$"):
+            observability_verdict(paper, single_probe, mag_ref, delta=4.0,
+                                  duration=20.0)
+        assert forks == [parent]
+        _assert_no_child()
+
+    def test_killed_child_reaches_caller(self, monkeypatch, paper,
+                                         single_probe, mag_ref):
+        _pin_cpus(monkeypatch, 2)
+        parent, orig = os.getpid(), observability._half_window
+
+        def killed(*args):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return orig(*args)
+
+        monkeypatch.setattr(observability, "_half_window", killed)
+        with pytest.raises(RuntimeError,
+                           match="^observability worker killed by signal "
+                                 f"{int(signal.SIGKILL)}$"):
+            observability_verdict(paper, single_probe, mag_ref, delta=4.0,
+                                  duration=20.0)
+        _assert_no_child()
+
+    @pytest.mark.parametrize("bad", [
+        {"delta": np.nan}, {"delta": 12.5}, {"quad_step": 0.05},
+        {"quad_step": np.nan}, {"lam_threshold": 0.0}])
+    def test_bad_input_is_refused_before_any_fork(self, monkeypatch, paper,
+                                                  single_probe, mag_ref,
+                                                  bad):
+        _pin_cpus(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        with pytest.raises(ValueError):
+            observability_verdict(paper, single_probe, mag_ref,
+                                  duration=12.0, **{"delta": 4.0, **bad})
+        assert forks == []
+
+    def test_gramian_and_pe_margins_never_fork(self, monkeypatch, paper,
+                                               single_probe, mag_ref):
+        _pin_cpus(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        gramian(paper, single_probe, mag_ref, 0.0, 4.0)
+        pe_margins(paper, single_probe, 0.0, 4.0)
+        assert forks == []

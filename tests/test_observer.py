@@ -488,6 +488,33 @@ class TestObserverTick:
             np.testing.assert_array_equal(getattr(refused.state, field),
                                           getattr(obs.state, field))
 
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_mag_reading_count_must_be_three(self, probes, mag_ref, weights,
+                                             count):
+        # named for the sensor, not left to a tuple unpacking error; the
+        # good tick before it in the block stands
+        spec = TrajectorySpec.paper()
+        inp = truth_inputs(spec, 0.0)
+        omega, a = inp.omega.tolist(), inp.a.tolist()
+        good = (truth_state(spec, 0.0).R.T @ mag_ref.m_I).tolist()
+
+        def advance(obs, mags):
+            n = len(mags)
+            return obs.advance([omega] * n, [a] * n, [None] * n, mags,
+                               [None] * n)
+
+        obs, refused = (
+            AirDataObserver(truth_observer_state(spec, 0.0, p=weights.P0),
+                            weights, probes, mag_ref, dt=0.005, gravity=G)
+            for _ in range(2))
+        assert advance(obs, [good]) == (1, None)
+        with pytest.raises(ValueError,
+                           match=f"^{count} magnetometer readings, not 3$"):
+            advance(refused, [good, [1.0] * count])
+        for field in ("Rhat", "Vahat", "hhat", "P"):
+            np.testing.assert_array_equal(getattr(refused.state, field),
+                                          getattr(obs.state, field))
+
     def test_failed_tick_leaves_the_rate_history(self, probes, mag_ref,
                                                  weights):
         # a tick that fails the divergence floor keeps the estimate, so its
