@@ -1,13 +1,19 @@
-"""Forked children that take part of a computation onto a second CPU.
+"""Forked children that take part of a computation onto another CPU.
 
 A child runs one function and exits without returning into its caller's
-frames.  It shares nothing with its parent but what was mapped with
-:func:`shared_buffer` before the fork, so that is where it leaves its
-results.  An exception it raises is pickled back through a pipe, and
-:func:`reap` returns it for the parent to raise; a child that dies
-without a report becomes a ``RuntimeError`` naming its signal or exit
-status.  On Python 3.12 and later the fork emits a ``DeprecationWarning``
-because numpy's BLAS threads exist in the parent process.
+frames.  What the function returns, or the exception it raises, is
+pickled back through a pipe and returned by :func:`reap`; a child that
+dies without a complete report becomes a ``RuntimeError`` naming its
+signal or exit status.  A child never forks again: :func:`spare_cpu` is
+False in it, so nested work, such as a trace writer, stays in the child's
+process while its siblings keep the other CPUs busy.  Memory mapped
+with :func:`shared_buffer` before the fork is shared with the child, for
+work that streams its results while the parent still runs.
+
+:func:`map_chunks` splits a batch into contiguous chunks, one per CPU,
+and runs each in a child of its own.  On Python 3.12 and later the fork
+emits a ``DeprecationWarning`` because numpy's BLAS threads exist in the
+parent process.
 """
 
 from __future__ import annotations
@@ -15,6 +21,9 @@ from __future__ import annotations
 import mmap
 import os
 import pickle
+
+# True in a child of start(): it does its work in its own process.
+_child = False
 
 
 def cpu_count() -> int:
@@ -27,8 +36,9 @@ def cpu_count() -> int:
 
 def spare_cpu() -> bool:
     """Whether a forked child would have a CPU of its own: the ``fork``
-    start method exists and this process may use two or more CPUs."""
-    return hasattr(os, "fork") and cpu_count() >= 2
+    start method exists, this process may use two or more CPUs and is not
+    itself a child of :func:`start`."""
+    return not _child and hasattr(os, "fork") and cpu_count() >= 2
 
 
 def shared_buffer(size: int) -> mmap.mmap:
@@ -42,49 +52,89 @@ def shared_buffer(size: int) -> mmap.mmap:
 def start(work) -> tuple[int, int] | None:
     """Fork a child that calls ``work()`` and exits.
 
-    Returns ``(pid, errors)`` to hand to :func:`reap`, or None when the
+    Returns ``(pid, report)`` to hand to :func:`reap`, or None when the
     fork failed (no process left to start), in which case the caller does
-    the work itself.
+    the work itself.  The child writes the whole pickled report, however
+    large, and exits with status 0 only once it has.
     """
-    errors_r, errors_w = os.pipe()
+    report_r, report_w = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        os.close(errors_r)
-        os.close(errors_w)
+        os.close(report_r)
+        os.close(report_w)
         return None
     if pid == 0:
+        global _child
+        _child = True
         status = 1
         try:
-            os.close(errors_r)
-            work()
-            status = 0
-        except BaseException as exc:
+            os.close(report_r)
             try:
-                report = pickle.dumps(exc)
-            except Exception:  # an exception that does not pickle
-                report = pickle.dumps(RuntimeError(repr(exc)))
-            os.write(errors_w, report)
+                report = pickle.dumps((work(), None))
+            except BaseException as exc:
+                try:
+                    report = pickle.dumps((None, exc))
+                except Exception:  # an exception that does not pickle
+                    report = pickle.dumps((None, RuntimeError(repr(exc))))
+            # a buffered file writes all of it, across short writes
+            with open(report_w, "wb") as fh:
+                fh.write(report)
+            status = 0
         finally:
             os._exit(status)
-    os.close(errors_w)
-    return pid, errors_r
+    os.close(report_w)
+    return pid, report_r
 
 
-def reap(pid: int, errors: int, name: str) -> BaseException | None:
-    """Wait for the child ``pid`` of :func:`start` and return its error.
+def reap(pid: int, report: int, name: str,
+         ) -> tuple[object, BaseException | None]:
+    """Wait for the child ``pid`` of :func:`start`: ``(result, error)``.
 
-    That is the exception the child raised, or a ``RuntimeError`` naming
-    ``name`` when it was killed or exited with a status of its own; None
-    when it finished.  Closes ``errors``.
+    ``result`` is what ``work()`` returned and ``error`` None, or ``error``
+    is the exception it raised, or a ``RuntimeError`` naming ``name`` when
+    the child was killed or exited before its report was complete.
+    Closes ``report``.
     """
-    with open(errors, "rb") as fh:
-        report = fh.read()
-    status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if report:
-        return pickle.loads(report)
+    try:
+        with open(report, "rb") as fh:
+            data = fh.read()
+    finally:  # interrupted or not, leave no child behind
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
     if status < 0:
-        return RuntimeError(f"{name} killed by signal {-status}")
-    if status:
-        return RuntimeError(f"{name} exited with {status}")
-    return None
+        return None, RuntimeError(f"{name} killed by signal {-status}")
+    if status or not data:
+        return None, RuntimeError(f"{name} exited with {status}")
+    return pickle.loads(data)
+
+
+def map_chunks(work, items, name: str) -> list:
+    """``[work(chunk) for chunk in chunks]``: ``items`` split into
+    contiguous chunks, each run by a child of its own.
+
+    There is one chunk per CPU this process may use, no more than there
+    are items, and the chunks' sizes differ by at most one.  One chunk
+    runs here, in process; so does every chunk when :func:`spare_cpu` is
+    False.  With two or more, this process forks every chunk's child and
+    waits for them, so a chunk's memory is never this process's; a chunk
+    whose fork fails runs here.  A chunk stops at its first exception,
+    the others run to their end, and once every child is reaped the first
+    failing chunk's exception is raised.
+    """
+    count = min(len(items), cpu_count()) if spare_cpu() else 1
+    if count <= 1:
+        return [work(items)]
+    bounds = [len(items) * i // count for i in range(count + 1)]
+    chunks = [items[a:b] for a, b in zip(bounds, bounds[1:])]
+    children = [start(lambda chunk=chunk: work(chunk)) for chunk in chunks]
+    outcomes = []
+    for chunk, child in zip(chunks, children):
+        try:
+            outcomes.append(reap(*child, name) if child is not None
+                            else (work(chunk), None))
+        except BaseException as exc:
+            outcomes.append((None, exc))
+    for _, error in outcomes:
+        if error is not None:
+            raise error
+    return [result for result, _ in outcomes]

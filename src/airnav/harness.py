@@ -18,9 +18,10 @@ at gimbal lock).  A numerical failure inside the loop ends that run only:
 its series is truncated and flagged with the failure's class, and
 :func:`run_montecarlo` carries on with the other runs.
 
-:func:`run_montecarlo` hands the runs to forked worker processes, one per
-available CPU.  Each task runs one run, writes its trace, and reduces its
-series to a :class:`RunRecord` of a few hundred bytes: the run's status
+:func:`run_montecarlo` splits the runs into contiguous chunks, one per CPU
+the process may use, and runs each chunk in a forked worker process
+(:func:`airnav._fork.map_chunks`).  Each run writes its trace and reduces
+its series to a :class:`RunRecord` of a few hundred bytes: the run's status
 (ok, diverged or unconverged by :data:`CONVERGED_ERR_ATT` and
 :data:`CONVERGED_ERR_V_BODY`), the final-window means and the values at
 :data:`SUMMARY_SAMPLE_TIMES`.  Only records travel back to the parent, so
@@ -28,15 +29,18 @@ a batch holds no series and the parent's memory does not grow with the
 number of runs; :func:`summarize` folds the records.  Every run draws from
 its own ``(base_seed, run_index)`` substreams and the records are
 collected in run-index order, so every output is byte-identical to running
-the runs one after another, which is what happens in-process on a single
-CPU or where the ``fork`` start method does not exist.  On Python 3.12 and
-later, the fork emits a ``DeprecationWarning`` because numpy's BLAS
+the runs one after another, which is what happens in-process for a single
+run, on a single CPU or where the ``fork`` start method does not exist.
+A run's exception other than a numerical failure stops its chunk, the
+other chunks run to their end, and the exception of the lowest failing
+run index reaches the caller once every worker is reaped.  On Python 3.12
+and later, the fork emits a ``DeprecationWarning`` because numpy's BLAS
 threads exist in the parent process.
 
 Given a path, :func:`run_single` writes the run's trace itself, deriving
 the trace columns and formatting them a block of :data:`EIG_BLOCK_ROWS`
-rows at a time.  When the process may use two or more CPUs and the run is
-not in a Monte Carlo worker process, a child forked just before the tick
+rows at a time.  When the process may use two or more CPUs and is not
+itself a forked worker, a child forked just before the tick
 loop does that work for each block while the loop ticks the next;
 otherwise the same writer runs in process after the loop and derives
 every row in one call.  A row's derived values do not depend on how the
@@ -322,7 +326,7 @@ def run_single(config: SimConfig, run_index: int = 0,
     divergence_time = divergence_cause = None
     recorded = n
     try:
-        if trace is not None and _spare_cpu():
+        if trace is not None and _fork.spare_cpu():
             writer.fork()
         for start in range(0, n, EIG_BLOCK_ROWS):
             writer.ready(start)
@@ -532,7 +536,7 @@ class _TraceWriter:
         """Close the count pipe, wait for the child and return its error."""
         pid, self.pid = self.pid, None
         os.close(self._counts)
-        return _fork.reap(pid, self._errors, "trace writer")
+        return _fork.reap(pid, self._errors, "trace writer")[1]
 
 
 def trace_path(out, run_index: int) -> Path:
@@ -547,52 +551,6 @@ def _run_and_write(config: SimConfig, run_index: int, out) -> RunRecord:
     return _run_record(config, run_single(config, run_index, trace=trace))
 
 
-def _worker_count(runs: int) -> int:
-    """Worker processes for ``runs`` runs: one per CPU this process may use."""
-    return min(runs, _fork.cpu_count())
-
-
-# Set in Monte Carlo worker processes by the pool's initializer.
-_pool_worker = False
-
-
-def _become_pool_worker() -> None:
-    """Initializer of a Monte Carlo worker process."""
-    global _pool_worker
-    _pool_worker = True
-
-
-def _spare_cpu() -> bool:
-    """Whether a run here may fork its trace writer: it is the only run in
-    this process and a second CPU is there for the writer.  Runs in Monte
-    Carlo workers keep their writers in process, as forking them measured
-    slower on two workers sharing two CPUs."""
-    return not _pool_worker and _fork.spare_cpu()
-
-
-def _run_pooled(config: SimConfig, out, workers: int) -> list[RunRecord]:
-    """Run every task in ``workers`` forked processes, in run-index order.
-
-    Forked workers inherit the imported package, so nothing is re-imported
-    and the caller's ``__main__`` is not re-run.  The pool lives only inside
-    this call: on any exception the runs not yet started are cancelled, the
-    workers are joined, and the run's exception reaches the caller.
-    """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"),
-            initializer=_become_pool_worker) as pool:
-        futures = [pool.submit(_run_and_write, config, k, out)
-                   for k in range(config.runs)]
-        try:
-            return [future.result() for future in futures]
-        except BaseException:
-            pool.shutdown(cancel_futures=True)
-            raise
-
-
 def run_montecarlo(config: SimConfig, out=None,
                    ) -> tuple[MonteCarloSummary, list[RunRecord]]:
     """Run all configured Monte Carlo repetitions and aggregate statistics.
@@ -600,29 +558,30 @@ def run_montecarlo(config: SimConfig, out=None,
     Returns the summary and one :class:`RunRecord` per run, in run-index
     order; no run's series outlives its task.  Given an existing directory
     ``out``, each run's trace is written there as :func:`trace_path` names
-    it; without ``out`` no trace is formatted.  The runs go to forked worker
-    processes, one per available CPU (no more than there are runs), and
-    each worker writes the traces of its own runs and sends back only their
-    records.  Runs are seeded independently and collected in run-index
-    order, so the traces, records and summary are byte-identical to running
-    the runs one after another, as is done in-process when only one CPU is
-    available or the ``fork`` start method does not exist.  On Python 3.12
-    and later the fork emits a ``DeprecationWarning`` because numpy's BLAS
-    threads exist.  Each run writes its own trace (see :func:`run_single`);
-    a run in a worker process formats it after its loop, and a lone run
-    in this process may fork a writer that formats it while the run
-    ticks; the bytes are the same.  A numerical failure
-    (:data:`~airnav.observer.RUN_FAILURES`) stays inside its run, whose
-    trace keeps the partial series; any other exception, such as an
-    ``OSError`` from a trace that cannot be written, cancels the runs not
-    yet started and reaches the caller.
+    it; without ``out`` no trace is formatted.  The runs are split into
+    contiguous chunks, one per available CPU (no more than there are
+    runs), and each chunk goes to a forked worker process, which runs its
+    runs in order, writes their traces and sends back only their records.
+    Runs are seeded independently and collected in run-index order, so
+    the traces, records and summary are byte-identical to running the runs
+    one after another, as is done in-process for a single run, when only
+    one CPU is available or where the ``fork`` start method does not
+    exist.  On Python 3.12 and later the fork emits a
+    ``DeprecationWarning`` because numpy's BLAS threads exist.  Each run
+    writes its own trace (see :func:`run_single`); a run in a worker
+    process formats it after its loop, and a lone run in this process may
+    fork a writer that formats it while the run ticks; the bytes are the
+    same.  A numerical failure (:data:`~airnav.observer.RUN_FAILURES`)
+    stays inside its run, whose trace keeps the partial series.  Any other
+    exception, such as an ``OSError`` from a trace that cannot be written,
+    stops the runs left in its chunk; the other chunks run to their end,
+    and once every worker is reaped the exception of the first failing
+    chunk, the lowest failing run index, reaches the caller.
     """
-    workers = _worker_count(config.runs)
-    if workers >= 2 and hasattr(os, "fork"):
-        records = _run_pooled(config, out, workers)
-    else:
-        records = [_run_and_write(config, k, out)
-                   for k in range(config.runs)]
+    chunks = _fork.map_chunks(
+        lambda runs: [_run_and_write(config, k, out) for k in runs],
+        range(config.runs), "Monte Carlo worker")
+    records = [record for chunk in chunks for record in chunk]
     return summarize(config, records), records
 
 

@@ -20,16 +20,17 @@ sweep of N windows builds N + 1 halves.
 
 :func:`observability_verdict` runs in three steps.  It plans the sweep's
 unique half-windows as (start, which half) pairs, building no grid.  It
-evaluates them: when the ``fork`` start method exists and the process may
-use two or more CPUs, a forked child evaluates the second part of the list
-into shared memory while this process evaluates the first, and otherwise
-this process evaluates them all.  It then composes the windows in order
-from the evaluated halves with the operations :func:`gramian` and
-:func:`pe_margins` use, so the rows and the report are the same bits
-whichever process evaluated a half.  On Python 3.12 and later the fork
-emits a ``DeprecationWarning`` because numpy's BLAS threads exist.
-:func:`gramian` and :func:`pe_margins` evaluate their one window in
-process.
+evaluates them with :func:`airnav._fork.map_chunks`: when the ``fork``
+start method exists and the process may use two or more CPUs, the list is
+split into contiguous parts, one per CPU, and a forked child evaluates
+each part and sends back one array of :data:`_HALF` records while this
+process waits; otherwise this process evaluates them all.  It then
+composes the windows in order from the evaluated halves with the
+operations :func:`gramian` and :func:`pe_margins` use, so the rows and
+the report are the same bits whichever process evaluated a half.  On
+Python 3.12 and later the fork emits a ``DeprecationWarning`` because
+numpy's BLAS threads exist.  :func:`gramian` and :func:`pe_margins`
+evaluate their one window in process.
 
 The transition of a half, ``Phi_a``, comes from :func:`_transition`, the
 one closed form that :func:`phi_blocks` returns too; the test suite checks
@@ -313,39 +314,6 @@ def _plan(delta: float, duration: float,
     return halves, pairs
 
 
-def _evaluate(spec, probes, mag_ref, delta, quad_step, sensors, halves,
-              ) -> np.ndarray:
-    """Evaluate ``halves`` from :func:`_plan` into records of :data:`_HALF`,
-    the second part of them in a forked child when a CPU is free for it.
-
-    Each half's grid is built where it is evaluated, so no process holds
-    more than one.  A failed fork leaves every half to this process.  An
-    exception in either process reaches the caller, and the child has been
-    reaped when this returns or raises.
-    """
-    n = len(halves)
-    table = np.frombuffer(_fork.shared_buffer(_HALF.itemsize * n), _HALF)
-
-    def fill(start, stop):
-        for k in range(start, stop):
-            t0, second = halves[k]
-            table[k] = _half(spec, probes, mag_ref, t0, delta, quad_step,
-                             sensors, second)
-
-    split = (n + 1) // 2
-    child = _fork.start(lambda: fill(split, n)) if _fork.spare_cpu() else None
-    if child is None:
-        fill(0, n)
-        return table
-    try:
-        fill(0, split)
-    finally:
-        error = _fork.reap(*child, "observability worker")
-    if error is not None:
-        raise error
-    return table
-
-
 def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
                           mag_ref: MagReference,
                           delta: float = DEFAULT_WINDOW,
@@ -359,9 +327,10 @@ def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
     Window starts are ``k delta/2`` for ``k = 0, 1, ...`` while the window
     fits in ``[0, duration]``, the last one clamped to ``duration - delta``.
     The sweep plans its unique half-windows (:func:`_plan`), evaluates them
-    (:func:`_evaluate`, in two processes when a second CPU is free) and
-    composes each window from its two halves, as the module docstring
-    describes; the result is the same bits either way.  The overall
+    (in a forked child per CPU when two or more are free) and composes
+    each window from its two halves, as the module docstring describes;
+    the result is the same bits either way.  An exception in evaluating a
+    half reaches the caller once every child is reaped.  The overall
     verdict is true iff the smallest Gramian eigenvalue over all windows
     stays at or above ``lam_threshold``; the returned report carries the
     worst window's Gramian and the smallest PE margins for diagnosis.
@@ -382,8 +351,11 @@ def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
         raise ValueError(f"window {delta:g} s is longer than the "
                          f"{duration:g} s duration")
     halves, pairs = _plan(delta, duration)
-    table = _evaluate(spec, probes, mag_ref, delta, quad_step, sensors,
-                      halves)
+    table = np.concatenate(_fork.map_chunks(
+        lambda chunk: np.array([_half(spec, probes, mag_ref, t0, delta,
+                                      quad_step, sensors, second)
+                                for t0, second in chunk], _HALF),
+        halves, "observability worker"))
     rows = []
     worst = None
     for i, j in pairs:

@@ -1,5 +1,4 @@
 import csv
-import multiprocessing
 import os
 import pickle
 import signal
@@ -52,14 +51,17 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
                                 reason="the fork start method is missing")
 
 
-def _pin_workers(monkeypatch, workers):
-    monkeypatch.setattr(harness, "_worker_count", lambda runs: workers)
-
-
 def _pin_cpus(monkeypatch, cpus):
-    """Let the harness see ``cpus`` CPUs: with 1, every trace writer runs in
-    process; with 2, a lone run forks its writer."""
+    """Let the harness see ``cpus`` CPUs: with 1, a batch's runs and every
+    trace writer run in process; with 2, a batch forks a worker for each
+    half of its runs, and a lone run forks its writer."""
     monkeypatch.setattr(_fork, "cpu_count", lambda: cpus)
+
+
+def _assert_no_child():
+    # waitpid(-1) fails when this process has no child left, zombie or not
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _note_pids(monkeypatch, owner, name, path):
@@ -387,10 +389,9 @@ class TestMonteCarlo:
         _, records = run_montecarlo(cfg)
         assert len(pickle.dumps(records[0])) < 1024
 
-    @pytest.mark.parametrize("workers", [
-        1, pytest.param(2, marks=needs_fork)])
-    def test_records_match_run_single(self, workers, monkeypatch):
-        _pin_workers(monkeypatch, workers)
+    @pytest.mark.parametrize("cpus", [1, pytest.param(2, marks=needs_fork)])
+    def test_records_match_run_single(self, cpus, monkeypatch):
+        _pin_cpus(monkeypatch, cpus)
         cfg = parse_config_text("duration = 31\nruns = 2\n")
         _, records = run_montecarlo(cfg)
         assert [r.run_index for r in records] == [0, 1]
@@ -409,7 +410,7 @@ class TestMonteCarlo:
                                        SingularInnovationError])
     def test_forced_failure_names_its_class(self, short_config, monkeypatch,
                                             error):
-        _pin_workers(monkeypatch, 1)
+        _pin_cpus(monkeypatch, 1)
 
         def failing_rotate(*args):
             raise error("forced for test")
@@ -443,7 +444,7 @@ class TestMonteCarlo:
     def test_partial_results_preserved_on_divergence(self, short_config,
                                                      monkeypatch):
         # the tick counter spans runs, so the runs must share one process
-        _pin_workers(monkeypatch, 1)
+        _pin_cpus(monkeypatch, 1)
         calls = {"n": 0}
         orig = observer._rotate
 
@@ -464,7 +465,7 @@ class TestMonteCarlo:
     def test_singular_innovation_in_one_run_spares_the_batch(
             self, short_config, monkeypatch, tmp_path):
         # the tick counter spans runs, so the runs must share one process
-        _pin_workers(monkeypatch, 1)
+        _pin_cpus(monkeypatch, 1)
         intact = run_single(short_config, 1)
         calls = {"n": 0}
         orig = observer._rotate
@@ -489,7 +490,7 @@ class TestMonteCarlo:
             self, short_config, monkeypatch, tmp_path):
         # forked workers inherit the patched run_single; the fault is keyed
         # on the run index because each worker counts its own ticks
-        _pin_workers(monkeypatch, 2)
+        _pin_cpus(monkeypatch, 2)
         cfg = replace(short_config, runs=3)
         intact = [run_single(cfg, k) for k in (1, 2)]
         orig = harness.run_single
@@ -527,7 +528,7 @@ class TestMonteCarlo:
         cfg = replace(short_config, runs=3)
         outputs = {}
         for workers in (1, 2):
-            _pin_workers(monkeypatch, workers)
+            _pin_cpus(monkeypatch, workers)
             out = tmp_path / f"workers_{workers}"
             out.mkdir()
             summary, _ = run_montecarlo(cfg, out)
@@ -541,7 +542,7 @@ class TestMonteCarlo:
     @needs_fork
     def test_pool_runs_elsewhere_and_leaves_no_process(self, short_config,
                                                        monkeypatch, tmp_path):
-        _pin_workers(monkeypatch, 2)
+        _pin_cpus(monkeypatch, 2)
         orig = harness.run_single
 
         def run_single_noting_pid(config, run_index=0, initial_state=None,
@@ -556,12 +557,13 @@ class TestMonteCarlo:
         pids = {int((tmp_path / f"run_{k:03d}.pid").read_text())
                 for k in range(3)}
         assert os.getpid() not in pids
-        assert multiprocessing.active_children() == []
+        assert len(pids) == 2   # runs [0] and [1, 2]: one worker per chunk
+        _assert_no_child()
 
     @needs_fork
     def test_other_error_in_pooled_run_reaches_caller(self, short_config,
                                                       monkeypatch):
-        _pin_workers(monkeypatch, 2)
+        _pin_cpus(monkeypatch, 2)
         orig = harness.run_single
 
         def run_single_failing_in_run_1(config, run_index=0,
@@ -573,7 +575,28 @@ class TestMonteCarlo:
         monkeypatch.setattr(harness, "run_single", run_single_failing_in_run_1)
         with pytest.raises(OutOfRangeError, match="forced for test"):
             run_montecarlo(replace(short_config, runs=4))
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
+
+    @needs_fork
+    def test_killed_worker_reaches_caller(self, short_config, monkeypatch,
+                                          tmp_path):
+        # run 2 is in the second of two chunks; the first still finishes
+        _pin_cpus(monkeypatch, 2)
+        orig = harness.run_single
+
+        def run_single_killed_in_run_2(config, run_index=0,
+                                       initial_state=None, trace=None):
+            if run_index == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return orig(config, run_index, initial_state, trace)
+
+        monkeypatch.setattr(harness, "run_single", run_single_killed_in_run_2)
+        with pytest.raises(RuntimeError,
+                           match="^Monte Carlo worker killed by signal "
+                                 f"{int(signal.SIGKILL)}$"):
+            run_montecarlo(replace(short_config, runs=3), tmp_path)
+        assert harness.trace_path(tmp_path, 0).exists()
+        _assert_no_child()
 
 
 def _trace_oracle(path, m: RunMetrics) -> None:
@@ -730,7 +753,7 @@ class TestTraceWriter:
     def test_writer_forks_only_with_a_spare_cpu(self, short_config, tmp_path,
                                                 monkeypatch, cpus, runs,
                                                 forks):
-        # a lone run forks given two CPUs; runs in pool workers never do
+        # a lone run forks given two CPUs; runs in forked workers never do
         _pin_cpus(monkeypatch, cpus)
         _note_pids(monkeypatch, harness, "run_single", tmp_path / "runs")
         _note_pids(monkeypatch, harness, "_format_rows", tmp_path / "writers")

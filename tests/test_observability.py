@@ -33,7 +33,8 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
 
 def _pin_cpus(monkeypatch, cpus):
     """Let the sweep see ``cpus`` CPUs: with 1 it evaluates every half in
-    process; with 2 a forked child evaluates the second part."""
+    process; with 2 two forked children evaluate one half of the list
+    each."""
     monkeypatch.setattr(_fork, "cpu_count", lambda: cpus)
 
 
@@ -523,7 +524,7 @@ class TestForkedSweep:
             report, rows = observability_verdict(
                 paper, single_probe, mag_ref, delta=delta, duration=duration)
             assert len(rows) == windows
-            assert len(forks) == cpus - 1
+            assert len(forks) == (0 if cpus == 1 else 2)
             _assert_no_child()
             bits[cpus] = _sweep_bits(report, rows)
             monkeypatch.undo()
@@ -543,27 +544,29 @@ class TestForkedSweep:
         assert _sweep_bits(*observability_verdict(
             paper, single_probe, mag_ref, delta=4.0,
             duration=12.0)) == expected
-        assert len(forks) == 1
+        assert len(forks) == 2
 
-    @pytest.mark.parametrize("share", ["parent", "child"])
-    def test_error_in_either_share_reaches_caller(self, monkeypatch, paper,
+    @pytest.mark.parametrize("chunk", ["first", "second"])
+    def test_error_in_either_chunk_reaches_caller(self, monkeypatch, paper,
                                                   single_probe, mag_ref,
-                                                  share):
+                                                  chunk):
         _pin_cpus(monkeypatch, 2)
         forks = _count_forks(monkeypatch)
         parent, orig = os.getpid(), observability._half_window
 
-        def failing(*args):
-            if (os.getpid() == parent) == (share == "parent"):
-                raise FloatingPointError(f"forced in the {share}")
-            return orig(*args)
+        def failing(spec, probes, mag_ref, s, sensors):
+            # 9 windows list 10 halves of 2 s: the first chunk ends at 10 s
+            assert os.getpid() != parent
+            if (s[0] < 10.0) == (chunk == "first"):
+                raise FloatingPointError(f"forced in the {chunk} chunk")
+            return orig(spec, probes, mag_ref, s, sensors)
 
         monkeypatch.setattr(observability, "_half_window", failing)
         with pytest.raises(FloatingPointError,
-                           match=f"^forced in the {share}$"):
+                           match=f"^forced in the {chunk} chunk$"):
             observability_verdict(paper, single_probe, mag_ref, delta=4.0,
                                   duration=20.0)
-        assert forks == [parent]
+        assert forks == [parent, parent]
         _assert_no_child()
 
     def test_killed_child_reaches_caller(self, monkeypatch, paper,

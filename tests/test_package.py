@@ -24,7 +24,8 @@ ORACLE_NAMES = (
     "truth_state", "unskew",
 )
 DELETED_NAMES = ("E1", "E2", "TransitionBlocks", "TrajectoryKind",
-                 "write_trace_csv")
+                 "write_trace_csv", "_run_pooled", "_become_pool_worker",
+                 "_pool_worker", "_spare_cpu", "_worker_count", "_evaluate")
 
 
 def test_dense_forms_are_not_exported():
@@ -52,6 +53,18 @@ def test_import_loads_no_scipy():
     assert _after_import(
         "print(sorted(m for m in sys.modules if m.split('.')[0] == "
         "'scipy'))") == "[]"
+
+
+def test_batch_loads_no_process_pool():
+    # a batch forks its workers through airnav._fork; two CPUs are shown to
+    # it, so it forks wherever fork exists
+    assert _after_import(
+        "from airnav import _fork, config, harness; "
+        "_fork.cpu_count = lambda: 2; "
+        "harness.run_montecarlo(config.parse_config_text("
+        "'duration = 2\\nruns = 2\\n')); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('multiprocessing', 'concurrent')))") == "[]"
 
 
 def test_package_carries_no_oracle_code():
