@@ -18,21 +18,23 @@ variables, and stores them on the observer once per block;
 2. measurement update for the aiding sensors that sampled on the tick,
    one scalar row at a time in one loop (:func:`_fold`): ``g = P c``,
    ``s = c^T g + q``, ``P - g g^T / s``, with ``s > 0`` checked.  Each
-   sensor's constant additive block is factored once (:func:`_whitener`)
-   and its rows and residuals whitened by that factor, so a non-diagonal
-   block or ``q_convention = "precision"`` takes the same path.  The loop
-   takes the rows in the order barometer, magnetometer, Pitot, each with
-   the sequential innovation ``y_j - c_j . delta`` of the correction
-   ``delta`` so far, which is the block update's algebra (Bierman 1977).
-   When Pitot, magnetometer and barometer coincide, ``delta`` runs on over
-   every row, which is the stacked update; otherwise each sensor's
-   correction starts from zero, from its raw residual, and the corrections
-   are added.  ``P`` is unpacked once per tick.  Only ``g``, ``s`` and the
-   innovation differ between sensors, because each row skips the products
-   with its known zeros: the magnetometer rows (constant, built once) are
-   zero in columns 3-6, the barometer row is ``e6`` and a Pitot row (built
-   from ``Rhat b_j`` as it is folded) is zero in column 6.  The gain, the
-   downdate of ``P`` and the correction update are written once, and the
+   sensor's constant additive block is factored once (:func:`_whitener`) and
+   its rows and residuals whitened by that factor, so a non-diagonal block or
+   ``q_convention = "precision"`` takes the same path.  The magnetometer's
+   whitened rows ``-(m_I)^x`` have rank 2 (one vector fixes two attitude
+   angles), so it has 2 unit-variance rows and a residual map, from their
+   SVD.  The loop takes the rows in the order barometer, magnetometer, Pitot,
+   each with the sequential innovation ``y_j - c_j . delta`` of the
+   correction ``delta`` so far, which is the block update's algebra
+   (Bierman 1977).  When Pitot, magnetometer and barometer coincide, ``delta``
+   runs on over every row, which is the stacked update; otherwise each
+   sensor's correction starts from zero, from its raw residual, and the
+   corrections are added.  ``P`` is unpacked once per tick.  Only ``g``, ``s``
+   and the innovation differ between sensors, because each row skips the
+   products with its known zeros: the magnetometer rows (constant, built
+   once) are zero in columns 3-6, the barometer row is ``e6`` and a Pitot row
+   (built from ``Rhat b_j`` as it is folded) is zero in column 6.  The gain,
+   the downdate of ``P`` and the correction update are written once, and the
    floats are those of the dense kernel :func:`_update_row`;
 3. state integration: exponential step on SO(3), explicit step for the
    vector part.  The rates, their blend, the innovation injection and the
@@ -53,8 +55,7 @@ and the fold against it.  The dense forms of the recursion (``A_d``, the
 predict, the output rows and additive weights) and the reference code they
 are checked against (the stacked residuals, the continuous-time
 ``A(Rhat)`` and an RK4 integrator of the continuous Riccati equation) live
-with the tests, in ``tests/oracles.py``, and are not part of the
-package.
+with the tests, in ``tests/oracles.py``, and are not part of the package.
 
 Weight conventions
 ------------------
@@ -375,7 +376,7 @@ def _fold(p: tuple[float, ...], baro: float | None, mag: list[float] | None,
     """Fold one tick's aiding rows into the packed ``P``; returns it and
     the correction ``u``.
 
-    ``baro`` is the barometer residual, ``mag`` the whitened magnetometer
+    ``baro`` is the barometer residual, ``mag`` the two magnetometer
     residuals and ``pitot`` the whitened Pitot readings, None where the
     sensor did not sample; ``r``, ``v`` and ``rv`` are ``Rhat`` row by row,
     ``Vahat`` and ``Rhat Vahat``, and ``rows`` the observer's constants.
@@ -391,7 +392,7 @@ def _fold(p: tuple[float, ...], baro: float | None, mag: list[float] | None,
     (p00, p01, p02, p03, p04, p05, p06, p11, p12, p13, p14, p15, p16,
      p22, p23, p24, p25, p26, p33, p34, p35, p36, p44, p45, p46,
      p55, p56, p66) = p
-    q_baro, mag_rows, q_mag, axes, q_pitot = rows
+    q_baro, mag_rows, axes, q_pitot = rows
     r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
     v0, v1, v2 = v
     rv0, rv1, rv2 = rv
@@ -401,7 +402,8 @@ def _fold(p: tuple[float, ...], baro: float | None, mag: list[float] | None,
     d0 = d1 = d2 = d3 = d4 = d5 = d6 = u0 = u1 = u2 = u3 = u4 = u5 = u6 = 0.0
     for sensor, cs, ys, qs in (
             ("baro", (None,), None if baro is None else (baro,), (q_baro,)),
-            ("mag", mag_rows, mag, q_mag), ("pitot", axes, pitot, q_pitot)):
+            ("mag", mag_rows, mag, (1.0, 1.0)),
+            ("pitot", axes, pitot, q_pitot)):
         if ys is None:
             continue
         for c, y, q in zip(cs, ys, qs):
@@ -565,6 +567,8 @@ class AirDataObserver:
             raise ValueError(f"unknown q_convention {q_convention!r}")
         if integrator not in INTEGRATORS:
             raise ValueError(f"unknown integrator {integrator!r}")
+        if len(weights.Qp) != probes.m:
+            raise ValueError(f"Qp is {weights.Qp.shape} for {probes.m} probes")
         self.dt = float(dt)
         self.gravity = float(gravity)
         self._c_now, self._c_prev = INTEGRATORS[integrator]
@@ -576,26 +580,23 @@ class AirDataObserver:
         self._p = _pack(state0.P)
         self._state: ObserverState | None = None
         self._st = _pack(weights.S * self.dt)
-        # Each sensor's additive block, factored once: whitened constant
-        # rows (mag, baro), whitened probe axes, and the row variances.
+        # Each sensor's additive block, factored once.  The unit-whitened
+        # mag rows W (-(m_I)^x) = U S V^T have rank 2: U_2^T W maps the
+        # residual to two of unit variance, with the rows S_2 V_2^T.
         blocks = (weights.Qp, weights.Qm, np.array([[weights.Qb]]))
         if q_convention == "precision":
             blocks = [np.linalg.inv(block) for block in blocks]
-        ((self._w_pitot, q_pitot), (self._w_mag, q_mag),
+        ((self._w_pitot, q_pitot), (w, d),
          (_, (q_baro,))) = map(_whitener, blocks)
-        # Mag rows [-(m_I)^x | 0 | 0].
-        mag_rows = np.zeros((3, 7))
-        mag_rows[:, 0:3] = -skew(mag_ref.m_I)
+        w = (np.eye(3) if w is None else np.array(w)) / np.sqrt(d)[:, None]
+        u, sv, vt = np.linalg.svd(w @ -skew(mag_ref.m_I))
+        self._mag = (mag_ref.m_I.tolist(), (u[:, :2].T @ w).ravel().tolist())
         axes = probes.B.T
         if self._w_pitot is not None:
             axes = np.array(self._w_pitot) @ axes
-        if self._w_mag is not None:
-            mag_rows = np.array(self._w_mag) @ mag_rows
-        # The constants of _fold: the baro variance, the mag rows on their
-        # support, columns 0-2, and variances, the probe axes and variances.
-        self._rows = (q_baro, [row[0:3] for row in mag_rows.tolist()], q_mag,
-                      axes.tolist(), q_pitot)
-        self._m_i = mag_ref.m_I.tolist()
+        # _fold's constants: baro variance, mag rows, probe axes, variances.
+        self._rows = (q_baro, (sv[:2, None] * vt[:2]).tolist(), axes.tolist(),
+                      q_pitot)
         self._m = probes.m
 
     @property
@@ -626,9 +627,8 @@ class AirDataObserver:
         with one of :data:`RUN_FAILURES`; a failed tick changes nothing.
         """
         T, g, c_now, c_prev = self.dt, self.gravity, self._c_now, self._c_prev
-        st, rows, w_mag, w_pitot = (self._st, self._rows, self._w_mag,
-                                    self._w_pitot)
-        mi0, mi1, mi2 = self._m_i
+        st, rows, w_pitot = self._st, self._rows, self._w_pitot
+        (mi0, mi1, mi2), (a00, a01, a02, a10, a11, a12) = self._mag
         m = self._m
         pack_into, size = _RECORD.pack_into, _RECORD.size
         r, (v0, v1, v2), h, p = self._r, self._v, self._h, self._p
@@ -653,7 +653,7 @@ class AirDataObserver:
                                         T, st)
                 aided = not (baro is None and mag is None and pitot is None)
                 if aided:
-                    # Baro and whitened mag residuals, whitened Pitot readings.
+                    # Baro and mag residuals, whitened Pitot readings.
                     if baro is not None:
                         baro -= h
                     if mag is not None:
@@ -663,11 +663,11 @@ class AirDataObserver:
                             raise ValueError(
                                 f"{len(mag)} magnetometer readings, "
                                 "not 3") from None
-                        mag = [mi0 - (r00 * m0 + r01 * m1 + r02 * m2),
-                               mi1 - (r10 * m0 + r11 * m1 + r12 * m2),
-                               mi2 - (r20 * m0 + r21 * m1 + r22 * m2)]
-                        if w_mag is not None:
-                            mag = _lower_times(w_mag, mag)
+                        y0 = mi0 - (r00 * m0 + r01 * m1 + r02 * m2)
+                        y1 = mi1 - (r10 * m0 + r11 * m1 + r12 * m2)
+                        y2 = mi2 - (r20 * m0 + r21 * m1 + r22 * m2)
+                        mag = (a00 * y0 + a01 * y1 + a02 * y2,
+                               a10 * y0 + a11 * y1 + a12 * y2)
                     if pitot is not None:
                         if len(pitot) != m:
                             raise ValueError(

@@ -486,7 +486,7 @@ class TestMonteCarlo:
         _assert_trace_matches(tmp_path, 1, intact)
 
     @needs_fork
-    def test_singular_innovation_in_one_pooled_run_spares_the_batch(
+    def test_singular_innovation_in_one_forked_run_spares_the_batch(
             self, short_config, monkeypatch, tmp_path):
         # forked workers inherit the patched run_single; the fault is keyed
         # on the run index because each worker counts its own ticks
@@ -523,7 +523,7 @@ class TestMonteCarlo:
             _assert_trace_matches(tmp_path, run.run_index, ref)
 
     @needs_fork
-    def test_pooled_outputs_match_in_process(self, short_config, tmp_path,
+    def test_forked_outputs_match_in_process(self, short_config, tmp_path,
                                              monkeypatch):
         cfg = replace(short_config, runs=3)
         outputs = {}
@@ -540,8 +540,8 @@ class TestMonteCarlo:
         assert outputs[2] == outputs[1]
 
     @needs_fork
-    def test_pool_runs_elsewhere_and_leaves_no_process(self, short_config,
-                                                       monkeypatch, tmp_path):
+    def test_forked_runs_go_elsewhere_and_leave_no_process(
+            self, short_config, monkeypatch, tmp_path):
         _pin_cpus(monkeypatch, 2)
         orig = harness.run_single
 
@@ -561,7 +561,7 @@ class TestMonteCarlo:
         _assert_no_child()
 
     @needs_fork
-    def test_other_error_in_pooled_run_reaches_caller(self, short_config,
+    def test_other_error_in_forked_run_reaches_caller(self, short_config,
                                                       monkeypatch):
         _pin_cpus(monkeypatch, 2)
         orig = harness.run_single

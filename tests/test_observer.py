@@ -515,6 +515,19 @@ class TestObserverTick:
             np.testing.assert_array_equal(getattr(refused.state, field),
                                           getattr(obs.state, field))
 
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_qp_size_must_be_the_probe_count(self, mag_ref, weights, size):
+        # the fold zips the probe rows with Qp's variances: a smaller Qp
+        # would drop the last probes' readings, a larger one go unnoticed
+        probes = ProbeSet.from_axes([[1.0, 0.0, 0.0], [0.6, 0.8, 0.0]])
+        w = RiccatiWeights(Qp=np.eye(size), Qm=weights.Qm, Qb=weights.Qb,
+                           S=weights.S, P0=weights.P0)
+        with pytest.raises(ValueError,
+                           match=rf"^Qp is \({size}, {size}\) for 2 probes$"):
+            AirDataObserver(
+                truth_observer_state(TrajectorySpec.paper(), 0.0, p=w.P0),
+                w, probes, mag_ref, dt=0.005)
+
     def test_failed_tick_leaves_the_rate_history(self, probes, mag_ref,
                                                  weights):
         # a tick that fails the divergence floor keeps the estimate, so its
@@ -816,13 +829,14 @@ _FOLD_SUBSETS = [subset for n in (1, 2, 3) for subset in
 def _fold_by_rows(p, baro, mag, pitot, r, v, rv, rows):
     """What the fold computes, from _update_row on the full rows: sensor by
     sensor (barometer, magnetometer, Pitot), with the stacked correction
-    running on over every row and the sequential ones summed."""
-    q_baro, mag_rows, q_mag, axes, q_pitot = rows
+    running on over every row and the sequential ones summed.  The two
+    magnetometer rows have unit variance."""
+    q_baro, mag_rows, axes, q_pitot = rows
     blocks = []
     if baro is not None:
         blocks.append(([[0.0] * 6 + [1.0]], [baro], [q_baro]))
     if mag is not None:
-        blocks.append(([c + [0.0] * 4 for c in mag_rows], mag, q_mag))
+        blocks.append(([c + [0.0] * 4 for c in mag_rows], mag, [1.0, 1.0]))
     if pitot is not None:
         r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
         v0, v1, v2 = v
@@ -854,8 +868,8 @@ class TestRowKernels:
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(_FOLD_SUBSETS), st.integers(1, 3),
            st.integers(0, 2**32 - 1), st.floats(-6.0, 6.0),
-           st.lists(st.floats(1e-9, 1e6), min_size=7, max_size=7),
-           st.lists(st.floats(-1e3, 1e3), min_size=7, max_size=7))
+           st.lists(st.floats(1e-9, 1e6), min_size=4, max_size=4),
+           st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6))
     def test_matches_update_row(self, subset, n_probes, seed, log_scale,
                                 qs, ys):
         rng = np.random.default_rng(seed)
@@ -864,14 +878,55 @@ class TestRowKernels:
         vahat = 5.0 * rng.standard_normal(3)
         r, v, rv = (rhat.ravel().tolist(), tuple(vahat.tolist()),
                     tuple((rhat @ vahat).tolist()))
-        rows = (qs[0], rng.standard_normal((3, 3)).tolist(), qs[1:4],
+        rows = (qs[0], rng.standard_normal((2, 3)).tolist(),
                 rng.standard_normal((n_probes, 3)).tolist(),
-                qs[4:4 + n_probes])
+                qs[1:1 + n_probes])
         baro = ys[0] if "baro" in subset else None
-        mag = ys[1:4] if "mag" in subset else None
-        pitot = ys[4:4 + n_probes] if "pitot" in subset else None
+        mag = ys[1:3] if "mag" in subset else None
+        pitot = ys[3:3 + n_probes] if "pitot" in subset else None
         assert (observer._fold(p, baro, mag, pitot, r, v, rv, rows)
                 == _fold_by_rows(p, baro, mag, pitot, r, v, rv, rows))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["diagonal", "non_diagonal", "precision"]),
+           st.integers(0, 2**32 - 1))
+    def test_two_mag_rows_match_three_whitened_rows(self, case, seed):
+        # The observer's two magnetometer rows and residual map against the
+        # three rows -(m_I)^x and residuals m_I - Rhat m, whitened to unit
+        # variance by the Cholesky factor of the additive term: the block
+        # update is the same for any invertible map of rows and residuals.
+        rng = np.random.default_rng(seed)
+        if case == "diagonal":
+            qm = np.diag(rng.uniform(0.01, 0.1, 3))
+        else:
+            qm = 0.05 * _random_spd(rng, 3)
+        q_convention = "precision" if case == "precision" else "covariance"
+        m_i = rng.standard_normal(3)
+        m_i /= np.linalg.norm(m_i)
+        w = RiccatiWeights(Qp=np.eye(1), Qm=qm, Qb=1.0, S=np.eye(7),
+                           P0=np.eye(7))
+        obs = AirDataObserver(
+            ObserverState(np.eye(3), np.zeros(3), 0.0, np.eye(7)), w,
+            ProbeSet.from_axes([[1.0, 0.0, 0.0]]), MagReference(m_I=m_i),
+            dt=0.005, q_convention=q_convention)
+        p = observer._pack(_random_spd(rng))
+        rhat = geometry.exp_so3(rng.standard_normal(3))
+        vahat = 5.0 * rng.standard_normal(3)
+        r, v, rv = (rhat.ravel().tolist(), tuple(vahat.tolist()),
+                    tuple((rhat @ vahat).tolist()))
+        y = m_i - rhat @ (rhat.T @ m_i + 0.1 * rng.standard_normal(3))
+        mag = np.array(obs._mag[1]).reshape(2, 3) @ y
+        p2, u2 = observer._fold(p, None, mag.tolist(), None, r, v, rv,
+                                obs._rows)
+
+        q = np.linalg.inv(qm) if case == "precision" else qm
+        unit = np.linalg.inv(np.linalg.cholesky(q))
+        p3, u3 = p, (0.0,) * 7
+        for c, y_j in zip((unit @ -geometry.skew(m_i)).tolist(),
+                          (unit @ y).tolist()):
+            p3, u3 = observer._update_row(p3, c + [0.0] * 4, 1.0, y_j, u3)
+        np.testing.assert_allclose(p2, p3, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(u2, u3, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind, entry", [
         (SensorKind.MAG, (3, 3)),
