@@ -10,10 +10,12 @@ process while its siblings keep the other CPUs busy.  Memory mapped
 with :func:`shared_buffer` before the fork is shared with the child, for
 work that streams its results while the parent still runs.
 
-:func:`map_chunks` splits a batch into contiguous chunks, one per CPU,
-and runs each in a child of its own.  On Python 3.12 and later the fork
-emits a ``DeprecationWarning`` because numpy's BLAS threads exist in the
-parent process.
+Two parts of :mod:`airnav.harness` use it: a Monte Carlo batch, whose
+runs :func:`map_chunks` splits into contiguous chunks, one per CPU, each
+run by a child of its own; and the trace writer of a lone run, a child
+that formats the shared records while the parent ticks.  On Python 3.12
+and later the fork emits a ``DeprecationWarning`` because numpy's BLAS
+threads exist in the parent process.
 """
 
 from __future__ import annotations

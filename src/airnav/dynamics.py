@@ -99,6 +99,16 @@ def velocity(spec: TrajectorySpec, t) -> np.ndarray:
     return np.moveaxis(amp * np.cos(freq * t + phase), 0, -1)
 
 
+def displacement(spec: TrajectorySpec, t) -> np.ndarray:
+    """Integral of v from 0 to t, per axis; broadcasts like :func:`velocity`."""
+    t = np.asarray(t, dtype=float)
+    amp, freq, phase = _per_axis(spec, t)
+    still = freq == 0.0
+    wave = (amp / np.where(still, 1.0, freq)
+            * (np.sin(freq * t + phase) - np.sin(phase)))
+    return np.moveaxis(np.where(still, amp * np.cos(phase) * t, wave), 0, -1)
+
+
 def velocity_dot(spec: TrajectorySpec, t) -> np.ndarray:
     """Inertial acceleration dv/dt."""
     t = np.asarray(t, dtype=float)

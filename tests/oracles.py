@@ -35,7 +35,6 @@ from airnav import dynamics, geometry
 from airnav.dynamics import BodyInputs, NavState, TrajectorySpec
 from airnav.exceptions import AirnavError
 from airnav.geometry import E3, I3, skew
-from airnav.observability import DEFAULT_QUAD_STEP
 from airnav.observer import AirDataObserver, ObserverState, RiccatiWeights
 from airnav.sensors import (
     STACK_ORDER,
@@ -534,7 +533,7 @@ def _batch_skew(v: np.ndarray) -> np.ndarray:
 
 
 def integrate_phi(spec: TrajectorySpec, t: float, tau: float,
-                  step: float = DEFAULT_QUAD_STEP) -> np.ndarray:
+                  step: float = 1e-3) -> np.ndarray:
     """RK4 integration of the transition-matrix ODE.
 
     The product A*(s) Phi is evaluated blockwise (two block rows of A* are

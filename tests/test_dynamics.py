@@ -185,3 +185,22 @@ class TestBatchHelpers:
         s = truth_state(paper, t)
         inp = truth_inputs(paper, t)
         np.testing.assert_allclose(w, s.R @ inp.a, atol=1e-12)
+
+    def test_displacement_integrates_velocity(self):
+        # the y axis has zero frequency: a constant velocity
+        spec = TrajectorySpec(vel_amp=[1.5, -2.0, 0.8], vel_freq=[1.5, 0.0, 3.0],
+                              vel_phase=[0.3, 0.4, 0.0], h0=5.0)
+        ts = np.linspace(0.0, 7.3, 7301)
+        v = dynamics.velocity(spec, ts)
+        # trapezoid running integral; its error at step 1e-3 is below 1e-6
+        ref = np.concatenate((np.zeros((1, 3)), np.cumsum(
+            0.5 * (v[1:] + v[:-1]) * np.diff(ts)[:, None], axis=0)))
+        p = dynamics.displacement(spec, ts)
+        assert p.shape == (7301, 3)
+        np.testing.assert_allclose(p, ref, atol=1e-6)
+        np.testing.assert_array_equal(p[0], 0.0)
+        np.testing.assert_allclose(p[:, 2], dynamics.altitude(spec, ts) - 5.0,
+                                   atol=1e-12)
+        # a scalar time gives one 3-vector
+        np.testing.assert_allclose(dynamics.displacement(spec, ts[2500]),
+                                   p[2500], rtol=1e-14)

@@ -1,27 +1,27 @@
 import itertools
+import math
 import os
-import signal
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import cumulative_simpson, simpson
 
-from airnav import _fork, dynamics, observability
+from airnav import _fork, dynamics, geometry, observability
+from airnav.config import parse_config_text
 from airnav.dynamics import TrajectorySpec
 from airnav.geometry import skew
+from airnav.harness import run_single
 from airnav.observability import (
-    _cumulative_simpson,
-    _grid,
-    _plan,
-    _simpson_weights,
     gramian,
     observability_verdict,
     pe_margins,
     phi_blocks,
 )
+from airnav.observer import ObserverState
 from airnav.sensors import STACK_ORDER, MagReference, ProbeSet, SensorKind
 
-from oracles import _batch_skew, integrate_phi
+from oracles import _batch_skew, error_state, integrate_phi, truth_state
 
 G = 9.81
 M_I = np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0)
@@ -32,16 +32,14 @@ needs_fork = pytest.mark.skipif(not hasattr(os, "fork"),
 
 
 def _pin_cpus(monkeypatch, cpus):
-    """Let the sweep see ``cpus`` CPUs: with 1 it evaluates every half in
-    process; with 2 two forked children evaluate one half of the list
-    each."""
+    """Let the code under test see ``cpus`` CPUs."""
     monkeypatch.setattr(_fork, "cpu_count", lambda: cpus)
 
 
-def _count_forks(monkeypatch, fork=None):
-    """Count the calls of ``os.fork``, which ``fork`` (the real one by
-    default) then serves; returns the list that grows by one per call."""
-    calls, fork = [], fork or os.fork
+def _count_forks(monkeypatch):
+    """Count the calls of ``os.fork``; returns the list that grows by one
+    per call."""
+    calls, fork = [], os.fork
 
     def counted():
         calls.append(os.getpid())
@@ -49,22 +47,6 @@ def _count_forks(monkeypatch, fork=None):
 
     monkeypatch.setattr(os, "fork", counted)
     return calls
-
-
-def _assert_no_child():
-    # waitpid(-1) fails when this process has no child left, zombie or not
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _sweep_bits(report, rows) -> bytes:
-    """Every float of a sweep's report and rows, with the verdicts."""
-    floats = [report.lam_min, report.lam_max, report.delta, report.mu_pi,
-              report.mu_api] + [x for r in rows for x in (
-                  r.t_start, r.lam_min, r.lam_max, r.mu_pi, r.mu_api)]
-    flags = [report.verdict] + [r.verdict for r in rows]
-    return (report.W.tobytes() + np.array(floats).tobytes()
-            + np.array(flags).tobytes())
 
 
 @pytest.fixture
@@ -132,42 +114,70 @@ def _oracle_output_rows(spec, probes, mag_ref, s, sensors):
     return np.concatenate(blocks, axis=1)
 
 
-def _oracle_transition(spec, s):
-    """Phi*(s, s[0]) for every grid time, shape (n, 7, 7)."""
-    n = s.shape[0]
-    w = dynamics.inertial_specific_force(spec, s)
-    g1 = cumulative_simpson(w, x=s, axis=0, initial=0.0)
-    g2 = cumulative_simpson(g1, x=s, axis=0, initial=0.0)
-    phi = np.tile(np.eye(7), (n, 1, 1))
+def _oracle_grid(t, delta, step):
+    """Uniform grid over [t, t + delta]: an even interval count, each
+    interval at most ``step``."""
+    n = 2 * max(1, math.ceil(delta / (2.0 * step)))
+    return np.linspace(t, t + delta, n + 1)
+
+
+def _oracle_transition(s, g1, g2, t0):
+    """Phi*(s, t0) for every time of ``s`` from the running integrals of
+    R a from ``t0``, shape (n, 7, 7)."""
+    phi = np.tile(np.eye(7), (s.shape[0], 1, 1))
     phi[:, 3:6, 0:3] = -_batch_skew(g1)
     phi[:, 6, 0] = g2[:, 1]
     phi[:, 6, 1] = -g2[:, 0]
-    phi[:, 6, 5] = s - s[0]
+    phi[:, 6, 5] = s - t0
     return phi
 
 
-def oracle_gramian(spec, probes, mag_ref, t, delta, quad_step=1e-3,
+# Simpson's rule over consecutive pieces of an even interval count, sharing
+# their end points, sums to the rule over the whole grid; the oracles form
+# their (n, 7, 7) integrands this many intervals at a time.
+_ORACLE_PIECE = 2000
+
+
+def _pieces(n_points):
+    """Index slices of consecutive grid pieces sharing their end points."""
+    return [slice(a, min(a + _ORACLE_PIECE, n_points - 1) + 1)
+            for a in range(0, n_points - 1, _ORACLE_PIECE)]
+
+
+def oracle_gramian(spec, probes, mag_ref, t, delta, step=1e-4,
                    sensors=STACK_ORDER):
-    """Per-point C* Phi* products and Simpson over the (n, 7, 7) integrand."""
-    s = _grid(t, t + delta, quad_step)
-    c = _oracle_output_rows(spec, probes, mag_ref, s, sensors)
-    m = np.einsum("nij,njk->nik", c, _oracle_transition(spec, s))
-    integrand = np.einsum("nri,nrj->nij", m, m)
-    w = simpson(integrand, x=s, axis=0) / delta
+    """Per-point C* Phi* products and Simpson over the (n, 7, 7) integrand,
+    with ``g1``, ``g2`` by cumulative Simpson of ``R a`` on the grid."""
+    s = _oracle_grid(t, delta, step)
+    w = dynamics.inertial_specific_force(spec, s)
+    g1 = cumulative_simpson(w, x=s, axis=0, initial=0.0)
+    g2 = cumulative_simpson(g1, x=s, axis=0, initial=0.0)
+    total = np.zeros((7, 7))
+    for piece in _pieces(s.shape[0]):
+        sp = s[piece]
+        c = _oracle_output_rows(spec, probes, mag_ref, sp, sensors)
+        phi = _oracle_transition(sp, g1[piece], g2[piece], s[0])
+        m = np.einsum("nij,njk->nik", c, phi)
+        integrand = np.einsum("nri,nrj->nij", m, m)
+        total += simpson(integrand, x=sp, axis=0)
+    w = total / delta
     return 0.5 * (w + w.T)
 
 
-def oracle_pe_grams(spec, probes, t, delta, quad_step=1e-3):
+def oracle_pe_grams(spec, probes, t, delta, step=1e-4):
     """The two PE Gram matrices by per-point einsums and Simpson."""
-    s = _grid(t, t + delta, quad_step)
-    rot = dynamics.attitude_batch(spec, s)
-    pi = np.einsum("ij,njk,kl->nil", probes.B.T, rot, J_HORIZONTAL)
-    gram_pi = simpson(np.einsum("nij,nik->njk", pi, pi), x=s, axis=0) / delta
-    w = dynamics.inertial_specific_force(spec, s)
-    a_pi = np.stack((-w[:, 1], w[:, 0]), axis=-1)[:, None, :]
-    gram_api = simpson(np.einsum("nij,nik->njk", a_pi, a_pi),
-                       x=s, axis=0) / delta
-    return gram_pi, gram_api
+    s = _oracle_grid(t, delta, step)
+    gram_pi, gram_api = np.zeros((2, 2)), np.zeros((2, 2))
+    for piece in _pieces(s.shape[0]):
+        sp = s[piece]
+        rot = dynamics.attitude_batch(spec, sp)
+        pi = np.einsum("ij,njk,kl->nil", probes.B.T, rot, J_HORIZONTAL)
+        gram_pi += simpson(np.einsum("nij,nik->njk", pi, pi), x=sp, axis=0)
+        w = dynamics.inertial_specific_force(spec, sp)
+        a_pi = np.stack((-w[:, 1], w[:, 0]), axis=-1)[:, None, :]
+        gram_api += simpson(np.einsum("nij,nik->njk", a_pi, a_pi),
+                            x=sp, axis=0)
+    return gram_pi / delta, gram_api / delta
 
 
 PROBE_SETS = {
@@ -185,6 +195,13 @@ def _trajectory(name):
         return TrajectorySpec.paper(duration=60.0, gravity=G)
     if name == "hover":
         return TrajectorySpec.hover(duration=60.0, gravity=G)
+    if name == "fast":
+        # omega = 2 * 30 + 2 * (1 + 20) = 102 rad/s: panels of 10/102 s
+        return TrajectorySpec(duration=60.0, gravity=G,
+                              vel_amp=[4.0, -3.0, 2.0],
+                              vel_freq=[30.0, 17.0, 25.0],
+                              vel_phase=[0.3, 1.1, 2.0],
+                              yaw_amp=1.0, yaw_freq=20.0)
     return random_spec(np.random.default_rng(7))
 
 
@@ -221,6 +238,13 @@ class TestPhiBlocks:
     def test_rejects_reversed_window(self, paper):
         with pytest.raises(ValueError):
             phi_blocks(paper, 1.0, 2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_times(self, paper, bad):
+        with pytest.raises(ValueError, match="^t must be finite"):
+            phi_blocks(paper, bad, 0.0)
+        with pytest.raises(ValueError, match="^tau must be finite"):
+            phi_blocks(paper, 1.0, bad)
 
 
 class TestGramian:
@@ -262,10 +286,6 @@ class TestGramian:
         assert mins[0] <= mins[1] + 1e-12
         assert mins[1] <= mins[2] + 1e-12
 
-    def test_quad_step_guard(self, paper, single_probe, mag_ref):
-        with pytest.raises(ValueError):
-            gramian(paper, single_probe, mag_ref, 0.0, 4.0, quad_step=0.1)
-
     @pytest.mark.parametrize("traj", ["paper", "hover", "random"])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matches_einsum_oracle(self, traj, m, mag_ref):
@@ -280,32 +300,44 @@ class TestGramian:
                 err_msg=str(subset))
 
 
-def test_simpson_weights_match_scipy_on_unequal_grid():
-    rng = np.random.default_rng(3)
-    s = np.cumsum(rng.uniform(0.5, 1.5, 9)) - 0.3
-    y = rng.standard_normal((9, 4))
-    np.testing.assert_allclose(_simpson_weights(s) @ y,
-                               simpson(y, x=s, axis=0), rtol=1e-14)
+    @pytest.mark.parametrize("delta", [4.0, 12.0, 40.0])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_fast_trajectory_matches_oracle(self, delta, m, mag_ref):
+        # many panels per window on a trajectory whose integrands oscillate
+        # at up to ~100 rad/s; the oracle's own Simpson error at step 1e-4
+        # is below 1e-12 here (at 1e-3 it is about 5e-9)
+        spec = _trajectory("fast")
+        probes = ProbeSet.from_axes(PROBE_SETS[m])
+        w = gramian(spec, probes, mag_ref, 1.5, delta)
+        ref = oracle_gramian(spec, probes, mag_ref, 1.5, delta, step=1e-4)
+        np.testing.assert_allclose(w, ref, rtol=1e-10,
+                                   atol=1e-10 * np.abs(ref).max())
+        mu = pe_margins(spec, probes, 1.5, delta)
+        for value, gram in zip(mu, oracle_pe_grams(spec, probes, 1.5, delta,
+                                                   step=1e-4)):
+            assert value == pytest.approx(np.linalg.eigvalsh(gram)[0],
+                                          rel=1e-10,
+                                          abs=1e-10 * np.abs(gram).max())
 
 
-@pytest.mark.parametrize("n", [3, 4, 4000, 4001])
-def test_cumulative_simpson_is_bit_equal_to_scipy(n):
-    # odd and even point counts; signed zeros exercise the initial row.
-    # Data confined to the first or last points keeps the running sums
-    # small, so a last-bit change in the end pieces is not absorbed.
-    rng = np.random.default_rng(n)
-    full = rng.standard_normal((n, 3))
-    full[:, 2] = 0.0
-    full[::3, 2] = -0.0
-    head, tail = np.zeros((n, 3)), np.zeros((n, 3))
-    head[:3] = rng.standard_normal((3, 3))
-    tail[-3:] = rng.standard_normal((3, 3))
-    dx = 60.0 / 4000
-    for y in (full, head, tail):
-        expected = cumulative_simpson(y, dx=dx, axis=0, initial=0.0)
-        got = _cumulative_simpson(y, dx)
-        assert np.array_equal(got, expected)
-        assert got.tobytes() == expected.tobytes()
+class TestQuadratureRule:
+    def test_nodes_and_weights_match_numpy(self):
+        from numpy.polynomial.legendre import leggauss
+        x, w = leggauss(12)
+        nodes, weights = observability._gauss_legendre()
+        np.testing.assert_allclose(nodes, 0.5 * (1.0 + x), rtol=0,
+                                   atol=1e-15)
+        np.testing.assert_allclose(weights, 0.5 * w, rtol=1e-14)
+
+    @pytest.mark.parametrize("traj, delta, panels", [
+        ("hover", 4.0, 4),     # omega = 0: 1-s panels
+        ("hover", 0.1, 1),     # the shortest window
+        ("paper", 4.0, 5),     # omega = 10.6: panels of at most 0.943 s
+        ("fast", 4.0, 41),     # omega = 102
+        ("fast", 40.0, 408),
+    ])
+    def test_panels_follow_the_spec(self, traj, delta, panels):
+        assert observability._panels(_trajectory(traj), delta) == panels
 
 
 class TestPeMargins:
@@ -407,6 +439,56 @@ class TestVerdict:
         assert [r.t_start for r in rows[:-1]] == [0.0, 0.5, 1.0, 1.5]
         assert rows[-1].t_start == duration - 1.0
 
+    @pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_duration(self, paper, single_probe, mag_ref,
+                                         duration):
+        with pytest.raises(ValueError, match="^duration must be finite"):
+            observability_verdict(paper, single_probe, mag_ref, delta=4.0,
+                                  duration=duration)
+
+    def test_sweep_evaluates_blocks_of_at_most_1024_nodes(
+            self, monkeypatch, paper, single_probe, mag_ref):
+        sizes, orig = [], dynamics.attitude_batch
+
+        def counted(spec, t):
+            sizes.append(np.size(t))
+            return orig(spec, t)
+
+        monkeypatch.setattr(dynamics, "attitude_batch", counted)
+        _, rows = observability_verdict(paper, single_probe, mag_ref,
+                                        delta=4.0, duration=60.0)
+        # 29 windows of 5 panels, 12 nodes each
+        assert len(rows) == 29
+        assert sum(sizes) == 29 * 5 * 12
+        assert 1 < len(sizes) and max(sizes) <= 1024
+
+    def test_sweep_rows_are_the_single_window_results(self, paper,
+                                                      single_probe, mag_ref):
+        # one code path, and a window's panels are summed in order however
+        # they fall into blocks: the same bits as one window on its own
+        report, rows = observability_verdict(paper, single_probe, mag_ref,
+                                             delta=4.0, duration=60.0)
+        for row in rows[::4] + [rows[-1]]:
+            eig = np.linalg.eigvalsh(
+                gramian(paper, single_probe, mag_ref, row.t_start, 4.0))
+            assert (row.lam_min, row.lam_max) == (eig[0], eig[-1])
+            assert (row.mu_pi, row.mu_api) == pe_margins(
+                paper, single_probe, row.t_start, 4.0)
+        worst = min(rows, key=lambda r: r.lam_min)
+        np.testing.assert_array_equal(report.W, gramian(
+            paper, single_probe, mag_ref, worst.t_start, 4.0))
+
+    @needs_fork
+    def test_sweep_and_single_windows_never_fork(self, monkeypatch, paper,
+                                                 single_probe, mag_ref):
+        _pin_cpus(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        observability_verdict(paper, single_probe, mag_ref, delta=4.0,
+                              duration=20.0)
+        gramian(paper, single_probe, mag_ref, 0.0, 4.0)
+        pe_margins(paper, single_probe, 0.0, 4.0)
+        assert forks == []
+
     # Zero and negative windows are checked through the CLI in a subprocess
     # with a timeout (tests/test_harness.py), so a regression that loops
     # cannot hang the suite.
@@ -418,35 +500,6 @@ class TestVerdict:
 
 
 class TestHalfWindowComposition:
-    def test_grid_is_a_multiple_of_4_and_unchanged_for_used_windows(self):
-        for delta, intervals in ((4.0, 4000), (2.0, 2000), (1.0, 1000),
-                                 (1.25, 1252), (0.002, 4)):
-            assert _grid(3.0, 3.0 + delta, 1e-3).shape[0] - 1 == intervals
-
-    def test_sweep_builds_each_half_window_once(self, monkeypatch, paper,
-                                                single_probe, mag_ref):
-        halves, pairs = _plan(4.0, 20.0)
-        assert len(pairs) == 9
-        assert len(set(halves)) == len(halves) == 10
-        # in process, so every half is counted here
-        _pin_cpus(monkeypatch, 1)
-        calls = {"force": 0, "attitude": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(dynamics, "inertial_specific_force", counted(
-            "force", dynamics.inertial_specific_force))
-        monkeypatch.setattr(dynamics, "attitude_batch", counted(
-            "attitude", dynamics.attitude_batch))
-        _, rows = observability_verdict(paper, single_probe, mag_ref,
-                                        delta=4.0, duration=20.0)
-        assert len(rows) == 9
-        assert calls == {"force": 10, "attitude": 10}
-
     def test_clamped_off_grid_window_matches_oracle_row_by_row(
             self, paper, single_probe, mag_ref):
         duration = 3.0 - 5e-10
@@ -466,7 +519,7 @@ class TestHalfWindowComposition:
     @pytest.mark.parametrize("traj", ["paper", "random"])
     def test_window_off_the_old_grid_rule_matches_oracle(self, traj,
                                                          mag_ref):
-        # 1.25 s at 1e-3 was 1250 intervals (even, not a multiple of 4)
+        # 1.25 s: two panels of 0.625 s on the paper trajectory
         spec = _trajectory(traj)
         probes = ProbeSet.from_axes(PROBE_SETS[2])
         w = gramian(spec, probes, mag_ref, 0.5, 1.25)
@@ -488,14 +541,13 @@ class TestHalfWindowComposition:
         with pytest.raises(ValueError):
             pe_margins(paper, single_probe, 0.0, delta)
 
-    @pytest.mark.parametrize("quad_step", [1.0, 0.05, 0.0, -1e-3, np.nan])
-    def test_gramian_and_pe_margins_reject_bad_quad_step(
-            self, paper, single_probe, mag_ref, quad_step):
-        with pytest.raises(ValueError):
-            gramian(paper, single_probe, mag_ref, 0.0, 4.0,
-                    quad_step=quad_step)
-        with pytest.raises(ValueError):
-            pe_margins(paper, single_probe, 0.0, 4.0, quad_step=quad_step)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_gramian_and_pe_margins_reject_non_finite_start(
+            self, paper, single_probe, mag_ref, bad):
+        with pytest.raises(ValueError, match="^t must be finite"):
+            gramian(paper, single_probe, mag_ref, bad, 4.0)
+        with pytest.raises(ValueError, match="^t must be finite"):
+            pe_margins(paper, single_probe, bad, 4.0)
 
     @pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0, -1e-6])
     def test_verdict_rejects_bad_threshold(self, paper, single_probe,
@@ -505,105 +557,49 @@ class TestHalfWindowComposition:
                                   lam_threshold=threshold, duration=12.0)
 
 
-@needs_fork
-class TestForkedSweep:
-    @pytest.mark.parametrize("duration, delta, windows, halves", [
-        (60.0, 4.0, 29, 30),       # the paper sweep
-        (3.0 - 5e-10, 1.0, 5, 7),  # a clamped last window off the grid
-        (4.0, 4.0, 1, 2),          # a single window
-        (10.0, 4.0, 4, 5),         # aligned windows, an odd number of halves
-    ])
-    def test_forked_sweep_is_bit_identical_to_in_process(
-            self, monkeypatch, paper, single_probe, mag_ref, duration, delta,
-            windows, halves):
-        assert len(_plan(delta, duration)[0]) == halves
-        bits = {}
-        for cpus in (1, 2):
-            _pin_cpus(monkeypatch, cpus)
-            forks = _count_forks(monkeypatch)
-            report, rows = observability_verdict(
-                paper, single_probe, mag_ref, delta=delta, duration=duration)
-            assert len(rows) == windows
-            assert len(forks) == (0 if cpus == 1 else 2)
-            _assert_no_child()
-            bits[cpus] = _sweep_bits(report, rows)
-            monkeypatch.undo()
-        assert bits[2] == bits[1]
+class TestVerdictAgainstObserver:
+    def test_rejected_hover_keeps_its_null_space_error(self):
+        # Noise-free hover with one forward probe, which the verdict
+        # rejects.  The 4-s Gramian's null space holds inertial v_y and the
+        # attitude about m_I.  The run starts 0.1 rad off in pitch, which
+        # is observable, 1 m/s off in v_y and 1 m off in altitude.
+        cfg = parse_config_text(
+            "duration = 40\ntrajectory = hover\nsigma_gyro = 0\n"
+            "sigma_acc = 0\nsigma_pitot = [0]\nsigma_mag = [0, 0, 0]\n"
+            "sigma_baro = 0\nq_pitot = [[25.0]]\n"
+            "q_mag = [[0.01, 0, 0], [0, 0.01, 0], [0, 0, 0.01]]\n"
+            "q_baro = 0.25\n")
+        spec = cfg.trajectory
+        report, _ = observability_verdict(spec, cfg.probes, cfg.mag_ref,
+                                          delta=4.0, duration=40.0)
+        assert not report.verdict
+        eig, vec = np.linalg.eigh(
+            gramian(spec, cfg.probes, cfg.mag_ref, 0.0, 4.0))
+        null = vec[:, eig <= 1e-10 * eig[-1]]
+        assert null.shape[1] == 2
+        observable = np.eye(7) - null @ null.T
 
-    def test_failed_fork_evaluates_in_process(self, monkeypatch, paper,
-                                              single_probe, mag_ref):
-        _pin_cpus(monkeypatch, 1)
-        expected = _sweep_bits(*observability_verdict(
-            paper, single_probe, mag_ref, delta=4.0, duration=12.0))
+        truth0 = truth_state(spec, 0.0)
+        rhat = geometry.exp_so3(np.array([0.0, 0.1, 0.0])).T @ truth0.R
+        vahat = rhat.T @ (truth0.R @ truth0.Va - np.array([0.0, 1.0, 0.0]))
+        m = run_single(cfg, 0, initial_state=ObserverState(
+            Rhat=rhat, Vahat=vahat, hhat=truth0.h - 1.0,
+            P=cfg.weights.P0.copy()))
+        assert not m.diverged
 
-        def no_fork():
-            raise BlockingIOError("no process left to start")
+        def error(i):
+            est = SimpleNamespace(
+                Rhat=geometry.euler_zyx_to_rot(*m.euler_hat[i]),
+                Vahat=m.va_hat[i], hhat=m.h_hat[i])
+            return error_state(truth_state(spec, float(m.t[i])),
+                               est).as_vector()
 
-        _pin_cpus(monkeypatch, 2)
-        forks = _count_forks(monkeypatch, no_fork)
-        assert _sweep_bits(*observability_verdict(
-            paper, single_probe, mag_ref, delta=4.0,
-            duration=12.0)) == expected
-        assert len(forks) == 2
-
-    @pytest.mark.parametrize("chunk", ["first", "second"])
-    def test_error_in_either_chunk_reaches_caller(self, monkeypatch, paper,
-                                                  single_probe, mag_ref,
-                                                  chunk):
-        _pin_cpus(monkeypatch, 2)
-        forks = _count_forks(monkeypatch)
-        parent, orig = os.getpid(), observability._half_window
-
-        def failing(spec, probes, mag_ref, s, sensors):
-            # 9 windows list 10 halves of 2 s: the first chunk ends at 10 s
-            assert os.getpid() != parent
-            if (s[0] < 10.0) == (chunk == "first"):
-                raise FloatingPointError(f"forced in the {chunk} chunk")
-            return orig(spec, probes, mag_ref, s, sensors)
-
-        monkeypatch.setattr(observability, "_half_window", failing)
-        with pytest.raises(FloatingPointError,
-                           match=f"^forced in the {chunk} chunk$"):
-            observability_verdict(paper, single_probe, mag_ref, delta=4.0,
-                                  duration=20.0)
-        assert forks == [parent, parent]
-        _assert_no_child()
-
-    def test_killed_child_reaches_caller(self, monkeypatch, paper,
-                                         single_probe, mag_ref):
-        _pin_cpus(monkeypatch, 2)
-        parent, orig = os.getpid(), observability._half_window
-
-        def killed(*args):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return orig(*args)
-
-        monkeypatch.setattr(observability, "_half_window", killed)
-        with pytest.raises(RuntimeError,
-                           match="^observability worker killed by signal "
-                                 f"{int(signal.SIGKILL)}$"):
-            observability_verdict(paper, single_probe, mag_ref, delta=4.0,
-                                  duration=20.0)
-        _assert_no_child()
-
-    @pytest.mark.parametrize("bad", [
-        {"delta": np.nan}, {"delta": 12.5}, {"quad_step": 0.05},
-        {"quad_step": np.nan}, {"lam_threshold": 0.0}])
-    def test_bad_input_is_refused_before_any_fork(self, monkeypatch, paper,
-                                                  single_probe, mag_ref,
-                                                  bad):
-        _pin_cpus(monkeypatch, 2)
-        forks = _count_forks(monkeypatch)
-        with pytest.raises(ValueError):
-            observability_verdict(paper, single_probe, mag_ref,
-                                  duration=12.0, **{"delta": 4.0, **bad})
-        assert forks == []
-
-    def test_gramian_and_pe_margins_never_fork(self, monkeypatch, paper,
-                                               single_probe, mag_ref):
-        _pin_cpus(monkeypatch, 2)
-        forks = _count_forks(monkeypatch)
-        gramian(paper, single_probe, mag_ref, 0.0, 4.0)
-        pe_margins(paper, single_probe, 0.0, 4.0)
-        assert forks == []
+        e0, e_mid, e_end = error(0), error(m.t.shape[0] // 2), error(-1)
+        norm = np.linalg.norm
+        # the error in the null space does not decay ...
+        assert norm(null.T @ e_end) >= 0.5 * norm(null.T @ e0)
+        assert norm(null.T @ e_end) >= 0.9 * norm(null.T @ e_mid)
+        # ... while the attitude, altitude and observable errors do
+        assert norm(e_end[0:3]) < 0.01 * norm(e0[0:3])
+        assert abs(e_end[6]) < 0.01 * abs(e0[6])
+        assert norm(observable @ e_end) < 0.01 * norm(observable @ e0)
