@@ -49,6 +49,16 @@ def _count_forks(monkeypatch):
     return calls
 
 
+def _sweep_bits(report, rows) -> bytes:
+    """Every float of a sweep's report and rows, with the verdicts."""
+    floats = [report.lam_min, report.lam_max, report.delta, report.mu_pi,
+              report.mu_api] + [x for r in rows for x in (
+                  r.t_start, r.lam_min, r.lam_max, r.mu_pi, r.mu_api)]
+    flags = [report.verdict] + [r.verdict for r in rows]
+    return (report.W.tobytes() + np.array(floats).tobytes()
+            + np.array(flags).tobytes())
+
+
 @pytest.fixture
 def paper():
     return TrajectorySpec.paper(duration=60.0, gravity=G)
@@ -286,6 +296,14 @@ class TestGramian:
         assert mins[0] <= mins[1] + 1e-12
         assert mins[1] <= mins[2] + 1e-12
 
+    def test_quad_step_guard(self, paper, single_probe, mag_ref):
+        # the panels follow from the spec, so no step can be passed; the
+        # 0.1-s floor that the step's guard enforced still holds
+        with pytest.raises(TypeError, match="quad_step"):
+            gramian(paper, single_probe, mag_ref, 0.0, 4.0, quad_step=0.1)
+        with pytest.raises(ValueError, match="^window must be finite"):
+            gramian(paper, single_probe, mag_ref, 0.0, 0.05)
+
     @pytest.mark.parametrize("traj", ["paper", "hover", "random"])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_matches_einsum_oracle(self, traj, m, mag_ref):
@@ -478,17 +496,6 @@ class TestVerdict:
         np.testing.assert_array_equal(report.W, gramian(
             paper, single_probe, mag_ref, worst.t_start, 4.0))
 
-    @needs_fork
-    def test_sweep_and_single_windows_never_fork(self, monkeypatch, paper,
-                                                 single_probe, mag_ref):
-        _pin_cpus(monkeypatch, 2)
-        forks = _count_forks(monkeypatch)
-        observability_verdict(paper, single_probe, mag_ref, delta=4.0,
-                              duration=20.0)
-        gramian(paper, single_probe, mag_ref, 0.0, 4.0)
-        pe_margins(paper, single_probe, 0.0, 4.0)
-        assert forks == []
-
     # Zero and negative windows are checked through the CLI in a subprocess
     # with a timeout (tests/test_harness.py), so a regression that loops
     # cannot hang the suite.
@@ -549,12 +556,85 @@ class TestHalfWindowComposition:
         with pytest.raises(ValueError, match="^t must be finite"):
             pe_margins(paper, single_probe, bad, 4.0)
 
+    @pytest.mark.parametrize("quad_step", [1.0, 0.05, 0.0, -1e-3, np.nan])
+    def test_gramian_and_pe_margins_reject_bad_quad_step(
+            self, paper, single_probe, mag_ref, quad_step):
+        # no step is taken any more, good or bad: none is silently ignored
+        with pytest.raises(TypeError, match="quad_step"):
+            gramian(paper, single_probe, mag_ref, 0.0, 4.0,
+                    quad_step=quad_step)
+        with pytest.raises(TypeError, match="quad_step"):
+            pe_margins(paper, single_probe, 0.0, 4.0, quad_step=quad_step)
+
     @pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0, -1e-6])
     def test_verdict_rejects_bad_threshold(self, paper, single_probe,
                                            mag_ref, threshold):
         with pytest.raises(ValueError, match="lam_threshold"):
             observability_verdict(paper, single_probe, mag_ref, delta=4.0,
                                   lam_threshold=threshold, duration=12.0)
+
+
+@needs_fork
+class TestForkedSweep:
+    """The sweep runs in this process, however many CPUs it may use.  Run
+    in a forked child, as a Monte Carlo batch runs its work, it gives the
+    same bits."""
+
+    @pytest.mark.parametrize("duration, delta, windows", [
+        (60.0, 4.0, 29),        # the paper sweep
+        (3.0 - 5e-10, 1.0, 5),  # a clamped last window
+        (4.0, 4.0, 1),          # a single window
+        (10.0, 4.0, 4),         # aligned windows
+    ])
+    def test_forked_sweep_is_bit_identical_to_in_process(
+            self, monkeypatch, paper, single_probe, mag_ref, duration, delta,
+            windows):
+        _pin_cpus(monkeypatch, 2)
+
+        def sweep():
+            return observability_verdict(paper, single_probe, mag_ref,
+                                         delta=delta, duration=duration)
+
+        def cold_sweep():
+            # the child builds the Gauss-Legendre rule for itself
+            observability._gauss_legendre.cache_clear()
+            return _sweep_bits(*sweep())
+
+        child = _fork.start(cold_sweep)
+        assert child is not None
+        forked, error = _fork.reap(*child, "sweep child")
+        assert error is None
+        forks = _count_forks(monkeypatch)
+        report, rows = sweep()
+        assert forks == []
+        assert len(rows) == windows
+        assert forked == _sweep_bits(report, rows)
+
+    @pytest.mark.parametrize("bad", [
+        {"delta": np.nan}, {"delta": 12.5}, {"duration": np.inf},
+        {"duration": np.nan}, {"lam_threshold": 0.0}])
+    def test_bad_input_is_refused_before_any_fork(self, monkeypatch, paper,
+                                                  single_probe, mag_ref,
+                                                  bad):
+        _pin_cpus(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        nodes = []
+        monkeypatch.setattr(dynamics, "attitude_batch",
+                            lambda spec, t: nodes.append(t))
+        with pytest.raises(ValueError):
+            observability_verdict(paper, single_probe, mag_ref,
+                                  **{"delta": 4.0, "duration": 12.0, **bad})
+        assert forks == [] and nodes == []
+
+    def test_gramian_and_pe_margins_never_fork(self, monkeypatch, paper,
+                                               single_probe, mag_ref):
+        _pin_cpus(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        observability_verdict(paper, single_probe, mag_ref, delta=4.0,
+                              duration=20.0)
+        gramian(paper, single_probe, mag_ref, 0.0, 4.0)
+        pe_margins(paper, single_probe, 0.0, 4.0)
+        assert forks == []
 
 
 class TestVerdictAgainstObserver:
