@@ -109,6 +109,24 @@ def displacement(spec: TrajectorySpec, t) -> np.ndarray:
     return np.moveaxis(np.where(still, amp * np.cos(phase) * t, wave), 0, -1)
 
 
+def horizontal_motion(spec: TrajectorySpec, t,
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Horizontal displacement from 0 and acceleration at ``t``.
+
+    The first two axes of :func:`displacement` and :func:`velocity_dot`,
+    from one sine per axis, each of shape ``(2,) + t.shape``: the axis comes
+    first, so each axis runs along ``t``.
+    """
+    t = np.asarray(t, dtype=float)
+    amp, freq, phase = (a[:2] for a in _per_axis(spec, t))
+    still = freq == 0.0
+    wave = np.sin(freq * t + phase)
+    # a still axis has wave == sin(phase) and moves at amp cos(phase)
+    p = (amp / np.where(still, 1.0, freq) * (wave - np.sin(phase))
+         + np.where(still, amp * np.cos(phase), 0.0) * t)
+    return p, -amp * freq * wave
+
+
 def velocity_dot(spec: TrajectorySpec, t) -> np.ndarray:
     """Inertial acceleration dv/dt."""
     t = np.asarray(t, dtype=float)

@@ -101,6 +101,10 @@ EIG_BLOCK_ROWS = 1024
 _TRACE_HEADER = ",".join(TRACE_COLUMNS) + "\n"
 _TRACE_ROW = ",".join([FLOAT_FORMAT] * len(TRACE_COLUMNS)) + "\n"
 
+_OBSERVABILITY_HEADER = ("t_window_start,lam_min_W,lam_max_W,mu_pi,mu_api,"
+                         "verdict\n")
+_OBSERVABILITY_ROW = ",".join([FLOAT_FORMAT] * 5) + ",%s\n"
+
 METRIC_KEYS = ("err_att", "err_v_body", "err_v_inertial", "err_h")
 
 # Across-run statistics are reported at these times (seconds).
@@ -667,16 +671,13 @@ def write_summary_csv(path, summary: MonteCarloSummary) -> None:
 
 
 def write_observability_csv(path, rows) -> None:
-    """Write the per-window observability table."""
-    def fmt(x: float) -> str:
-        return FLOAT_FORMAT % x
+    """Write the per-window observability table.
 
+    No field needs quoting, so each line is :data:`_OBSERVABILITY_ROW` and
+    the file has the bytes that ``csv.writer`` gives.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t_window_start", "lam_min_W", "lam_max_W",
-                         "mu_pi", "mu_api", "verdict"])
-        for row in rows:
-            writer.writerow([fmt(row.t_start), fmt(row.lam_min),
-                             fmt(row.lam_max), fmt(row.mu_pi),
-                             fmt(row.mu_api),
-                             "true" if row.verdict else "false"])
+        fh.write(_OBSERVABILITY_HEADER)
+        fh.writelines(_OBSERVABILITY_ROW % (
+            row.t_start, row.lam_min, row.lam_max, row.mu_pi, row.mu_api,
+            "true" if row.verdict else "false") for row in rows)

@@ -30,12 +30,25 @@ error on ``exp(i omega s)`` over a panel of length ``h`` is
 ``h (omega h)^24 (12!)^4 / (25 (24!)^3)``, about 1e-14 h at ``omega h =
 10``: the rule sits at rounding level.
 
+The rows need neither ``v(s)`` nor a rotation matrix at the nodes.  A
+Pitot row takes ``va - g1``, with ``va = v - wind`` the inertial air
+velocity, and that is ``v(t0) - wind + g (s - t0) e3`` exactly.  The
+family's attitude is ``Rz(psi)`` (:mod:`airnav.dynamics`), so ``R b_j``,
+its cross products and ``B^T R J`` are formed from ``cos psi`` and ``sin
+psi`` of :func:`airnav.dynamics.yaw_angle`; the baro and specific-force rows
+take one sine per horizontal axis (:func:`airnav.dynamics.horizontal_motion`).
+The window-start terms ``v(t0)`` and ``p(t0)`` are evaluated once per
+window, for up to 512 windows at a time.
+
 :func:`observability_verdict` evaluates every window of its sweep in this
-process, in blocks of at most 1020 nodes (85 panels) so that its
-temporaries stay small.  Each panel's weighted sums are added into its
-window in panel order, so a window gets the same bits however the panels
-fall into blocks, and :func:`gramian`, :func:`pe_margins` and the sweep
-share that one code path.
+process, in blocks of at most 1020 nodes (85 panels): as many whole windows
+as fit, or 85 panels of a longer one, so that its temporaries stay small.
+Each panel's weighted sums are added into its window in panel order, so a
+window gets the same bits however the panels fall into blocks, and
+:func:`gramian`, :func:`pe_margins` and the sweep share that one code path.
+A block's windows are reduced to their rows as soon as the block is done,
+and only the worst window's Gramian is kept for the report: beyond the rows
+it returns, the sweep's memory does not grow with the window count.
 """
 
 from __future__ import annotations
@@ -164,89 +177,160 @@ def _panels(spec: TrajectorySpec, delta: float) -> int:
     return max(1, math.ceil(delta * max(1.0, omega / 10.0)))
 
 
-def _gram(rows: np.ndarray) -> np.ndarray:
-    """``sum_k rows[:, k]^T rows[:, k]`` per panel: (p, n, r, c) to (p, c, c)."""
-    flat = rows.reshape(rows.shape[0], -1, rows.shape[-1])
-    return flat.transpose(0, 2, 1) @ flat
+# Columns of a panel's flattened sums: the 7x7 Gramian integrand, then the
+# two 2x2 PE integrands.
+_SUMS = 49 + 4 + 4
+# Windows whose start terms are evaluated together; they take 48 bytes each.
+_START_CHUNK = 512
+
+
+def _gram(cols: np.ndarray) -> np.ndarray:
+    """``X X^T`` per panel, flattened: ``cols`` (w, q, c, ...) holds the
+    (c, k) matrix ``X`` of each of q panels of w windows; returns
+    (w, q, c * c)."""
+    x = cols.reshape(cols.shape[:3] + (-1,))
+    # a transposed view as an operand makes matmul several times slower
+    return (x @ np.ascontiguousarray(x.swapaxes(-1, -2))).reshape(
+        cols.shape[:2] + (-1,))
 
 
 def _panel_sums(spec: TrajectorySpec, probes: ProbeSet, t0: np.ndarray,
-                u: np.ndarray, root_weights: np.ndarray, sensors,
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                u: np.ndarray, v0: np.ndarray, p0: np.ndarray,
+                root_weights: np.ndarray, sensors) -> np.ndarray:
     """Weighted sums of the Gramian and PE integrands over panels.
 
-    ``t0`` (p, 1) holds each panel's window start, ``u`` (p, n) the times of
-    its nodes since then and ``root_weights`` (n,) the square roots of their
-    weights.  Returns the (p, 7, 7), (p, 2, 2) and (p, 2, 2) weighted sums
-    of ``M^T M`` over each panel's nodes, formed as ``(sqrt(w) M)^T
-    (sqrt(w) M)``, for three kinds of rows ``M``:
+    ``t0`` (w, 1, 1) holds the starts of w windows, ``v0`` (3, w, 1, 1) the
+    velocity there and ``p0`` (2, w, 1, 1) the horizontal displacement, one
+    axis after the other; ``u`` (q, n) holds the times of the nodes of q
+    panels since their window's start, the same in every window, and
+    ``root_weights`` (n,) the square roots of the nodes' weights.  Returns
+    (w, q, 57): each panel's weighted sums of ``M^T M`` over its nodes,
+    formed as ``(sqrt(w) M)^T (sqrt(w) M)`` and flattened one after the
+    other, for three kinds of rows ``M``:
 
-    * the requested sensors' rows of ``C*(s) Phi*(s, t0)``, whose closed
-      form, with ``va`` the inertial air velocity, is Pitot
-      ``[B^T R^T (va - g1)^x | B^T R^T | 0]`` and baro
-      ``[g2_y, -g2_x, 0, 0, 0, s - t0, 1]``; the constant mag rows are
-      added by the caller;
+    * the requested sensors' rows of ``C*(s) Phi*(s, t0)``.  With ``r_j =
+      R b_j`` and ``d = va - g1 = v(t0) - wind + g (s - t0) e3``, a Pitot
+      row is ``[(r_j x d)^T | r_j^T | 0]`` and the baro row is ``[g2_y,
+      -g2_x, 0, 0, 0, s - t0, 1]``; the constant mag rows are added by the
+      caller;
     * the horizontal Pitot projection ``B^T R J``;
     * the horizontal specific-force row ``e3^T (R a)^x J``.
+
+    ``R = Rz(psi)``, so the Pitot rows and ``B^T R J`` are built from ``cos
+    psi`` and ``sin psi`` alone.  Each kind is built a column at a time,
+    as (w, q, columns, rows, n), with ``sqrt(w)`` folded into the factors.
     """
     s = t0 + u
-    rot = dynamics.attitude_batch(spec, s)
-    pi = probes.B.T @ rot[..., 0:2]
-    bt_rt = np.swapaxes(rot @ probes.B, -1, -2)
-    del rot  # the largest temporary: gone before the rows are built
-    g1, g2 = _running_integrals(spec, t0, s)
+    psi = dynamics.yaw_angle(spec, s)[:, :, None]
+    c = np.cos(psi) * root_weights  # (w, q, 1, n): probes run along axis 2
+    sn = np.sin(psi) * root_weights
+    bx, by, bz = probes.B[:, :, None]
+    cbx, cby, sbx, sby = c * bx, c * by, sn * bx, sn * by
+    p, a = dynamics.horizontal_motion(spec, s)
     m = probes.m if SensorKind.PITOT in sensors else 0
-    rows = np.zeros(s.shape + (m + (SensorKind.BARO in sensors), 7))
+    cols = np.zeros(s.shape[:2] + (7, m + (SensorKind.BARO in sensors),
+                                   s.shape[2]))
     if m:
-        d = dynamics.velocity(spec, s) - spec.wind - g1
-        # v @ d^x == v x d for row vectors
-        rows[..., :m, 0:3] = np.cross(bt_rt, d[..., None, :])
-        rows[..., :m, 3:6] = bt_rt
+        rx, ry = cbx - sby, sbx + cby  # the horizontal part of R b_j
+        d = v0 - spec.wind[:, None, None, None]
+        dx, dy = d[0, ..., None], d[1, ..., None]  # (w, 1, 1, 1)
+        dz = (d[2] + spec.gravity * u)[:, :, None]  # (w, q, 1, n)
+        bz = bz * root_weights
+        pitot = cols[:, :, :, :m]
+        pitot[:, :, 0] = ry * dz - bz * dy
+        pitot[:, :, 1] = bz * dx - rx * dz
+        pitot[:, :, 2] = rx * dy - ry * dx
+        pitot[:, :, 3] = rx
+        pitot[:, :, 4] = ry
+        pitot[:, :, 5] = bz
     if SensorKind.BARO in sensors:
-        rows[..., m, 0] = g2[..., 1]
-        rows[..., m, 1] = -g2[..., 0]
-        rows[..., m, 5] = u
-        rows[..., m, 6] = 1.0
-    w = dynamics.inertial_specific_force(spec, s)
-    a_pi = np.stack((-w[..., 1], w[..., 0]), axis=-1)[..., None, :]
-    for block in (rows, pi, a_pi):
-        block *= root_weights[:, None, None]
-    return _gram(rows), _gram(pi), _gram(a_pi)
+        baro = cols[:, :, :, m]
+        g2x, g2y = p - p0 - v0[:2] * u
+        baro[:, :, 0] = g2y * root_weights
+        baro[:, :, 1] = -g2x * root_weights
+        baro[:, :, 5] = u * root_weights
+        baro[:, :, 6] = root_weights
+    pi = np.stack((cbx + sby, cby - sbx), axis=2)
+    a_pi = np.stack((-a[1], a[0]), axis=2) * root_weights
+    return np.concatenate((_gram(cols), _gram(pi), _gram(a_pi)), axis=-1)
 
 
-def _windows(spec: TrajectorySpec, probes: ProbeSet,
-             mag_ref: MagReference | None, starts, delta: float, sensors,
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(W, mu_pi, mu_api)`` of the windows [t0, t0 + delta], t0 in ``starts``.
+def _block(spec: TrajectorySpec, probes: ProbeSet, mag: np.ndarray | None,
+           t0: np.ndarray, v0: np.ndarray, p0: np.ndarray, delta: float,
+           sensors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(W, mu_pi, mu_api)`` of the windows [t0, t0 + delta] of a block.
 
-    ``W`` (k, 7, 7) holds the symmetrized Gramians ``int (C* Phi*)^T (C*
-    Phi*) / delta``, and ``mu_pi``, ``mu_api`` (k,) the smallest eigenvalues
-    of the PE Gram matrices.  The windows' panels are evaluated
-    :data:`_BLOCK_PANELS` at a time.
+    ``t0`` (w,) holds the window starts, ``v0`` and ``p0`` the velocity and
+    the horizontal displacement there as :func:`_panel_sums` takes them,
+    and ``mag`` the mean of the mag rows' ``M^T M``, or ``None`` without
+    them.  ``W`` (w, 7, 7) holds the symmetrized Gramians ``int (C* Phi*)^T
+    (C* Phi*) / delta``, and ``mu_pi``, ``mu_api`` (w,) the smallest
+    eigenvalues of the PE Gram matrices.  The panels of the windows are
+    evaluated at most :data:`_BLOCK_PANELS` at a time, and each panel's
+    sums are added into its window in panel order.
     """
     nodes, weights = _gauss_legendre()
     panels = _panels(spec, delta)
     h = delta / panels
-    t0 = np.asarray(starts, dtype=float)
-    sums = [np.zeros((t0.size, c, c)) for c in (7, 2, 2)]
-    total = t0.size * panels
-    for first in range(0, total, _BLOCK_PANELS):
-        k = np.arange(first, min(first + _BLOCK_PANELS, total))
-        window = k // panels
-        parts = _panel_sums(spec, probes, t0[window, None],
-                            h * ((k % panels)[:, None] + nodes),
-                            np.sqrt(h * weights), sensors)
-        for acc, part in zip(sums, parts):
-            # adds panel by panel, in order: the same bits for any blocks
-            np.add.at(acc, window, part)
-    w, gram_pi, gram_api = (acc / delta for acc in sums)
+    root_weights = np.sqrt(h * weights)
+    acc = np.zeros((t0.size, _SUMS))
+    for first in range(0, panels, _BLOCK_PANELS):
+        q = min(_BLOCK_PANELS, panels - first)
+        sums = _panel_sums(spec, probes, t0[:, None, None],
+                           h * (np.arange(first, first + q)[:, None] + nodes),
+                           v0, p0, root_weights, sensors)
+        for j in range(q):  # panel by panel, in order
+            acc += sums[:, j]
+    acc /= delta
+    w = acc[:, :49].reshape(-1, 7, 7)
+    if mag is not None:
+        w[:, 0:3, 0:3] += mag
+    mu = np.linalg.eigvalsh(acc[:, 49:].reshape(-1, 2, 2, 2))[..., 0]
+    return 0.5 * (w + w.transpose(0, 2, 1)), mu[:, 0], mu[:, 1]
+
+
+def _windows(spec: TrajectorySpec, probes: ProbeSet,
+             mag_ref: MagReference | None, t: float, delta: float,
+             count: int, last: float, sensors):
+    """Yield ``(t0, W, mu_pi, mu_api)`` of :func:`_block` for the windows
+    [t0, t0 + delta] with ``t0 = min(t + k delta/2, last)``, ``k < count``.
+
+    A block holds as many whole windows as fit in :data:`_BLOCK_PANELS`
+    panels, or one window.  The velocity and displacement at the window
+    starts are evaluated once per window, for the whole blocks that fit in
+    :data:`_START_CHUNK` windows at a time, so that no array grows with
+    ``count``.
+    """
+    per_block = max(1, _BLOCK_PANELS // _panels(spec, delta))
+    per_chunk = per_block * max(1, _START_CHUNK // per_block)
+    mag = None
     if SensorKind.MAG in sensors:
         # the mag rows [-(m_I)^x | 0 | 0] are constant: their mean is exact
         mx = skew(mag_ref.m_I)
-        w[:, 0:3, 0:3] += mx.T @ mx
-    return (0.5 * (w + w.transpose(0, 2, 1)),
-            np.linalg.eigvalsh(gram_pi)[:, 0],
-            np.linalg.eigvalsh(gram_api)[:, 0])
+        mag = mx.T @ mx
+    for chunk in range(0, count, per_chunk):
+        starts = np.minimum(t + 0.5 * delta * np.arange(
+            chunk, min(chunk + per_chunk, count)), last)
+        v_starts = dynamics.velocity(spec, starts).T[:, :, None, None]
+        p_starts = dynamics.horizontal_motion(spec, starts)[0][:, :, None,
+                                                               None]
+        for lo in range(0, starts.size, per_block):
+            block = slice(lo, lo + per_block)
+            yield (starts[block], *_block(spec, probes, mag, starts[block],
+                                          v_starts[:, block],
+                                          p_starts[:, block], delta,
+                                          sensors))
+
+
+def _one_window(spec: TrajectorySpec, probes: ProbeSet,
+                mag_ref: MagReference | None, t: float, delta: float,
+                sensors) -> tuple[np.ndarray, float, float]:
+    """``(W, mu_pi, mu_api)`` of the window [t, t + delta] alone."""
+    _check_finite(t=t)
+    _check_window(delta)
+    _, w, mu_pi, mu_api = next(_windows(spec, probes, mag_ref, t, delta, 1,
+                                        t, sensors))
+    return w[0], float(mu_pi[0]), float(mu_api[0])
 
 
 def gramian(spec: TrajectorySpec, probes: ProbeSet, mag_ref: MagReference,
@@ -258,9 +342,7 @@ def gramian(spec: TrajectorySpec, probes: ProbeSet, mag_ref: MagReference,
     to rounding.  Raises ``ValueError`` when ``t`` is not finite or
     ``delta`` is not finite or shorter than 0.1 s.
     """
-    _check_finite(t=t)
-    _check_window(delta)
-    return _windows(spec, probes, mag_ref, [t], delta, sensors)[0][0]
+    return _one_window(spec, probes, mag_ref, t, delta, sensors)[0]
 
 
 def pe_margins(spec: TrajectorySpec, probes: ProbeSet, t: float, delta: float,
@@ -275,18 +357,7 @@ def pe_margins(spec: TrajectorySpec, probes: ProbeSet, t: float, delta: float,
         row ``e3^T (R a)^x J``, integrated like :func:`gramian`'s; the same
         arguments are refused.
     """
-    _check_finite(t=t)
-    _check_window(delta)
-    _, mu_pi, mu_api = _windows(spec, probes, None, [t], delta, ())
-    return float(mu_pi[0]), float(mu_api[0])
-
-
-def _window_starts(delta: float, duration: float) -> list[float]:
-    """``k delta/2`` for ``k = 0, 1, ...`` while the window fits in
-    ``[0, duration]``, the last one clamped to ``duration - delta``."""
-    count = int(np.floor((duration - delta + 1e-9) / (0.5 * delta))) + 1
-    return [min(edge, duration - delta)
-            for edge in (0.5 * delta * np.arange(count)).tolist()]
+    return _one_window(spec, probes, None, t, delta, ())[1:]
 
 
 def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
@@ -301,10 +372,10 @@ def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
     Window starts are ``k delta/2`` for ``k = 0, 1, ...`` while the window
     fits in ``[0, duration]``, the last one clamped to ``duration - delta``.
     Every window is evaluated in this process, as the module docstring
-    describes.  The overall verdict is true iff the smallest Gramian
-    eigenvalue over all windows stays at or above ``lam_threshold``; the
-    returned report carries the worst window's Gramian and the smallest PE
-    margins for diagnosis.
+    describes, and reduced to its row as soon as its block is done.  The
+    overall verdict is true iff the smallest Gramian eigenvalue over all
+    windows stays at or above ``lam_threshold``; the returned report carries
+    the worst window's Gramian and the smallest PE margins for diagnosis.
 
     Raises
     ------
@@ -323,20 +394,25 @@ def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
     if delta > duration + 1e-9:
         raise ValueError(f"window {delta:g} s is longer than the "
                          f"{duration:g} s duration")
-    starts = _window_starts(delta, duration)
-    w, mu_pi, mu_api = _windows(spec, probes, mag_ref, starts, delta, sensors)
-    eig = np.linalg.eigvalsh(w)
-    rows = [WindowRow(t_start=t0, lam_min=lo, lam_max=hi, mu_pi=pi,
-                      mu_api=api, verdict=lo >= lam_threshold)
-            for t0, lo, hi, pi, api in zip(
-                starts, eig[:, 0].tolist(), eig[:, -1].tolist(),
-                mu_pi.tolist(), mu_api.tolist())]
-    i = int(np.argmin(eig[:, 0]))
-    worst = rows[i]
+    count = int(np.floor((duration - delta + 1e-9) / (0.5 * delta))) + 1
+    rows, worst, worst_w = [], None, None
+    for t0, w, mu_pi, mu_api in _windows(spec, probes, mag_ref, 0.0, delta,
+                                         count, duration - delta, sensors):
+        eig = np.linalg.eigvalsh(w)
+        i = int(np.argmin(eig[:, 0]))
+        # the first smallest wins, as np.argmin over every window picks it
+        if worst is None or not eig[i, 0] >= rows[worst].lam_min:
+            worst, worst_w = len(rows) + i, w[i].copy()
+        rows += [WindowRow(t_start=t_start, lam_min=lo, lam_max=hi,
+                           mu_pi=pi, mu_api=api, verdict=lo >= lam_threshold)
+                 for t_start, lo, hi, pi, api in zip(
+                     t0.tolist(), eig[:, 0].tolist(), eig[:, -1].tolist(),
+                     mu_pi.tolist(), mu_api.tolist())]
+        del w, eig  # freed before the next block is evaluated
     report = GramianReport(
-        W=w[i].copy(),
-        lam_min=worst.lam_min,
-        lam_max=worst.lam_max,
+        W=worst_w,
+        lam_min=rows[worst].lam_min,
+        lam_max=rows[worst].lam_max,
         delta=delta,
         mu_pi=min(r.mu_pi for r in rows),
         mu_api=min(r.mu_api for r in rows),

@@ -204,3 +204,18 @@ class TestBatchHelpers:
         # a scalar time gives one 3-vector
         np.testing.assert_allclose(dynamics.displacement(spec, ts[2500]),
                                    p[2500], rtol=1e-14)
+
+    def test_horizontal_motion_matches_displacement_and_acceleration(self):
+        # the y axis has zero frequency: a constant velocity
+        spec = TrajectorySpec(vel_amp=[1.5, -2.0, 0.8], vel_freq=[1.5, 0.0, 3.0],
+                              vel_phase=[0.3, 0.4, 0.0])
+        ts = np.linspace(0.0, 7.3, 731).reshape(17, 43)
+        p, a = dynamics.horizontal_motion(spec, ts)
+        assert p.shape == a.shape == (2, 17, 43)
+        np.testing.assert_allclose(np.moveaxis(p, 0, -1),
+                                   dynamics.displacement(spec, ts)[..., :2],
+                                   rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(np.moveaxis(a, 0, -1),
+                                   dynamics.velocity_dot(spec, ts)[..., :2],
+                                   rtol=1e-15, atol=1e-15)
+        np.testing.assert_array_equal(a[1], 0.0)

@@ -703,6 +703,27 @@ class TestCsvPersistence:
                             "mu_api,verdict")
         assert lines[1].endswith("true")
 
+    def test_observability_csv_has_the_bytes_of_csv_writer(self, tmp_path):
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 0.1, 1e300, 2.0]
+        rows = [WindowRow(*(special[(i + k) % len(special)]
+                            for k in range(5)), verdict=i % 2 == 0)
+                for i in range(len(special))]
+        path = tmp_path / "obs.csv"
+        write_observability_csv(path, rows)
+        ref = tmp_path / "ref.csv"
+        with open(ref, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["t_window_start", "lam_min_W", "lam_max_W",
+                             "mu_pi", "mu_api", "verdict"])
+            for row in rows:
+                writer.writerow([harness.FLOAT_FORMAT % x for x in (
+                    row.t_start, row.lam_min, row.lam_max, row.mu_pi,
+                    row.mu_api)] + ["true" if row.verdict else "false"])
+        assert path.read_bytes() == ref.read_bytes()
+        assert {"nan", "inf", "-inf", "-0", "4.9406564584124654e-324",
+                "true", "false"} <= set(path.read_text().replace(
+                    "\n", ",").split(","))
+
 
 # Rates of the two perfbench filter configs, shortened to 8 s (1601 rows):
 # sequential updates (mc_reference) and stacked ones (single_dense).

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -195,6 +196,9 @@ PROBE_SETS = {
     2: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
     3: [[0.8, 0.6, 0.0], [0.0, 1.0, 0.0], [0.0, 0.6, 0.8]],
 }
+
+# single_dense.cfg's probes: the third has a vertical component (b_z != 0)
+DENSE_PROBES = [[1.0, 0.0, 0.0], [0.6, 0.8, 0.0], [0.6, 0.0, 0.8]]
 
 SENSOR_SUBSETS = [subset for r in range(len(STACK_ORDER) + 1)
                   for subset in itertools.combinations(STACK_ORDER, r)]
@@ -449,6 +453,25 @@ class TestVerdict:
             assert row.mu_api == pytest.approx(mu[1], rel=1e-12)
             assert row.verdict == bool(eig[0] >= 1e-6)
 
+    @pytest.mark.parametrize("traj", ["paper", "hover"])
+    def test_three_probe_sweep_matches_oracle_row_by_row(self, traj,
+                                                         mag_ref):
+        # hover has yaw_freq = 0
+        spec, probes = _trajectory(traj), ProbeSet.from_axes(DENSE_PROBES)
+        _, rows = observability_verdict(spec, probes, mag_ref, delta=4.0,
+                                        duration=12.0)
+        assert [r.t_start for r in rows] == [0.0, 2.0, 4.0, 6.0, 8.0]
+        for row in rows:
+            eig = np.linalg.eigvalsh(oracle_gramian(
+                spec, probes, mag_ref, row.t_start, 4.0))
+            mu = [np.linalg.eigvalsh(g)[0] for g in
+                  oracle_pe_grams(spec, probes, row.t_start, 4.0)]
+            assert row.lam_min == pytest.approx(eig[0], rel=1e-10)
+            assert row.lam_max == pytest.approx(eig[-1], rel=1e-12)
+            assert row.mu_pi == pytest.approx(mu[0], rel=1e-12)
+            assert row.mu_api == pytest.approx(mu[1], rel=1e-12)
+            assert row.verdict == bool(eig[0] >= 1e-6)
+
     def test_last_window_clamped_to_duration(self, paper, single_probe,
                                              mag_ref):
         duration = 3.0 - 5e-10
@@ -466,19 +489,41 @@ class TestVerdict:
 
     def test_sweep_evaluates_blocks_of_at_most_1024_nodes(
             self, monkeypatch, paper, single_probe, mag_ref):
-        sizes, orig = [], dynamics.attitude_batch
+        # the sweep evaluates the attitude at its nodes through the yaw
+        # angle, and at nothing else
+        sizes, orig = [], dynamics.yaw_angle
 
         def counted(spec, t):
             sizes.append(np.size(t))
             return orig(spec, t)
 
-        monkeypatch.setattr(dynamics, "attitude_batch", counted)
+        monkeypatch.setattr(dynamics, "yaw_angle", counted)
         _, rows = observability_verdict(paper, single_probe, mag_ref,
                                         delta=4.0, duration=60.0)
         # 29 windows of 5 panels, 12 nodes each
         assert len(rows) == 29
         assert sum(sizes) == 29 * 5 * 12
         assert 1 < len(sizes) and max(sizes) <= 1024
+
+    def test_sweep_memory_does_not_grow_with_the_window_count(
+            self, single_probe, mag_ref):
+        # 149, 1,499 and 5,999 windows; the rows the sweep returns grow
+        # with the count, the memory it needs beyond them must not
+        above_rows = []
+        for duration, delta, windows in ((300.0, 4.0, 149),
+                                         (3000.0, 4.0, 1499),
+                                         (300.0, 0.1, 5999)):
+            spec = TrajectorySpec.paper(duration=duration, gravity=G)
+            tracemalloc.start()
+            try:
+                _, rows = observability_verdict(spec, single_probe, mag_ref,
+                                                delta=delta)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert len(rows) == windows
+            above_rows.append(peak - held)
+        assert max(above_rows) <= 1.1 * min(above_rows), above_rows
 
     def test_sweep_rows_are_the_single_window_results(self, paper,
                                                       single_probe, mag_ref):
@@ -619,7 +664,7 @@ class TestForkedSweep:
         _pin_cpus(monkeypatch, 2)
         forks = _count_forks(monkeypatch)
         nodes = []
-        monkeypatch.setattr(dynamics, "attitude_batch",
+        monkeypatch.setattr(dynamics, "yaw_angle",
                             lambda spec, t: nodes.append(t))
         with pytest.raises(ValueError):
             observability_verdict(paper, single_probe, mag_ref,
