@@ -124,7 +124,7 @@ def _cmd_observability(args, config) -> int:
             config.trajectory, config.probes, config.mag_ref,
             delta=args.window, duration=config.duration,
         )
-    except ValueError as exc:
+    except observability._InputError as exc:
         print(f"window error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     harness.write_observability_csv(out / "observability.csv", rows)

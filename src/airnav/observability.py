@@ -117,19 +117,25 @@ class WindowRow:
     verdict: bool
 
 
+class _InputError(ValueError):
+    """An argument refused by this module's input checks, which run before
+    anything is computed; the CLI reports these, and only these, as a
+    window error."""
+
+
 def _check_finite(**values) -> None:
     """Raise ``ValueError`` naming the first argument that is not finite."""
     for name, value in values.items():
         if not np.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+            raise _InputError(f"{name} must be finite, got {value}")
 
 
 def _check_window(delta: float) -> None:
     """Raise ``ValueError`` unless ``delta`` is finite and at least
     :data:`_MIN_WINDOW`."""
     if not (np.isfinite(delta) and delta >= _MIN_WINDOW):
-        raise ValueError(f"window must be finite and at least "
-                         f"{_MIN_WINDOW:g} s, got {delta}")
+        raise _InputError(f"window must be finite and at least "
+                          f"{_MIN_WINDOW:g} s, got {delta}")
 
 
 def _running_integrals(spec: TrajectorySpec, t0, s,
@@ -370,7 +376,9 @@ def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
     """Sweep half-overlapping windows and aggregate a uniform-observability verdict.
 
     Window starts are ``k delta/2`` for ``k = 0, 1, ...`` while the window
-    fits in ``[0, duration]``, the last one clamped to ``duration - delta``.
+    fits in ``[0, duration]``, and the last one is clamped to ``duration -
+    delta``: when ``duration - delta`` is not a multiple of ``delta/2``, one
+    more window ends the sweep at ``duration``, so no tail goes unswept.
     Every window is evaluated in this process, as the module docstring
     describes, and reduced to its row as soon as its block is done.  The
     overall verdict is true iff the smallest Gramian eigenvalue over all
@@ -386,15 +394,15 @@ def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
         first window is computed.
     """
     if not (np.isfinite(lam_threshold) and lam_threshold > 0.0):
-        raise ValueError("lam_threshold must be finite and positive")
+        raise _InputError("lam_threshold must be finite and positive")
     if duration is None:
         duration = spec.duration
     _check_finite(duration=duration)
     _check_window(delta)
     if delta > duration + 1e-9:
-        raise ValueError(f"window {delta:g} s is longer than the "
-                         f"{duration:g} s duration")
-    count = int(np.floor((duration - delta + 1e-9) / (0.5 * delta))) + 1
+        raise _InputError(f"window {delta:g} s is longer than the "
+                          f"{duration:g} s duration")
+    count = int(np.ceil((duration - delta - 1e-9) / (0.5 * delta))) + 1
     rows, worst, worst_w = [], None, None
     for t0, w, mu_pi, mu_api in _windows(spec, probes, mag_ref, 0.0, delta,
                                          count, duration - delta, sensors):

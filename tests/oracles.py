@@ -21,7 +21,8 @@ carry it.  It holds the pieces that exist only to cross-check the package:
 * an RK4 integrator of the transition-matrix ODE (the closed-form
   transition of :mod:`airnav.observability`);
 * a per-tick sensor schedule (tick-by-tick runs that mirror
-  :func:`airnav.harness.run_single`).
+  :func:`airnav.harness.run_single`);
+* the ``%``-formatted text of trace rows (the trace formatter).
 """
 
 from __future__ import annotations
@@ -589,3 +590,12 @@ def make_schedule(rates: RateSpec, duration: float) -> list[ScheduleSlot]:
                 kinds.append(kind)
         slots.append(ScheduleSlot(t=t, kinds=tuple(kinds)))
     return slots
+
+
+# --- harness ----------------------------------------------------------------
+
+def format_rows(table: np.ndarray) -> str:
+    """Lines of ``table``'s rows: each value as ``'%.17g'`` prints it,
+    comma-separated."""
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return "".join([row % tuple(values) for values in table.tolist()])

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import pickle
 import signal
@@ -9,8 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from airnav import _fork, cli, geometry, harness, observer
+from airnav import _fork, cli, geometry, harness, observability, observer
 from airnav.config import default_config, parse_config_text
 from airnav.exceptions import (
     DivergenceError,
@@ -40,6 +44,7 @@ from airnav.sensors import (
 
 from oracles import (
     OutOfRangeError,
+    format_rows,
     make_schedule,
     tick,
     truth_inputs,
@@ -612,6 +617,61 @@ def _trace_oracle(path, m: RunMetrics) -> None:
             writer.writerow(["%.17g" % x for x in row])
 
 
+def _tie(k: int, q: int) -> float:
+    """``q / 2**(k + 1)`` for odd ``q``: ``x 10**k`` is then the 17-digit
+    integer ``(q 5**k - 1) / 2`` plus one half, a tie to round to even."""
+    return math.ldexp(q, -(k + 1))
+
+
+# powers of ten, their doubles' neighbours (1e-6 and 1e16 bound the
+# vectorized range; 1e-14 is among the doubles whose 17 digits round up to
+# the next power) and exact 17-digit ties at every scale of the range
+_POWERS = [float(f"1e{j}") for j in range(-16, 24)]
+_EDGE_VALUES = st.sampled_from(
+    _POWERS + [math.nextafter(p, d) for p in _POWERS for d in (0, math.inf)]
+    + [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+       2.2250738585072014e-308, 1.7976931348623157e308])
+_TIES = st.integers(1, 22).flatmap(lambda k: st.integers(
+    -(-2 * 10**16 // 5**k), min(2 * 10**17 // 5**k, 2**53 - 1)).map(
+        lambda q: _tie(k, q | 1)))
+_VALUES = st.builds(
+    math.copysign, st.one_of(
+        st.floats(width=64), _EDGE_VALUES, _TIES,
+        _TIES.map(lambda x: math.nextafter(x, math.inf)),
+        st.floats(1e-7, 1e17)),
+    st.sampled_from([1.0, -1.0]))
+
+
+class TestFormatRows:
+    """The vectorized trace formatter against the ``%`` join."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([(40, 1), (8, 21)]).flatmap(
+        lambda shape: arrays(np.float64, st.tuples(
+            st.integers(1, shape[0]), st.just(shape[1])), elements=_VALUES)))
+    def test_matches_percent_format(self, table):
+        assert harness._format_rows(table) == format_rows(table)
+
+    def test_ties_round_half_to_even(self):
+        # 1e15 + 0.25 and + 0.75 end in a 5 at the 18th digit
+        table = np.array([[1e15 + 0.25, 1e15 + 0.75, _tie(22, 9)]])
+        assert harness._format_rows(table) == (
+            "1000000000000000.2,1000000000000000.8,"
+            "1.0728836059570312e-06\n")
+        assert harness._format_rows(table) == format_rows(table)
+
+    def test_each_value_takes_its_path(self, monkeypatch):
+        # only the values outside 10**-6 <= |x| < 10**16 that are not
+        # zeros are formatted by %; a marked format shows which
+        monkeypatch.setattr(harness, "FLOAT_FORMAT", "<%.17g>")
+        table = np.array([[0.1, -2.5e-5, 1e15, 0.0, -0.0, np.nan, -np.inf,
+                           1e-6, 1e16, 5e-324]])
+        assert harness._format_rows(table) == (
+            "0.10000000000000001,-2.5000000000000001e-05,1000000000000000,"
+            "0,-0,<nan>,<-inf>,<9.9999999999999995e-07>,<10000000000000000>,"
+            "<4.9406564584124654e-324>\n")
+
+
 class TestCsvPersistence:
     def test_trace_round_trip_exact(self, short_config, tmp_path):
         path = tmp_path / "trace.csv"
@@ -985,7 +1045,7 @@ class TestCli:
         assert "overall verdict" in capsys.readouterr().out
 
     @pytest.mark.parametrize("window, code", [("4", 0), ("0", 2), ("-1", 2),
-                                              ("nan", 2)])
+                                              ("nan", 2), ("9", 2)])
     def test_module_entry_window_exit_codes(self, tmp_path, window, code):
         cfg = self._write_config(tmp_path, "duration = 8\n")
         src = Path(cli.__file__).resolve().parents[1]
@@ -1000,6 +1060,18 @@ class TestCli:
         if code == 2:
             assert proc.stderr.startswith("window error: ")
             assert proc.stderr.count("\n") == 1
+
+    def test_sweep_fault_is_not_a_window_error(self, tmp_path, monkeypatch):
+        # only the verdict's input checks make a window error; a
+        # ValueError from inside the sweep is a fault and propagates
+        def failing_block(*args):
+            raise ValueError("forced for test")
+
+        monkeypatch.setattr(observability, "_block", failing_block)
+        cfg = self._write_config(tmp_path, "duration = 8\n")
+        with pytest.raises(ValueError, match="^forced for test$"):
+            cli.main(["observability", "--config", str(cfg), "--window", "4",
+                      "--out", str(tmp_path / "obs")])
 
     def test_invalid_config_exits_2(self, tmp_path):
         path = tmp_path / "bad.cfg"

@@ -480,6 +480,19 @@ class TestVerdict:
         assert [r.t_start for r in rows[:-1]] == [0.0, 0.5, 1.0, 1.5]
         assert rows[-1].t_start == duration - 1.0
 
+    def test_tail_off_the_half_window_grid_gets_a_last_window(
+            self, paper, single_probe, mag_ref):
+        # 13 - 4 is not a multiple of 2: the window [9, 13] covers the
+        # last second, which the windows starting at 2 k leave out
+        _, rows = observability_verdict(paper, single_probe, mag_ref,
+                                        delta=4.0, duration=13.0)
+        assert [r.t_start for r in rows] == [0.0, 2.0, 4.0, 6.0, 8.0, 9.0]
+        w, mu_pi, mu_api = observability._one_window(
+            paper, single_probe, mag_ref, 9.0, 4.0, STACK_ORDER)
+        eig = np.linalg.eigvalsh(w)
+        assert (rows[-1].lam_min, rows[-1].lam_max) == (eig[0], eig[-1])
+        assert (rows[-1].mu_pi, rows[-1].mu_api) == (mu_pi, mu_api)
+
     @pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_duration(self, paper, single_probe, mag_ref,
                                          duration):
