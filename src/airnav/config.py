@@ -6,13 +6,15 @@ words (``paper_yaw_only``), bracketed vectors ``[a, b, c]`` or row-major
 bracketed matrices ``[[a, b], [c, d]]``.  Unknown keys are rejected.  An
 empty file yields the reference simulation setup; ``_DEFAULTS`` lists every
 key with its default value, and :func:`default_config` builds that setup.
+``_DEFAULTS`` is the only copy of those values: :class:`InitSpec` and
+:class:`SimConfig` have no field defaults and are built from it.
 """
 
 from __future__ import annotations
 
 import ast
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,14 +28,12 @@ from .sensors import MagReference, NoiseSpec, ProbeSet, RateSpec
 class InitSpec:
     """Distribution of the randomized initial estimates."""
 
-    va0: np.ndarray = field(default_factory=lambda: np.array([10.0, -2.0, 8.0]))
-    h0: float = 10.0
-    angles0: np.ndarray = field(
-        default_factory=lambda: np.array([np.pi / 20.0, -np.pi / 20.0,
-                                          np.pi / 6.0]))
-    std_v: float = 2.0
-    std_h: float = 1.0
-    std_angle: float = np.pi / 12.0
+    va0: np.ndarray
+    h0: float
+    angles0: np.ndarray
+    std_v: float
+    std_h: float
+    std_angle: float
 
     def __post_init__(self):
         for name in ("va0", "angles0"):
@@ -58,11 +58,11 @@ class SimConfig:
     noise: NoiseSpec
     weights: RiccatiWeights
     init: InitSpec
-    runs: int = 20
-    base_seed: int = 14
-    duration: float = 60.0
-    q_convention: str = "covariance"
-    integrator: str = "ab2"
+    runs: int
+    base_seed: int
+    duration: float
+    q_convention: str
+    integrator: str
 
     def __post_init__(self):
         if self.runs < 1:

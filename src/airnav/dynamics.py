@@ -37,8 +37,10 @@ class TrajectorySpec:
     def __post_init__(self):
         if self.duration <= 0.0:
             raise ValueError("trajectory duration must be positive")
-        if self.gravity <= 0.0:
-            raise ValueError("gravity must be positive")
+        # up to about 100 g; the Gramian grows as g**2 and overflows far
+        # below the largest float
+        if not 0.0 < self.gravity <= 1000.0:
+            raise ValueError("gravity must be in (0, 1000] m/s^2")
         for name in ("vel_amp", "vel_freq", "vel_phase", "wind"):
             arr = np.array(getattr(self, name), dtype=float)
             if arr.shape != (3,):
@@ -136,11 +138,7 @@ def velocity_dot(spec: TrajectorySpec, t) -> np.ndarray:
 
 def altitude(spec: TrajectorySpec, t) -> np.ndarray:
     """Closed-form altitude h(t) = h0 + integral of the vertical velocity."""
-    t = np.asarray(t, dtype=float)
-    amp, freq, phase = spec.vel_amp[2], spec.vel_freq[2], spec.vel_phase[2]
-    if freq == 0.0:
-        return spec.h0 + amp * np.cos(phase) * t
-    return spec.h0 + (amp / freq) * (np.sin(freq * t + phase) - np.sin(phase))
+    return spec.h0 + displacement(spec, t)[..., 2]
 
 
 def yaw_angle(spec: TrajectorySpec, t) -> np.ndarray:

@@ -11,7 +11,6 @@ import numpy as np
 
 from .exceptions import DegenerateMatrixError, GimbalLockError
 
-E3 = np.array([0.0, 0.0, 1.0])
 I3 = np.eye(3)
 
 # Below this rotation angle the closed-form Rodrigues coefficients are replaced
@@ -103,12 +102,3 @@ def project_to_so3(m: np.ndarray) -> np.ndarray:
     d = np.sign(np.linalg.det(u @ vt))
     return u @ np.diag([1.0, 1.0, d]) @ vt
 
-
-def rotation_defect(r: np.ndarray) -> float:
-    """Frobenius norm of ``r^T r - I``, the orthonormality drift measure."""
-    return float(np.linalg.norm(r.T @ r - I3))
-
-
-def is_rotation(r: np.ndarray, tol: float = ORTHONORMALITY_TOL) -> bool:
-    """True if ``r`` satisfies the SO(3) invariants within ``tol``."""
-    return rotation_defect(r) <= tol and abs(np.linalg.det(r) - 1.0) <= tol

@@ -250,6 +250,11 @@ def init_estimates(config: SimConfig, run_index: int) -> ObserverState:
     attitude is the nominal Euler-angle rotation right-multiplied by the
     exponential of a Gaussian rotation vector.  Draw order is fixed, so a
     given (seed, run) pair always produces the same estimate.
+
+    The state is not checked again: ``P0`` is SPD by config validation and
+    ``Rhat`` is a product of two rotations.  A draw that overflows to
+    non-finite values fails the run on tick 0, through the observer's own
+    divergence check, as any numerical failure does.
     """
     rng = substream(config.base_seed, run_index, INIT_STREAM_ID)
     init = config.init
@@ -258,12 +263,11 @@ def init_estimates(config: SimConfig, run_index: int) -> ObserverState:
     roll, pitch, yaw = init.angles0
     r_mean = geometry.euler_zyx_to_rot(roll, pitch, yaw)
     rhat = r_mean @ geometry.exp_so3(init.std_angle * rng.standard_normal(3))
-    state = ObserverState(Rhat=rhat, Vahat=vahat, hhat=hhat,
-                          P=config.weights.P0.copy())
-    state.validate()
-    return state
+    return ObserverState(Rhat=rhat, Vahat=vahat, hhat=hhat,
+                         P=config.weights.P0.copy())
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_single(config: SimConfig, run_index: int = 0,
                initial_state: ObserverState | None = None,
                trace=None) -> RunMetrics:
@@ -282,7 +286,10 @@ def run_single(config: SimConfig, run_index: int = 0,
     estimate; the derived metrics are computed vectorized.  If a tick fails
     numerically (:data:`~airnav.observer.RUN_FAILURES`), the series is
     truncated at the last valid tick and flagged with the failure's class
-    name, and the caller's batch goes on.
+    name, and the caller's batch goes on.  numpy's overflow and invalid
+    warnings are off for the whole run, a forked writer included: a value
+    that overflows in the initial draw or the measurement synthesis fails
+    the run on its first tick, and that flag is all that reports it.
 
     Given a path ``trace``, the run writes its trace there: a header of
     :data:`TRACE_COLUMNS` and one line per recorded tick, each value in

@@ -65,6 +65,9 @@ from .geometry import skew
 from .sensors import STACK_ORDER, MagReference, ProbeSet, SensorKind
 
 DEFAULT_WINDOW = 4.0
+# A window is uniformly observable when its smallest Gramian eigenvalue is
+# at least this.
+_LAM_THRESHOLD = 1e-6
 # Shortest window accepted, in seconds; it also bounds a sweep's window count.
 _MIN_WINDOW = 0.1
 # Gauss-Legendre nodes per panel, and panels evaluated per pass of a sweep
@@ -369,7 +372,6 @@ def pe_margins(spec: TrajectorySpec, probes: ProbeSet, t: float, delta: float,
 def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
                           mag_ref: MagReference,
                           delta: float = DEFAULT_WINDOW,
-                          lam_threshold: float = 1e-6,
                           duration: float | None = None,
                           sensors=STACK_ORDER,
                           ) -> tuple[GramianReport, list[WindowRow]]:
@@ -382,19 +384,19 @@ def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
     Every window is evaluated in this process, as the module docstring
     describes, and reduced to its row as soon as its block is done.  The
     overall verdict is true iff the smallest Gramian eigenvalue over all
-    windows stays at or above ``lam_threshold``; the returned report carries
-    the worst window's Gramian and the smallest PE margins for diagnosis.
+    windows stays at or above ``_LAM_THRESHOLD = 1e-6``; the returned
+    report carries the worst window's Gramian and the smallest PE margins
+    for diagnosis.  The threshold is fixed: each row carries its
+    ``lam_min``, so a verdict at another threshold is one comprehension
+    over the rows.
 
     Raises
     ------
     ValueError
-        When ``duration`` is not finite, ``delta`` is not finite, is
-        shorter than 0.1 s or exceeds ``duration``, or when
-        ``lam_threshold`` is not finite and positive; always before the
-        first window is computed.
+        When ``duration`` is not finite, or ``delta`` is not finite, is
+        shorter than 0.1 s or exceeds ``duration``; always before the first
+        window is computed.
     """
-    if not (np.isfinite(lam_threshold) and lam_threshold > 0.0):
-        raise _InputError("lam_threshold must be finite and positive")
     if duration is None:
         duration = spec.duration
     _check_finite(duration=duration)
@@ -412,7 +414,7 @@ def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
         if worst is None or not eig[i, 0] >= rows[worst].lam_min:
             worst, worst_w = len(rows) + i, w[i].copy()
         rows += [WindowRow(t_start=t_start, lam_min=lo, lam_max=hi,
-                           mu_pi=pi, mu_api=api, verdict=lo >= lam_threshold)
+                           mu_pi=pi, mu_api=api, verdict=lo >= _LAM_THRESHOLD)
                  for t_start, lo, hi, pi, api in zip(
                      t0.tolist(), eig[:, 0].tolist(), eig[:, -1].tolist(),
                      mu_pi.tolist(), mu_api.tolist())]

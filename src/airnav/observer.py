@@ -153,15 +153,6 @@ class ObserverState:
     hhat: float
     P: np.ndarray
 
-    def validate(self) -> None:
-        """Check the SO(3) and SPD invariants; raises ValueError on failure."""
-        if not geometry.is_rotation(self.Rhat):
-            raise ValueError("Rhat is not a rotation matrix")
-        if np.linalg.norm(self.P - self.P.T) > 1e-9:
-            raise ValueError("P is not symmetric")
-        if np.linalg.eigvalsh(self.P)[0] <= 0.0:
-            raise ValueError("P is not positive definite")
-
 
 def riccati_update(P: np.ndarray, C: np.ndarray, Q: np.ndarray,
                    ) -> tuple[np.ndarray, np.ndarray]:
@@ -492,9 +483,8 @@ def _rotate(r: list[float], t0: float, t1: float, t2: float,
     ``r`` holds the nine entries of ``R`` row by row, and so does the
     returned product.  The coefficients follow :func:`geometry.exp_so3`,
     Taylor branch below ``SMALL_ANGLE_SWITCH`` included; a non-finite angle
-    gives NaN coefficients, as ``exp_so3`` does.  The defect is
-    :func:`geometry.rotation_defect` of the product, the Frobenius norm of
-    ``R^T R - I`` with ``R`` the product.
+    gives NaN coefficients, as ``exp_so3`` does.  The defect is the
+    Frobenius norm of ``R^T R - I`` with ``R`` the product.
     """
     angle2 = t0 * t0 + t1 * t1 + t2 * t2
     if angle2 < SMALL_ANGLE_SWITCH**2:

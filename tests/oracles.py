@@ -3,8 +3,9 @@
 Nothing under ``src/`` imports this module, so ``import airnav`` does not
 carry it.  It holds the pieces that exist only to cross-check the package:
 
-* quaternion and small-angle maps and ``unskew`` (geometry round trips and
-  the first-order attitude error);
+* the vertical unit vector ``E3``, the orthonormality defect
+  ``rotation_defect``, quaternion and small-angle maps and ``unskew``
+  (geometry round trips and the first-order attitude error);
 * the scalar truth state and IMU inputs, an RK4 integrator of the
   rigid-body kinematics and the first-order error state (the closed-form
   truth and the linearization checks);
@@ -35,7 +36,7 @@ import numpy as np
 from airnav import dynamics, geometry
 from airnav.dynamics import BodyInputs, NavState, TrajectorySpec
 from airnav.exceptions import AirnavError
-from airnav.geometry import E3, I3, skew
+from airnav.geometry import I3, skew
 from airnav.observer import AirDataObserver, ObserverState, RiccatiWeights
 from airnav.sensors import (
     STACK_ORDER,
@@ -62,6 +63,14 @@ class MissingPayloadError(AirnavError):
 
 
 # --- geometry ---------------------------------------------------------------
+
+E3 = np.array([0.0, 0.0, 1.0])
+
+
+def rotation_defect(r: np.ndarray) -> float:
+    """Frobenius norm of ``r^T r - I``, the orthonormality drift measure."""
+    return float(np.linalg.norm(r.T @ r - I3))
+
 
 def unskew(m: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     """Invert :func:`airnav.geometry.skew`.
@@ -247,7 +256,7 @@ def _mat_vec(a, u) -> tuple[float, float, float]:
 
 
 def _rotation_defect(r) -> float:
-    """:func:`airnav.geometry.rotation_defect` of a row-major float tuple."""
+    """:func:`rotation_defect` of a row-major float tuple."""
     total = 0.0
     for i in range(3):
         for j in range(3):

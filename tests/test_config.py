@@ -147,6 +147,11 @@ class TestValidation:
         with pytest.raises(ConfigValidationError):
             parse_config_text("base_seed = -1\n")
 
+    @pytest.mark.parametrize("gravity", ["0", "1001", "1e160"])
+    def test_gravity_outside_physical_range_rejected(self, gravity):
+        with pytest.raises(ConfigValidationError, match="gravity"):
+            parse_config_text(f"gravity = {gravity}\n")
+
     def test_with_overrides_validates(self):
         cfg = default_config()
         with pytest.raises(ConfigValidationError):
@@ -201,6 +206,16 @@ class TestNonFiniteInput:
         path.write_text(text + "\n", encoding="utf-8")
         assert cli.main(["simulate", "--config", str(path),
                          "--out", str(tmp_path)]) == 2
+
+    def test_huge_gravity_exits_2_before_the_sweep(self, tmp_path, capsys):
+        # at 1e160 the Gramian's entries overflow and eigvalsh fails
+        path = tmp_path / "bad.cfg"
+        path.write_text("gravity = 1e160\n", encoding="utf-8")
+        assert cli.main(["observability", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: gravity ")
+        assert err.count("\n") == 1
 
 
 _NUMERIC_KEYS = sorted(k for k in _DEFAULTS if k not in _STRING_KEYS)

@@ -6,10 +6,12 @@ from airnav.dynamics import TrajectorySpec
 from airnav.observer import ObserverState
 
 from oracles import (
+    E3,
     OutOfRangeError,
     attitude,
     error_state,
     propagate_truth,
+    rotation_defect,
     truth_inputs,
     truth_state,
 )
@@ -72,7 +74,7 @@ class TestTruthInputs:
         inp = truth_inputs(hover, 5.0)
         s = truth_state(hover, 5.0)
         np.testing.assert_allclose(inp.omega, np.zeros(3))
-        np.testing.assert_allclose(inp.a, s.R.T @ (-G * geometry.E3))
+        np.testing.assert_allclose(inp.a, s.R.T @ (-G * E3))
 
     @pytest.mark.parametrize("t", [0.7, 3.1, 12.4])
     def test_velocity_derivative_oracle(self, paper, t):
@@ -81,7 +83,7 @@ class TestTruthInputs:
         dv = (truth_state(paper, t + dt).v - truth_state(paper, t - dt).v) / (2 * dt)
         s = truth_state(paper, t)
         inp = truth_inputs(paper, t)
-        np.testing.assert_allclose(dv, s.R @ inp.a + G * geometry.E3,
+        np.testing.assert_allclose(dv, s.R @ inp.a + G * E3,
                                    atol=1e-6)
 
     @pytest.mark.parametrize("t", [0.5, 4.2, 9.9])
@@ -89,7 +91,7 @@ class TestTruthInputs:
         dt = 1e-4
         dh = (truth_state(paper, t + dt).h - truth_state(paper, t - dt).h) / (2 * dt)
         s = truth_state(paper, t)
-        assert dh == pytest.approx(float(geometry.E3 @ (s.R @ s.Va)),
+        assert dh == pytest.approx(float(E3 @ (s.R @ s.Va)),
                                    abs=1e-6)
 
     @pytest.mark.parametrize("t", [0.5, 4.2, 9.9])
@@ -126,14 +128,14 @@ class TestPropagateTruth:
                               dt=dt, steps=1, gravity=G)
         inp = truth_inputs(paper, 0.0)
         rhs = (-np.cross(inp.omega, state.Va)
-               + G * (state.R.T @ geometry.E3) + inp.a)
+               + G * (state.R.T @ E3) + inp.a)
         np.testing.assert_allclose((out.Va - state.Va) / dt, rhs, atol=1e-3)
 
     def test_rotation_defect_stays_small(self, paper):
         state = truth_state(paper, 0.0)
         out = propagate_truth(state, lambda t: truth_inputs(paper, t),
                               dt=1e-3, steps=60000, gravity=G)
-        assert geometry.rotation_defect(out.R) < 1e-7
+        assert rotation_defect(out.R) < 1e-7
 
 
 class TestErrorState:

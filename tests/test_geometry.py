@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from airnav import geometry
 from airnav.exceptions import (
     DegenerateMatrixError,
     GimbalLockError,
@@ -19,6 +18,7 @@ from oracles import (
     quat_to_rot,
     rot_from_small_angle,
     rot_to_quat,
+    rotation_defect,
     small_angle,
     unskew,
 )
@@ -106,7 +106,7 @@ class TestExpSo3:
         for _ in range(50):
             theta = rng.uniform(-np.pi, np.pi) * _unit(rng)
             r = exp_so3(theta)
-            assert geometry.rotation_defect(r) <= 1e-12
+            assert rotation_defect(r) <= 1e-12
             np.testing.assert_allclose(exp_so3(-theta), r.T, atol=1e-12)
 
     def test_small_angle_remainder_bound(self):
@@ -243,7 +243,7 @@ class TestProjectToSo3:
         r = random_rotation(rng)
         m = r + 1e-6 * rng.standard_normal((3, 3))
         p = project_to_so3(m)
-        assert geometry.rotation_defect(p) <= 1e-12
+        assert rotation_defect(p) <= 1e-12
         assert np.linalg.norm(p - r) <= 2e-6
 
     def test_scaling_removed(self):

@@ -1,21 +1,30 @@
+import contextlib
 import csv
+import io
 import math
 import os
 import pickle
 import signal
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from airnav import _fork, cli, geometry, harness, observability, observer
-from airnav.config import default_config, parse_config_text
+from airnav.config import (
+    _DEFAULTS,
+    _STRING_KEYS,
+    default_config,
+    parse_config_text,
+)
 from airnav.exceptions import (
     DivergenceError,
     SingularInnovationError,
@@ -151,6 +160,16 @@ class TestInitEstimates:
         assert np.all(stds >= 1.9) and np.all(stds <= 2.1)
         np.testing.assert_allclose(draws.mean(axis=0), cfg.init.va0,
                                    atol=0.1)
+
+    def test_overflowing_attitude_draw_fails_the_run_on_tick_0(self):
+        # the draw is not re-checked: its non-finite Rhat is the run's
+        # numerical failure, flagged by the observer on tick 0
+        cfg = parse_config_text("duration = 0.5\ninit_std_angle = 1e200\n")
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.all(np.isfinite(init_estimates(cfg, 0).Rhat))
+        m = run_single(cfg, 0)
+        assert m.diverged and m.divergence_time == 0.0
+        assert m.t.shape == (1,)
 
 
 def _fail_tick(monkeypatch, at):
@@ -1167,23 +1186,101 @@ class TestCli:
         assert cli.main(["simulate", "--config", str(cfg), "--out",
                          str(out)]) == 3
 
-    def test_all_diverged_batch_exits_3_without_warnings(self, tmp_path):
-        # a numerical failure is flagged and nothing else is printed
-        cfg = self._write_config(tmp_path, "s_vel = 1e12\n")
+    @staticmethod
+    def _airnav(*args) -> subprocess.CompletedProcess:
+        """``python -m airnav *args`` in a fresh interpreter."""
         src = Path(cli.__file__).resolve().parents[1]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(src), env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "airnav", "montecarlo", "--config",
-             str(cfg), "--out", str(tmp_path / "mc")],
-            env=env, capture_output=True, text=True, timeout=120)
+        return subprocess.run([sys.executable, "-m", "airnav", *args],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    def test_all_diverged_batch_exits_3_without_warnings(self, tmp_path):
+        # a numerical failure is flagged and nothing else is printed
+        cfg = self._write_config(tmp_path, "s_vel = 1e12\n")
+        proc = self._airnav("montecarlo", "--config", str(cfg), "--out",
+                            str(tmp_path / "mc"))
         assert proc.returncode == 3, proc.stderr
         assert "divergences: 2/2\nunconverged: 0/2\n" in proc.stdout
         assert "RuntimeWarning" not in proc.stderr, proc.stderr
         for key in ("err_att", "err_v_body"):
             assert (f"final-5s mean {key}: n/a (every run diverged)"
                     in proc.stdout)
+
+    @pytest.mark.parametrize("text", [
+        "sigma_gyro = 1e308\n",
+        "sigma_acc = 1e308\n",
+        "init_va = [1e308, 1e308, 1e308]\ninit_std_v = 1e200\n",
+        "init_std_angle = 1e200\n",
+    ])
+    def test_overflow_before_the_loop_exits_3_without_warnings(
+            self, tmp_path, text):
+        # the noise draw, the initial velocity's norm in the trace or the
+        # initial attitude's exponential overflows before the tick loop
+        # flags the run on tick 0; that flag is all that is printed, by a
+        # lone run (its writer forked where a CPU is spare) and by a
+        # batch's workers
+        cfg = self._write_config(tmp_path, text)
+        proc = self._airnav("simulate", "--config", str(cfg), "--out",
+                            str(tmp_path / "sim"))
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr == "run diverged at t=0 s\n"
+        proc = self._airnav("montecarlo", "--config", str(cfg), "--out",
+                            str(tmp_path / "mc"))
+        assert proc.returncode == 3, proc.stderr
+        assert "divergences: 2/2\n" in proc.stdout
+        assert proc.stderr == ""
+
+
+# Every numeric config key, and the shape of its value; q_pitot, q_mag and
+# q_baro default to None, which derives them from the noise.
+_NUMERIC_SHAPES = {key: np.shape(value) for key, value in _DEFAULTS.items()
+                   if key not in _STRING_KEYS}
+_NUMERIC_SHAPES.update(q_pitot=(1, 1), q_mag=(3, 3), q_baro=())
+
+
+def _filled(shape, number: float) -> str:
+    """Config text of a value of ``shape`` whose every element is
+    ``number``."""
+    if not shape:
+        return repr(number)
+    return "[" + ", ".join([_filled(shape[1:], number)] * shape[0]) + "]"
+
+
+class TestHostileConfigs:
+    """One numeric key at an extreme finite value: the command succeeds,
+    refuses the config or flags the run, and prints nothing else."""
+
+    @settings(max_examples=1000, deadline=None, suppress_health_check=[
+        HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(sorted(_NUMERIC_SHAPES)),
+           number=st.sampled_from([0.0, 1e-300, -1e-300, 1e-30, -1e-30,
+                                   1e30, -1e30, 1e300, -1e300]),
+           command=st.sampled_from(["simulate", "observability"]))
+    def test_exits_0_2_or_3_and_prints_only_its_verdict(
+            self, monkeypatch, key, number, command):
+        _pin_cpus(monkeypatch, 1)  # the run's writer stays in process
+        value = _filled(_NUMERIC_SHAPES[key], number)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "hostile.cfg"
+            cfg.write_text(f"duration = 0.5\n{key} = {value}\n",
+                           encoding="utf-8")
+            args = [command, "--config", str(cfg), "--out",
+                    str(Path(tmp) / "out")]
+            if command == "observability":
+                args += ["--window", "0.25"]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with (warnings.catch_warnings(record=True) as caught,
+                  contextlib.redirect_stdout(stdout),
+                  contextlib.redirect_stderr(stderr)):
+                warnings.simplefilter("always")
+                code = cli.main(args)
+        assert code in (0, 2, 3), stderr.getvalue()
+        assert [str(w.message) for w in caught] == []
+        if code == 2:
+            assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
 
 
 class TestDivergenceFloor:

@@ -404,16 +404,14 @@ def test_pe_margins_match_einsum_oracle(traj, m):
 class TestVerdict:
     def test_paper_configuration_true(self, paper, single_probe, mag_ref):
         report, rows = observability_verdict(
-            paper, single_probe, mag_ref, delta=4.0, lam_threshold=1e-6,
-            duration=20.0)
+            paper, single_probe, mag_ref, delta=4.0, duration=20.0)
         assert report.verdict
         assert report.mu_pi > 1e-3 and report.mu_api > 1e-3
         assert all(r.verdict for r in rows)
 
     def test_hover_single_probe_false(self, hover, single_probe, mag_ref):
         report, _ = observability_verdict(
-            hover, single_probe, mag_ref, delta=4.0, lam_threshold=1e-6,
-            duration=12.0)
+            hover, single_probe, mag_ref, delta=4.0, duration=12.0)
         assert not report.verdict
         assert report.lam_min <= 1e-10 * max(report.lam_max, 1e-30)
 
@@ -624,13 +622,6 @@ class TestHalfWindowComposition:
         with pytest.raises(TypeError, match="quad_step"):
             pe_margins(paper, single_probe, 0.0, 4.0, quad_step=quad_step)
 
-    @pytest.mark.parametrize("threshold", [np.nan, np.inf, 0.0, -1e-6])
-    def test_verdict_rejects_bad_threshold(self, paper, single_probe,
-                                           mag_ref, threshold):
-        with pytest.raises(ValueError, match="lam_threshold"):
-            observability_verdict(paper, single_probe, mag_ref, delta=4.0,
-                                  lam_threshold=threshold, duration=12.0)
-
 
 @needs_fork
 class TestForkedSweep:
@@ -670,7 +661,7 @@ class TestForkedSweep:
 
     @pytest.mark.parametrize("bad", [
         {"delta": np.nan}, {"delta": 12.5}, {"duration": np.inf},
-        {"duration": np.nan}, {"lam_threshold": 0.0}])
+        {"duration": np.nan}, {"delta": 0.05}])
     def test_bad_input_is_refused_before_any_fork(self, monkeypatch, paper,
                                                   single_probe, mag_ref,
                                                   bad):

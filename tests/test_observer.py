@@ -21,6 +21,7 @@ from airnav.observer import (
 from airnav.sensors import STACK_ORDER, MagReference, ProbeSet, SensorKind
 
 from oracles import (
+    E3,
     MissingPayloadError,
     additive_weight,
     attitude,
@@ -34,6 +35,7 @@ from oracles import (
     riccati_predict,
     rot_from_small_angle,
     rot_to_quat,
+    rotation_defect,
     small_angle,
     state_matrix_ct,
     state_matrix_dt,
@@ -137,7 +139,7 @@ def euler_step(est, omega, a, u, T):
     rhat, vahat = est.Rhat, est.Vahat
     d_r, d_v, d_h = u[0:3], u[3:6], u[6]
     r_new = rhat @ geometry.exp_so3(T * omega - rhat.T @ d_r)
-    va_new = (vahat + T * (np.cross(vahat, omega) + G * rhat.T @ geometry.E3
+    va_new = (vahat + T * (np.cross(vahat, omega) + G * rhat.T @ E3
                            + a)
               + np.cross(rhat.T @ d_r, vahat) - rhat.T @ d_v)
     h_new = est.hhat + T * (rhat @ vahat)[2] - d_h
@@ -351,7 +353,7 @@ class TestObserverStepState:
         rhat = geometry.exp_so3(np.array([0.2, -0.1, 0.4]))
         est = ObserverState(Rhat=rhat, Vahat=np.zeros(3), hhat=5.0,
                             P=np.eye(7))
-        a = -G * (rhat.T @ geometry.E3)
+        a = -G * (rhat.T @ E3)
         out = tick_once(est, {SensorKind.IMU: (np.zeros(3), a)}, weights,
                         probes, mag_ref)
         np.testing.assert_allclose(out.Rhat, rhat, atol=1e-15)
@@ -1028,7 +1030,7 @@ class TestRotateHelper:
         out = np.array(out).reshape(3, 3)
         np.testing.assert_allclose(out, r @ geometry.exp_so3(theta),
                                    rtol=0, atol=1e-14)
-        assert defect == pytest.approx(geometry.rotation_defect(out),
+        assert defect == pytest.approx(rotation_defect(out),
                                        rel=1e-12, abs=1e-14)
 
     def test_non_finite_angle_gives_nan(self):

@@ -15,12 +15,12 @@ def test_every_exported_name_resolves():
 # Validation code kept in tests/oracles.py, and names deleted outright.
 ORACLE_NAMES = (
     "ErrorState", "MissingPayloadError", "NotSkewSymmetricError",
-    "OutOfRangeError", "ScheduleSlot",
+    "E3", "OutOfRangeError", "ScheduleSlot",
     "_batch_skew", "_check_time", "_subset_in_stack_order", "additive_weight",
     "attitude", "cre_rhs", "error_state", "integrate_cre", "integrate_phi",
     "make_schedule", "output_matrix", "propagate_truth", "quat_to_rot",
     "residual", "riccati_predict", "rot_from_small_angle", "rot_to_quat",
-    "small_angle", "state_matrix_ct", "state_matrix_dt", "truth_inputs",
+    "rotation_defect", "small_angle", "state_matrix_ct", "state_matrix_dt", "truth_inputs",
     "truth_state", "unskew",
 )
 DELETED_NAMES = ("E1", "E2", "TransitionBlocks", "TrajectoryKind",
@@ -28,7 +28,7 @@ DELETED_NAMES = ("E1", "E2", "TransitionBlocks", "TrajectoryKind",
                  "_pool_worker", "_spare_cpu", "_worker_count", "_evaluate",
                  "DEFAULT_QUAD_STEP", "_HALF", "_grid", "_cumulative_simpson",
                  "_integrated_force", "_simpson_weights", "_half_window",
-                 "_half", "_compose", "_window", "_plan")
+                 "_half", "_compose", "_window", "_plan", "is_rotation")
 
 
 def test_dense_forms_are_not_exported():
@@ -87,6 +87,7 @@ def test_package_carries_no_oracle_code():
     assert found == "[] False"
     assert not hasattr(airnav.RunMetrics, "metric")
     assert not hasattr(airnav.AirDataObserver, "tick")
+    assert not hasattr(airnav.ObserverState, "validate")
 
 
 def _unused_imports(path: Path) -> list[str]:
