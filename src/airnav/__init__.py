@@ -3,7 +3,7 @@ barometer and magnetometer measurements: a Riccati-gain nonlinear observer,
 a uniform-observability toolkit, and a reproducible simulation harness."""
 
 from .config import InitSpec, SimConfig, default_config, load_config
-from .dynamics import BodyInputs, NavState, TrajectorySpec
+from .dynamics import TrajectorySpec
 from .harness import (
     MonteCarloSummary,
     RunMetrics,
@@ -34,12 +34,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AirDataObserver",
-    "BodyInputs",
     "GramianReport",
     "InitSpec",
     "MagReference",
     "MonteCarloSummary",
-    "NavState",
     "NoiseSpec",
     "ObserverState",
     "ProbeSet",

@@ -112,14 +112,15 @@ def reap(pid: int, report: int, name: str,
 
 def map_chunks(work, items, name: str) -> list:
     """``[work(chunk) for chunk in chunks]``: ``items`` split into
-    contiguous chunks, each run by a child of its own.
+    contiguous chunks, each run by a child of its own where there are two
+    or more.
 
     There is one chunk per CPU this process may use, no more than there
-    are items, and the chunks' sizes differ by at most one.  One chunk
-    runs here, in process; so does every chunk when :func:`spare_cpu` is
+    are items, and the chunks' sizes differ by at most one.  A lone chunk
+    runs here, in process, as does every chunk when :func:`spare_cpu` is
     False.  With two or more, this process forks every chunk's child and
-    waits for them, so a chunk's memory is never this process's; a chunk
-    whose fork fails runs here.  A chunk stops at its first exception,
+    only waits for them, so a chunk's memory is never this process's; a
+    chunk whose fork fails runs here.  A chunk stops at its first exception,
     the others run to their end, and once every child is reaped the first
     failing chunk's exception is raised.
     """

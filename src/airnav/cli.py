@@ -107,11 +107,12 @@ def _cmd_montecarlo(args, config) -> int:
         # Diverged runs are NaN; with no run left there is nothing to show.
         values = summary.final_means[key]
         values = values[~np.isnan(values)]
+        label = f"final-{harness.FINAL_WINDOW:g}s mean {key}"
         if values.size:
-            print(f"final-5s mean {key}: median={np.median(values):.3e} "
+            print(f"{label}: median={np.median(values):.3e} "
                   f"max={np.max(values):.3e}")
         else:
-            print(f"final-5s mean {key}: n/a (every run diverged)")
+            print(f"{label}: n/a (every run diverged)")
     if summary.divergence_count:
         return EXIT_DIVERGED
     return EXIT_OK

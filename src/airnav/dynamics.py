@@ -68,24 +68,6 @@ class TrajectorySpec:
         return cls(duration=duration, gravity=gravity, h0=h0)
 
 
-@dataclass(frozen=True, eq=False)
-class NavState:
-    """Ground-truth navigation state (body-to-inertial R, body air velocity)."""
-
-    R: np.ndarray
-    Va: np.ndarray
-    h: float
-    v: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class BodyInputs:
-    """IMU-frame inputs: angular velocity and specific acceleration."""
-
-    omega: np.ndarray
-    a: np.ndarray
-
-
 def _per_axis(spec: TrajectorySpec, t: np.ndarray):
     """Velocity amplitude, frequency and phase shaped to broadcast against
     ``t`` with the axis index first, so each axis runs along ``t``."""

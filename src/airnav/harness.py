@@ -324,20 +324,14 @@ def run_single(config: SimConfig, run_index: int = 0,
     def rng(kind):
         return substream(config.base_seed, run_index, STREAM_IDS[kind])
 
-    def truth_every(dec):
-        sl = slice(0, steps, dec)
-        return dynamics.NavState(R=r_truth[sl], Va=va_truth[sl],
-                                 h=h_truth[sl], v=v_truth[sl])
-
     noise = config.noise
-    omega_meas, a_meas = sample_imu(
-        dynamics.BodyInputs(omega=omega_truth[:steps], a=a_body[:steps]),
-        noise, rng(SensorKind.IMU))
-    pitot_meas = sample_pitot(truth_every(dec_p), config.probes, noise,
+    omega_meas, a_meas = sample_imu(omega_truth[:steps], a_body[:steps],
+                                    noise, rng(SensorKind.IMU))
+    pitot_meas = sample_pitot(va_truth[:steps:dec_p], config.probes, noise,
                               rng(SensorKind.PITOT))
-    mag_meas = sample_mag(truth_every(dec_m), config.mag_ref, noise,
+    mag_meas = sample_mag(r_truth[:steps:dec_m], config.mag_ref, noise,
                           rng(SensorKind.MAG))
-    baro_meas = sample_baro(truth_every(dec_b), noise, rng(SensorKind.BARO))
+    baro_meas = sample_baro(h_truth[:steps:dec_b], noise, rng(SensorKind.BARO))
 
     state0 = (initial_state if initial_state is not None
               else init_estimates(config, run_index))
@@ -845,8 +839,8 @@ def write_summary_csv(path, summary: MonteCarloSummary) -> None:
         writer.writerow(["divergences", "", "", str(summary.divergence_count)])
         for key in METRIC_KEYS:
             for k, value in enumerate(summary.final_means[key]):
-                writer.writerow(["final_mean_5s", key, f"run_{k:03d}",
-                                 fmt(value)])
+                writer.writerow([f"final_mean_{FINAL_WINDOW:g}s", key,
+                                 f"run_{k:03d}", fmt(value)])
         for stat, table in (("median", summary.median_at_times),
                             ("min", summary.min_at_times),
                             ("max", summary.max_at_times)):

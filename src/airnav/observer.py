@@ -551,8 +551,7 @@ class AirDataObserver:
 
     def __init__(self, state0: ObserverState, weights: RiccatiWeights,
                  probes: ProbeSet, mag_ref: MagReference, dt: float,
-                 gravity: float = 9.81, q_convention: str = "covariance",
-                 integrator: str = "euler"):
+                 gravity: float, q_convention: str, integrator: str):
         if q_convention not in Q_CONVENTIONS:
             raise ValueError(f"unknown q_convention {q_convention!r}")
         if integrator not in INTEGRATORS:

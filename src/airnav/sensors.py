@@ -1,6 +1,9 @@
 """Measurement synthesis and the multirate tick grid.
 
-Each sensor draws its noise from its own RNG substream, keyed by
+Each sensor model takes the truth series it reads, with a leading axis of
+n ticks, and one tick is the same call on one row: one call over n ticks
+draws from its stream exactly what n single-tick calls draw.  Each sensor
+draws its noise from its own RNG substream, keyed by
 ``(base_seed, run_index, stream_id)``; the number of draws consumed by one
 sensor therefore never perturbs another sensor's sequence, and Monte Carlo
 runs are mutually independent.
@@ -13,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import BodyInputs, NavState
 from .exceptions import RateMismatchError
 
 
@@ -78,7 +80,6 @@ class MagReference:
     """Unit inertial magnetic-field direction; must not be vertical."""
 
     m_I: np.ndarray
-    allow_collinear: bool = False
 
     def __post_init__(self):
         m = np.array(self.m_I, dtype=float)
@@ -86,7 +87,7 @@ class MagReference:
             raise ValueError("m_I must be a 3-vector")
         if abs(np.linalg.norm(m) - 1.0) > 1e-9:
             raise ValueError("m_I must have unit norm")
-        if not self.allow_collinear and np.hypot(m[0], m[1]) <= 1e-9:
+        if np.hypot(m[0], m[1]) <= 1e-9:
             raise ValueError("m_I must not be collinear with the vertical axis")
         m.flags.writeable = False
         object.__setattr__(self, "m_I", m)
@@ -115,11 +116,6 @@ class NoiseSpec:
         sm.flags.writeable = False
         object.__setattr__(self, "sigma_p", sp)
         object.__setattr__(self, "sigma_m", sm)
-
-    @classmethod
-    def noiseless(cls, m: int = 1) -> NoiseSpec:
-        return cls(sigma_gyro=0.0, sigma_acc=0.0, sigma_p=np.zeros(m),
-                   sigma_m=np.zeros(3), sigma_b=0.0)
 
 
 @dataclass(frozen=True)
@@ -152,55 +148,47 @@ class RateSpec:
         return int(round(self.f_imu / f))
 
 
-def sample_imu(inputs: BodyInputs, noise: NoiseSpec,
+def sample_imu(omega: np.ndarray, a: np.ndarray, noise: NoiseSpec,
                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Gyroscope and accelerometer measurements with additive Gaussian noise.
 
-    ``inputs.omega`` and ``inputs.a`` are (3,) for one tick or (n, 3) for n
-    ticks.  Each tick draws its gyroscope triple, then its accelerometer
-    triple, so one call over n ticks consumes the stream exactly as n
-    single-tick calls do.
+    ``omega`` and ``a`` are (3,) for one tick or (n, 3) for n ticks.  Each
+    tick draws its gyroscope triple, then its accelerometer triple.
     """
-    z = rng.standard_normal(np.shape(inputs.omega)[:-1] + (2, 3))
-    omega = inputs.omega + noise.sigma_gyro * z[..., 0, :]
-    a = inputs.a + noise.sigma_acc * z[..., 1, :]
-    return omega, a
+    z = rng.standard_normal(np.shape(omega)[:-1] + (2, 3))
+    return (omega + noise.sigma_gyro * z[..., 0, :],
+            a + noise.sigma_acc * z[..., 1, :])
 
 
-def sample_pitot(truth: NavState, probes: ProbeSet, noise: NoiseSpec,
+def sample_pitot(va: np.ndarray, probes: ProbeSet, noise: NoiseSpec,
                  rng: np.random.Generator) -> np.ndarray:
     """Per-probe projections of the body-frame air velocity, plus noise.
 
-    ``truth.Va`` is (3,) for one tick or (n, 3) for n ticks; the result is
-    (m,) or (n, m).
+    ``va`` is (3,) for one tick or (n, 3) for n ticks; the result is (m,)
+    or (n, m).
     """
     if noise.sigma_p.shape[0] != probes.m:
         raise ValueError("sigma_p length must equal the probe count")
-    va = np.asarray(truth.Va)
+    va = np.asarray(va)
     # einsum, unlike a BLAS matmul, sums each projection in the same order
     # for one tick and for many.
     return (np.einsum("...i,im->...m", va, probes.B)
             + noise.sigma_p * rng.standard_normal(va.shape[:-1] + (probes.m,)))
 
 
-def sample_baro(truth: NavState, noise: NoiseSpec,
-                rng: np.random.Generator) -> float | np.ndarray:
-    """Barometric altitude measurement.
-
-    A scalar ``truth.h`` gives a float; an (n,) array gives n measurements.
-    """
-    h = truth.h + noise.sigma_b * rng.standard_normal(np.shape(truth.h))
-    return float(h) if np.ndim(h) == 0 else h
+def sample_baro(h: np.ndarray, noise: NoiseSpec,
+                rng: np.random.Generator) -> np.ndarray:
+    """Barometric altitude measurement: ``h`` is () for one tick or (n,)."""
+    return h + noise.sigma_b * rng.standard_normal(np.shape(h))
 
 
-def sample_mag(truth: NavState, ref: MagReference, noise: NoiseSpec,
+def sample_mag(r: np.ndarray, ref: MagReference, noise: NoiseSpec,
                rng: np.random.Generator) -> np.ndarray:
     """Body-frame magnetic field measurement (left unnormalized).
 
-    ``truth.R`` is (3, 3) for one tick or (n, 3, 3) for n ticks.
+    ``r`` is (3, 3) for one tick or (n, 3, 3) for n ticks.
     """
-    r = np.asarray(truth.R)
-    return ref.m_I @ r + noise.sigma_m * rng.standard_normal(r.shape[:-1])
+    return ref.m_I @ r + noise.sigma_m * rng.standard_normal(np.shape(r)[:-1])
 
 
 def tick_times(rates: RateSpec, duration: float) -> np.ndarray:

@@ -6,9 +6,10 @@ carry it.  It holds the pieces that exist only to cross-check the package:
 * the vertical unit vector ``E3``, the orthonormality defect
   ``rotation_defect``, quaternion and small-angle maps and ``unskew``
   (geometry round trips and the first-order attitude error);
-* the scalar truth state and IMU inputs, an RK4 integrator of the
-  rigid-body kinematics and the first-order error state (the closed-form
-  truth and the linearization checks);
+* the scalar truth state and IMU inputs (:class:`NavState` and
+  :class:`BodyInputs`), an RK4 integrator of the rigid-body kinematics and
+  the first-order error state (the closed-form truth and the linearization
+  checks);
 * the dense forms of the discrete recursion: the first-order ``A_d``, the
   covariance prediction, the stacked output matrix and additive weights
   (the tick's float kernels and :func:`airnav.observer.riccati_update`);
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from airnav import dynamics, geometry
-from airnav.dynamics import BodyInputs, NavState, TrajectorySpec
+from airnav.dynamics import TrajectorySpec
 from airnav.exceptions import AirnavError
 from airnav.geometry import I3, skew
 from airnav.observer import AirDataObserver, ObserverState, RiccatiWeights
@@ -176,6 +177,24 @@ def _check_time(spec: TrajectorySpec, t) -> None:
         raise OutOfRangeError(
             f"t outside [0, {spec.duration}]"
         )
+
+
+@dataclass(frozen=True, eq=False)
+class NavState:
+    """Ground-truth navigation state (body-to-inertial R, body air velocity)."""
+
+    R: np.ndarray
+    Va: np.ndarray
+    h: float
+    v: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class BodyInputs:
+    """IMU-frame inputs: angular velocity and specific acceleration."""
+
+    omega: np.ndarray
+    a: np.ndarray
 
 
 def attitude(spec: TrajectorySpec, t: float) -> np.ndarray:
@@ -502,7 +521,7 @@ def tick(obs: AirDataObserver, payloads: dict) -> ObserverState:
     its state.
 
     Payloads are arrays (the IMU payload a pair of 3-vectors
-    ``(omega, a)``) except the barometer's, a float.  The tick is a
+    ``(omega, a)``; the barometer's a scalar).  The tick is a
     one-tick call of :meth:`~airnav.observer.AirDataObserver.advance`, so
     if it fails, the observer's state stays at the last valid estimate.
 

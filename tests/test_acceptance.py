@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from airnav import cli, dynamics, geometry, harness, observability
+from airnav import cli, geometry, harness, observability
 from airnav.config import default_config, parse_config_text
 from airnav.dynamics import TrajectorySpec
 from airnav.observer import AirDataObserver, ObserverState, riccati_update
@@ -27,6 +27,7 @@ from airnav.sensors import (
 )
 
 from oracles import (
+    NavState,
     additive_weight,
     attitude,
     error_state,
@@ -196,8 +197,8 @@ def _error_rate_via_fd(spec, t, lam, v_tilde, h_tilde, dt):
     nonlinear truth/estimate pair (zero innovation), evaluated at t + dt."""
     truth = truth_state(spec, t)
     est = _estimate_from_error(truth, lam, v_tilde, h_tilde, np.eye(7))
-    est_nav = dynamics.NavState(R=est.Rhat, Va=est.Vahat, h=est.hhat,
-                                v=est.Rhat @ est.Vahat)
+    est_nav = NavState(R=est.Rhat, Va=est.Vahat, h=est.hhat,
+                       v=est.Rhat @ est.Vahat)
     inputs = lambda s: truth_inputs(spec, s)  # noqa: E731
     xs = []
     nav = est_nav
@@ -292,16 +293,17 @@ def test_criterion_6_riccati_properties():
     for slot in make_schedule(cfg.rates, cfg.duration)[:-1]:
         truth = truth_state(spec, slot.t)
         inputs = truth_inputs(spec, slot.t)
-        payloads = {SensorKind.IMU: sample_imu(inputs, cfg.noise,
+        payloads = {SensorKind.IMU: sample_imu(inputs.omega, inputs.a,
+                                               cfg.noise,
                                                rngs[SensorKind.IMU])}
         if SensorKind.PITOT in slot.kinds:
             payloads[SensorKind.PITOT] = sample_pitot(
-                truth, cfg.probes, cfg.noise, rngs[SensorKind.PITOT])
+                truth.Va, cfg.probes, cfg.noise, rngs[SensorKind.PITOT])
         if SensorKind.MAG in slot.kinds:
             payloads[SensorKind.MAG] = sample_mag(
-                truth, cfg.mag_ref, cfg.noise, rngs[SensorKind.MAG])
+                truth.R, cfg.mag_ref, cfg.noise, rngs[SensorKind.MAG])
         if SensorKind.BARO in slot.kinds:
-            payloads[SensorKind.BARO] = sample_baro(truth, cfg.noise,
+            payloads[SensorKind.BARO] = sample_baro(truth.h, cfg.noise,
                                                     rngs[SensorKind.BARO])
         state = tick(obs, payloads)
         worst_asym = max(worst_asym,

@@ -210,17 +210,18 @@ def _assert_run_matches_tick_loop(cfg, monkeypatch=None, fail_at=None):
     for slot in make_schedule(cfg.rates, cfg.duration)[:-1]:
         truth = truth_state(spec, slot.t)
         inputs = truth_inputs(spec, slot.t)
-        payloads = {SensorKind.IMU: sample_imu(inputs, cfg.noise,
+        payloads = {SensorKind.IMU: sample_imu(inputs.omega, inputs.a,
+                                               cfg.noise,
                                                rngs[SensorKind.IMU])}
         if SensorKind.PITOT in slot.kinds:
             payloads[SensorKind.PITOT] = sample_pitot(
-                truth, cfg.probes, cfg.noise, rngs[SensorKind.PITOT])
+                truth.Va, cfg.probes, cfg.noise, rngs[SensorKind.PITOT])
         if SensorKind.MAG in slot.kinds:
             payloads[SensorKind.MAG] = sample_mag(
-                truth, cfg.mag_ref, cfg.noise, rngs[SensorKind.MAG])
+                truth.R, cfg.mag_ref, cfg.noise, rngs[SensorKind.MAG])
         if SensorKind.BARO in slot.kinds:
             payloads[SensorKind.BARO] = sample_baro(
-                truth, cfg.noise, rngs[SensorKind.BARO])
+                truth.h, cfg.noise, rngs[SensorKind.BARO])
         try:
             states.append(tick(obs, payloads))
         except SingularInnovationError as exc:
@@ -361,7 +362,9 @@ class TestRunSingle:
     def test_tick_returns_the_state(self, short_config):
         cfg = short_config
         obs = AirDataObserver(init_estimates(cfg, 0), cfg.weights,
-                              cfg.probes, cfg.mag_ref, dt=cfg.imu_period)
+                              cfg.probes, cfg.mag_ref, dt=cfg.imu_period,
+                              gravity=9.81, q_convention="covariance",
+                              integrator="euler")
         inp = truth_inputs(cfg.trajectory, 0.0)
         state = tick(obs, {SensorKind.IMU: (inp.omega, inp.a),
                            SensorKind.BARO: 10.0})
@@ -1292,7 +1295,8 @@ class TestDivergenceFloor:
         est = ObserverState(Rhat=truth0.R.copy(), Vahat=truth0.Va.copy(),
                             hhat=truth0.h, P=cfg.weights.P0.copy())
         obs = AirDataObserver(est, cfg.weights, cfg.probes, cfg.mag_ref,
-                              dt=cfg.imu_period, gravity=cfg.gravity)
+                              dt=cfg.imu_period, gravity=cfg.gravity,
+                              q_convention="covariance", integrator="euler")
         with pytest.raises(DivergenceError):
             tick(obs, {SensorKind.IMU: (inp.omega, inp.a),
                        SensorKind.BARO: 1e13})
@@ -1320,7 +1324,8 @@ class TestDivergenceFloor:
         inp = truth_inputs(cfg.trajectory, 0.0)
         obs = AirDataObserver(init_estimates(cfg, 0), cfg.weights,
                               cfg.probes, cfg.mag_ref, dt=cfg.imu_period,
-                              gravity=cfg.gravity)
+                              gravity=cfg.gravity, q_convention="covariance",
+                              integrator="euler")
         before = obs.state
         monkeypatch.setattr(observer, "_rotate",
                             lambda r, t0, t1, t2: ([np.nan] * 9, np.nan))
@@ -1336,7 +1341,8 @@ class TestDivergenceFloor:
         est = ObserverState(Rhat=np.eye(3), Vahat=np.array(va), hhat=h,
                             P=cfg.weights.P0.copy())
         obs = AirDataObserver(est, cfg.weights, cfg.probes, cfg.mag_ref,
-                              dt=cfg.imu_period, gravity=cfg.gravity)
+                              dt=cfg.imu_period, gravity=cfg.gravity,
+                              q_convention="covariance", integrator="euler")
         with pytest.raises(DivergenceError):
             tick(obs, {SensorKind.IMU: (np.zeros(3),
                                         np.array([0.0, 0.0, -cfg.gravity]))})

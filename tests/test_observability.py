@@ -417,8 +417,8 @@ class TestVerdict:
 
     def test_collinear_reference_degrades(self, paper, single_probe,
                                           mag_ref):
-        collinear = MagReference(m_I=np.array([0.0, 0.0, 1.0]),
-                                 allow_collinear=True)
+        # MagReference refuses a vertical field; the Gramian reads only m_I
+        collinear = SimpleNamespace(m_I=np.array([0.0, 0.0, 1.0]))
         w_good = gramian(paper, single_probe, mag_ref, 0.0, 4.0)
         w_bad = gramian(paper, single_probe, collinear, 0.0, 4.0)
         assert (np.linalg.eigvalsh(w_bad)[0]

@@ -121,7 +121,8 @@ def truth_observer_state(spec, t, p=None):
 
 def tick_once(est, payloads, weights, probes, mag_ref, T=0.005):
     """State after one tick of a fresh Euler observer started at ``est``."""
-    obs = AirDataObserver(est, weights, probes, mag_ref, dt=T, gravity=G)
+    obs = AirDataObserver(est, weights, probes, mag_ref, dt=T, gravity=G,
+                          q_convention="covariance", integrator="euler")
     return tick(obs, payloads)
 
 
@@ -473,7 +474,9 @@ class TestObserverTick:
 
         def observer():
             return AirDataObserver(truth_observer_state(spec, 0.0, p=w.P0), w,
-                                   probes, mag_ref, dt=0.005, gravity=G)
+                                   probes, mag_ref, dt=0.005, gravity=G,
+                                   q_convention="covariance",
+                                   integrator="euler")
 
         def advance(obs, pitots):
             n = len(pitots)
@@ -507,7 +510,8 @@ class TestObserverTick:
 
         obs, refused = (
             AirDataObserver(truth_observer_state(spec, 0.0, p=weights.P0),
-                            weights, probes, mag_ref, dt=0.005, gravity=G)
+                            weights, probes, mag_ref, dt=0.005, gravity=G,
+                            q_convention="covariance", integrator="euler")
             for _ in range(2))
         assert advance(obs, [good]) == (1, None)
         with pytest.raises(ValueError,
@@ -528,7 +532,8 @@ class TestObserverTick:
                            match=rf"^Qp is \({size}, {size}\) for 2 probes$"):
             AirDataObserver(
                 truth_observer_state(TrajectorySpec.paper(), 0.0, p=w.P0),
-                w, probes, mag_ref, dt=0.005)
+                w, probes, mag_ref, dt=0.005, gravity=G,
+                q_convention="covariance", integrator="euler")
 
     def test_failed_tick_leaves_the_rate_history(self, probes, mag_ref,
                                                  weights):
@@ -543,7 +548,8 @@ class TestObserverTick:
 
         def observer_ab2():
             return AirDataObserver(est, weights, probes, mag_ref, dt=0.005,
-                                   gravity=G, integrator="ab2")
+                                   gravity=G, integrator="ab2",
+                                   q_convention="covariance")
 
         obs = observer_ab2()
         with pytest.raises(DivergenceError):
@@ -558,7 +564,8 @@ class TestObserverTick:
         spec = TrajectorySpec.paper()
         est = truth_observer_state(spec, 0.0, p=weights.P0.copy())
         obs = AirDataObserver(est, weights, probes, mag_ref, dt=0.005,
-                              gravity=G)
+                              gravity=G, q_convention="covariance",
+                              integrator="euler")
         rng = np.random.default_rng(4)
         for i in range(400):
             t = i * 0.005
@@ -588,7 +595,7 @@ class TestCopyOfDynamics:
         T = 0.005
         est = truth_observer_state(spec, 0.0, p=weights.P0.copy())
         obs = AirDataObserver(est, weights, probes, mag_ref, dt=T, gravity=G,
-                              integrator="euler")
+                              integrator="euler", q_convention="covariance")
         n = int(10.0 / T)
         for i in range(n):
             inp = truth_inputs(spec, i * T)
@@ -609,7 +616,8 @@ class TestCopyOfDynamics:
         for integ in ("euler", "ab2"):
             est = truth_observer_state(spec, 0.0, p=weights.P0.copy())
             obs = AirDataObserver(est, weights, probes, mag_ref, dt=T,
-                                  gravity=G, integrator=integ)
+                                  gravity=G, integrator=integ,
+                                  q_convention="covariance")
             for i in range(int(10.0 / T)):
                 inp = truth_inputs(spec, i * T)
                 tick(obs, {SensorKind.IMU: (inp.omega, inp.a)})
@@ -765,7 +773,7 @@ class TestPackedKernels:
         payloads = {SensorKind.IMU: (inp.omega, inp.a)}
         payloads.update((kind, measured[kind]) for kind in subset)
         obs = AirDataObserver(est, w, probes, mag_ref, dt=T, gravity=G,
-                              q_convention=q_convention)
+                              q_convention=q_convention, integrator="euler")
         out = tick(obs, payloads)
 
         p = riccati_predict(est.P, state_matrix_dt(est.Rhat, inp.a, T), w.S,
@@ -793,7 +801,8 @@ class TestPackedKernels:
         spec = TrajectorySpec.paper()
         obs = AirDataObserver(truth_observer_state(spec, 0.0, p=w.P0), w,
                               probes, MagReference(m_I=M_I), dt=0.005,
-                              q_convention=q_convention)
+                              q_convention=q_convention, gravity=G,
+                              integrator="euler")
 
         def forbidden(*args, **kwargs):
             raise AssertionError("numpy.linalg called in the tick")
@@ -815,7 +824,9 @@ class TestPackedKernels:
                                                    weights):
         est = truth_observer_state(TrajectorySpec.paper(), 0.0,
                                    p=np.full((7, 7), np.nan))
-        obs = AirDataObserver(est, weights, probes, mag_ref, dt=0.005)
+        obs = AirDataObserver(est, weights, probes, mag_ref, dt=0.005,
+                              gravity=G, q_convention="covariance",
+                              integrator="euler")
         before = obs.state
         with pytest.raises(SingularInnovationError):
             tick(obs, {SensorKind.IMU: (np.zeros(3), np.zeros(3)),
@@ -910,7 +921,7 @@ class TestRowKernels:
         obs = AirDataObserver(
             ObserverState(np.eye(3), np.zeros(3), 0.0, np.eye(7)), w,
             ProbeSet.from_axes([[1.0, 0.0, 0.0]]), MagReference(m_I=m_i),
-            dt=0.005, q_convention=q_convention)
+            dt=0.005, q_convention=q_convention, gravity=G, integrator="euler")
         p = observer._pack(_random_spd(rng))
         rhat = geometry.exp_so3(rng.standard_normal(3))
         vahat = 5.0 * rng.standard_normal(3)
@@ -942,7 +953,8 @@ class TestRowKernels:
         p = weights.P0.copy()
         p[entry] = np.nan
         obs = AirDataObserver(truth_observer_state(spec, 0.0, p=p), weights,
-                              probes, mag_ref, dt=0.005)
+                              probes, mag_ref, dt=0.005, gravity=G,
+                              q_convention="covariance", integrator="euler")
         before = obs.state
         inp = truth_inputs(spec, 0.0)
         s = truth_state(spec, 0.0)

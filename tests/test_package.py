@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -14,7 +15,8 @@ def test_every_exported_name_resolves():
 
 # Validation code kept in tests/oracles.py, and names deleted outright.
 ORACLE_NAMES = (
-    "ErrorState", "MissingPayloadError", "NotSkewSymmetricError",
+    "BodyInputs", "ErrorState", "MissingPayloadError", "NavState",
+    "NotSkewSymmetricError",
     "E3", "OutOfRangeError", "ScheduleSlot",
     "_batch_skew", "_check_time", "_subset_in_stack_order", "additive_weight",
     "attitude", "cre_rhs", "error_state", "integrate_cre", "integrate_phi",
@@ -88,6 +90,12 @@ def test_package_carries_no_oracle_code():
     assert not hasattr(airnav.RunMetrics, "metric")
     assert not hasattr(airnav.AirDataObserver, "tick")
     assert not hasattr(airnav.ObserverState, "validate")
+
+
+def test_sensor_specs_carry_no_test_only_knobs():
+    assert not hasattr(airnav.NoiseSpec, "noiseless")
+    assert "allow_collinear" not in {
+        f.name for f in dataclasses.fields(airnav.MagReference)}
 
 
 def _unused_imports(path: Path) -> list[str]:
