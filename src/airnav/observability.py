@@ -15,9 +15,10 @@ Windowed observability Gramians and the two persistent-excitation margins
 (horizontal Pitot projection, horizontal specific-force coupling)
 integrate products of these closed forms over a window; positive margins
 certify uniform observability for the trajectory, which the Gramian
-spectrum then witnesses directly.  Each window [t0, t0 + delta] is a
-composite Gauss-Legendre rule: equal panels no longer than
-``min(1 s, 10 / omega)`` with ``omega = 2 max|vel_freq| + 2 (|yaw_amp| +
+spectrum then witnesses directly.  A window [t0, t0 + delta] is made of
+two half-windows of ``delta/2`` (below), and each half [t0, t0 + delta/2]
+is a composite Gauss-Legendre rule: equal panels no longer than ``min(1 s,
+10 / omega)`` with ``omega = 2 max|vel_freq| + 2 (|yaw_amp| +
 |yaw_freq|)``, 12 nodes each (nodes and weights by Golub & Welsch, Math.
 Comp. 1969).  Why that suffices: every integrand is a polynomial of degree
 at most 4 in ``s - t0`` times products of at most two factors from the
@@ -37,15 +38,35 @@ family's attitude is ``Rz(psi)`` (:mod:`airnav.dynamics`), so ``R b_j``,
 its cross products and ``B^T R J`` are formed from ``cos psi`` and ``sin
 psi`` of :func:`airnav.dynamics.yaw_angle`; the baro and specific-force rows
 take one sine per horizontal axis (:func:`airnav.dynamics.horizontal_motion`).
-The window-start terms ``v(t0)`` and ``p(t0)`` are evaluated once per
-window, for up to 512 windows at a time.
+The start terms ``v(t0)`` and ``p(t0)`` are evaluated once per half, for up
+to 512 halves at a time.
 
-:func:`observability_verdict` evaluates every window of its sweep in this
-process, in blocks of at most 1020 nodes (85 panels): as many whole windows
-as fit, or 85 panels of a longer one, so that its temporaries stay small.
-Each panel's weighted sums are added into its window in panel order, so a
-window gets the same bits however the panels fall into blocks, and
-:func:`gramian`, :func:`pe_margins` and the sweep share that one code path.
+Windows are composed from their halves.  With ``H_k`` the sums of half k
+over [t_k, t_k + delta/2], its rows referenced to ``t_k``, and ``Phi_k =
+Phi*(t_k + delta/2, t_k)``, the window starting at ``t_k`` is
+
+    W_k delta = H_k + Phi_k^T H_{k+1} Phi_k,
+
+because ``Phi*(s, t_k) = Phi*(s, t_k + delta/2) Phi_k``: the Gramian's
+transition identity, exact for this closed form.  The PE integrands do not
+depend on the window's start, so their two halves are added, and the
+constant mag rows add their exact mean.
+
+:func:`observability_verdict` sweeps windows that overlap by half, so its
+windows share their halves and each node is evaluated once: the 149 4-s
+windows over 300 s take 150 halves of 3 panels, 5,400 nodes, where whole
+windows took 149 of 5 panels, 8,940 nodes.  Halves are evaluated in this
+process in blocks of at most 1020 nodes (85 panels): as many whole halves
+as fit, or 85 panels of a longer one, so that the temporaries stay small.
+Each panel's sums are added into its half in panel order, so a half gets
+the same bits however its panels fall into blocks; the last half of a
+block is carried over to open the next block's first window.  A last
+window clamped to the sweep's end is off the half grid and takes its own
+two halves.  :func:`gramian`, :func:`pe_margins` and the sweep share that
+one two-halves path, so a sweep row has the bits of the single window at
+its start wherever ``t_k + delta/2`` rounds to the next half's start ``t +
+(k + 1) delta/2``, as it does whenever ``delta/2`` is a short binary
+fraction (4-, 7- or 40-s windows); otherwise the two differ by rounding.
 A block's windows are reduced to their rows as soon as the block is done,
 and only the worst window's Gramian is kept for the report: beyond the rows
 it returns, the sweep's memory does not grow with the window count.
@@ -141,21 +162,30 @@ def _check_window(delta: float) -> None:
                           f"{_MIN_WINDOW:g} s, got {delta}")
 
 
-def _running_integrals(spec: TrajectorySpec, t0, s,
-                       ) -> tuple[np.ndarray, np.ndarray]:
-    """``g1(s) = int_t0^s R a`` and ``g2(s) = int_t0^s g1``, exactly.
+def _transitions(spec: TrajectorySpec, s: np.ndarray, v: np.ndarray,
+                 d: np.ndarray) -> np.ndarray:
+    """``Phi*(s[k+1], s[k])`` between consecutive times ``s`` (n + 1,),
+    exact; shape (n, 7, 7).
 
-    ``t0`` and ``s`` broadcast against each other; each result has a last
-    axis of 3.
+    ``v`` and ``d`` (3, n + 1) hold the velocity and the displacement at
+    ``s``, one axis after the other.  With ``u = s[k+1] - s[k]``, the running
+    integrals of ``R a`` from ``s[k]`` are
+
+        g1 = v(s[k+1]) - v(s[k]) - g u e3,
+        g2 = d(s[k+1]) - d(s[k]) - v(s[k]) u - g u^2 e3 / 2,
+
+    and only the horizontal part of ``g2`` enters ``Phi*``.
     """
-    u = np.asarray(s - t0, dtype=float)[..., None]
-    v0 = dynamics.velocity(spec, t0)
-    g1 = dynamics.velocity(spec, s) - v0
-    g2 = (dynamics.displacement(spec, s) - dynamics.displacement(spec, t0)
-          - v0 * u)
-    g1[..., 2:] -= spec.gravity * u
-    g2[..., 2:] -= 0.5 * spec.gravity * u * u
-    return g1, g2
+    u = s[1:] - s[:-1]
+    g1 = v[:, 1:] - v[:, :-1]
+    g1[2] -= spec.gravity * u
+    g2x, g2y = d[:2, 1:] - d[:2, :-1] - v[:2, :-1] * u
+    phi = np.zeros((u.size, 7, 7))
+    phi.reshape(-1, 49)[:, ::8] = 1.0  # the diagonal
+    phi[:, 3, 1], phi[:, 4, 2], phi[:, 5, 0] = g1[2], g1[0], g1[1]
+    phi[:, 3, 2], phi[:, 4, 0], phi[:, 5, 1] = -g1[1], -g1[2], -g1[0]
+    phi[:, 6, 0], phi[:, 6, 1], phi[:, 6, 5] = g2y, -g2x, u
+    return phi
 
 
 def phi_blocks(spec: TrajectorySpec, t: float, tau: float) -> np.ndarray:
@@ -164,23 +194,23 @@ def phi_blocks(spec: TrajectorySpec, t: float, tau: float) -> np.ndarray:
     The 6x6 block is lower-triangular with ``-(g1)^x`` in its lower-left
     corner; the altitude row ``e3^T [-(g2)^x | (t - tau) I | 1]`` couples
     the attitude and velocity errors into the altitude error through the
-    double integral.  Raises ``ValueError`` when ``t`` or ``tau`` is not
-    finite or ``tau > t``.
+    double integral.  The sweep composes its windows from the same
+    transitions between half-window starts (see the module docstring).
+    Raises ``ValueError`` when ``t`` or ``tau`` is not finite or ``tau >
+    t``.
     """
     _check_finite(t=t, tau=tau)
     if tau > t:
         raise ValueError("tau must not exceed t")
-    g1, g2 = _running_integrals(spec, tau, t)
-    phi = np.eye(7)
-    phi[3:6, 0:3] = -skew(g1)
-    phi[6, 0:2] = g2[1], -g2[0]
-    phi[6, 5] = t - tau
-    return phi
+    s = np.array([tau, t], dtype=float)
+    return _transitions(spec, s, dynamics.velocity(spec, s).T,
+                        dynamics.displacement(spec, s).T)[0]
 
 
 def _panels(spec: TrajectorySpec, delta: float) -> int:
-    """Panel count of a window: equal panels of at most ``min(1, 10/omega)``
-    seconds (see the module docstring)."""
+    """Panel count of ``delta`` seconds, in the sweep a half-window: equal
+    panels of at most ``min(1, 10/omega)`` seconds (see the module
+    docstring)."""
     omega = 2.0 * (float(np.abs(spec.vel_freq).max()) + abs(spec.yaw_amp)
                    + abs(spec.yaw_freq))
     return max(1, math.ceil(delta * max(1.0, omega / 10.0)))
@@ -189,13 +219,13 @@ def _panels(spec: TrajectorySpec, delta: float) -> int:
 # Columns of a panel's flattened sums: the 7x7 Gramian integrand, then the
 # two 2x2 PE integrands.
 _SUMS = 49 + 4 + 4
-# Windows whose start terms are evaluated together; they take 48 bytes each.
+# Halves whose start terms are evaluated together; they take 56 bytes each.
 _START_CHUNK = 512
 
 
 def _gram(cols: np.ndarray) -> np.ndarray:
     """``X X^T`` per panel, flattened: ``cols`` (w, q, c, ...) holds the
-    (c, k) matrix ``X`` of each of q panels of w windows; returns
+    (c, k) matrix ``X`` of each of q panels of w halves; returns
     (w, q, c * c)."""
     x = cols.reshape(cols.shape[:3] + (-1,))
     # a transposed view as an operand makes matmul several times slower
@@ -208,11 +238,11 @@ def _panel_sums(spec: TrajectorySpec, probes: ProbeSet, t0: np.ndarray,
                 root_weights: np.ndarray, sensors) -> np.ndarray:
     """Weighted sums of the Gramian and PE integrands over panels.
 
-    ``t0`` (w, 1, 1) holds the starts of w windows, ``v0`` (3, w, 1, 1) the
-    velocity there and ``p0`` (2, w, 1, 1) the horizontal displacement, one
-    axis after the other; ``u`` (q, n) holds the times of the nodes of q
-    panels since their window's start, the same in every window, and
-    ``root_weights`` (n,) the square roots of the nodes' weights.  Returns
+    ``t0`` (w, 1, 1) holds the starts of w half-windows, ``v0`` (3, w, 1,
+    1) the velocity there and ``p0`` (2, w, 1, 1) the horizontal
+    displacement, one axis after the other; ``u`` (q, n) holds the times of
+    the nodes of q panels since their half's start, the same in every half,
+    and ``root_weights`` (n,) the square roots of the nodes' weights.  Returns
     (w, q, 57): each panel's weighted sums of ``M^T M`` over its nodes,
     formed as ``(sqrt(w) M)^T (sqrt(w) M)`` and flattened one after the
     other, for three kinds of rows ``M``:
@@ -264,38 +294,103 @@ def _panel_sums(spec: TrajectorySpec, probes: ProbeSet, t0: np.ndarray,
     return np.concatenate((_gram(cols), _gram(pi), _gram(a_pi)), axis=-1)
 
 
-def _block(spec: TrajectorySpec, probes: ProbeSet, mag: np.ndarray | None,
-           t0: np.ndarray, v0: np.ndarray, p0: np.ndarray, delta: float,
-           sensors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(W, mu_pi, mu_api)`` of the windows [t0, t0 + delta] of a block.
+def _half_sums(spec: TrajectorySpec, probes: ProbeSet, starts: np.ndarray,
+               v: np.ndarray, d: np.ndarray, half: float,
+               sensors) -> np.ndarray:
+    """Sums (n, 57) of :func:`_panel_sums` over the half-windows [starts,
+    starts + half], each referenced to its own start.
 
-    ``t0`` (w,) holds the window starts, ``v0`` and ``p0`` the velocity and
-    the horizontal displacement there as :func:`_panel_sums` takes them,
-    and ``mag`` the mean of the mag rows' ``M^T M``, or ``None`` without
-    them.  ``W`` (w, 7, 7) holds the symmetrized Gramians ``int (C* Phi*)^T
-    (C* Phi*) / delta``, and ``mu_pi``, ``mu_api`` (w,) the smallest
-    eigenvalues of the PE Gram matrices.  The panels of the windows are
-    evaluated at most :data:`_BLOCK_PANELS` at a time, and each panel's
-    sums are added into its window in panel order.
+    ``v`` and ``d`` (3, n) hold the velocity and the displacement at the
+    starts.  A half takes :func:`_panels` ``(spec, half)`` panels; they are
+    evaluated at most :data:`_BLOCK_PANELS` at a time and added into their
+    half in panel order, so a half gets the same bits however its panels
+    fall into evaluations.
     """
     nodes, weights = _gauss_legendre()
-    panels = _panels(spec, delta)
-    h = delta / panels
+    panels = _panels(spec, half)
+    h = half / panels
     root_weights = np.sqrt(h * weights)
-    acc = np.zeros((t0.size, _SUMS))
+    acc = np.zeros((starts.size, _SUMS))
     for first in range(0, panels, _BLOCK_PANELS):
         q = min(_BLOCK_PANELS, panels - first)
-        sums = _panel_sums(spec, probes, t0[:, None, None],
+        sums = _panel_sums(spec, probes, starts[:, None, None],
                            h * (np.arange(first, first + q)[:, None] + nodes),
-                           v0, p0, root_weights, sensors)
+                           v[:, :, None, None], d[:2, :, None, None],
+                           root_weights, sensors)
         for j in range(q):  # panel by panel, in order
             acc += sums[:, j]
-    acc /= delta
-    w = acc[:, :49].reshape(-1, 7, 7)
+    return acc
+
+
+def _block(sums: np.ndarray, phi: np.ndarray, mag: np.ndarray | None,
+           delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(W, mu_pi, mu_api)`` of the n windows made of consecutive halves.
+
+    ``sums`` (n + 1, 57) holds the half sums of :func:`_half_sums`, ``phi``
+    (n, 7, 7) the transitions ``Phi_k = Phi*(t_k + delta/2, t_k)`` across
+    each window's middle, and ``mag`` the mean of the mag rows' ``M^T M``,
+    or ``None`` without them.  With ``H_k`` the Gramian sum of half k,
+    window k is
+
+        W_k delta = H_k + Phi_k^T H_{k+1} Phi_k,
+
+    the Gramian's transition identity ``Phi*(s, t_k) = Phi*(s, t_k +
+    delta/2) Phi_k``, exact for this closed form.  The PE integrands do not
+    depend on the window's start, so their two halves are added.  ``W`` (n,
+    7, 7) holds the symmetrized Gramians ``int (C* Phi*)^T (C* Phi*) /
+    delta``, and ``mu_pi``, ``mu_api`` (n,) the smallest eigenvalues of the
+    PE Gram matrices.
+    """
+    gram = sums[:, :49].reshape(-1, 7, 7)
+    phi_t = np.ascontiguousarray(phi.transpose(0, 2, 1))  # as in _gram
+    w = gram[:-1] + phi_t @ gram[1:] @ phi
+    w /= delta
     if mag is not None:
         w[:, 0:3, 0:3] += mag
-    mu = np.linalg.eigvalsh(acc[:, 49:].reshape(-1, 2, 2, 2))[..., 0]
+    pe = (sums[:-1, 49:] + sums[1:, 49:]) / delta
+    mu = np.linalg.eigvalsh(pe.reshape(-1, 2, 2, 2))[..., 0]
     return 0.5 * (w + w.transpose(0, 2, 1)), mu[:, 0], mu[:, 1]
+
+
+def _grid_windows(spec: TrajectorySpec, probes: ProbeSet,
+                  mag: np.ndarray | None, t: float, delta: float, count: int,
+                  sensors):
+    """Yield ``(t0, W, mu_pi, mu_api)`` of :func:`_block` for the windows
+    [t0, t0 + delta] with ``t0 = t + k delta/2``, ``k < count``.
+
+    The ``count + 1`` halves [t + j delta/2, t + (j + 1) delta/2] are
+    evaluated once each, as many at a time as fit in :data:`_BLOCK_PANELS`
+    panels, or one; the last half of an evaluation is carried over to open
+    the next one's first window, so each node is evaluated once.  The
+    velocity and displacement at the half starts are evaluated for
+    :data:`_START_CHUNK` halves at a time, each chunk beyond the first also
+    taking the carried half's.  So one block's temporaries, one chunk's
+    start terms and one carried row of sums are all the memory this holds,
+    whatever ``count`` is.
+    """
+    half = 0.5 * delta
+    per_block = max(1, _BLOCK_PANELS // _panels(spec, half))
+    per_chunk = per_block * max(1, _START_CHUNK // per_block)
+    carried = None
+    for chunk in range(0, count + 1, per_chunk):
+        base = max(chunk - 1, 0)  # the carried half's start terms too
+        starts = t + half * np.arange(base, min(chunk + per_chunk,
+                                                count + 1))
+        v = dynamics.velocity(spec, starts).T
+        d = dynamics.displacement(spec, starts).T
+        for lo in range(chunk - base, starts.size, per_block):
+            hi = min(lo + per_block, starts.size)
+            sums = _half_sums(spec, probes, starts[lo:hi], v[:, lo:hi],
+                              d[:, lo:hi], half, sensors)
+            if carried is not None:
+                sums, lo = np.concatenate((carried, sums)), lo - 1
+            carried = sums[-1:].copy()
+            if hi - lo > 1:
+                yield (starts[lo:hi - 1],
+                       *_block(sums, _transitions(spec, starts[lo:hi],
+                                                  v[:, lo:hi], d[:, lo:hi]),
+                               mag, delta))
+            del sums  # freed before the next halves are evaluated
 
 
 def _windows(spec: TrajectorySpec, probes: ProbeSet,
@@ -304,31 +399,23 @@ def _windows(spec: TrajectorySpec, probes: ProbeSet,
     """Yield ``(t0, W, mu_pi, mu_api)`` of :func:`_block` for the windows
     [t0, t0 + delta] with ``t0 = min(t + k delta/2, last)``, ``k < count``.
 
-    A block holds as many whole windows as fit in :data:`_BLOCK_PANELS`
-    panels, or one window.  The velocity and displacement at the window
-    starts are evaluated once per window, for the whole blocks that fit in
-    :data:`_START_CHUNK` windows at a time, so that no array grows with
-    ``count``.
+    The windows on the half-window grid come from :func:`_grid_windows`; a
+    window clamped to ``last`` is off that grid, and takes its own two
+    halves the same way, so it gets the bits of a window at ``last`` alone.
     """
-    per_block = max(1, _BLOCK_PANELS // _panels(spec, delta))
-    per_chunk = per_block * max(1, _START_CHUNK // per_block)
     mag = None
     if SensorKind.MAG in sensors:
         # the mag rows [-(m_I)^x | 0 | 0] are constant: their mean is exact
         mx = skew(mag_ref.m_I)
         mag = mx.T @ mx
-    for chunk in range(0, count, per_chunk):
-        starts = np.minimum(t + 0.5 * delta * np.arange(
-            chunk, min(chunk + per_chunk, count)), last)
-        v_starts = dynamics.velocity(spec, starts).T[:, :, None, None]
-        p_starts = dynamics.horizontal_motion(spec, starts)[0][:, :, None,
-                                                               None]
-        for lo in range(0, starts.size, per_block):
-            block = slice(lo, lo + per_block)
-            yield (starts[block], *_block(spec, probes, mag, starts[block],
-                                          v_starts[:, block],
-                                          p_starts[:, block], delta,
-                                          sensors))
+    on_grid = count
+    while on_grid and t + 0.5 * delta * (on_grid - 1) > last:
+        on_grid -= 1
+    if on_grid:
+        yield from _grid_windows(spec, probes, mag, t, delta, on_grid,
+                                 sensors)
+    for _ in range(count - on_grid):
+        yield from _grid_windows(spec, probes, mag, last, delta, 1, sensors)
 
 
 def _one_window(spec: TrajectorySpec, probes: ProbeSet,

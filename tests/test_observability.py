@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -509,12 +510,17 @@ class TestVerdict:
             return orig(spec, t)
 
         monkeypatch.setattr(dynamics, "yaw_angle", counted)
-        _, rows = observability_verdict(paper, single_probe, mag_ref,
-                                        delta=4.0, duration=60.0)
-        # 29 windows of 5 panels, 12 nodes each
-        assert len(rows) == 29
-        assert sum(sizes) == 29 * 5 * 12
-        assert 1 < len(sizes) and max(sizes) <= 1024
+        # each node is evaluated once: a 2-s half takes 3 panels of 12 nodes,
+        # and the windows on the grid share their halves.  Over 60 s the 29
+        # windows take the 30 halves at 2 k; over 13 s the window clamped to
+        # [9, 13] is off the grid and takes two more halves after the 6 on it
+        for duration, windows, halves in ((60.0, 29, 30), (13.0, 6, 6 + 2)):
+            sizes.clear()
+            _, rows = observability_verdict(paper, single_probe, mag_ref,
+                                            delta=4.0, duration=duration)
+            assert len(rows) == windows
+            assert sum(sizes) == halves * 3 * 12
+            assert 1 < len(sizes) and max(sizes) <= 1024
 
     def test_sweep_memory_does_not_grow_with_the_window_count(
             self, single_probe, mag_ref):
@@ -594,6 +600,67 @@ class TestHalfWindowComposition:
             assert value == pytest.approx(np.linalg.eigvalsh(gram)[0],
                                           rel=1e-12,
                                           abs=1e-12 * np.abs(gram).max())
+
+    @pytest.mark.parametrize("yaw", [0.003, 0.01, 1.0])
+    @pytest.mark.parametrize("vel", [0.0, 1.0])
+    def test_minimally_excited_family_matches_oracle(self, mag_ref, yaw,
+                                                     vel):
+        # the paper trajectory with its yaw amplitude and horizontal
+        # velocity amplitudes scaled: lam_min(W) falls as yaw_amp^2 down to
+        # about 5e-8, the verdict holds in none, some or all windows, and
+        # mu_api is 0 without horizontal motion
+        paper = TrajectorySpec.paper(duration=60.0, gravity=G)
+        spec = dataclasses.replace(
+            paper, yaw_amp=yaw * paper.yaw_amp,
+            vel_amp=paper.vel_amp * [vel, vel, 1.0])
+        probes = ProbeSet.from_axes(PROBE_SETS[1])
+        _, rows = observability_verdict(spec, probes, mag_ref, delta=4.0)
+        assert len(rows) == 29
+        # every verdict; a 2-ms oracle step moves lam_min by less than 1e-8
+        # relative here, and no window's lam_min lies within 2% of the
+        # threshold
+        for row in rows:
+            eig = np.linalg.eigvalsh(oracle_gramian(
+                spec, probes, mag_ref, row.t_start, 4.0, step=2e-3))
+            assert row.verdict == bool(eig[0] >= 1e-6), row
+        # the least observable window, at the oracle's default step
+        row = min(rows, key=lambda r: r.lam_min)
+        ref = oracle_gramian(spec, probes, mag_ref, row.t_start, 4.0)
+        eig, atol = np.linalg.eigvalsh(ref), 1e-12 * np.abs(ref).max()
+        assert row.lam_min == pytest.approx(eig[0], rel=1e-10, abs=atol)
+        assert row.lam_max == pytest.approx(eig[-1], rel=1e-12, abs=atol)
+        for value, gram in zip((row.mu_pi, row.mu_api),
+                               oracle_pe_grams(spec, probes, row.t_start,
+                                               4.0)):
+            assert value == pytest.approx(np.linalg.eigvalsh(gram)[0],
+                                          rel=1e-12,
+                                          abs=1e-12 * np.abs(gram).max())
+
+    def test_halves_longer_than_one_evaluation(self, single_probe, mag_ref):
+        # 100-s halves take 106 panels each, more than the 85 evaluated at a
+        # time, so every half is summed over two evaluations and carried
+        # over to the next window on its own
+        spec = TrajectorySpec.paper(duration=400.0, gravity=G)
+        _, rows = observability_verdict(spec, single_probe, mag_ref,
+                                        delta=200.0)
+        assert [r.t_start for r in rows] == [0.0, 100.0, 200.0]
+        for row in rows:
+            eig = np.linalg.eigvalsh(
+                gramian(spec, single_probe, mag_ref, row.t_start, 200.0))
+            assert (row.lam_min, row.lam_max) == (eig[0], eig[-1])
+            assert (row.mu_pi, row.mu_api) == pe_margins(
+                spec, single_probe, row.t_start, 200.0)
+        # a 1-ms oracle step is within 1e-13 of the 0.5-ms one here
+        ref = oracle_gramian(spec, single_probe, mag_ref, 100.0, 200.0,
+                             step=1e-3)
+        eig = np.linalg.eigvalsh(ref)
+        assert rows[1].lam_min == pytest.approx(eig[0], rel=1e-10)
+        assert rows[1].lam_max == pytest.approx(eig[-1], rel=1e-12)
+        for value, gram in zip((rows[1].mu_pi, rows[1].mu_api),
+                               oracle_pe_grams(spec, single_probe, 100.0,
+                                               200.0, step=1e-3)):
+            assert value == pytest.approx(np.linalg.eigvalsh(gram)[0],
+                                          rel=1e-12)
 
     @pytest.mark.parametrize("delta", [np.inf, -np.inf, np.nan, 0.0, -4.0])
     def test_gramian_and_pe_margins_reject_bad_window(self, paper,
