@@ -12,7 +12,6 @@ from .harness import (
     run_single,
 )
 from .observability import (
-    GramianReport,
     gramian,
     observability_verdict,
     pe_margins,
@@ -34,7 +33,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AirDataObserver",
-    "GramianReport",
     "InitSpec",
     "MagReference",
     "MonteCarloSummary",

@@ -121,9 +121,9 @@ def _cmd_montecarlo(args, config) -> int:
 def _cmd_observability(args, config) -> int:
     out = Path(args.out)
     try:
-        report, rows = observability.observability_verdict(
+        rows = observability.observability_verdict(
             config.trajectory, config.probes, config.mag_ref,
-            delta=args.window, duration=config.duration,
+            config.duration, delta=args.window,
         )
     except observability._InputError as exc:
         print(f"window error: {exc}", file=sys.stderr)
@@ -135,8 +135,10 @@ def _cmd_observability(args, config) -> int:
         print(f"{row.t_start:8.2f} {row.lam_min:12.4e} {row.lam_max:12.4e} "
               f"{row.mu_pi:10.4e} {row.mu_api:10.4e} "
               f"{'true' if row.verdict else 'false'}")
-    print(f"overall verdict: {'true' if report.verdict else 'false'} "
-          f"(min lam_min={report.lam_min:.4e}, window={report.delta:g} s)")
+    verdict = all(row.verdict for row in rows)
+    print(f"overall verdict: {'true' if verdict else 'false'} "
+          f"(min lam_min={min(row.lam_min for row in rows):.4e}, "
+          f"window={args.window:g} s)")
     return EXIT_OK
 
 

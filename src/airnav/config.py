@@ -6,8 +6,10 @@ words (``paper_yaw_only``), bracketed vectors ``[a, b, c]`` or row-major
 bracketed matrices ``[[a, b], [c, d]]``.  Unknown keys are rejected.  An
 empty file yields the reference simulation setup; ``_DEFAULTS`` lists every
 key with its default value, and :func:`default_config` builds that setup.
-``_DEFAULTS`` is the only copy of those values: :class:`InitSpec` and
-:class:`SimConfig` have no field defaults and are built from it.
+``_DEFAULTS`` is the only copy of those values: :class:`InitSpec`,
+:class:`SimConfig` and the sensors' :class:`~airnav.sensors.RateSpec` and
+:class:`~airnav.sensors.NoiseSpec` have no field defaults and are built
+from it.
 """
 
 from __future__ import annotations
@@ -242,15 +244,12 @@ def build_config(values: dict) -> SimConfig:
 
 
 def _assemble(values: dict) -> SimConfig:
-    duration = float(values["duration"])
     gravity = float(values["gravity"])
     kind = str(values["trajectory"])
     if kind == "paper_yaw_only":
-        trajectory = TrajectorySpec.paper(duration=duration,
-                                          gravity=gravity)
+        trajectory = TrajectorySpec.paper(gravity=gravity)
     elif kind == "hover":
-        trajectory = TrajectorySpec.hover(duration=duration,
-                                          gravity=gravity)
+        trajectory = TrajectorySpec.hover(gravity=gravity)
     else:
         raise ConfigValidationError(
             f"trajectory must be paper_yaw_only or hover, got {kind!r}")
@@ -293,7 +292,7 @@ def _assemble(values: dict) -> SimConfig:
                      weights=weights, init=init,
                      runs=int(values["runs"]),
                      base_seed=int(values["base_seed"]),
-                     duration=duration,
+                     duration=float(values["duration"]),
                      q_convention=str(values["q_convention"]),
                      integrator=str(values["integrator"]))
 

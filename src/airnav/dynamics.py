@@ -24,7 +24,6 @@ import numpy as np
 class TrajectorySpec:
     """Closed-form truth trajectory with a fixed body-z rotation axis."""
 
-    duration: float = 60.0
     gravity: float = 9.81
     vel_amp: np.ndarray = field(default_factory=lambda: np.zeros(3))
     vel_freq: np.ndarray = field(default_factory=lambda: np.zeros(3))
@@ -35,8 +34,6 @@ class TrajectorySpec:
     h0: float = 0.0
 
     def __post_init__(self):
-        if self.duration <= 0.0:
-            raise ValueError("trajectory duration must be positive")
         # up to about 100 g; the Gramian grows as g**2 and overflows far
         # below the largest float
         if not 0.0 < self.gravity <= 1000.0:
@@ -49,10 +46,9 @@ class TrajectorySpec:
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def paper(cls, duration: float = 60.0, gravity: float = 9.81) -> TrajectorySpec:
+    def paper(cls, gravity: float = 9.81) -> TrajectorySpec:
         """Yaw-only excitation reference trajectory."""
         return cls(
-            duration=duration,
             gravity=gravity,
             vel_amp=np.array([1.5, 3.0, -15.0 * np.sqrt(3.0) / 4.0]),
             vel_freq=np.array([1.5, 3.0, 3.0]),
@@ -62,10 +58,9 @@ class TrajectorySpec:
         )
 
     @classmethod
-    def hover(cls, duration: float = 60.0, gravity: float = 9.81,
-              h0: float = 0.0) -> TrajectorySpec:
+    def hover(cls, gravity: float = 9.81, h0: float = 0.0) -> TrajectorySpec:
         """Static truth: zero velocity, constant altitude and attitude."""
-        return cls(duration=duration, gravity=gravity, h0=h0)
+        return cls(gravity=gravity, h0=h0)
 
 
 def _per_axis(spec: TrajectorySpec, t: np.ndarray):

@@ -164,12 +164,8 @@ class RunMetrics:
         idx = int(np.argmin(np.abs(self.t - t)))
         return float(getattr(self, key)[idx])
 
-    def window_mean(self, key: str, t_from: float,
-                    t_to: float | None = None) -> float:
-        mask = self.t >= t_from
-        if t_to is not None:
-            mask &= self.t <= t_to
-        values = getattr(self, key)[mask]
+    def window_mean(self, key: str, t_from: float) -> float:
+        values = getattr(self, key)[self.t >= t_from]
         return float(np.mean(values)) if values.size else float("nan")
 
 

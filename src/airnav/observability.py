@@ -67,9 +67,9 @@ one two-halves path, so a sweep row has the bits of the single window at
 its start wherever ``t_k + delta/2`` rounds to the next half's start ``t +
 (k + 1) delta/2``, as it does whenever ``delta/2`` is a short binary
 fraction (4-, 7- or 40-s windows); otherwise the two differ by rounding.
-A block's windows are reduced to their rows as soon as the block is done,
-and only the worst window's Gramian is kept for the report: beyond the rows
-it returns, the sweep's memory does not grow with the window count.
+A block's windows are reduced to their rows as soon as the block is done:
+beyond the rows it returns, the sweep's memory does not grow with the
+window count.
 """
 
 from __future__ import annotations
@@ -114,19 +114,6 @@ def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
     for a in rule:  # every caller shares the cached arrays
         a.flags.writeable = False
     return rule
-
-
-@dataclass(frozen=True, eq=False)
-class GramianReport:
-    """Windowed Gramian spectrum plus the persistent-excitation margins."""
-
-    W: np.ndarray
-    lam_min: float
-    lam_max: float
-    delta: float
-    mu_pi: float
-    mu_api: float
-    verdict: bool
 
 
 @dataclass(frozen=True)
@@ -457,25 +444,24 @@ def pe_margins(spec: TrajectorySpec, probes: ProbeSet, t: float, delta: float,
 
 
 def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
-                          mag_ref: MagReference,
-                          delta: float = DEFAULT_WINDOW,
-                          duration: float | None = None,
-                          sensors=STACK_ORDER,
-                          ) -> tuple[GramianReport, list[WindowRow]]:
-    """Sweep half-overlapping windows and aggregate a uniform-observability verdict.
+                          mag_ref: MagReference, duration: float,
+                          delta: float = DEFAULT_WINDOW) -> list[WindowRow]:
+    """Sweep half-overlapping windows over [0, duration]; one
+    :class:`WindowRow` per window, in start order.
 
     Window starts are ``k delta/2`` for ``k = 0, 1, ...`` while the window
     fits in ``[0, duration]``, and the last one is clamped to ``duration -
     delta``: when ``duration - delta`` is not a multiple of ``delta/2``, one
     more window ends the sweep at ``duration``, so no tail goes unswept.
     Every window is evaluated in this process, as the module docstring
-    describes, and reduced to its row as soon as its block is done.  The
-    overall verdict is true iff the smallest Gramian eigenvalue over all
-    windows stays at or above ``_LAM_THRESHOLD = 1e-6``; the returned
-    report carries the worst window's Gramian and the smallest PE margins
-    for diagnosis.  The threshold is fixed: each row carries its
+    describes, and reduced to its row as soon as its block is done.  A
+    row's verdict is true iff its smallest Gramian eigenvalue is at least
+    ``_LAM_THRESHOLD = 1e-6``, and the trajectory is uniformly observable
+    iff every row's is.  The threshold is fixed: each row carries its
     ``lam_min``, so a verdict at another threshold is one comprehension
-    over the rows.
+    over the rows.  The worst window's Gramian is :func:`gramian` at that
+    row's ``t_start``: the same bits wherever ``delta/2`` is a short binary
+    fraction, equal up to rounding otherwise.
 
     Raises
     ------
@@ -484,35 +470,21 @@ def observability_verdict(spec: TrajectorySpec, probes: ProbeSet,
         shorter than 0.1 s or exceeds ``duration``; always before the first
         window is computed.
     """
-    if duration is None:
-        duration = spec.duration
     _check_finite(duration=duration)
     _check_window(delta)
     if delta > duration + 1e-9:
         raise _InputError(f"window {delta:g} s is longer than the "
                           f"{duration:g} s duration")
     count = int(np.ceil((duration - delta - 1e-9) / (0.5 * delta))) + 1
-    rows, worst, worst_w = [], None, None
+    rows = []
     for t0, w, mu_pi, mu_api in _windows(spec, probes, mag_ref, 0.0, delta,
-                                         count, duration - delta, sensors):
+                                         count, duration - delta,
+                                         STACK_ORDER):
         eig = np.linalg.eigvalsh(w)
-        i = int(np.argmin(eig[:, 0]))
-        # the first smallest wins, as np.argmin over every window picks it
-        if worst is None or not eig[i, 0] >= rows[worst].lam_min:
-            worst, worst_w = len(rows) + i, w[i].copy()
         rows += [WindowRow(t_start=t_start, lam_min=lo, lam_max=hi,
                            mu_pi=pi, mu_api=api, verdict=lo >= _LAM_THRESHOLD)
                  for t_start, lo, hi, pi, api in zip(
                      t0.tolist(), eig[:, 0].tolist(), eig[:, -1].tolist(),
                      mu_pi.tolist(), mu_api.tolist())]
         del w, eig  # freed before the next block is evaluated
-    report = GramianReport(
-        W=worst_w,
-        lam_min=rows[worst].lam_min,
-        lam_max=rows[worst].lam_max,
-        delta=delta,
-        mu_pi=min(r.mu_pi for r in rows),
-        mu_api=min(r.mu_api for r in rows),
-        verdict=all(r.verdict for r in rows),
-    )
-    return report, rows
+    return rows

@@ -12,7 +12,7 @@ runs are mutually independent.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,11 +97,11 @@ class MagReference:
 class NoiseSpec:
     """Per-sensor Gaussian noise standard deviations."""
 
-    sigma_gyro: float = 0.05
-    sigma_acc: float = 0.05
-    sigma_p: np.ndarray = field(default_factory=lambda: np.array([0.5]))
-    sigma_m: np.ndarray = field(default_factory=lambda: np.full(3, 0.01))
-    sigma_b: float = 0.05
+    sigma_gyro: float
+    sigma_acc: float
+    sigma_p: np.ndarray
+    sigma_m: np.ndarray
+    sigma_b: float
 
     def __post_init__(self):
         sp = np.atleast_1d(np.array(self.sigma_p, dtype=float))
@@ -122,10 +122,10 @@ class NoiseSpec:
 class RateSpec:
     """Sensor sampling rates in Hz; slower rates must divide the IMU rate."""
 
-    f_imu: float = 200.0
-    f_pitot: float = 50.0
-    f_mag: float = 50.0
-    f_baro: float = 5.0
+    f_imu: float
+    f_pitot: float
+    f_mag: float
+    f_baro: float
 
     def __post_init__(self):
         for name in ("f_imu", "f_pitot", "f_mag", "f_baro"):

@@ -166,17 +166,15 @@ class ErrorState:
         return np.concatenate((self.lam, self.v_tilde, [self.h_tilde]))
 
 
-def _check_time(spec: TrajectorySpec, t) -> None:
+def _check_time(t) -> None:
+    """Raise :class:`OutOfRangeError` when any of ``t`` is before 0; the
+    closed forms hold for every later time."""
     if isinstance(t, float):  # the common scalar query, without numpy
-        outside = t < -_TIME_SLACK or t > spec.duration + _TIME_SLACK
+        before = t < -_TIME_SLACK
     else:
-        t = np.asarray(t, dtype=float)
-        outside = (np.any(t < -_TIME_SLACK)
-                   or np.any(t > spec.duration + _TIME_SLACK))
-    if outside:
-        raise OutOfRangeError(
-            f"t outside [0, {spec.duration}]"
-        )
+        before = np.any(np.asarray(t, dtype=float) < -_TIME_SLACK)
+    if before:
+        raise OutOfRangeError("t before 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,9 +208,9 @@ def truth_state(spec: TrajectorySpec, t: float) -> NavState:
     Raises
     ------
     OutOfRangeError
-        If ``t`` lies outside ``[0, spec.duration]``.
+        If ``t`` is before 0.
     """
-    _check_time(spec, t)
+    _check_time(t)
     r = attitude(spec, t)
     v = dynamics.velocity(spec, t)
     va = r.T @ (v - spec.wind)
@@ -227,7 +225,7 @@ def truth_inputs(spec: TrajectorySpec, t: float) -> BodyInputs:
     evaluated on Python floats: this is the inner call of
     :func:`propagate_truth`.
     """
-    _check_time(spec, t)
+    _check_time(t)
     t = float(t)
     amp, freq = spec.vel_amp.tolist(), spec.vel_freq.tolist()
     phase = spec.vel_phase.tolist()

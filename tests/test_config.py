@@ -64,7 +64,6 @@ class TestParsing:
     def test_duration_override_keeps_rest(self):
         cfg = parse_config_text("duration = 40\n")
         assert cfg.duration == 40.0
-        assert cfg.trajectory.duration == 40.0
         assert cfg.runs == 20
 
     def test_comments_and_blank_lines(self):
@@ -142,6 +141,13 @@ class TestValidation:
     def test_probe_sigma_length_mismatch(self):
         with pytest.raises(ConfigValidationError):
             parse_config_text("probes = [[1,0,0],[0,1,0]]\n")
+
+    def test_non_positive_duration_rejected(self):
+        # SimConfig holds the only copy of the run length
+        for text in ("duration = 0\n", "duration = -1\n"):
+            with pytest.raises(ConfigValidationError,
+                               match="^duration must be positive"):
+                parse_config_text(text)
 
     def test_negative_base_seed_rejected(self):
         with pytest.raises(ConfigValidationError):

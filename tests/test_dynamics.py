@@ -21,12 +21,12 @@ G = 9.81
 
 @pytest.fixture
 def paper():
-    return TrajectorySpec.paper(duration=60.0, gravity=G)
+    return TrajectorySpec.paper(gravity=G)
 
 
 @pytest.fixture
 def hover():
-    return TrajectorySpec.hover(duration=60.0, gravity=G, h0=3.0)
+    return TrajectorySpec.hover(gravity=G, h0=3.0)
 
 
 class TestTruthState:
@@ -53,8 +53,6 @@ class TestTruthState:
     def test_out_of_range(self, paper):
         with pytest.raises(OutOfRangeError):
             truth_state(paper, -0.5)
-        with pytest.raises(OutOfRangeError):
-            truth_state(paper, paper.duration + 0.5)
 
     def test_yaw_angle_closed_form(self, paper):
         t = 2.3
@@ -165,10 +163,6 @@ class TestErrorState:
 
 
 class TestTrajectorySpecValidation:
-    def test_rejects_bad_duration(self):
-        with pytest.raises(ValueError):
-            TrajectorySpec.hover(duration=0.0)
-
     def test_rejects_bad_gravity(self):
         with pytest.raises(ValueError):
             TrajectorySpec.hover(gravity=-1.0)

@@ -1058,13 +1058,25 @@ class TestCli:
                 != (out2 / "run_000.csv").read_bytes())
 
     def test_observability(self, tmp_path, capsys):
-        cfg = self._write_config(tmp_path, "duration = 8\n")
-        out = tmp_path / "obs"
-        code = cli.main(["observability", "--config", str(cfg), "--window",
-                         "4", "--out", str(out)])
-        assert code == 0
-        assert (out / "observability.csv").exists()
-        assert "overall verdict" in capsys.readouterr().out
+        # the paper trajectory is observable in every window, hover in none;
+        # the summary line is formed from the rows the CSV holds
+        for name, text, verdict in (
+                ("paper", "duration = 8\n", "true"),
+                ("hover", "duration = 20\ntrajectory = hover\n", "false")):
+            cfg = self._write_config(tmp_path, text)
+            out = tmp_path / name
+            code = cli.main(["observability", "--config", str(cfg),
+                             "--window", "4", "--out", str(out)])
+            assert code == 0
+            with open(out / "observability.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert {row["verdict"] for row in rows} <= {"true", "false"}
+            every = all(row["verdict"] == "true" for row in rows)
+            lam_min = min(float(row["lam_min_W"]) for row in rows)
+            summary = capsys.readouterr().out.splitlines()[-1]
+            assert summary == (f"overall verdict: {str(every).lower()} "
+                               f"(min lam_min={lam_min:.4e}, window=4 s)")
+            assert summary.startswith(f"overall verdict: {verdict} ")
 
     @pytest.mark.parametrize("window, code", [("4", 0), ("0", 2), ("-1", 2),
                                               ("nan", 2), ("9", 2)])

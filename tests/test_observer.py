@@ -676,7 +676,7 @@ class TestCreDiscreteSchemeGap:
         # measured gap at 200 Hz is a few tenths of a percent and this
         # regression pins its scale
         cfg = default_config()
-        spec = TrajectorySpec.paper(duration=2.0)
+        spec = TrajectorySpec.paper()
         T = cfg.imu_period
         r_d = additive_weight(cfg.weights, STACK_ORDER, cfg.q_convention)
         q_cre = np.linalg.inv(r_d) / T

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import inspect
 import os
 import subprocess
 import sys
@@ -30,7 +31,8 @@ DELETED_NAMES = ("E1", "E2", "TransitionBlocks", "TrajectoryKind",
                  "_pool_worker", "_spare_cpu", "_worker_count", "_evaluate",
                  "DEFAULT_QUAD_STEP", "_HALF", "_grid", "_cumulative_simpson",
                  "_integrated_force", "_simpson_weights", "_half_window",
-                 "_half", "_compose", "_window", "_plan", "is_rotation")
+                 "_half", "_compose", "_window", "_plan", "is_rotation",
+                 "GramianReport")
 
 
 def test_dense_forms_are_not_exported():
@@ -90,6 +92,19 @@ def test_package_carries_no_oracle_code():
     assert not hasattr(airnav.RunMetrics, "metric")
     assert not hasattr(airnav.AirDataObserver, "tick")
     assert not hasattr(airnav.ObserverState, "validate")
+
+
+def test_one_copy_of_the_run_length_and_the_reference_setup():
+    # SimConfig.duration is the run length; config._DEFAULTS holds the
+    # reference rates and noise
+    assert "duration" not in {
+        f.name for f in dataclasses.fields(airnav.TrajectorySpec)}
+    assert "sensors" not in inspect.signature(
+        airnav.observability_verdict).parameters
+    for spec in (airnav.RateSpec, airnav.NoiseSpec):
+        assert all(f.default is dataclasses.MISSING
+                   and f.default_factory is dataclasses.MISSING
+                   for f in dataclasses.fields(spec)), spec
 
 
 def test_sensor_specs_carry_no_test_only_knobs():

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from airnav.config import default_config
 from airnav.dynamics import TrajectorySpec
 from airnav.exceptions import RateMismatchError
 from airnav.geometry import exp_so3
@@ -20,6 +23,10 @@ from airnav.sensors import (
 )
 
 from oracles import make_schedule, truth_state
+
+# The reference setup's rates (200/50/50/5 Hz) and noise.
+RATES = default_config().rates
+NOISE = default_config().noise
 
 
 def noiseless(m=1):
@@ -42,7 +49,7 @@ class TestSampleImu:
 
     def test_noise_std(self):
         rng = substream(0, 0, STREAM_IDS[SensorKind.IMU])
-        noise = NoiseSpec(sigma_gyro=0.05, sigma_acc=0.05)
+        noise = replace(NOISE, sigma_gyro=0.05, sigma_acc=0.05)
         draws = np.array([np.concatenate(sample_imu(np.zeros(3), np.zeros(3),
                                                     noise, rng))
                           for _ in range(100_000)])
@@ -50,7 +57,7 @@ class TestSampleImu:
         assert np.all(stds >= 0.048) and np.all(stds <= 0.052)
 
     def test_fixed_seed_reproducible(self):
-        noise = NoiseSpec()
+        noise = NOISE
         a = [sample_imu(np.zeros(3), np.zeros(3), noise, substream(7, 3, 0))
              for _ in range(2)]
         np.testing.assert_array_equal(a[0][0], a[1][0])
@@ -87,7 +94,7 @@ class TestSampleBaro:
 
     def test_mean_unbiased(self):
         rng = substream(0, 0, STREAM_IDS[SensorKind.BARO])
-        noise = NoiseSpec(sigma_b=0.05)
+        noise = replace(NOISE, sigma_b=0.05)
         draws = np.array([sample_baro(0.0, noise, rng)
                           for _ in range(100_000)])
         assert abs(draws.mean()) <= 3 * 0.0005
@@ -111,7 +118,7 @@ class TestSampleMag:
     def test_noise_std(self):
         rng = substream(0, 0, STREAM_IDS[SensorKind.MAG])
         ref = MagReference(m_I=self.M_I)
-        noise = NoiseSpec(sigma_m=np.full(3, 0.01))
+        noise = replace(NOISE, sigma_m=np.full(3, 0.01))
         draws = np.array([sample_mag(np.eye(3), ref, noise, rng)
                           for _ in range(100_000)])
         stds = (draws - self.M_I).std(axis=0)
@@ -138,7 +145,7 @@ class TestBatchedSampling:
         gen = np.random.default_rng(10)
         omega = gen.standard_normal((self.N, 3))
         a = gen.standard_normal((self.N, 3))
-        noise = NoiseSpec()
+        noise = NOISE
         omega_b, a_b = sample_imu(omega, a, noise, self._rng(SensorKind.IMU))
         rng = self._rng(SensorKind.IMU)
         single = [sample_imu(omega[i], a[i], noise, rng)
@@ -152,7 +159,7 @@ class TestBatchedSampling:
     ])
     def test_pitot(self, axes):
         probes = ProbeSet.from_axes(axes)
-        noise = NoiseSpec(sigma_p=np.full(probes.m, 0.5))
+        noise = replace(NOISE, sigma_p=np.full(probes.m, 0.5))
         _, va, _ = self._truths()
         batched = sample_pitot(va, probes, noise, self._rng(SensorKind.PITOT))
         rng = self._rng(SensorKind.PITOT)
@@ -163,7 +170,7 @@ class TestBatchedSampling:
 
     def test_mag(self):
         ref = MagReference(m_I=np.array([1.0, 0.0, 1.0]) / np.sqrt(2.0))
-        noise = NoiseSpec()
+        noise = NOISE
         r, _, _ = self._truths()
         batched = sample_mag(r, ref, noise, self._rng(SensorKind.MAG))
         rng = self._rng(SensorKind.MAG)
@@ -171,7 +178,7 @@ class TestBatchedSampling:
         assert np.array_equal(batched, np.array(single))
 
     def test_baro(self):
-        noise = NoiseSpec()
+        noise = NOISE
         _, _, h = self._truths()
         batched = sample_baro(h, noise, self._rng(SensorKind.BARO))
         rng = self._rng(SensorKind.BARO)
@@ -209,7 +216,7 @@ class TestRates:
             RateSpec(f_imu=200.0, f_pitot=400.0, f_mag=50.0, f_baro=5.0)
 
     def test_decimation(self):
-        rates = RateSpec()
+        rates = RATES
         assert rates.decimation(SensorKind.PITOT) == 4
         assert rates.decimation(SensorKind.BARO) == 40
 
@@ -225,13 +232,13 @@ class TestSchedule:
                                    [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
 
     def test_zero_duration(self):
-        slots = make_schedule(RateSpec(), 0.0)
+        slots = make_schedule(RATES, 0.0)
         assert len(slots) == 1
         assert slots[0].t == 0.0
         assert SensorKind.IMU in slots[0].kinds
 
     def test_paper_rates_at_20ms(self):
-        slots = make_schedule(RateSpec(), 1.0)
+        slots = make_schedule(RATES, 1.0)
         tick = slots[4]
         assert tick.t == pytest.approx(0.02)
         assert SensorKind.IMU in tick.kinds
@@ -240,12 +247,12 @@ class TestSchedule:
         assert SensorKind.BARO not in tick.kinds
 
     def test_slots_sit_on_tick_grid(self):
-        rates = RateSpec()
+        rates = RATES
         slots = make_schedule(rates, 1.0)
         assert [s.t for s in slots] == tick_times(rates, 1.0).tolist()
 
     def test_sorted_and_gap_free(self):
-        slots = make_schedule(RateSpec(), 2.0)
+        slots = make_schedule(RATES, 2.0)
         ts = np.array([s.t for s in slots])
         np.testing.assert_allclose(np.diff(ts), 1.0 / 200.0, atol=1e-12)
         assert all(SensorKind.IMU in s.kinds for s in slots)
